@@ -72,8 +72,8 @@ use fw_graph::{Csr, PartitionedGraph, RangeTable, SubgraphMappingTable};
 use fw_nand::layout::GraphBlockPlacement;
 use fw_nand::{GraphLayout, Lpn, Ssd, SsdConfig};
 use fw_sim::{
-    CriticalConfig, CriticalRecorder, JourneyConfig, JourneyRecorder, LaneRngs, RngModel, ShardId,
-    ShardedClock, ShardedEventQueue, SimTime, TimeSeries, TraceConfig, Tracer, Xoshiro256pp,
+    CriticalConfig, CriticalRecorder, EventQueue, JourneyConfig, JourneyRecorder, SimTime,
+    TimeSeries, TraceConfig, Tracer, Xoshiro256pp,
 };
 use fw_walk::{FaultSummary, RunReport, WalkEngine, Workload, WALK_BYTES};
 
@@ -82,6 +82,20 @@ use crate::tables::{DenseTable, WalkQueryCache};
 use events::Ev;
 use state::{ChannelState, ChipState, ForeignStore, Pools, Pwb, SgId, Slot, TWalk};
 use step::prewalk_slice;
+
+/// A recorder lane: one per channel (carrying that channel's chip and
+/// channel-accelerator work) plus a board/PCIe lane last. Indexes the
+/// per-lane tracers, journey recorders and critical recorders.
+#[derive(Clone, Copy)]
+pub(super) struct ShardId(u32);
+
+impl ShardId {
+    /// The lane index as a `usize` (for indexing per-lane recorders).
+    #[inline]
+    pub(super) fn index(self) -> usize {
+        self.0 as usize
+    }
+}
 
 /// The FlashWalker system simulator.
 pub struct FlashWalkerSim<'g> {
@@ -97,26 +111,10 @@ pub struct FlashWalkerSim<'g> {
     placements: Vec<GraphBlockPlacement>,
     /// Mapping-table entry window per partition.
     part_windows: Vec<(usize, usize)>,
-    /// Sharded event streams: one shard per channel (carrying that
-    /// channel's chip and channel-accelerator events) plus a board/PCIe
-    /// shard. The merged pop order is bit-identical to the monolithic
-    /// queue, so `threads` never changes a single event delivery.
-    events: ShardedEventQueue<Ev>,
-    /// Worker count for window-driven execution; `1` (the default) runs
-    /// the sequential reference loop.
-    threads: u32,
+    events: EventQueue<Ev>,
+    /// The walk RNG: every sampling decision draws from this one
+    /// generator, in event order.
     rng: Xoshiro256pp,
-    /// Which sampled-path universe this run inhabits (DESIGN.md §14).
-    /// `Global` (the default) draws every walk-sampling decision from the
-    /// single root `rng`; `Sharded` draws batch-time decisions from
-    /// per-lane jump-ahead streams in `lane_rngs` so lanes commit without
-    /// serializing on one generator.
-    rng_model: RngModel,
-    /// Per-lane walk RNG streams (one per event shard), 2^128 draws
-    /// apart via [`Xoshiro256pp::jump`]. Lane `i` is a pure function of
-    /// `(seed, i)`, never of thread count or visit order. Only consulted
-    /// when `rng_model` is `Sharded`.
-    lane_rngs: LaneRngs,
     /// Construction seed, kept so [`Self::with_faults`] can derive the
     /// injector's independent stream.
     seed: u64,
@@ -146,11 +144,8 @@ pub struct FlashWalkerSim<'g> {
     scratch: Vec<TWalk>,
     /// Reusable loaded-subgraph snapshot for chip batches.
     loaded_scratch: Vec<SgId>,
-    /// Per-shard free lists for event-payload vectors (see
-    /// [`state::Pools`]): a vector is recycled into the pool of the shard
-    /// whose handler consumed it, so window-local recycling never crosses
-    /// a shard boundary between sync points.
-    pools: Vec<Pools>,
+    /// Free lists for event-payload vectors (see [`state::Pools`]).
+    pools: Pools,
 
     total_walks: u64,
     completed: u64,
@@ -160,29 +155,28 @@ pub struct FlashWalkerSim<'g> {
     trace_window_ns: u64,
     walk_log: Option<Vec<fw_walk::Walk>>,
     pub(super) tracer: Tracer,
-    /// Per-shard tracers for the accelerator batch spans and queue
-    /// gauges. Merged into the root tracer at run end; the canonical
-    /// [`Tracer::finish`] makes the report independent of merge order.
+    /// Per-lane tracers for the accelerator batch spans and queue
+    /// gauges, so each lane's span cap is its own. Merged into the root
+    /// tracer at run end.
     pub(super) shard_tracers: Vec<Tracer>,
     /// Root journey recorder (board-side events: PWB enqueues, foreigner
-    /// flushes). Merged with the shard recorders at run end.
+    /// flushes). Merged with the per-lane recorders at run end.
     pub(super) journeys: JourneyRecorder,
-    /// Per-shard journey recorders mirroring `shard_tracers`: chip /
-    /// channel / load events ride the shard whose handler records them,
+    /// Per-lane journey recorders mirroring `shard_tracers`: chip /
+    /// channel / load events ride the lane whose handler records them,
     /// and the canonical `JourneyRecorder::finish` sort makes the merged
-    /// report independent of shard merge order.
+    /// report independent of merge order.
     pub(super) shard_journeys: Vec<JourneyRecorder>,
     /// Root critical-path recorder (merge target). Dependency nodes are
     /// recorded by [`Self::sched_ev`] at every `schedule_at` site; node
-    /// ids are the queue's global sequence numbers, which the serial
-    /// commit plane makes identical at any thread count.
+    /// ids are the queue's sequence numbers.
     pub(super) critical: CriticalRecorder,
-    /// Per-shard critical recorders mirroring `shard_tracers`; gseq node
-    /// ids are globally unique, so the merge is a plain union and the
-    /// canonical `CriticalRecorder::finish` sort makes the report
-    /// independent of merge order.
+    /// Per-lane critical recorders mirroring `shard_tracers`, each with
+    /// its own node cap; sequence-number node ids are unique, so the
+    /// merge is a plain union and the canonical `CriticalRecorder::finish`
+    /// sort makes the report independent of merge order.
     pub(super) shard_criticals: Vec<CriticalRecorder>,
-    /// Causal anchor: the gseq of the event currently being dispatched.
+    /// Causal anchor: the seq of the event currently being dispatched.
     /// Everything a handler schedules happens-after this event.
     crit_cause: Option<u64>,
 }
@@ -273,12 +267,8 @@ impl<'g> FlashWalkerSim<'g> {
             dram: Dram::new(DramConfig::ddr4_1600()),
             placements,
             part_windows,
-            // One shard per channel, plus the board/PCIe shard last.
-            events: ShardedEventQueue::new(geometry.channels as usize + 1),
-            threads: 1,
+            events: EventQueue::new(),
             rng: Xoshiro256pp::new(seed),
-            rng_model: RngModel::Global,
-            lane_rngs: LaneRngs::new(seed, geometry.channels as usize + 1),
             seed,
             faults: FaultProfile::none(),
             chips,
@@ -299,9 +289,7 @@ impl<'g> FlashWalkerSim<'g> {
             relaxed_pick: false,
             scratch: Vec::new(),
             loaded_scratch: Vec::new(),
-            pools: (0..geometry.channels as usize + 1)
-                .map(|_| Pools::default())
-                .collect(),
+            pools: Pools::default(),
             total_walks: 0,
             completed: 0,
             next_lpn: 0,
@@ -323,26 +311,6 @@ impl<'g> FlashWalkerSim<'g> {
                 .collect(),
             crit_cause: None,
         }
-    }
-
-    /// Run with `n` workers. `1` (the default) is the sequential
-    /// reference loop; more switch to window-driven execution over the
-    /// sharded event streams. The committed event order — and therefore
-    /// every report byte — is identical at any thread count.
-    pub fn with_threads(mut self, n: u32) -> Self {
-        self.threads = n.max(1);
-        self
-    }
-
-    /// Select the walk-RNG universe (default [`RngModel::Global`]).
-    /// `Global` reproduces the monolithic reference byte-for-byte;
-    /// `Sharded` samples batch-time walk decisions from per-lane
-    /// jump-ahead streams — a *different but statistically equivalent*
-    /// set of walk paths that is still byte-reproducible for a fixed seed
-    /// at any thread count (DESIGN.md §14).
-    pub fn with_rng(mut self, model: RngModel) -> Self {
-        self.rng_model = model;
-        self
     }
 
     /// Enable span-based tracing of the whole hierarchy: flash / channel /
@@ -378,8 +346,8 @@ impl<'g> FlashWalkerSim<'g> {
     /// subgraph loads, NAND reads, ECC retries, sample batches, hops,
     /// enqueues — recorded with sim-time stamps. The derived
     /// [`fw_sim::JourneyReport`] lands in [`FwReport::journeys`].
-    /// Zero-cost when not called; byte-deterministic at any thread count
-    /// (events commit in the same order and the finish sort is canonical).
+    /// Zero-cost when not called; byte-deterministic (the finish sort is
+    /// canonical).
     pub fn with_journeys(mut self, cfg: JourneyConfig) -> Self {
         self.journeys = JourneyRecorder::enabled(cfg);
         for j in &mut self.shard_journeys {
@@ -394,8 +362,8 @@ impl<'g> FlashWalkerSim<'g> {
     /// path segments sum *exactly* to end-to-end sim time — lands in
     /// [`FwReport::critical`]. Zero-cost when not called; recording never
     /// touches sim state, so enabling it leaves every other report byte
-    /// unchanged, and node ids are commit-order sequence numbers, so the
-    /// report is byte-identical at any thread count.
+    /// unchanged, and node ids are the queue's sequence numbers, so the
+    /// report is byte-deterministic.
     pub fn with_critical(mut self, cfg: CriticalConfig) -> Self {
         self.critical = CriticalRecorder::enabled(cfg);
         for c in &mut self.shard_criticals {
@@ -443,9 +411,7 @@ impl<'g> FlashWalkerSim<'g> {
         chip / self.ssd.config().geometry.chips_per_channel
     }
 
-    /// Shard ownership: a chip's events ride its channel's stream (walks
-    /// leave a chip only over that channel's bus, so the stream carries
-    /// every cross-chip interaction the chip can have between syncs).
+    /// Lane ownership: a chip's work is recorded on its channel's lane.
     pub(super) fn shard_of_chip(&self, chip: u32) -> ShardId {
         ShardId(self.channel_of_chip(chip))
     }
@@ -454,18 +420,16 @@ impl<'g> FlashWalkerSim<'g> {
         ShardId(ch)
     }
 
-    /// The board/PCIe shard: the last stream, after one per channel.
+    /// The board/PCIe lane: the last one, after one per channel.
     pub(super) fn board_shard(&self) -> ShardId {
         ShardId(self.ssd.config().geometry.channels)
     }
 
-    /// Schedule `ev` on `shard` at `at` and record the happens-before
-    /// edge: a dependency-log node spanning `[start, at]` on the
-    /// `(comp, lane)` resource, caused by the event being dispatched
-    /// (`crit_cause`). The node id is the queue's commit-order gseq, and
-    /// the node lands in the *target* shard's recorder — safe because
-    /// both run loops dispatch handlers serially (the commit plane is
-    /// serialized by design).
+    /// Schedule `ev` at `at` and record the happens-before edge: a
+    /// dependency-log node spanning `[start, at]` on the `(comp, lane)`
+    /// resource, caused by the event being dispatched (`crit_cause`). The
+    /// node id is the queue's sequence number, and the node lands in the
+    /// `shard` lane's recorder.
     fn sched_ev(
         &mut self,
         shard: ShardId,
@@ -476,20 +440,8 @@ impl<'g> FlashWalkerSim<'g> {
         start: SimTime,
     ) {
         let cause = self.crit_cause;
-        let id = self.events.schedule_at(shard, at, ev);
+        let id = self.events.schedule_at(at, ev);
         self.shard_criticals[shard.index()].node(id, comp, lane, start, at, cause);
-    }
-
-    /// Conservative window lookahead: the fastest accelerator cycle. A
-    /// committed event can only reach *another* shard through a scheduled
-    /// batch at least one cycle out, so no cross-shard event can land
-    /// inside the window that spawned it.
-    fn window_lookahead(&self) -> fw_sim::Duration {
-        self.cfg
-            .chip_cycle
-            .min(self.cfg.chan_cycle)
-            .min(self.cfg.board_cycle)
-            .max(fw_sim::Duration(1))
     }
 
     fn alloc_lpn(&mut self) -> Lpn {
@@ -499,8 +451,8 @@ impl<'g> FlashWalkerSim<'g> {
 
     /// Ground-truth destination of a walk (data correctness; timing for
     /// the lookup is charged separately by the timed structures), drawing
-    /// any dense-slice pre-walk from the supplied generator. Batch
-    /// handlers pass their lane's stream; init paths pass the root.
+    /// any dense-slice pre-walk from the supplied generator (the walk RNG,
+    /// taken out of `self` by batch handlers).
     fn true_dest_in(pg: &PartitionedGraph, v: fw_graph::VertexId, rng: &mut Xoshiro256pp) -> SgId {
         if let Some(meta) = pg.find_dense(v) {
             let meta = *meta;
@@ -513,31 +465,22 @@ impl<'g> FlashWalkerSim<'g> {
         }
     }
 
-    /// [`Self::true_dest_in`] on the root RNG — the init/partition path,
-    /// which draws identically in both RNG universes.
+    /// [`Self::true_dest_in`] on the walk RNG — the init/partition path.
     fn true_dest(&mut self, v: fw_graph::VertexId) -> SgId {
         Self::true_dest_in(self.pg, v, &mut self.rng)
     }
 
-    /// Borrow the walk RNG a batch on `lane` must draw from: the root
-    /// generator in the global universe (moved out so helpers can take it
-    /// alongside `&mut self`; the same object, so the draw order is
-    /// untouched), the lane's own jump-ahead stream in the sharded one.
+    /// Move the walk RNG out so batch helpers can draw from it alongside
+    /// `&mut self` (the same object, so the draw order is untouched).
     /// Must be returned via [`Self::put_walk_rng`] before the handler
     /// yields.
-    pub(super) fn take_walk_rng(&mut self, lane: usize) -> Xoshiro256pp {
-        match self.rng_model {
-            RngModel::Global => std::mem::replace(&mut self.rng, Xoshiro256pp::new(0)),
-            RngModel::Sharded => self.lane_rngs.take(lane),
-        }
+    pub(super) fn take_walk_rng(&mut self) -> Xoshiro256pp {
+        std::mem::replace(&mut self.rng, Xoshiro256pp::new(0))
     }
 
-    /// Return a generator borrowed with [`Self::take_walk_rng`].
-    pub(super) fn put_walk_rng(&mut self, lane: usize, rng: Xoshiro256pp) {
-        match self.rng_model {
-            RngModel::Global => self.rng = rng,
-            RngModel::Sharded => self.lane_rngs.put(lane, rng),
-        }
+    /// Return the generator taken with [`Self::take_walk_rng`].
+    pub(super) fn put_walk_rng(&mut self, rng: Xoshiro256pp) {
+        self.rng = rng;
     }
 
     // ------------------------------------------------------------------
@@ -551,8 +494,7 @@ impl<'g> FlashWalkerSim<'g> {
             Ev::ChipBatchDone { chip, outbox } => self.on_chip_batch_done(chip, outbox, now),
             Ev::ChanArrive { ch, mut walks } => {
                 self.channels[ch as usize].inbox.append(&mut walks);
-                let sh = self.shard_of_chan(ch).index();
-                self.pools[sh].put_walks(walks);
+                self.pools.put_walks(walks);
                 self.try_start_channel(ch, now);
             }
             Ev::ChanBatchDone { ch, to_board } => self.on_chan_batch_done(ch, to_board, now),
@@ -564,10 +506,9 @@ impl<'g> FlashWalkerSim<'g> {
         }
     }
 
-    /// All shards quiesced with work left: flush leftover foreigner-
+    /// The queue drained with work left: flush leftover foreigner-
     /// buffered walks, relax the load threshold for PWB stragglers, or
-    /// switch to the next partition with work. This is a global barrier —
-    /// every stream agrees the queue is empty before any refill.
+    /// switch to the next partition with work.
     fn on_quiesce(&mut self) {
         let now = self.events.now();
         if !self.board.foreigner_buf.is_empty() {
@@ -606,14 +547,13 @@ impl<'g> FlashWalkerSim<'g> {
         self.setup_partition(next, now, true);
     }
 
-    /// The sequential reference loop: pop the globally next event,
-    /// dispatch, repeat. Kept as the ground truth the windowed path is
-    /// tested against.
+    /// The event loop: pop the next event, dispatch, repeat; refill on
+    /// quiesce.
     fn run_loop_sequential(&mut self) {
         let mut guard: u64 = 0;
         while self.completed < self.total_walks {
             match self.events.pop() {
-                Some((now, _shard, ev)) => {
+                Some((now, ev)) => {
                     // The popped event is the cause of everything its
                     // handler schedules. Quiesce keeps the last anchor:
                     // refills happen-after the event that drained the
@@ -631,92 +571,6 @@ impl<'g> FlashWalkerSim<'g> {
         }
     }
 
-    /// Window-driven execution (`threads > 1`): events drain through
-    /// conservative [`fw_sim::SyncWindow`]s — lookahead one accelerator
-    /// cycle, the minimum cross-shard latency — with a [`ShardedClock`]
-    /// auditing that no shard escapes the open window or travels
-    /// backwards. Events *commit* in the same global (time, sequence)
-    /// order as the sequential reference — walk sampling draws from one
-    /// shared RNG stream, so the commit plane is serialized by design —
-    /// which is what makes the two paths bit-identical; the per-shard
-    /// planes (tracer lanes, pool free lists, fault streams) are the
-    /// window-local state workers own between sync points.
-    fn run_loop_windowed(&mut self) {
-        let lookahead = self.window_lookahead();
-        let mut clock = ShardedClock::new(self.events.num_shards());
-        let mut guard: u64 = 0;
-        while self.completed < self.total_walks {
-            match self.events.next_window(lookahead) {
-                Some(w) => {
-                    clock.open_window(w);
-                    while let Some((now, shard, ev)) = self.events.pop_within(w.end) {
-                        clock.advance(shard, now);
-                        self.crit_cause = self.events.last_popped_seq();
-                        self.dispatch(now, ev);
-                        guard += 1;
-                        assert!(
-                            guard < 500_000_000,
-                            "event guard tripped — runaway simulation"
-                        );
-                        if self.completed >= self.total_walks {
-                            return;
-                        }
-                    }
-                    clock.close_window();
-                }
-                None => {
-                    self.on_quiesce();
-                    // The quiesce refill may legitimately schedule before
-                    // the last window's end; the barrier re-founds the
-                    // per-shard clocks.
-                    clock = ShardedClock::new(self.events.num_shards());
-                }
-            }
-        }
-    }
-
-    /// The sharded-RNG commit loop: within each conservative window,
-    /// lanes drain *lane-major* — every in-window event of lane 0, then
-    /// lane 1, and so on — with each lane's walk sampling drawn from its
-    /// own jump-ahead stream. The cross-lane interleaving inside a window
-    /// therefore stops mattering: each lane's draws depend only on its
-    /// own event stream, so the run is byte-reproducible for a fixed seed
-    /// at ANY thread count by construction, and a lane's drain is an
-    /// independent unit of work the worker pool can commit concurrently.
-    ///
-    /// Soundness is the conservative-window argument: the lookahead is
-    /// the minimum accelerator cycle, every handler schedules follow-ups
-    /// at least one cycle out, and in-window events sit at `t >= w.start`
-    /// — so nothing dispatched here can schedule into a drained lane's
-    /// past (every follow-up lands at or beyond `w.end`).
-    fn run_loop_sharded(&mut self) {
-        let lookahead = self.window_lookahead();
-        let num = self.events.num_shards();
-        let mut guard: u64 = 0;
-        while self.completed < self.total_walks {
-            match self.events.next_window(lookahead) {
-                Some(w) => {
-                    for lane in 0..num {
-                        let sh = ShardId(lane as u32);
-                        while let Some((now, ev)) = self.events.pop_lane_within(sh, w.end) {
-                            self.crit_cause = self.events.last_popped_seq();
-                            self.dispatch(now, ev);
-                            guard += 1;
-                            assert!(
-                                guard < 500_000_000,
-                                "event guard tripped — runaway simulation"
-                            );
-                            if self.completed >= self.total_walks {
-                                return;
-                            }
-                        }
-                    }
-                }
-                None => self.on_quiesce(),
-            }
-        }
-    }
-
     /// Run `wl` to completion and return the engine-specific report with
     /// the full per-level statistics. The unified view is
     /// [`WalkEngine::run`].
@@ -731,19 +585,13 @@ impl<'g> FlashWalkerSim<'g> {
             self.maybe_fill_chip(chip, SimTime::ZERO);
         }
 
-        if self.rng_model.is_sharded() {
-            self.run_loop_sharded();
-        } else if self.threads > 1 {
-            self.run_loop_windowed();
-        } else {
-            self.run_loop_sequential();
-        }
+        self.run_loop_sequential();
 
         let end = self.events.now();
         let horizon = SimTime::ZERO.max(end);
         let cfgp = *self.ssd.config();
         let s = *self.ssd.stats();
-        // Deterministic merge of the per-shard lanes: shard order here is
+        // Deterministic merge of the per-lane recorders: lane order here is
         // fixed, and the canonical `Tracer::finish` is merge-order
         // independent anyway (asserted in fw-trace's shuffled-merge test).
         let shard_tracers = std::mem::take(&mut self.shard_tracers);

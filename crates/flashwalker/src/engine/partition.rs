@@ -26,8 +26,7 @@ impl FlashWalkerSim<'_> {
             .expect("pwb_insert outside current partition");
         // Zero-width marker: the walk entered a queue here; waiting time
         // until its next activity shows up as `wait` in the journey
-        // decomposition. Events dispatch serially, so the root recorder
-        // is safe from any shard context.
+        // decomposition.
         self.journeys
             .event(tw.walk.id, JourneyEventKind::Enqueue, sg, now, now);
         self.pwb.entries[idx].walks.push(tw);

@@ -52,11 +52,11 @@ impl FlashWalkerSim<'_> {
         }
         let mut upd_ops: u64 = 0;
         let mut guid_ops: u64 = 0;
-        let mut outbox = self.pools[sh].take_walks();
+        let mut outbox = self.pools.take_walks();
         let mut completed_now: u64 = 0;
-        // The lane's walk RNG for the whole batch (the root generator in
-        // the global universe — same object, same draw order).
-        let mut wrng = self.take_walk_rng(sh);
+        // The walk RNG for the whole batch (moved out of `self`; same
+        // object, same draw order).
+        let mut wrng = self.take_walk_rng();
         // Journey bookkeeping: batch duration is only known after the
         // drain, so sampled ids are collected now and stamped below.
         let j_on = self.shard_journeys[sh].is_enabled();
@@ -109,7 +109,7 @@ impl FlashWalkerSim<'_> {
             }
         }
 
-        self.put_walk_rng(sh, wrng);
+        self.put_walk_rng(wrng);
         self.scratch = work;
         loaded.clear();
         self.loaded_scratch = loaded;
@@ -180,7 +180,7 @@ impl FlashWalkerSim<'_> {
                         outbox.push(tw);
                     }
                     if let Slot::Loaded { queue, .. } = std::mem::replace(slot, Slot::Empty) {
-                        self.pools[sh].put_walks(queue);
+                        self.pools.put_walks(queue);
                     }
                 }
             }
@@ -213,7 +213,7 @@ impl FlashWalkerSim<'_> {
                 now,
             );
         } else {
-            self.pools[sh].put_walks(outbox);
+            self.pools.put_walks(outbox);
         }
         self.maybe_fill_chip(chip, now);
         self.try_start_chip(chip, now);
@@ -237,8 +237,7 @@ impl FlashWalkerSim<'_> {
     }
 
     pub(super) fn on_chip_deliver(&mut self, chip: u32, mut walks: Vec<TWalk>, now: SimTime) {
-        let sh = self.shard_of_chip(chip).index();
-        let mut retry = self.pools[sh].take_walks();
+        let mut retry = self.pools.take_walks();
         for tw in walks.drain(..) {
             let sg = tw.dest.expect("delivery without destination");
             match self.chips[chip as usize].slot_of(sg) {
@@ -259,7 +258,7 @@ impl FlashWalkerSim<'_> {
                 }
             }
         }
-        self.pools[sh].put_walks(walks);
+        self.pools.put_walks(walks);
         if !retry.is_empty() {
             self.sched_ev(
                 self.shard_of_chip(chip),
@@ -270,7 +269,7 @@ impl FlashWalkerSim<'_> {
                 now,
             );
         } else {
-            self.pools[sh].put_walks(retry);
+            self.pools.put_walks(retry);
         }
         self.maybe_fill_chip(chip, now);
         self.try_start_chip(chip, now);
@@ -304,9 +303,9 @@ impl FlashWalkerSim<'_> {
         let hot = std::mem::take(&mut self.channels[ch as usize].hot);
         let mut guid_ops: u64 = 0;
         let mut upd_ops: u64 = 0;
-        let mut to_board = self.pools[sh].take_walks();
+        let mut to_board = self.pools.take_walks();
         let mut completed_now: u64 = 0;
-        let mut wrng = self.take_walk_rng(sh);
+        let mut wrng = self.take_walk_rng();
         let j_on = self.shard_journeys[sh].is_enabled();
         let mut j_ids: Vec<u32> = Vec::new();
         let mut j_done: Vec<u32> = Vec::new();
@@ -354,7 +353,7 @@ impl FlashWalkerSim<'_> {
             }
             to_board.push(tw);
         }
-        self.put_walk_rng(sh, wrng);
+        self.put_walk_rng(wrng);
         self.scratch = inbox;
         self.channels[ch as usize].hot = hot;
 
@@ -394,14 +393,13 @@ impl FlashWalkerSim<'_> {
     }
 
     pub(super) fn on_chan_batch_done(&mut self, ch: u32, mut to_board: Vec<TWalk>, now: SimTime) {
-        let sh = self.shard_of_chan(ch).index();
         self.channels[ch as usize].busy = false;
         // Channel→board traffic is controller-internal (the board fetches
         // roving walks from channel accelerators over the controller
         // interconnect, not the ONFI bus).
         let any = !to_board.is_empty();
         self.board.inbox.append(&mut to_board);
-        self.pools[sh].put_walks(to_board);
+        self.pools.put_walks(to_board);
         if any {
             self.try_start_board(now);
         }
@@ -421,7 +419,7 @@ impl FlashWalkerSim<'_> {
     }
 
     /// Resolve a walk's destination with the timed structures, drawing
-    /// any dense-slice pre-walk from `rng` (the caller's lane stream).
+    /// any dense-slice pre-walk from `rng` (the caller's walk RNG).
     /// Returns `(dest, guider_ops, map_probes)`; `None` dest means
     /// foreigner.
     pub(super) fn resolve_dest(
@@ -500,12 +498,12 @@ impl FlashWalkerSim<'_> {
         let mut map_probes: u64 = 0;
         let mut dram_write_bytes: u64 = 0;
         let mut deliveries = DeliveryBuckets {
-            buckets: self.pools[bs].take_deliveries(),
+            buckets: self.pools.take_deliveries(),
         };
-        let mut dirty_chips = self.pools[bs].take_chip_ids();
+        let mut dirty_chips = self.pools.take_chip_ids();
         let mut dirty_mask: u128 = 0;
         let mut completed_now: u64 = 0;
-        let mut wrng = self.take_walk_rng(bs);
+        let mut wrng = self.take_walk_rng();
         let j_on = self.shard_journeys[bs].is_enabled();
         let mut j_ids: Vec<u32> = Vec::new();
         let mut j_done: Vec<u32> = Vec::new();
@@ -564,7 +562,7 @@ impl FlashWalkerSim<'_> {
                     if self.chips[chip as usize].slot_of(sg).is_some() {
                         // Deliver straight to the loaded slot.
                         self.stats.deliveries += 1;
-                        deliveries.push_pooled(chip, tw, &mut self.pools[bs]);
+                        deliveries.push_pooled(chip, tw, &mut self.pools);
                     } else {
                         dram_write_bytes += self.pwb_insert(tw, now, true);
                         mark_dirty(&mut dirty_mask, &mut dirty_chips, chip);
@@ -579,7 +577,7 @@ impl FlashWalkerSim<'_> {
                 }
             }
         }
-        self.put_walk_rng(bs, wrng);
+        self.put_walk_rng(wrng);
         self.scratch = inbox;
         self.board.hot = hot;
 
@@ -686,11 +684,11 @@ impl FlashWalkerSim<'_> {
                 now,
             );
         }
-        self.pools[bs].put_deliveries(deliveries);
+        self.pools.put_deliveries(deliveries);
         for chip in dirty_chips.drain(..) {
             self.maybe_fill_chip(chip, now);
         }
-        self.pools[bs].put_chip_ids(dirty_chips);
+        self.pools.put_chip_ids(dirty_chips);
         self.try_start_board(now);
     }
 }

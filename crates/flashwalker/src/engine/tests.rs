@@ -330,23 +330,6 @@ fn journeys_off_by_default_on_is_exact_and_schedule_neutral() {
 }
 
 #[test]
-fn journey_report_is_identical_at_any_thread_count() {
-    let (csr, pg) = small_setup(1500, 15_000, 8);
-    let at = |threads: u32| {
-        let mut cfg = AccelConfig::scaled();
-        cfg.opts = crate::OptToggles::all();
-        FlashWalkerSim::new(&csr, &pg, cfg, SsdConfig::tiny(), 99)
-            .with_threads(threads)
-            .with_journeys(fw_sim::JourneyConfig::default())
-            .run_detailed(Workload::paper_default(2_000))
-            .journeys
-            .expect("journeys on")
-            .to_json()
-    };
-    assert_eq!(at(1), at(4), "shard merge must be order-independent");
-}
-
-#[test]
 fn critical_off_by_default_on_is_exact_and_schedule_neutral() {
     let (csr, pg) = small_setup(1500, 15_000, 5_000);
     let base = run(&csr, &pg, 2_000, crate::OptToggles::all());
@@ -392,136 +375,6 @@ fn critical_path_sums_exactly_under_heavy_faults() {
     assert_eq!(c.total_ns, r.time.as_nanos());
     assert_eq!(c.path_total_ns(), c.total_ns);
     assert!(!c.truncated);
-}
-
-#[test]
-fn critical_report_is_identical_at_any_thread_count() {
-    let (csr, pg) = small_setup(1500, 15_000, 8);
-    let at = |threads: u32| {
-        let mut cfg = AccelConfig::scaled();
-        cfg.opts = crate::OptToggles::all();
-        FlashWalkerSim::new(&csr, &pg, cfg, SsdConfig::tiny(), 99)
-            .with_threads(threads)
-            .with_critical(fw_sim::CriticalConfig::default())
-            .run_detailed(Workload::paper_default(2_000))
-            .critical
-            .expect("critical on")
-            .to_json()
-    };
-    assert_eq!(
-        at(1),
-        at(4),
-        "gseq node ids commit in the same order at any thread count"
-    );
-}
-
-#[test]
-fn explicit_global_rng_is_byte_identical_to_default() {
-    // `--rng global` must never move a byte relative to a run that never
-    // mentions the flag (the PR 8 baseline contract).
-    let (csr, pg) = small_setup(1500, 15_000, 5_000);
-    let base = run(&csr, &pg, 2_000, crate::OptToggles::all());
-    let mut cfg = AccelConfig::scaled();
-    cfg.opts = crate::OptToggles::all();
-    let explicit = FlashWalkerSim::new(&csr, &pg, cfg, SsdConfig::tiny(), 99)
-        .with_trace_window(100_000)
-        .with_rng(fw_sim::RngModel::Global)
-        .run_detailed(Workload::paper_default(2_000));
-    assert_eq!(explicit.time, base.time);
-    assert_eq!(explicit.stats.hops, base.stats.hops);
-    assert_eq!(explicit.flash_read_bytes, base.flash_read_bytes);
-    assert_eq!(explicit.channel_bytes, base.channel_bytes);
-}
-
-#[test]
-fn sharded_rng_conserves_walks_and_is_byte_reproducible_across_threads() {
-    // The sharded universe samples different paths, but for a fixed seed
-    // the run is byte-reproducible at ANY thread count (per-lane streams
-    // + lane-major windows make the interleaving irrelevant), and walk
-    // sources are conserved exactly across partitions and spills.
-    let (csr, pg) = small_setup(2000, 20_000, 8);
-    assert!(pg.num_partitions() > 2);
-    let wl = Workload::paper_default(2_000);
-    let at = |threads: u32| {
-        let mut cfg = AccelConfig::scaled();
-        cfg.opts = crate::OptToggles::all();
-        FlashWalkerSim::new(&csr, &pg, cfg, SsdConfig::tiny(), 99)
-            .with_rng(fw_sim::RngModel::Sharded)
-            .with_threads(threads)
-            .with_walk_log()
-            .run_detailed(wl)
-    };
-    let a = at(1);
-    let b = at(2);
-    let c = at(4);
-    assert_eq!(a.walks, 2_000);
-    for other in [&b, &c] {
-        assert_eq!(a.time, other.time, "sharded runs depend only on seed");
-        assert_eq!(a.stats.hops, other.stats.hops);
-        assert_eq!(a.flash_read_bytes, other.flash_read_bytes);
-        assert_eq!(a.channel_bytes, other.channel_bytes);
-        assert_eq!(a.events, other.events);
-        assert_eq!(a.walk_log, other.walk_log, "identical sampled paths");
-    }
-    // Exact invariant shared with the global universe: every source
-    // vertex comes back exactly once.
-    let mut got: Vec<u32> = a.walk_log.iter().map(|w| w.src).collect();
-    let mut expect: Vec<u32> = wl.init_walks(&csr, 0).iter().map(|w| w.src).collect();
-    got.sort_unstable();
-    expect.sort_unstable();
-    assert_eq!(got, expect, "sharded universe conserves walk sources");
-}
-
-#[test]
-fn sharded_rng_is_a_different_universe_than_global() {
-    // The model change is deliberate: per-lane streams sample different
-    // (statistically equivalent) paths, so the schedules diverge.
-    let (csr, pg) = small_setup(1500, 15_000, 5_000);
-    let global = run(&csr, &pg, 2_000, crate::OptToggles::all());
-    let mut cfg = AccelConfig::scaled();
-    cfg.opts = crate::OptToggles::all();
-    let sharded = FlashWalkerSim::new(&csr, &pg, cfg, SsdConfig::tiny(), 99)
-        .with_trace_window(100_000)
-        .with_rng(fw_sim::RngModel::Sharded)
-        .run_detailed(Workload::paper_default(2_000));
-    assert_eq!(sharded.walks, global.walks, "completion is exact");
-    assert_ne!(
-        (
-            sharded.time,
-            sharded.flash_read_bytes,
-            sharded.channel_bytes
-        ),
-        (global.time, global.flash_read_bytes, global.channel_bytes),
-        "the sampled-path universes must actually differ"
-    );
-}
-
-#[test]
-fn sharded_rng_completes_under_heavy_faults_at_every_thread_count() {
-    // Walk conservation and fault-retry accounting across concurrent
-    // window commits: heavy profile, threads ∈ {1, 2, 4}, every walk
-    // completes, and the retry/stall ledger is identical.
-    let (csr, pg) = small_setup(1500, 15_000, 5_000);
-    let at = |threads: u32| {
-        let mut cfg = AccelConfig::scaled();
-        cfg.opts = crate::OptToggles::all();
-        FlashWalkerSim::new(&csr, &pg, cfg, SsdConfig::tiny(), 99)
-            .with_rng(fw_sim::RngModel::Sharded)
-            .with_threads(threads)
-            .with_faults(fw_fault::FaultProfile::heavy())
-            .run_detailed(Workload::paper_default(2_000))
-    };
-    let a = at(1);
-    assert_eq!(a.walks, 2_000, "every walk completes under heavy faults");
-    let fa = a.faults.expect("faulted run reports a summary");
-    assert!(fa.read_retries > 0, "heavy profile must trigger retries");
-    for threads in [2u32, 4] {
-        let r = at(threads);
-        assert_eq!(r.walks, 2_000);
-        assert_eq!(r.time, a.time, "threads={threads}");
-        assert_eq!(r.stats.hops, a.stats.hops);
-        assert_eq!(r.faults, a.faults, "fault ledger replays exactly");
-    }
 }
 
 #[test]

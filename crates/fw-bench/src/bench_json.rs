@@ -12,8 +12,6 @@
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use fw_sim::RngModel;
-
 /// Schema tag written at the top of every record. Bump on incompatible
 /// layout changes; `compare` refuses to diff mismatched schemas.
 pub const SCHEMA: &str = "fwbench/v1";
@@ -563,13 +561,11 @@ pub struct EnvFingerprint {
     /// byte-identical to records written before faults existed; absent
     /// on parse means "none".
     pub fault_profile: String,
-    /// Worker-thread count the suite ran with. Written only when not 1
-    /// (the sequential reference) so single-threaded records stay
-    /// byte-identical to records written before the field existed;
-    /// absent on parse means 1. `compare` refuses to diff records with
-    /// different thread counts unless explicitly overridden — wall-clock
-    /// aside, the simulated numbers are thread-count invariant, so a
-    /// mismatch means someone is comparing the wrong pair of records.
+    /// Worker-thread count the suite's cell pool ran with. Written only
+    /// when not 1 so single-threaded records stay byte-identical to
+    /// records written before the field existed; absent on parse means 1.
+    /// An observer key: the simulated numbers are thread-count invariant,
+    /// so `compare` and `why` show it but never refuse on it.
     pub threads: u32,
     /// Whether the run recorded walk journeys (`fwbench run --journeys`).
     /// Written only when true so default records stay byte-identical to
@@ -584,14 +580,6 @@ pub struct EnvFingerprint {
     /// reason as `journeys`; absent on parse means false. `fwbench why`
     /// requires both records to carry critical sections.
     pub critical: bool,
-    /// The walk-RNG universe the suite ran under (`fwbench run --rng`).
-    /// Written only when not [`RngModel::Global`] so default records stay
-    /// byte-identical to records written before the field existed; absent
-    /// on parse means global. `compare` refuses to diff records from
-    /// different universes unless explicitly overridden — sharded runs
-    /// sample different walk paths, so every simulated number legitimately
-    /// differs and a silent cross-diff would read as a huge regression.
-    pub rng: RngModel,
     /// The *effective* worker count the suite sweep ran with: `threads`
     /// clamped to the widest parallel pass. Written only when it differs
     /// from `threads` (i.e. when the clamp fired) so ordinary records keep
@@ -624,9 +612,6 @@ impl EnvFingerprint {
         if self.critical {
             pairs.push(("critical", Json::Bool(true)));
         }
-        if self.rng != RngModel::Global {
-            pairs.push(("rng", Json::s(self.rng.as_str())));
-        }
         if self.workers != self.threads {
             pairs.push(("workers", Json::u(self.workers as u64)));
         }
@@ -652,14 +637,17 @@ impl EnvFingerprint {
             .iter()
             .map(|x| x.as_u64().ok_or("env: non-integer seed"))
             .collect::<Result<Vec<_>, _>>()?;
+        // Records from the removed per-lane RNG mode sampled different
+        // walk paths; parsing one as an ordinary record would let it diff
+        // silently against the single-RNG numbers.
+        if v.get("rng").is_some() {
+            return Err(
+                "env: 'rng' stamp found — sharded-universe records are no longer \
+                 supported; re-run the suite to produce a current record"
+                    .into(),
+            );
+        }
         let threads = v.get("threads").and_then(Json::as_u64).unwrap_or(1) as u32;
-        let rng = match v.get("rng") {
-            None => RngModel::Global,
-            Some(x) => x
-                .as_str()
-                .and_then(RngModel::parse)
-                .ok_or("env: 'rng' is not a known model (\"global\" / \"sharded\")")?,
-        };
         Ok(EnvFingerprint {
             git_rev: s("git_rev")?,
             config: s("config")?,
@@ -675,7 +663,6 @@ impl EnvFingerprint {
             threads,
             journeys: matches!(v.get("journeys"), Some(Json::Bool(true))),
             critical: matches!(v.get("critical"), Some(Json::Bool(true))),
-            rng,
             workers: v
                 .get("workers")
                 .and_then(Json::as_u64)
@@ -1051,7 +1038,6 @@ pub mod tests_support {
                 threads: 1,
                 journeys: false,
                 critical: false,
-                rng: RngModel::Global,
                 workers: 1,
             },
             scenarios: vec![ScenarioRecord {
@@ -1311,26 +1297,15 @@ mod tests {
     }
 
     #[test]
-    fn rng_model_is_omitted_when_global_and_round_trips_otherwise() {
-        // Global-universe records keep the pre-rng-model shape
-        // (byte-identity with records written before the field existed)…
-        let rep = tiny_report();
-        assert!(!rep.render().contains("\"rng\""));
-        let back = BenchReport::parse(&rep.render()).unwrap();
-        assert_eq!(back.env.rng, RngModel::Global);
-
-        // …and sharded records carry the universe through a round trip.
-        let mut rep = tiny_report();
-        rep.env.rng = RngModel::Sharded;
-        let text = rep.render();
-        assert!(text.contains("\"rng\": \"sharded\""));
-        let back = BenchReport::parse(&text).unwrap();
-        assert_eq!(back, rep);
-        assert_eq!(back.render(), text);
-
-        // An unknown model is a parse error, not a silent default.
-        let bad = text.replace("\"sharded\"", "\"quantum\"");
-        assert!(BenchReport::parse(&bad).unwrap_err().contains("rng"));
+    fn records_with_an_rng_stamp_are_rejected() {
+        // Current records never carry the key…
+        let text = tiny_report().render();
+        assert!(!text.contains("\"rng\""));
+        // …and a sharded-universe record is a parse error, not a record
+        // silently read as the single-RNG one.
+        let old = text.replacen("\"suite\":", "\"rng\": \"sharded\",\n    \"suite\":", 1);
+        let err = BenchReport::parse(&old).unwrap_err();
+        assert!(err.contains("no longer supported"), "{err}");
     }
 
     #[test]

@@ -12,8 +12,7 @@
 
 use fw_bench::runner::walk_sweep;
 use fw_bench::suite::{
-    default_gw_memory, env_rng, env_seeds, env_threads, run_suite, selected_datasets, Scenario,
-    Suite,
+    default_gw_memory, env_seeds, env_threads, run_suite, selected_datasets, Scenario, Suite,
 };
 
 fn main() {
@@ -34,7 +33,6 @@ fn main() {
         threads: env_threads(),
         journeys: false,
         critical: false,
-        rng: env_rng(),
     };
     let res = run_suite(&suite).expect("suite has seeds and scenarios");
 

@@ -10,9 +10,7 @@
 //! columns; `FW_DATASETS` restricts the dataset grid.
 
 use fw_bench::runner::walk_sweep;
-use fw_bench::suite::{
-    env_rng, env_seeds, env_threads, run_suite, selected_datasets, Scenario, Suite,
-};
+use fw_bench::suite::{env_seeds, env_threads, run_suite, selected_datasets, Scenario, Suite};
 use fw_graph::datasets::GRAPH_SCALE;
 
 fn main() {
@@ -39,7 +37,6 @@ fn main() {
         threads: env_threads(),
         journeys: false,
         critical: false,
-        rng: env_rng(),
     };
     let res = run_suite(&suite).expect("suite has seeds and scenarios");
 

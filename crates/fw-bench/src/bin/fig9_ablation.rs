@@ -13,9 +13,7 @@
 
 use flashwalker::OptToggles;
 use fw_bench::runner::walk_sweep;
-use fw_bench::suite::{
-    env_rng, env_seeds, env_threads, run_suite, selected_datasets, Scenario, Suite,
-};
+use fw_bench::suite::{env_seeds, env_threads, run_suite, selected_datasets, Scenario, Suite};
 
 fn main() {
     // Incremental configurations, as in §IV-E.
@@ -65,7 +63,6 @@ fn main() {
         threads: env_threads(),
         journeys: false,
         critical: false,
-        rng: env_rng(),
     };
     let res = run_suite(&suite).expect("suite has seeds and scenarios");
 

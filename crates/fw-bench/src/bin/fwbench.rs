@@ -6,17 +6,13 @@
 //! ```text
 //! fwbench run [--suite ci|paper] [--seeds N] [--label L] [--out PATH]
 //!             [--wall] [--no-trace] [--journeys] [--critical] [--threads N]
-//!             [--rng global|sharded]
 //! fwbench compare [BASELINE] [CURRENT] [--noise-floor F]
-//!                 [--allow-thread-mismatch] [--allow-journey-mismatch]
-//!                 [--allow-rng-mismatch]
+//!                 [--allow-journey-mismatch]
 //! fwbench why BASELINE CURRENT
 //! fwbench hostperf RECORD [BASELINE]
 //! fwbench tail RECORD
-//! fwbench stateq [--dataset TT] [--walks N] [--seed S]
-//!                [--faults none|light|heavy]
 //! fwbench serve [--suite ci] [--seed S] [--queries N] [--label L]
-//!               [--out PATH] [--csv PATH] [--threads N]
+//!               [--out PATH] [--csv PATH]
 //! ```
 //!
 //! `run` defaults: the `ci` suite, 3 seeds (or `FW_SEEDS`), label = suite
@@ -24,17 +20,16 @@
 //! byte-identical across same-seed runs; `--wall` adds host wall-clock
 //! columns, a suite wall total, and a per-scenario `host` section
 //! (informational, not byte-stable, never gated). `--threads N` (or
-//! `FW_THREADS`) fans scenario×seed cells over N workers and runs each
-//! engine's windowed sharded loop; the simulated record is identical at
+//! `FW_THREADS`) fans scenario×seed cells over N workers; each cell is
+//! one sequential engine run, so the simulated record is identical at
 //! any thread count — only wall-clock moves — and a non-default count is
 //! stamped into the env fingerprint.
 //!
 //! `compare` with one path compares it against the newest *other*
 //! `BENCH_*.json` in its directory; with two paths the first is the
 //! baseline. Exits 1 when the regression gate or a fidelity verdict
-//! fails, so CI can gate on it. Records from different thread counts
-//! refuse to diff unless `--allow-thread-mismatch` is passed (the
-//! intended use: the threads=1 vs threads=4 equivalence gate).
+//! fails, so CI can gate on it. Thread and worker counts are observer
+//! keys: a mismatch is printed but never refuses the diff.
 //!
 //! `run --journeys` records sampled walk journeys on every seed-0 run:
 //! the record's scenario rows gain a `journeys` section (walk-latency
@@ -59,28 +54,14 @@
 //! `why` diffs two `--critical` records: per scenario it attributes the
 //! sim-time movement to the components whose critical-path time grew — a
 //! causal answer to "what made this slower", where `compare` only says
-//! *that* it got slower. Mixed-up records (different fault profile,
-//! thread count, or generator config) are refused like `compare`.
+//! *that* it got slower. Mixed-up records (different fault profile or
+//! generator config) are refused like `compare`.
 //!
 //! `tail` prints each scenario's tail-attribution table from a
 //! `--journeys` record, after checking the books: every sampled walk's
 //! segment durations must sum exactly to its end-to-end latency (the
 //! decomposition invariant), and a walk that doesn't reconcile fails the
 //! command.
-//!
-//! `run --rng sharded` (or `FW_RNG=sharded`) switches every engine cell
-//! into the per-lane walk-RNG universe (DESIGN.md §14): walk-step draws
-//! come from jump-ahead lane streams instead of the one global generator,
-//! which is what lets shards commit window steps concurrently. The
-//! sharded universe samples *different walk paths*, so its records are
-//! never byte-comparable to global ones — the env fingerprint is stamped
-//! `rng`, the default label gains a `-sharded` suffix, and `compare`
-//! refuses the cross-universe diff unless `--allow-rng-mismatch` is
-//! passed. `fwbench stateq` is the principled cross-universe comparison:
-//! it runs the same cell once per universe and checks exact invariants
-//! (walk count, source conservation, completion under faults, hop
-//! totals) plus tolerance-gated statistics (endpoint-distribution TV
-//! distance, sampled latency percentiles, simulated time).
 //!
 //! `serve` runs the online-serving suite (`fw-serve`, DESIGN.md §15):
 //! capacity-calibrated Poisson and bursty offered-load points through
@@ -103,16 +84,13 @@ use fw_bench::compare::{compare_reports, CompareConfig};
 use fw_bench::record::{load_bench_report, load_serve_record};
 use fw_bench::runner::DEFAULT_SEED;
 use fw_bench::serve::{build_serve_record, render_serve_table, run_ci_serve_suite, serve_csv};
-use fw_bench::stateq::{run_stateq, StateqConfig};
 use fw_bench::suite::{build_bench_report, env_seeds, env_threads, run_suite, Suite};
 use fw_bench::why::why_reports;
 use fw_fault::FaultProfile;
-use fw_graph::DatasetId;
-use fw_sim::RngModel;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  fwbench run [--suite ci|paper] [--seeds N] [--label L] [--out PATH] [--wall] [--no-trace] [--journeys] [--critical] [--faults none|light|heavy] [--threads N] [--rng global|sharded]\n  fwbench compare [BASELINE] [CURRENT] [--noise-floor F] [--allow-thread-mismatch] [--allow-journey-mismatch] [--allow-rng-mismatch]\n  fwbench why BASELINE CURRENT\n  fwbench hostperf RECORD [BASELINE]\n  fwbench tail RECORD\n  fwbench stateq [--dataset TT] [--walks N] [--seed S] [--faults none|light|heavy]\n  fwbench serve [--suite ci] [--seed S] [--queries N] [--label L] [--out PATH] [--csv PATH] [--threads N]"
+        "usage:\n  fwbench run [--suite ci|paper] [--seeds N] [--label L] [--out PATH] [--wall] [--no-trace] [--journeys] [--critical] [--faults none|light|heavy] [--threads N]\n  fwbench compare [BASELINE] [CURRENT] [--noise-floor F] [--allow-journey-mismatch]\n  fwbench why BASELINE CURRENT\n  fwbench hostperf RECORD [BASELINE]\n  fwbench tail RECORD\n  fwbench serve [--suite ci] [--seed S] [--queries N] [--label L] [--out PATH] [--csv PATH]"
     );
     ExitCode::from(2)
 }
@@ -125,7 +103,6 @@ fn main() -> ExitCode {
         Some("why") => cmd_why(&args[1..]),
         Some("hostperf") => cmd_hostperf(&args[1..]),
         Some("tail") => cmd_tail(&args[1..]),
-        Some("stateq") => cmd_stateq(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         _ => usage(),
     }
@@ -140,6 +117,18 @@ fn load_record(cmd: &str, path: &Path) -> Result<BenchReport, ExitCode> {
     })
 }
 
+/// Refuse a flag this subcommand no longer takes (exit 2). Ignoring it
+/// would run a different experiment than the command line asks for.
+fn removed_flag(cmd: &str, args: &[String], flag: &str) -> Option<ExitCode> {
+    if !args.iter().any(|a| a == flag) {
+        return None;
+    }
+    eprintln!(
+        "fwbench {cmd}: {flag} was removed: every engine run is one sequential event loop with one walk RNG"
+    );
+    Some(usage())
+}
+
 fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
     args.iter()
         .position(|a| a == name)
@@ -148,6 +137,9 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
 }
 
 fn cmd_run(args: &[String]) -> ExitCode {
+    if let Some(code) = removed_flag("run", args, "--rng") {
+        return code;
+    }
     let suite_name = flag_value(args, "--suite").unwrap_or("ci");
     let seeds = match flag_value(args, "--seeds") {
         Some(n) => {
@@ -203,25 +195,9 @@ fn cmd_run(args: &[String]) -> ExitCode {
         None => env_threads(),
     };
     suite = suite.with_threads(threads);
-    // --rng beats FW_RNG beats the global default, mirroring the
-    // --threads / FW_THREADS precedence.
-    let rng = match flag_value(args, "--rng")
-        .map(str::to_string)
-        .or_else(|| std::env::var("FW_RNG").ok())
-    {
-        Some(s) => match RngModel::parse(&s) {
-            Some(m) => m,
-            None => {
-                eprintln!("--rng / FW_RNG wants 'global' or 'sharded', got '{s}'");
-                return ExitCode::from(2);
-            }
-        },
-        None => RngModel::Global,
-    };
-    suite = suite.with_rng(rng);
     let include_wall = args.iter().any(|a| a == "--wall");
-    // Fault, journey, and sharded-RNG runs default to a suffixed label so
-    // they never clobber the plain BENCH_<suite>.json byte-identity
+    // Fault and journey runs default to a suffixed label so they never
+    // clobber the plain BENCH_<suite>.json byte-identity
     // baseline.
     let mut default_label = if suite.faults.is_on() {
         format!("{}-{}", suite.name, suite.faults.name)
@@ -234,9 +210,6 @@ fn cmd_run(args: &[String]) -> ExitCode {
     if suite.critical {
         default_label.push_str("-critical");
     }
-    if suite.rng.is_sharded() {
-        default_label.push_str("-sharded");
-    }
     let label = flag_value(args, "--label")
         .unwrap_or(&default_label)
         .to_string();
@@ -245,13 +218,12 @@ fn cmd_run(args: &[String]) -> ExitCode {
         .unwrap_or_else(|| PathBuf::from(format!("BENCH_{label}.json")));
 
     eprintln!(
-        "fwbench: suite={} scenarios={} seeds={:?} faults={} threads={} rng={}",
+        "fwbench: suite={} scenarios={} seeds={:?} faults={} threads={}",
         suite.name,
         suite.scenarios.len(),
         suite.seeds,
         suite.faults.name,
-        suite.threads,
-        suite.rng.as_str()
+        suite.threads
     );
     let result = match run_suite(&suite) {
         Ok(r) => r,
@@ -564,16 +536,24 @@ fn cmd_tail(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// Print the thread/worker stamps of both records when they differ. They
+/// are observer keys: the cell-pool width never changes a simulated
+/// number, so the diff proceeds either way.
+fn note_observer_keys(cmd: &str, base: &BenchReport, cur: &BenchReport) {
+    let (b, c) = (&base.env, &cur.env);
+    if (b.threads, b.workers) != (c.threads, c.workers) {
+        eprintln!(
+            "fwbench {cmd}: baseline ran {} thread(s) / {} worker(s), current {} / {} \
+             (observer keys, not compared)",
+            b.threads, b.workers, c.threads, c.workers
+        );
+    }
+}
+
 fn cmd_compare(args: &[String]) -> ExitCode {
     let mut cfg = CompareConfig::default();
-    if args.iter().any(|a| a == "--allow-thread-mismatch") {
-        cfg.allow_thread_mismatch = true;
-    }
     if args.iter().any(|a| a == "--allow-journey-mismatch") {
         cfg.allow_journey_mismatch = true;
-    }
-    if args.iter().any(|a| a == "--allow-rng-mismatch") {
-        cfg.allow_rng_mismatch = true;
     }
     if let Some(f) = flag_value(args, "--noise-floor") {
         match f.parse() {
@@ -631,6 +611,7 @@ fn cmd_compare(args: &[String]) -> ExitCode {
         cur.label,
         cur.env.git_rev
     );
+    note_observer_keys("compare", &base, &cur);
     match compare_reports(&base, &cur, &cfg) {
         Ok(res) => {
             print!("{}", res.render());
@@ -664,6 +645,7 @@ fn cmd_why(args: &[String]) -> ExitCode {
         "fwbench why: baseline {base_path} (label '{}', rev {}) vs current {cur_path} (label '{}', rev {})",
         base.label, base.env.git_rev, cur.label, cur.env.git_rev
     );
+    note_observer_keys("why", &base, &cur);
     match why_reports(&base, &cur) {
         Ok(res) => {
             print!("{}", res.render());
@@ -676,78 +658,15 @@ fn cmd_why(args: &[String]) -> ExitCode {
     }
 }
 
-/// `fwbench stateq` — run the same scenario once per RNG universe
-/// (global vs sharded) on both engines and gate on the statistical
-/// equivalence report (see `fw_bench::stateq`). This is the *only*
-/// sanctioned way to compare the two universes: `compare` refuses the
-/// diff because their per-number values legitimately differ.
-fn cmd_stateq(args: &[String]) -> ExitCode {
-    let dataset = match flag_value(args, "--dataset").unwrap_or("TT") {
-        "TT" => DatasetId::Twitter,
-        "FS" => DatasetId::Friendster,
-        "CW" => DatasetId::ClueWeb,
-        "R2B" => DatasetId::Rmat2B,
-        "R8B" => DatasetId::Rmat8B,
-        other => {
-            eprintln!("--dataset wants one of TT/FS/CW/R2B/R8B, got '{other}'");
-            return ExitCode::from(2);
-        }
-    };
-    // Small default: the gate needs enough walks for the distribution
-    // checks to have power, not a paper-scale sweep.
-    let walks: u64 = match flag_value(args, "--walks") {
-        Some(w) => match w.parse() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("--walks wants a positive integer");
-                return ExitCode::from(2);
-            }
-        },
-        None => dataset.default_walks() / 16,
-    };
-    let seed: u64 = match flag_value(args, "--seed") {
-        Some(s) => match s.parse() {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!("--seed wants an integer");
-                return ExitCode::from(2);
-            }
-        },
-        None => DEFAULT_SEED,
-    };
-    let faults = match flag_value(args, "--faults") {
-        Some(name) => match FaultProfile::parse(name) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("fwbench: {e}");
-                return ExitCode::from(2);
-            }
-        },
-        None => FaultProfile::none(),
-    };
-    eprintln!(
-        "fwbench stateq: dataset={} walks={} seed={} faults={}",
-        dataset.abbrev(),
-        walks,
-        seed,
-        faults.name
-    );
-    let report = run_stateq(dataset, walks, seed, faults, &StateqConfig::default());
-    print!("{}", report.render());
-    if report.failed() {
-        eprintln!("fwbench stateq: universes are NOT statistically equivalent");
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
 /// `fwbench serve` — run the online-serving suite and write the
 /// `SERVE_<label>.json` record (schema `fwserve/v1`). The written file
 /// is read back through the validating serve-record loader before the
 /// command reports success, so a record that doesn't balance its own
 /// admission books can never be published with exit 0.
 fn cmd_serve(args: &[String]) -> ExitCode {
+    if let Some(code) = removed_flag("serve", args, "--threads") {
+        return code;
+    }
     let suite_name = flag_value(args, "--suite").unwrap_or("ci");
     if suite_name != "ci" {
         eprintln!("unknown serve suite '{suite_name}' (known: ci)");
@@ -773,16 +692,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         },
         None => 96,
     };
-    let threads: u32 = match flag_value(args, "--threads") {
-        Some(t) => match t.parse() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("--threads wants a positive integer");
-                return ExitCode::from(2);
-            }
-        },
-        None => env_threads(),
-    };
     let label = flag_value(args, "--label")
         .unwrap_or(suite_name)
         .to_string();
@@ -790,10 +699,8 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from(format!("SERVE_{label}.json")));
 
-    eprintln!(
-        "fwbench serve: suite={suite_name} seed={seed} queries={queries}/scenario threads={threads}"
-    );
-    let result = run_ci_serve_suite(&label, seed, queries, threads);
+    eprintln!("fwbench serve: suite={suite_name} seed={seed} queries={queries}/scenario");
+    let result = run_ci_serve_suite(&label, seed, queries);
     let doc = build_serve_record(&result);
     if let Err(e) = std::fs::write(&out, doc.render()) {
         eprintln!("fwbench serve: cannot write {}: {e}", out.display());

@@ -5,18 +5,12 @@
 //!
 //! ```text
 //! cargo run --release -p fw-bench --bin fwtrace \
-//!     [fw|gw|iter] [TT|FS|CW|R2B|R8B] [walks] [out.json] [--threads N]
-//!     [--rng global|sharded] [--journeys] [--critical] [--heatmap]
+//!     [fw|gw|iter] [TT|FS|CW|R2B|R8B] [walks] [out.json]
+//!     [--journeys] [--critical] [--heatmap]
 //! ```
 //!
 //! Defaults: `fw TT <default_walks/8> fwtrace.json`. A `.csv` sibling
 //! with the per-component utilization table is written next to the JSON.
-//! `--threads N` (or `FW_THREADS`) runs the engine's windowed sharded
-//! loop with per-shard tracers; the emitted trace is identical to the
-//! sequential one (the canonical tracer merge is order-independent).
-//! `--rng sharded` (or `FW_RNG`) traces the per-lane walk-RNG universe
-//! instead — different walk paths, so a different (but equally
-//! deterministic) trace; see DESIGN.md §14.
 //! `--journeys` additionally records sampled walk journeys (fw/gw only —
 //! the iterative baseline has no per-walk event stream): the tail
 //! attribution table is printed, per-walk tracks are appended to the
@@ -33,7 +27,6 @@ use flashwalker::{AccelConfig, OptToggles};
 use fw_bench::runner::{
     flashwalker_engine, graphwalker_engine, iterative_engine, prepared, DEFAULT_SEED,
 };
-use fw_bench::suite::{env_rng, env_threads};
 use fw_graph::DatasetId;
 use fw_sim::{
     chrome_trace_json, chrome_trace_json_with_heatmap, chrome_trace_json_with_journeys, export,
@@ -48,30 +41,29 @@ const BASELINE_MEMORY: u64 = 8 << 20;
 
 fn main() {
     let raw: Vec<String> = std::env::args().collect();
-    let threads = env_threads();
-    let rng = env_rng();
+    // The engine-thread and walk-RNG flags are gone. Refuse them rather
+    // than let the positional parse below read them as engine/dataset/out.
+    if let Some(flag) = raw
+        .iter()
+        .skip(1)
+        .find(|a| matches!(a.as_str(), "--threads" | "--rng"))
+    {
+        eprintln!(
+            "fwtrace: {flag} was removed: every engine run is one sequential event loop with one walk RNG\n\
+             usage: fwtrace [fw|gw|iter] [TT|FS|CW|R2B|R8B] [walks] [out.json] [--journeys] [--critical] [--heatmap]"
+        );
+        std::process::exit(2);
+    }
     let journeys = raw.iter().any(|a| a == "--journeys");
     let heatmap = raw.iter().any(|a| a == "--heatmap");
     // The heatmap is derived from the dependency log, so asking for one
     // turns critical recording on.
     let critical = heatmap || raw.iter().any(|a| a == "--critical");
     // Strip the flags before the positional parse.
-    let mut args: Vec<String> = Vec::new();
-    let mut skip = false;
-    for a in raw {
-        if skip {
-            skip = false;
-            continue;
-        }
-        if a == "--threads" || a == "--rng" {
-            skip = true;
-            continue;
-        }
-        if a == "--journeys" || a == "--critical" || a == "--heatmap" {
-            continue;
-        }
-        args.push(a);
-    }
+    let args: Vec<String> = raw
+        .into_iter()
+        .filter(|a| !matches!(a.as_str(), "--journeys" | "--critical" | "--heatmap"))
+        .collect();
     let engine = args.get(1).map(|s| s.as_str()).unwrap_or("fw").to_string();
     let id = match args.get(2).map(|s| s.as_str()) {
         Some("FS") => DatasetId::Friendster,
@@ -93,9 +85,8 @@ fn main() {
     let cfg = TraceConfig::default();
     let wl = Workload::paper_default(walks);
     eprintln!(
-        "fwtrace: engine={engine} dataset={} walks={walks} threads={threads} rng={}",
-        id.abbrev(),
-        rng.as_str()
+        "fwtrace: engine={engine} dataset={} walks={walks}",
+        id.abbrev()
     );
 
     let jcfg = JourneyConfig {
@@ -110,10 +101,7 @@ fn main() {
         Option<CriticalReport>,
     ) = match engine.as_str() {
         "gw" => {
-            let mut e = graphwalker_engine(&p, BASELINE_MEMORY, DEFAULT_SEED)
-                .with_threads(threads)
-                .with_rng(rng)
-                .with_span_trace(cfg);
+            let mut e = graphwalker_engine(&p, BASELINE_MEMORY, DEFAULT_SEED).with_span_trace(cfg);
             if journeys {
                 e = e.with_journeys(jcfg);
             }
@@ -123,8 +111,8 @@ fn main() {
             let r = e.run_detailed(wl);
             (r.trace, r.journeys, r.critical)
         }
-        // The iteration-synchronous baseline has no event loop to shard
-        // and no per-walk event stream to journal.
+        // The iteration-synchronous baseline has no per-walk event stream
+        // to journal and no dependency log.
         "iter" => {
             if journeys {
                 eprintln!("fwtrace: --journeys is a no-op on the iterative baseline");
@@ -144,8 +132,6 @@ fn main() {
                 AccelConfig::scaled().alpha,
                 DEFAULT_SEED,
             )
-            .with_threads(threads)
-            .with_rng(rng)
             .with_span_trace(cfg);
             if journeys {
                 e = e.with_journeys(jcfg);

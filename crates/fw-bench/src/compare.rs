@@ -35,12 +35,6 @@ pub struct CompareConfig {
     /// `noise_floor * single_seed_floor_mult` and the row is flagged in
     /// the rendered table. `1.0` restores the old collapsed behavior.
     pub single_seed_floor_mult: f64,
-    /// Permit diffing records produced at different worker-thread
-    /// counts. Off by default — a thread-count mismatch usually means
-    /// the wrong pair of records; the CI equivalence step turns it on
-    /// deliberately, *because* the simulated numbers must match exactly
-    /// across thread counts.
-    pub allow_thread_mismatch: bool,
     /// Permit diffing a journey-enabled record against a plain one. Off
     /// by default — the journey sections change what the record carries,
     /// so a mixed diff usually means the wrong pair of records. The
@@ -48,14 +42,6 @@ pub struct CompareConfig {
     /// schedule-neutral), which is exactly why a deliberate cross-diff
     /// with the override must still gate clean.
     pub allow_journey_mismatch: bool,
-    /// Permit diffing records from different walk-RNG universes
-    /// (`--rng global` vs `--rng sharded`). Off by default and *unlike*
-    /// the thread/journey overrides, a cross-universe diff is expected to
-    /// show real deltas: sharded runs sample different walk paths, so
-    /// every simulated number legitimately moves. The override exists for
-    /// eyeballing the magnitude of that drift — the statistical-
-    /// equivalence gate (`fwbench stateq`) is the principled comparison.
-    pub allow_rng_mismatch: bool,
 }
 
 impl Default for CompareConfig {
@@ -65,9 +51,7 @@ impl Default for CompareConfig {
             warn_mult: 1.0,
             fail_mult: 2.0,
             single_seed_floor_mult: 2.0,
-            allow_thread_mismatch: false,
             allow_journey_mismatch: false,
-            allow_rng_mismatch: false,
         }
     }
 }
@@ -219,14 +203,6 @@ pub fn compare_reports(
             base.env.fault_profile, cur.env.fault_profile
         ));
     }
-    if base.env.threads != cur.env.threads && !cfg.allow_thread_mismatch {
-        return Err(format!(
-            "thread-count mismatch: baseline ran with {} worker(s), current with {} — \
-             pass --allow-thread-mismatch to diff across thread counts (the simulated \
-             numbers are thread-invariant; this guard catches accidental record mixups)",
-            base.env.threads, cur.env.threads
-        ));
-    }
     if base.env.journeys != cur.env.journeys && !cfg.allow_journey_mismatch {
         let which = |on: bool| if on { "with" } else { "without" };
         return Err(format!(
@@ -236,16 +212,6 @@ pub fn compare_reports(
              this guard catches accidental record mixups)",
             which(base.env.journeys),
             which(cur.env.journeys)
-        ));
-    }
-    if base.env.rng != cur.env.rng && !cfg.allow_rng_mismatch {
-        return Err(format!(
-            "rng-model mismatch: baseline ran --rng {}, current --rng {} — these are \
-             different sampling universes whose numbers legitimately differ; pass \
-             --allow-rng-mismatch to eyeball the drift, or use `fwbench stateq` for \
-             the statistical-equivalence comparison",
-            base.env.rng.as_str(),
-            cur.env.rng.as_str()
         ));
     }
     if base.env.graph_scale != cur.env.graph_scale
@@ -605,7 +571,6 @@ mod tests {
                 threads: 1,
                 journeys: false,
                 critical: false,
-                rng: fw_sim::RngModel::Global,
                 workers: 1,
             },
             scenarios,
@@ -625,40 +590,15 @@ mod tests {
     }
 
     #[test]
-    fn cross_thread_count_compares_are_refused_unless_overridden() {
+    fn thread_and_worker_counts_are_observer_keys() {
+        // The cell-pool width never changes a simulated number, so a
+        // thread/worker mismatch is diffed, not refused.
         let base = sample();
         let mut cur = sample();
         cur.env.threads = 4;
-        let err = compare_reports(&base, &cur, &CompareConfig::default()).unwrap_err();
-        assert!(err.contains("thread-count mismatch"), "{err}");
-        // The override exists for the CI equivalence step: simulated
-        // numbers are thread-invariant, so the diff must gate clean.
-        let cfg = CompareConfig {
-            allow_thread_mismatch: true,
-            ..CompareConfig::default()
-        };
-        let res = compare_reports(&base, &cur, &cfg).expect("override permits the diff");
-        assert!(!res.failed());
-    }
-
-    #[test]
-    fn cross_rng_model_compares_are_refused_unless_overridden() {
-        let base = sample();
-        let mut cur = sample();
-        cur.env.rng = fw_sim::RngModel::Sharded;
-        let err = compare_reports(&base, &cur, &CompareConfig::default()).unwrap_err();
-        assert!(err.contains("rng-model mismatch"), "{err}");
-        assert!(
-            err.contains("stateq"),
-            "error should point at stateq: {err}"
-        );
-        // The override permits the diff; with identical rows it still
-        // gates clean (real cross-universe records would show drift).
-        let cfg = CompareConfig {
-            allow_rng_mismatch: true,
-            ..CompareConfig::default()
-        };
-        let res = compare_reports(&base, &cur, &cfg).expect("override permits the diff");
+        cur.env.workers = 2;
+        let res = compare_reports(&base, &cur, &CompareConfig::default())
+            .expect("thread counts never block a compare");
         assert!(!res.failed());
     }
 

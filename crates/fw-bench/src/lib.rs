@@ -18,8 +18,6 @@
 //!   codes for parse (3) vs invariant (4) failures,
 //! * [`why`] — causal trace diffing: attribute a sim-time movement to
 //!   the components whose critical-path time grew,
-//! * [`stateq`] — the statistical-equivalence gate between the two
-//!   walk-RNG universes (`--rng global` vs `--rng sharded`),
 //! * [`serve`] — the online-serving suite over `fw-serve`: capacity-
 //!   calibrated offered-load points, throughput-vs-p99 curves, and the
 //!   byte-deterministic `SERVE_*.json` record + CSV artifact,
@@ -27,7 +25,7 @@
 //!   `fwbench hostperf` (explicit reasons instead of silent drops),
 //!
 //! all driven by the `fwbench` binary (`fwbench run` / `fwbench compare`
-//! / `fwbench why` / `fwbench stateq` / `fwbench serve`).
+//! / `fwbench why` / `fwbench serve`).
 
 pub mod bench_json;
 pub mod chart;
@@ -36,12 +34,11 @@ pub mod hostperf;
 pub mod record;
 pub mod runner;
 pub mod serve;
-pub mod stateq;
 pub mod suite;
 pub mod why;
 
 pub use runner::{
-    flashwalker_engine, graphwalker_engine, iterative_engine, parallel_map, prepared, run_engine,
+    flashwalker_engine, graphwalker_engine, iterative_engine, prepared, run_engine,
     run_flashwalker, run_graphwalker, ComparisonRow, Prepared, DEFAULT_SEED,
 };
 

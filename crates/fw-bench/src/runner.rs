@@ -98,28 +98,6 @@ pub fn run_engine<E: WalkEngine>(engine: E, walks: u64) -> RunReport {
     engine.run(Workload::paper_default(walks))
 }
 
-/// Map `f` over `items` with one OS thread per item (engines are
-/// single-threaded and CPU-bound, datasets are few). Preserves input
-/// order. Uses `std::thread::scope` so `f` may borrow from the caller.
-pub fn parallel_map<I, O, F>(items: Vec<I>, f: F) -> Vec<O>
-where
-    I: Send,
-    O: Send,
-    F: Fn(I) -> O + Sync,
-{
-    std::thread::scope(|s| {
-        let f = &f;
-        let handles: Vec<_> = items
-            .into_iter()
-            .map(|item| s.spawn(move || f(item)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .collect()
-    })
-}
-
 // ----------------------------------------------------------------------
 // Detailed wrappers (engine-native reports, for trace/stat consumers).
 // ----------------------------------------------------------------------
@@ -252,13 +230,6 @@ mod tests {
         assert!(s.windows(2).all(|w| w[0] < w[1]));
         assert_eq!(*s.last().unwrap(), 800_000);
         assert_eq!(*walk_sweep(DatasetId::ClueWeb).last().unwrap(), 2_000_000);
-    }
-
-    #[test]
-    fn parallel_map_preserves_order_and_borrows() {
-        let base = [10u64, 20, 30, 40];
-        let out = parallel_map((0..base.len()).collect(), |i| base[i] * 2);
-        assert_eq!(out, vec![20, 40, 60, 80]);
     }
 
     #[test]

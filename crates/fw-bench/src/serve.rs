@@ -52,8 +52,6 @@ pub struct ServeSuiteResult {
     pub seed: u64,
     /// Queries offered per scenario.
     pub queries: u64,
-    /// Simulator worker threads per engine run.
-    pub threads: u32,
     /// Dataset abbreviation.
     pub dataset: &'static str,
     /// Per-scenario results, in suite order.
@@ -67,7 +65,7 @@ pub const CI_LOAD_FACTORS: [f64; 3] = [0.5, 0.9, 1.4];
 /// Run the ci serve suite on the Twitter stand-in: three Poisson points
 /// and one bursty point on FlashWalker, one Poisson point on
 /// GraphWalker. `queries` bounds each scenario's open-loop run.
-pub fn run_ci_serve_suite(label: &str, seed: u64, queries: u64, threads: u32) -> ServeSuiteResult {
+pub fn run_ci_serve_suite(label: &str, seed: u64, queries: u64) -> ServeSuiteResult {
     let p = prepared(DatasetId::Twitter, seed);
     let host = ServeHost {
         csr: &p.dataset.csr,
@@ -92,7 +90,7 @@ pub fn run_ci_serve_suite(label: &str, seed: u64, queries: u64, threads: u32) ->
         },
         cache: WalkCacheConfig::default_cfg(),
         max_batch_walks: (mean_wpq * 8.0) as u64,
-        threads,
+        threads: 1,
     };
 
     let mut scenarios = Vec::new();
@@ -177,7 +175,6 @@ pub fn run_ci_serve_suite(label: &str, seed: u64, queries: u64, threads: u32) ->
         label: label.to_string(),
         seed,
         queries,
-        threads,
         dataset: DatasetId::Twitter.abbrev(),
         scenarios,
     }
@@ -219,7 +216,9 @@ pub fn build_serve_record(res: &ServeSuiteResult) -> Json {
                 ("suite", Json::s("ci")),
                 ("seed", Json::u(res.seed)),
                 ("queries", Json::u(res.queries)),
-                ("threads", Json::u(res.threads as u64)),
+                // Every engine run is one sequential event loop; the
+                // constant stamp keeps the record's shape unchanged.
+                ("threads", Json::u(1)),
             ]),
         ),
         ("scenarios", Json::Arr(scenarios)),
@@ -315,7 +314,7 @@ mod tests {
     /// in `tests/serve_suite.rs` and the workflow's double-run `cmp`.
     #[test]
     fn tiny_suite_record_round_trips_and_validates() {
-        let res = run_ci_serve_suite("t", 42, 12, 1);
+        let res = run_ci_serve_suite("t", 42, 12);
         assert_eq!(res.scenarios.len(), 5);
         let doc = build_serve_record(&res);
         validate_serve_record(&doc).expect("fresh record balances");

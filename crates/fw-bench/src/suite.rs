@@ -18,7 +18,7 @@ use fw_fault::FaultProfile;
 use fw_graph::datasets::{GRAPH_SCALE, STRUCT_SCALE};
 use fw_graph::DatasetId;
 use fw_sim::export::trace_summary_json;
-use fw_sim::{CriticalConfig, JourneyConfig, RngModel, TraceConfig, WorkerPool};
+use fw_sim::{CriticalConfig, JourneyConfig, TraceConfig, WorkerPool};
 use fw_walk::{RunReport, WalkEngine, Workload};
 
 use crate::bench_json::{
@@ -46,10 +46,10 @@ pub fn env_seeds() -> Vec<u64> {
     (0..n).map(|i| DEFAULT_SEED + i).collect()
 }
 
-/// Worker-thread count for a binary's sweep: `--threads N` on the
-/// command line, else `FW_THREADS=N`, else 1 (the sequential reference).
-/// Shared by the figure binaries and `fwtrace`; `fwbench run` parses its
-/// own `--threads` flag through the same precedence.
+/// Worker-thread count for a binary's cell sweep: `--threads N` on the
+/// command line, else `FW_THREADS=N`, else 1 (every cell inline, in
+/// order). Shared by the figure binaries; `fwbench run` parses its own
+/// `--threads` flag through the same precedence.
 pub fn env_threads() -> u32 {
     let args: Vec<String> = std::env::args().collect();
     let from_flag = args
@@ -65,25 +65,6 @@ pub fn env_threads() -> u32 {
         })
         .unwrap_or(1)
         .max(1)
-}
-
-/// Walk-RNG model for a binary's sweep: `--rng global|sharded` on the
-/// command line, else `FW_RNG`, else the global default. An unknown
-/// spelling aborts rather than silently running the wrong universe —
-/// the two universes' numbers are not comparable (DESIGN.md §14).
-pub fn env_rng() -> RngModel {
-    let args: Vec<String> = std::env::args().collect();
-    let spelled = args
-        .iter()
-        .position(|a| a == "--rng")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .or_else(|| std::env::var("FW_RNG").ok());
-    match spelled {
-        None => RngModel::Global,
-        Some(s) => RngModel::parse(&s)
-            .unwrap_or_else(|| panic!("--rng / FW_RNG wants 'global' or 'sharded', got '{s}'")),
-    }
 }
 
 /// `FW_DATASETS=TT,FS` restricts the dataset grid; default all five.
@@ -234,11 +215,10 @@ pub struct Suite {
     /// latency, preserving byte-identity with pre-fault records.
     pub faults: FaultProfile,
     /// Worker threads for the suite sweep: scenario×seed cells execute
-    /// on a [`WorkerPool`] this wide, and each engine runs its
-    /// window-driven sharded loop when this exceeds 1. Simulated results
-    /// are thread-invariant (the equivalence tests assert it); only
-    /// wall-clock changes. 1 — the default — is the fully sequential
-    /// reference path.
+    /// on a [`WorkerPool`] this wide. Each cell is an independent
+    /// sequential simulator run, so simulated results are thread-invariant
+    /// (the equivalence tests assert it); only wall-clock changes. 1 — the
+    /// default — runs every cell inline in order.
     pub threads: u32,
     /// Record sampled walk journeys on each scenario's seed-0 run (adds
     /// a `JourneyReport` tail-attribution summary to the record; does not
@@ -250,12 +230,6 @@ pub struct Suite {
     /// not perturb simulated time). Off by default for the same
     /// byte-identity reason as `journeys`.
     pub critical: bool,
-    /// Walk-RNG universe for every FlashWalker and GraphWalker cell
-    /// (DESIGN.md §14). [`RngModel::Global`] — the default — keeps
-    /// records byte-identical to pre-rng-model baselines;
-    /// [`RngModel::Sharded`] samples per-lane streams and stamps `rng`
-    /// into the env fingerprint.
-    pub rng: RngModel,
 }
 
 impl Suite {
@@ -287,7 +261,6 @@ impl Suite {
             threads: 1,
             journeys: false,
             critical: false,
-            rng: RngModel::Global,
         }
     }
 
@@ -318,7 +291,6 @@ impl Suite {
             threads: 1,
             journeys: false,
             critical: false,
-            rng: RngModel::Global,
         }
     }
 
@@ -337,7 +309,6 @@ impl Suite {
             threads: 1,
             journeys: false,
             critical: false,
-            rng: RngModel::Global,
         }
     }
 
@@ -362,7 +333,6 @@ impl Suite {
             threads: 1,
             journeys: false,
             critical: false,
-            rng: RngModel::Global,
         }
     }
 
@@ -390,13 +360,6 @@ impl Suite {
     /// chaining).
     pub fn with_critical(mut self) -> Suite {
         self.critical = true;
-        self
-    }
-
-    /// Select the walk-RNG universe for every engine cell (returns self
-    /// for chaining).
-    pub fn with_rng(mut self, rng: RngModel) -> Suite {
-        self.rng = rng;
         self
     }
 }
@@ -504,8 +467,6 @@ pub struct SuiteResult {
     pub journeys: bool,
     /// Whether critical-path profiles were recorded on seed-0 runs.
     pub critical: bool,
-    /// The walk-RNG universe the suite ran under.
-    pub rng: RngModel,
     /// The *effective* worker count: `threads` clamped to the widest
     /// parallel pass (scenario×seed cells or dataset preparations). Extra
     /// workers beyond that width are provably idle, so the clamp is
@@ -545,15 +506,12 @@ struct Probes {
     critical: bool,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_one(
     p: &Prepared,
     sc: &Scenario,
     seed: u64,
     probes: Probes,
     faults: FaultProfile,
-    threads: u32,
-    rng: RngModel,
 ) -> RunReport {
     let wl = Workload::paper_default(sc.walks);
     let tcfg = TraceConfig::default();
@@ -566,9 +524,7 @@ fn run_one(
     let ccfg = CriticalConfig::default();
     match sc.engine {
         EngineKind::Flashwalker => {
-            let mut e = flashwalker_engine(p, sc.opts, sc.alpha, seed)
-                .with_threads(threads)
-                .with_rng(rng);
+            let mut e = flashwalker_engine(p, sc.opts, sc.alpha, seed);
             if probes.trace {
                 e = e.with_span_trace(tcfg);
             }
@@ -584,9 +540,7 @@ fn run_one(
             e.run(wl)
         }
         EngineKind::Graphwalker => {
-            let mut e = graphwalker_engine(p, sc.gw_memory, seed)
-                .with_threads(threads)
-                .with_rng(rng);
+            let mut e = graphwalker_engine(p, sc.gw_memory, seed);
             if probes.trace {
                 e = e.with_span_trace(tcfg);
             }
@@ -605,9 +559,6 @@ fn run_one(
             // No event loop, no dependency log: `critical` is a no-op on
             // the iteration-synchronous baseline (its record row simply
             // omits the section).
-            // The iteration-synchronous baseline has no event loop to
-            // shard; it is identical at every thread count and in both
-            // RNG universes (it never draws from the walk lanes).
             let mut e = iterative_engine(p, sc.gw_memory, seed);
             if probes.trace {
                 e = e.with_span_trace(tcfg);
@@ -708,8 +659,6 @@ pub fn run_suite(suite: &Suite) -> Result<SuiteResult, String> {
                 critical: suite.critical && si == 0,
             },
             suite.faults,
-            threads,
-            suite.rng,
         );
         (i, si, t0.elapsed().as_nanos() as u64, report)
     };
@@ -768,7 +717,6 @@ pub fn run_suite(suite: &Suite) -> Result<SuiteResult, String> {
         threads,
         journeys: suite.journeys,
         critical: suite.critical,
-        rng: suite.rng,
         workers,
         suite_wall_ns: t_suite.elapsed().as_nanos() as u64,
         results,
@@ -861,7 +809,6 @@ pub fn build_bench_report(label: &str, res: &SuiteResult, include_wall: bool) ->
             threads: res.threads,
             journeys: res.journeys,
             critical: res.critical,
-            rng: res.rng,
             workers: res.workers,
         },
         scenarios,

@@ -9,8 +9,9 @@
 //! deltas, which move for busy components that were never on the path.
 //!
 //! Same record-mixup guards as `compare` (schema is enforced at parse
-//! time): fault profile, thread count, and generator config must match,
-//! and both records must actually have critical sections.
+//! time): fault profile and generator config must match, and both
+//! records must actually have critical sections. Thread and worker
+//! counts are observer keys and never refuse a diff.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -134,13 +135,6 @@ pub fn why_reports(base: &BenchReport, cur: &BenchReport) -> Result<WhyResult, S
             "fault profile mismatch: baseline '{}' vs current '{}' — faulted and \
              fault-free records are not comparable",
             base.env.fault_profile, cur.env.fault_profile
-        ));
-    }
-    if base.env.threads != cur.env.threads {
-        return Err(format!(
-            "thread-count mismatch: baseline ran with {} worker(s), current with {} — \
-             critical records are thread-invariant, so differing stamps mean mixed-up files",
-            base.env.threads, cur.env.threads
         ));
     }
     if base.env.graph_scale != cur.env.graph_scale
@@ -287,10 +281,10 @@ mod tests {
     #[test]
     fn mixed_up_records_are_refused_like_compare() {
         let base = record(crit(1000, &[("a", 0, 1000, 0)]));
+        // Thread counts are observer keys: a differing stamp still diffs.
         let mut cur = record(crit(1000, &[("a", 0, 1000, 0)]));
         cur.env.threads = 4;
-        let err = why_reports(&base, &cur).unwrap_err();
-        assert!(err.contains("thread-count mismatch"), "{err}");
+        why_reports(&base, &cur).expect("thread counts never refuse");
 
         let mut cur = record(crit(1000, &[("a", 0, 1000, 0)]));
         cur.env.fault_profile = "heavy".into();

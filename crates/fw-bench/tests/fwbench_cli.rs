@@ -1,9 +1,10 @@
-//! CLI regression tests for `fwbench hostperf` (ISSUE 10 satellites):
-//! the missing-baseline argument/path cases must exit through the usage
-//! and shared-loader paths (2 / 3) instead of panicking, and a baseline
-//! whose fallback wall-time is zero or sub-microsecond must be visibly
-//! warned about or compared — never silently dropped from the "vs base"
-//! column.
+//! CLI regression tests for `fwbench hostperf`: the missing-baseline
+//! argument/path cases must exit through the usage and shared-loader
+//! paths (2 / 3) instead of panicking, and a baseline whose fallback
+//! wall-time is zero or sub-microsecond must be visibly warned about or
+//! compared — never silently dropped from the "vs base" column. Also the
+//! shared loader's refusal of records from the removed per-lane RNG mode,
+//! and the refusal of the removed engine-thread and RNG flags.
 //!
 //! Records are doctored `tests_support::tiny_report` fixtures written to
 //! a per-test temp directory; the binary under test comes from
@@ -160,6 +161,52 @@ fn sub_microsecond_fallback_wall_is_compared_with_round_half_up() {
         stdout.contains("0.50x"),
         "300/600 must compare as exactly 0.50x, got:\n{stdout}"
     );
+}
+
+#[test]
+fn sharded_rng_record_is_refused_with_the_parse_exit_code() {
+    let dir = tmp_dir("sharded_rng");
+    let base = write_record(&dir, "base.json", &tiny_report());
+    // A record from the removed per-lane RNG mode: the env still carries
+    // the `rng` stamp. It must not load as an ordinary record.
+    let text =
+        tiny_report()
+            .render()
+            .replacen("\"suite\":", "\"rng\": \"sharded\",\n    \"suite\":", 1);
+    let cur = dir.join("cur.json");
+    std::fs::write(&cur, text).expect("write record");
+    let out = Command::new(env!("CARGO_BIN_EXE_fwbench"))
+        .args(["compare", base.to_str().unwrap(), cur.to_str().unwrap()])
+        .output()
+        .expect("run fwbench");
+    assert_eq!(exit_code(&out), 3, "shared loader's parse exit code");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("no longer supported"), "got: {err}");
+    assert!(!err.contains("panicked"), "must not panic: {err}");
+}
+
+#[test]
+fn removed_thread_and_rng_flags_are_usage_errors() {
+    // Each must be refused before any run starts, not read as a
+    // positional argument or silently ignored.
+    let cases: [(&str, &[&str]); 4] = [
+        (env!("CARGO_BIN_EXE_fwbench"), &["run", "--rng", "sharded"]),
+        (env!("CARGO_BIN_EXE_fwbench"), &["serve", "--threads", "2"]),
+        (
+            env!("CARGO_BIN_EXE_fwtrace"),
+            &["fw", "TT", "400000", "--rng", "sharded"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_fwtrace"),
+            &["--threads", "4", "fw", "TT"],
+        ),
+    ];
+    for (bin, args) in cases {
+        let out = Command::new(bin).args(args).output().expect("run binary");
+        assert_eq!(exit_code(&out), 2, "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("was removed"), "{args:?}: {err}");
+    }
 }
 
 #[test]

@@ -1,25 +1,22 @@
-//! Parallel-vs-sequential equivalence matrix (ISSUE 6 acceptance).
+//! Cell-level parallelism equivalence.
 //!
-//! The windowed sharded execution path (`with_threads(4)`) must produce
-//! *bit-identical* simulated results to the sequential reference
-//! (`threads == 1`) — same unified report, same span-trace summary —
-//! across engines × datasets × fault profiles. The matrix runs each cell
-//! both ways in debug, so cells are small; the property being checked is
-//! exact equality, which does not get stronger with walk count.
+//! `run_suite` fans scenario×seed cells out over a `WorkerPool`; each
+//! cell is one sequential engine run, so a suite's `BENCH_*.json` record
+//! must be byte-identical at any pool width apart from the env
+//! `threads`/`workers` stamps. Cells are small (debug profile); the
+//! property checked is exact equality, which does not get stronger with
+//! walk count.
 //!
-//! Also here: the shard-boundary walk-conservation geometry test (every
-//! walk injected under a heavy fault profile is completed exactly once,
-//! with cross-shard traffic demonstrably present) and the suite-level
-//! byte-equality of `BENCH_*.json` records across thread counts.
+//! Also here: the walk-conservation geometry test (every walk injected
+//! under a heavy fault profile is completed exactly once, with cross-chip
+//! traffic demonstrably present).
 
 use flashwalker::{AccelConfig, OptToggles};
-use fw_bench::runner::{flashwalker_engine, graphwalker_engine, prepared, Prepared, DEFAULT_SEED};
+use fw_bench::runner::{flashwalker_engine, prepared, DEFAULT_SEED};
 use fw_bench::suite::{build_bench_report, default_gw_memory, run_suite, Suite};
 use fw_fault::FaultProfile;
 use fw_graph::DatasetId;
-use fw_sim::export::trace_summary_json;
-use fw_sim::{RngModel, TraceConfig};
-use fw_walk::{RunReport, WalkEngine, Workload};
+use fw_walk::Workload;
 
 const WALKS: u64 = 400;
 
@@ -36,84 +33,14 @@ fn unstamp(record: &str) -> String {
     s
 }
 
-fn profiles() -> [FaultProfile; 3] {
-    [
-        FaultProfile::none(),
-        FaultProfile::light(),
-        FaultProfile::heavy(),
-    ]
-}
-
-fn run_fw(p: &Prepared, threads: u32, faults: FaultProfile) -> RunReport {
-    let mut e = flashwalker_engine(
-        p,
-        OptToggles::all(),
-        AccelConfig::scaled().alpha,
-        DEFAULT_SEED,
-    )
-    .with_threads(threads)
-    .with_span_trace(TraceConfig::default());
-    if faults.is_on() {
-        e = e.with_faults(faults);
-    }
-    e.run(Workload::paper_default(WALKS))
-}
-
-fn run_gw(p: &Prepared, threads: u32, faults: FaultProfile) -> RunReport {
-    let mut e = graphwalker_engine(p, default_gw_memory(), DEFAULT_SEED)
-        .with_threads(threads)
-        .with_span_trace(TraceConfig::default());
-    if faults.is_on() {
-        e = e.with_faults(faults);
-    }
-    e.run(Workload::paper_default(WALKS))
-}
-
-/// Assert two reports are simulation-identical: the full summary JSON
-/// (time, stats, traffic, per-layer breakdown, fault counters) and the
-/// derived span-trace summary must match byte for byte.
-fn assert_identical(seq: &RunReport, par: &RunReport, label: &str) {
-    assert_eq!(
-        seq.summary_json(),
-        par.summary_json(),
-        "{label}: threads=4 diverged from the sequential reference"
-    );
-    let ts = seq.trace.as_ref().map(trace_summary_json);
-    let tp = par.trace.as_ref().map(trace_summary_json);
-    assert_eq!(
-        ts, tp,
-        "{label}: span-trace summary differs across thread counts"
-    );
-}
-
-fn matrix_for(id: DatasetId) {
-    let p = prepared(id, DEFAULT_SEED);
-    for faults in profiles() {
-        let label = format!("fw/{}/{}", id.abbrev(), faults.name);
-        assert_identical(&run_fw(&p, 1, faults), &run_fw(&p, 4, faults), &label);
-        let label = format!("gw/{}/{}", id.abbrev(), faults.name);
-        assert_identical(&run_gw(&p, 1, faults), &run_gw(&p, 4, faults), &label);
-    }
-}
-
+/// Walk conservation under the heavy fault profile: every injected walk
+/// completes exactly once — no walk is lost or duplicated when it crosses
+/// chip/channel boundaries while retries, stalls and degraded reads
+/// reorder the pipeline around it — and the run demonstrably exercises
+/// those boundaries (roving walks, foreigner pages, multi-channel
+/// geometry).
 #[test]
-fn equivalence_matrix_twitter() {
-    matrix_for(DatasetId::Twitter);
-}
-
-#[test]
-fn equivalence_matrix_rmat2b() {
-    matrix_for(DatasetId::Rmat2B);
-}
-
-/// Shard-boundary walk conservation under the heavy fault profile: the
-/// windowed parallel path completes every injected walk exactly once —
-/// no walk is lost or duplicated when it crosses chip/channel shard
-/// boundaries while retries, stalls and degraded reads reorder the
-/// pipeline around it — and the run demonstrably exercises those
-/// boundaries (roving walks, foreigner pages, multi-channel geometry).
-#[test]
-fn heavy_fault_parallel_run_conserves_walks_across_shards() {
+fn heavy_fault_run_conserves_walks_across_chips() {
     let p = prepared(DatasetId::Twitter, DEFAULT_SEED);
     let r = flashwalker_engine(
         &p,
@@ -121,7 +48,6 @@ fn heavy_fault_parallel_run_conserves_walks_across_shards() {
         AccelConfig::scaled().alpha,
         DEFAULT_SEED,
     )
-    .with_threads(4)
     .with_faults(FaultProfile::heavy())
     .with_walk_log()
     .run_detailed(Workload::paper_default(WALKS));
@@ -139,7 +65,7 @@ fn heavy_fault_parallel_run_conserves_walks_across_shards() {
     // completed-vs-total accounting would have asserted first.
     assert!(
         r.stats.roving > 0,
-        "the cell must actually push walks across chip shard boundaries"
+        "the cell must actually push walks across chip boundaries"
     );
     let f = r.faults.expect("heavy profile reports fault counters");
     assert!(
@@ -148,10 +74,10 @@ fn heavy_fault_parallel_run_conserves_walks_across_shards() {
     );
 }
 
-/// Journey equivalence on the ci scenario grid (ISSUE 7 acceptance):
-/// the `JourneyReport` sections of a `--journeys` record are
-/// byte-identical at threads=1 and threads=4. Journey events are
-/// recorded from shard contexts and merged at finish, so this pins the
+/// Journey equivalence on the ci scenario grid: the `JourneyReport`
+/// sections of a `--journeys` record are byte-identical at threads=1 and
+/// threads=4. Journey events are recorded on per-lane recorders and
+/// merged at finish, and cells finish in pool order, so this pins the
 /// order-independence of the merge, the canonical event sort, and the
 /// determinism of the seeded sampling — at the record level where CI
 /// consumes it. The grid is `ci_small`'s (fw/gw/fw-base on TT and R2B)
@@ -219,43 +145,5 @@ fn bench_records_are_byte_stable_across_thread_counts() {
     assert_eq!(
         seq, unstamped,
         "threads=4 record differs from threads=1 beyond the env stamp"
-    );
-}
-
-/// Sharded-RNG byte-reproducibility (ISSUE 9 acceptance): a
-/// `--rng sharded` suite run produces a byte-identical BENCH record at
-/// threads=1 and threads=4 (modulo the same `threads`/`workers` env
-/// stamps), repeated sharded runs are self-identical (the CI double-run
-/// gate), and the record carries the `rng` env stamp so it can never
-/// silently diff against a global-universe record. Thread count never
-/// changes which lane stream a walk draws from: the sharded drain is
-/// lane-major and per-window serial by construction.
-#[test]
-fn sharded_rng_records_are_byte_stable_across_thread_counts() {
-    let suite = |threads: u32| {
-        let mut s = Suite::single(
-            DatasetId::Twitter,
-            WALKS,
-            default_gw_memory(),
-            vec![DEFAULT_SEED],
-        );
-        s.trace = true;
-        s.with_threads(threads).with_rng(RngModel::Sharded)
-    };
-    let seq = build_bench_report("t", &run_suite(&suite(1)).unwrap(), false).render();
-    let par = build_bench_report("t", &run_suite(&suite(4)).unwrap(), false).render();
-    let par2 = build_bench_report("t", &run_suite(&suite(4)).unwrap(), false).render();
-    assert_eq!(
-        par, par2,
-        "sharded threads=4 double run must be byte-identical"
-    );
-    assert!(
-        seq.contains("\"rng\": \"sharded\""),
-        "sharded runs stamp the env fingerprint"
-    );
-    assert_eq!(
-        seq,
-        unstamp(&par),
-        "sharded record differs across thread counts beyond the env stamps"
     );
 }

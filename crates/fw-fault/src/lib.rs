@@ -13,8 +13,8 @@
 //!   / per-channel) xoshiro256++ stream, derived from the engine seed via
 //!   [`derive_stream_seed`], so injected faults never perturb walk-path
 //!   randomness — and a lane's fault schedule depends only on that lane's
-//!   own op sequence, never on how other lanes interleave (the property
-//!   sharded parallel execution relies on);
+//!   own op sequence, never on how other lanes interleave (so reordering
+//!   one lane's work cannot shift another lane's faults);
 //! * all probabilities are integers (parts-per-million) and all latency
 //!   scaling uses integer percent multipliers, so two platforms replay the
 //!   exact same fault schedule;
@@ -223,9 +223,9 @@ const CHANNEL_LANE_TAG: u64 = 0x2C_0000;
 /// channel (bus transfers) — plus the per-block wear table. Every
 /// decision is a pure function of (profile, stream seed, lane, that
 /// lane's call sequence): a lane's fault schedule is independent of how
-/// ops on *other* lanes interleave with it, which is what lets sharded
-/// (per-chip / per-channel) execution replay the exact schedule the
-/// sequential reference draws.
+/// ops on *other* lanes interleave with it, so a model change that
+/// reorders one chip's or channel's work leaves every other lane's
+/// schedule untouched.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     profile: FaultProfile,
@@ -464,7 +464,7 @@ mod tests {
         assert!(a.stats().read_retries > 0, "heavy profile must retry");
     }
 
-    /// The sharding property: a lane's fault schedule is a function of
+    /// The lane-independence property: a lane's fault schedule is a function of
     /// that lane's own op sequence only. Replaying the same per-lane op
     /// sequences under a *different cross-lane interleave* must produce
     /// the exact same per-lane verdicts.

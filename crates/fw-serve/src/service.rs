@@ -96,8 +96,8 @@ pub struct ServeConfig {
     pub cache: WalkCacheConfig,
     /// Walk budget per merged batch.
     pub max_batch_walks: u64,
-    /// Simulator worker threads per engine run (simulated results are
-    /// thread-invariant, so this only affects wall time).
+    /// Ignored: every engine run is one sequential event loop. Kept so
+    /// existing struct literals still build.
     pub threads: u32,
 }
 
@@ -293,7 +293,6 @@ fn run_batch(
             SsdConfig::scaled(),
             batch_seed,
         )
-        .with_threads(cfg.threads.max(1))
         .with_walk_log()
         .run(workload),
         ServeEngine::Graphwalker => GraphWalkerSim::new(
@@ -303,7 +302,6 @@ fn run_batch(
             SsdConfig::scaled(),
             batch_seed,
         )
-        .with_threads(cfg.threads.max(1))
         .with_walk_log()
         .run(workload),
     }

@@ -109,6 +109,8 @@ pub struct EventQueue<E> {
     seq: u64,
     now: SimTime,
     popped: u64,
+    /// Sequence number of the most recently popped event.
+    last_seq: Option<u64>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -129,6 +131,7 @@ impl<E> EventQueue<E> {
             seq: 0,
             now: SimTime::ZERO,
             popped: 0,
+            last_seq: None,
         }
     }
 
@@ -161,12 +164,15 @@ impl<E> EventQueue<E> {
         self.len() == 0
     }
 
-    /// Schedule `event` at absolute time `at`.
+    /// Schedule `event` at absolute time `at`. Returns the event's
+    /// sequence number: unique, monotone, counted from 0 over every
+    /// schedule, so it doubles as a deterministic node id for dependency
+    /// logs.
     ///
     /// # Panics
     /// In debug builds, panics if `at` is in the past: delivering an event
     /// before `now` would make the simulation non-causal.
-    pub fn schedule_at(&mut self, at: SimTime, event: E) {
+    pub fn schedule_at(&mut self, at: SimTime, event: E) -> u64 {
         debug_assert!(
             at >= self.now,
             "scheduling into the past: {at:?} < {:?}",
@@ -188,12 +194,22 @@ impl<E> EventQueue<E> {
         } else {
             self.overflow.push(entry);
         }
+        seq
     }
 
-    /// Schedule `event` `delay` after the current time.
+    /// Schedule `event` `delay` after the current time. Returns its
+    /// sequence number (see [`Self::schedule_at`]).
     #[inline]
-    pub fn schedule_in(&mut self, delay: Duration, event: E) {
-        self.schedule_at(self.now + delay, event);
+    pub fn schedule_in(&mut self, delay: Duration, event: E) -> u64 {
+        self.schedule_at(self.now + delay, event)
+    }
+
+    /// Sequence number of the most recently delivered event (`None`
+    /// before the first pop). Handlers use it as the *cause* of every
+    /// event they schedule while dispatching.
+    #[inline]
+    pub fn last_popped_seq(&self) -> Option<u64> {
+        self.last_seq
     }
 
     /// Timestamp of the next pending event, if any.
@@ -231,6 +247,7 @@ impl<E> EventQueue<E> {
         debug_assert!(entry.time >= self.now);
         self.now = entry.time;
         self.popped += 1;
+        self.last_seq = Some(entry.seq);
         Some((entry.time, entry.event))
     }
 
@@ -313,6 +330,7 @@ pub struct HeapEventQueue<E> {
     seq: u64,
     now: SimTime,
     popped: u64,
+    last_seq: Option<u64>,
 }
 
 impl<E> Default for HeapEventQueue<E> {
@@ -329,6 +347,7 @@ impl<E> HeapEventQueue<E> {
             seq: 0,
             now: SimTime::ZERO,
             popped: 0,
+            last_seq: None,
         }
     }
 
@@ -356,9 +375,9 @@ impl<E> HeapEventQueue<E> {
         self.heap.is_empty()
     }
 
-    /// Schedule `event` at absolute time `at` (see
-    /// [`EventQueue::schedule_at`]).
-    pub fn schedule_at(&mut self, at: SimTime, event: E) {
+    /// Schedule `event` at absolute time `at`; returns its sequence
+    /// number (see [`EventQueue::schedule_at`]).
+    pub fn schedule_at(&mut self, at: SimTime, event: E) -> u64 {
         debug_assert!(
             at >= self.now,
             "scheduling into the past: {at:?} < {:?}",
@@ -371,12 +390,21 @@ impl<E> HeapEventQueue<E> {
             seq,
             event,
         }));
+        seq
     }
 
-    /// Schedule `event` `delay` after the current time.
+    /// Schedule `event` `delay` after the current time; returns its
+    /// sequence number.
     #[inline]
-    pub fn schedule_in(&mut self, delay: Duration, event: E) {
-        self.schedule_at(self.now + delay, event);
+    pub fn schedule_in(&mut self, delay: Duration, event: E) -> u64 {
+        self.schedule_at(self.now + delay, event)
+    }
+
+    /// Sequence number of the most recently delivered event (see
+    /// [`EventQueue::last_popped_seq`]).
+    #[inline]
+    pub fn last_popped_seq(&self) -> Option<u64> {
+        self.last_seq
     }
 
     /// Timestamp of the next pending event, if any.
@@ -396,6 +424,7 @@ impl<E> HeapEventQueue<E> {
         debug_assert!(entry.time >= self.now);
         self.now = entry.time;
         self.popped += 1;
+        self.last_seq = Some(entry.seq);
         Some((entry.time, entry.event))
     }
 }
@@ -423,6 +452,35 @@ mod tests {
         }
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
+    }
+
+    /// `schedule_*` hands out 0, 1, 2, … and `last_popped_seq` reports
+    /// the id of the event just delivered — the contract critical-path
+    /// node ids rest on. Checked on both queue implementations.
+    macro_rules! schedule_returns_monotone_seq_and_pop_exposes_it {
+        ($q:expr) => {{
+            let mut q = $q;
+            assert_eq!(q.last_popped_seq(), None);
+            let a = q.schedule_at(SimTime(10), "a");
+            let b = q.schedule_at(SimTime(20), "b");
+            let c = q.schedule_in(Duration::nanos(5), "c");
+            assert_eq!((a, b, c), (0, 1, 2));
+            q.pop().unwrap(); // "c" at t=5
+            assert_eq!(q.last_popped_seq(), Some(c));
+            q.pop().unwrap(); // "a" at t=10
+            assert_eq!(q.last_popped_seq(), Some(a));
+            q.pop().unwrap(); // "b" at t=20
+            assert_eq!(q.last_popped_seq(), Some(b));
+            // Drained: the anchor keeps the last delivered event's id.
+            assert!(q.pop().is_none());
+            assert_eq!(q.last_popped_seq(), Some(b));
+        }};
+    }
+
+    #[test]
+    fn schedule_returns_monotone_seq_and_pop_exposes_it() {
+        schedule_returns_monotone_seq_and_pop_exposes_it!(EventQueue::new());
+        schedule_returns_monotone_seq_and_pop_exposes_it!(HeapEventQueue::new());
     }
 
     #[test]
@@ -516,16 +574,16 @@ mod tests {
                     // schedule_at: near future, coarse times for ties
                     0..=3 => {
                         let t = SimTime(cal.now().0 + rng.next_below(20_000) / 64 * 64);
-                        cal.schedule_at(t, next_id);
-                        heap.schedule_at(t, next_id);
+                        assert_eq!(cal.schedule_at(t, next_id), next_id);
+                        assert_eq!(heap.schedule_at(t, next_id), next_id);
                         next_id += 1;
                         scheduled += 1;
                     }
                     // schedule_in: relative delays
                     4..=5 => {
                         let d = Duration(rng.next_below(100_000));
-                        cal.schedule_in(d, next_id);
-                        heap.schedule_in(d, next_id);
+                        assert_eq!(cal.schedule_in(d, next_id), next_id);
+                        assert_eq!(heap.schedule_in(d, next_id), next_id);
                         next_id += 1;
                         scheduled += 1;
                     }
@@ -549,6 +607,12 @@ mod tests {
                             let a = cal.pop();
                             let b = heap.pop();
                             assert_eq!(a, b, "pop streams diverged (seed {seed})");
+                            // Payloads are insertion ids, so the popped
+                            // seq is the payload itself.
+                            if let Some((_, id)) = a {
+                                assert_eq!(cal.last_popped_seq(), Some(id));
+                                assert_eq!(heap.last_popped_seq(), Some(id));
+                            }
                         }
                     }
                 }

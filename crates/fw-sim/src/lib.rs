@@ -25,7 +25,6 @@
 pub mod event;
 pub mod pool;
 pub mod rng;
-pub mod shard;
 pub mod timeline;
 
 pub use fw_trace::{critical, export, heatmap, journey, metrics, report, span, stats, time};
@@ -40,6 +39,5 @@ pub use fw_trace::{
     TraceConfig, TraceReport, Tracer, WalkJourney,
 };
 pub use pool::WorkerPool;
-pub use rng::{derive_stream_seed, LaneRngs, RngModel, SplitMix64, Xoshiro256pp, WALK_LANE_STREAM};
-pub use shard::{ShardId, ShardedClock, ShardedEventQueue, SyncWindow};
+pub use rng::{derive_stream_seed, SplitMix64, Xoshiro256pp};
 pub use timeline::{BandwidthLink, ServerBank, Timeline};

@@ -1,8 +1,7 @@
 //! A deterministic worker pool for fan-out/merge phases.
 //!
-//! Parallel phases in this workspace — per-shard tracer merges, suite
-//! scenario×seed cells, window-local shard work — all follow the same
-//! shape: a fixed list of independent jobs whose *results must come back
+//! Parallel phases in this workspace — suite dataset preparation and
+//! scenario×seed cells — follow the same shape: a fixed list of independent jobs whose *results must come back
 //! in input order* no matter which worker finished first. [`WorkerPool`]
 //! is that shape with the determinism spelled out:
 //!

@@ -114,161 +114,6 @@ impl Xoshiro256pp {
     pub fn fork(&mut self) -> Xoshiro256pp {
         Xoshiro256pp::new(self.next_u64())
     }
-
-    /// Jump ahead 2^128 steps in the sequence, in O(1) draws.
-    ///
-    /// This is the Blackman–Vigna jump function for xoshiro256++: the
-    /// state transition is linear over GF(2) (the `++` scrambler only
-    /// touches the *output*), so advancing 2^128 steps is multiplication
-    /// by a precomputed characteristic polynomial. `n` generators obtained
-    /// by repeated jumps from one seed own provably non-overlapping
-    /// 2^128-long subsequences of the single period-(2^256 − 1) orbit —
-    /// the substrate for per-lane walk RNG streams.
-    ///
-    /// The `JUMP` constants are the reference implementation's; the test
-    /// suite independently verifies them by raising the 256×256 GF(2)
-    /// transition matrix to the 2^128-th power.
-    pub fn jump(&mut self) {
-        const JUMP: [u64; 4] = [
-            0x180ec6d33cfd0aba,
-            0xd5a61266f0c9392c,
-            0xa9582618e03fc9aa,
-            0x39abdc4529b1661c,
-        ];
-        let mut s = [0u64; 4];
-        for word in JUMP {
-            for bit in 0..64 {
-                if word & (1u64 << bit) != 0 {
-                    s[0] ^= self.s[0];
-                    s[1] ^= self.s[1];
-                    s[2] ^= self.s[2];
-                    s[3] ^= self.s[3];
-                }
-                self.next_u64();
-            }
-        }
-        self.s = s;
-    }
-}
-
-/// Stream tag for the per-lane walk-sampling base generator (see
-/// [`LaneRngs`]): keeps the lane streams decorrelated from the engines'
-/// root RNG, which still owns barrier-phase draws (initial walk
-/// distribution, quiesce decisions) in both models.
-pub const WALK_LANE_STREAM: u64 = 0x57A1C;
-
-/// Which RNG universe a simulation samples walks from.
-///
-/// `Global` (the default) serializes every walk-sampling decision through
-/// one generator — the reference universe, byte-identical to every record
-/// produced before this type existed. `Sharded` gives each commit lane its
-/// own jump-separated stream ([`LaneRngs`]), a deliberate model change
-/// that lets lanes commit walk steps independently within a sync window;
-/// its outputs are statistically (not bitwise) equivalent to `Global` and
-/// byte-reproducible for a fixed seed at any thread count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RngModel {
-    /// One global walk RNG; the sampled-path universe of every pre-sharded
-    /// record.
-    #[default]
-    Global,
-    /// Per-lane jump-separated walk RNG streams keyed by `(seed, lane)`.
-    Sharded,
-}
-
-impl RngModel {
-    /// Parse a CLI/env spelling (`"global"` / `"sharded"`).
-    pub fn parse(s: &str) -> Option<RngModel> {
-        match s {
-            "global" => Some(RngModel::Global),
-            "sharded" => Some(RngModel::Sharded),
-            _ => None,
-        }
-    }
-
-    /// Canonical spelling, the inverse of [`RngModel::parse`].
-    pub fn as_str(self) -> &'static str {
-        match self {
-            RngModel::Global => "global",
-            RngModel::Sharded => "sharded",
-        }
-    }
-
-    /// True for [`RngModel::Sharded`].
-    #[inline]
-    pub fn is_sharded(self) -> bool {
-        matches!(self, RngModel::Sharded)
-    }
-}
-
-/// A family of jump-separated walk RNG streams, one per commit lane.
-///
-/// All lanes live on a single base generator seeded from
-/// `derive_stream_seed(seed, WALK_LANE_STREAM)`: lane `i` is the base
-/// jumped ahead `i · 2^128` steps, so lane `i + 1` is one
-/// [`Xoshiro256pp::jump`] past lane `i` — construction is O(lanes), not
-/// O(lanes²) — and any two lanes' next 2^128 outputs come from disjoint
-/// stretches of the orbit. The family grows on demand and the stream a
-/// lane index yields never depends on the order lanes were first touched,
-/// so engines may key lanes by sparse ids (e.g. graph blocks).
-#[derive(Debug, Clone)]
-pub struct LaneRngs {
-    lanes: Vec<Xoshiro256pp>,
-    /// The `lanes.len()`-th stream, pre-jumped, ready to append.
-    next: Xoshiro256pp,
-}
-
-impl LaneRngs {
-    /// A family over `(seed, lane)` with `lanes` streams materialized.
-    pub fn new(seed: u64, lanes: usize) -> Self {
-        let mut family = LaneRngs {
-            lanes: Vec::with_capacity(lanes),
-            next: Xoshiro256pp::new(derive_stream_seed(seed, WALK_LANE_STREAM)),
-        };
-        family.ensure(lanes);
-        family
-    }
-
-    /// Materialize streams up to lane `n - 1` (no-op if already there).
-    pub fn ensure(&mut self, n: usize) {
-        while self.lanes.len() < n {
-            let lane = self.next.clone();
-            self.next.jump();
-            self.lanes.push(lane);
-        }
-    }
-
-    /// Number of materialized lanes.
-    pub fn len(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// True when no lane has been materialized yet.
-    pub fn is_empty(&self) -> bool {
-        self.lanes.is_empty()
-    }
-
-    /// Mutable access to lane `i`'s generator, materializing it if needed.
-    #[inline]
-    pub fn lane(&mut self, i: usize) -> &mut Xoshiro256pp {
-        if i >= self.lanes.len() {
-            self.ensure(i + 1);
-        }
-        &mut self.lanes[i]
-    }
-
-    /// Move lane `i`'s generator out (for borrow-free use inside a batch
-    /// body); pair with [`LaneRngs::put`]. The slot is left holding a
-    /// placeholder — taking the same lane twice without a `put` is a bug.
-    pub fn take(&mut self, i: usize) -> Xoshiro256pp {
-        self.ensure(i + 1);
-        std::mem::replace(&mut self.lanes[i], Xoshiro256pp::new(0))
-    }
-
-    /// Restore lane `i`'s generator after a [`LaneRngs::take`].
-    pub fn put(&mut self, i: usize, rng: Xoshiro256pp) {
-        self.lanes[i] = rng;
-    }
 }
 
 #[cfg(test)]
@@ -350,162 +195,5 @@ mod tests {
         let a: Vec<u64> = (0..4).map(|_| f1.next_u64()).collect();
         let b: Vec<u64> = (0..4).map(|_| f2.next_u64()).collect();
         assert_ne!(a, b);
-    }
-
-    /// One step of the xoshiro256++ *state* transition (the output
-    /// scrambler is not part of the state map), for building its GF(2)
-    /// matrix.
-    fn step_state(s: &mut [u64; 4]) {
-        let t = s[1] << 17;
-        s[2] ^= s[0];
-        s[3] ^= s[1];
-        s[1] ^= s[2];
-        s[0] ^= s[3];
-        s[2] ^= t;
-        s[3] = s[3].rotate_left(45);
-    }
-
-    /// 256×256 GF(2) matrix, column-major: `cols[j]` is the image of basis
-    /// vector `e_j`, itself a 256-bit vector packed as `[u64; 4]` in the
-    /// same layout as the generator state.
-    type Gf2Mat = Vec<[u64; 4]>;
-
-    fn mat_vec(m: &Gf2Mat, v: [u64; 4]) -> [u64; 4] {
-        let mut out = [0u64; 4];
-        for j in 0..256 {
-            if v[j / 64] & (1u64 << (j % 64)) != 0 {
-                for w in 0..4 {
-                    out[w] ^= m[j][w];
-                }
-            }
-        }
-        out
-    }
-
-    fn mat_square(m: &Gf2Mat) -> Gf2Mat {
-        (0..256).map(|j| mat_vec(m, m[j])).collect()
-    }
-
-    /// Independent verification of the JUMP polynomial: the state after
-    /// `jump()` must equal the state advanced 2^128 single steps, computed
-    /// as T^(2^128)·s via 128 squarings of the GF(2) transition matrix.
-    /// The matrix is built from `step_state` alone, so this would catch a
-    /// transcription error in either the constants or the jump loop.
-    #[test]
-    fn jump_matches_gf2_transition_matrix_power() {
-        let mut t: Gf2Mat = (0..256)
-            .map(|j| {
-                let mut e = [0u64; 4];
-                e[j / 64] |= 1u64 << (j % 64);
-                step_state(&mut e);
-                e
-            })
-            .collect();
-        for _ in 0..128 {
-            t = mat_square(&t);
-        }
-        for seed in [0xDEAD_BEEFu64, 42, 7] {
-            let mut g = Xoshiro256pp::new(seed);
-            // Advance a few draws so the jump starts mid-stream.
-            for _ in 0..5 {
-                g.next_u64();
-            }
-            let expect = mat_vec(&t, g.s);
-            g.jump();
-            assert_eq!(g.s, expect, "seed {seed}: jump() is not T^(2^128)");
-        }
-    }
-
-    #[test]
-    fn jump_is_deterministic_and_moves_the_stream() {
-        let mut a = Xoshiro256pp::new(42);
-        let mut b = Xoshiro256pp::new(42);
-        let pre: Vec<u64> = (0..4).map(|_| a.next_u64()).collect();
-        b.jump();
-        let post: Vec<u64> = (0..4).map(|_| b.next_u64()).collect();
-        assert_ne!(pre, post, "jump must land elsewhere in the orbit");
-        let mut c = Xoshiro256pp::new(42);
-        c.jump();
-        let post2: Vec<u64> = (0..4).map(|_| c.next_u64()).collect();
-        assert_eq!(post, post2, "jump is deterministic");
-    }
-
-    /// Stream-overlap smoke test: the first 10k draws of adjacent lanes
-    /// must share no 4-gram window. (Lanes are 2^128 draws apart, so any
-    /// shared 4-gram would be an astronomically unlikely collision — or a
-    /// broken jump.)
-    #[test]
-    fn adjacent_lane_streams_share_no_4gram_window() {
-        let mut lanes = LaneRngs::new(42, 3);
-        let draws = |r: &mut Xoshiro256pp| (0..10_000).map(|_| r.next_u64()).collect::<Vec<u64>>();
-        let a = draws(lanes.lane(0));
-        let b = draws(lanes.lane(1));
-        let c = draws(lanes.lane(2));
-        let grams = |v: &[u64]| {
-            v.windows(4)
-                .map(|w| [w[0], w[1], w[2], w[3]])
-                .collect::<std::collections::HashSet<[u64; 4]>>()
-        };
-        let (ga, gb, gc) = (grams(&a), grams(&b), grams(&c));
-        assert!(ga.is_disjoint(&gb), "lanes 0 and 1 share a 4-gram window");
-        assert!(gb.is_disjoint(&gc), "lanes 1 and 2 share a 4-gram window");
-        assert!(ga.is_disjoint(&gc), "lanes 0 and 2 share a 4-gram window");
-    }
-
-    #[test]
-    fn lane_rngs_grow_on_demand_order_independently() {
-        // The stream behind lane i is a pure function of (seed, i):
-        // materializing lanes eagerly, lazily, or out of order yields the
-        // same generators.
-        let mut eager = LaneRngs::new(7, 5);
-        let mut lazy = LaneRngs::new(7, 0);
-        let lazy4: Vec<u64> = (0..8).map(|_| lazy.lane(4).next_u64()).collect();
-        let eager4: Vec<u64> = (0..8).map(|_| eager.lane(4).next_u64()).collect();
-        assert_eq!(lazy4, eager4);
-        let lazy1: Vec<u64> = (0..8).map(|_| lazy.lane(1).next_u64()).collect();
-        let eager1: Vec<u64> = (0..8).map(|_| eager.lane(1).next_u64()).collect();
-        assert_eq!(lazy1, eager1);
-        assert_eq!(eager.len(), 5);
-        assert_eq!(lazy.len(), 5, "lane(4) materialized lanes 0..=4");
-    }
-
-    #[test]
-    fn lane_rngs_lane_i_is_base_jumped_i_times() {
-        let mut family = LaneRngs::new(11, 3);
-        let mut direct = Xoshiro256pp::new(derive_stream_seed(11, WALK_LANE_STREAM));
-        direct.jump();
-        direct.jump();
-        let want: Vec<u64> = (0..8).map(|_| direct.next_u64()).collect();
-        let got: Vec<u64> = (0..8).map(|_| family.lane(2).next_u64()).collect();
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn lane_rngs_take_put_round_trips() {
-        let mut family = LaneRngs::new(3, 2);
-        let reference: Vec<u64> = {
-            let mut probe = LaneRngs::new(3, 2);
-            (0..6).map(|_| probe.lane(1).next_u64()).collect()
-        };
-        let mut taken = family.take(1);
-        let first: Vec<u64> = (0..3).map(|_| taken.next_u64()).collect();
-        family.put(1, taken);
-        let rest: Vec<u64> = (0..3).map(|_| family.lane(1).next_u64()).collect();
-        let combined: Vec<u64> = first.into_iter().chain(rest).collect();
-        assert_eq!(combined, reference, "take/put must not disturb the stream");
-    }
-
-    #[test]
-    fn rng_model_parses_its_canonical_spellings() {
-        assert_eq!(RngModel::parse("global"), Some(RngModel::Global));
-        assert_eq!(RngModel::parse("sharded"), Some(RngModel::Sharded));
-        assert_eq!(RngModel::parse("Sharded"), None, "spellings are exact");
-        assert_eq!(RngModel::parse(""), None);
-        for m in [RngModel::Global, RngModel::Sharded] {
-            assert_eq!(RngModel::parse(m.as_str()), Some(m), "parse inverts as_str");
-        }
-        assert_eq!(RngModel::default(), RngModel::Global);
-        assert!(RngModel::Sharded.is_sharded());
-        assert!(!RngModel::Global.is_sharded());
     }
 }

@@ -11,8 +11,8 @@ use super::{GraphWalkerSim, GwRun};
 impl GraphWalkerSim<'_> {
     /// The graph block owning vertex `v`, drawing any dense-vertex slice
     /// pick from the supplied generator (same pre-walk arithmetic as
-    /// FlashWalker, host-side). Block-update bodies pass their lane's
-    /// stream; init paths pass the root.
+    /// FlashWalker, host-side). Block-update bodies pass the walk RNG they
+    /// took out of `self`.
     pub(super) fn block_of_in(
         blocks: &PartitionedGraph,
         v: VertexId,
@@ -32,8 +32,7 @@ impl GraphWalkerSim<'_> {
         }
     }
 
-    /// [`Self::block_of_in`] on the root RNG — the init path, which draws
-    /// identically in both RNG universes.
+    /// [`Self::block_of_in`] on the walk RNG — the init path.
     pub(super) fn block_of(&mut self, v: VertexId) -> u32 {
         Self::block_of_in(&self.blocks, v, &mut self.rng)
     }
@@ -125,7 +124,7 @@ impl GraphWalkerSim<'_> {
             }
         }
         let start_now = run.now;
-        self.stream_tracer(block).span_bytes(
+        self.stream_tracer.span_bytes(
             "gw.load",
             block,
             start_now,
@@ -225,8 +224,7 @@ impl GraphWalkerSim<'_> {
             self.pools[block as usize].walks.extend(walks);
         }
         let start = run.now;
-        self.stream_tracer(block)
-            .span("gw.walk_io", block, start, done);
+        self.stream_tracer.span("gw.walk_io", block, start, done);
         // Spill read-back is walk I/O over the host path; attributed to
         // the PCIe leg in the journey decomposition.
         for &id in &j_ids {

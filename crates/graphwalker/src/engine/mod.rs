@@ -28,8 +28,8 @@ use fw_nand::layout::GraphBlockPlacement;
 use fw_nand::{GraphLayout, Lpn, Ssd, SsdConfig};
 use fw_sim::{
     CriticalConfig, CriticalRecorder, CriticalReport, Duration, JourneyConfig, JourneyEventKind,
-    JourneyRecorder, JourneyReport, LaneRngs, RngModel, SimTime, TimeSeries, TraceConfig,
-    TraceReport, Tracer, Xoshiro256pp,
+    JourneyRecorder, JourneyReport, SimTime, TimeSeries, TraceConfig, TraceReport, Tracer,
+    Xoshiro256pp,
 };
 use fw_walk::{
     EngineBreakdown, FaultSummary, RunReport, RunStats, Traffic, Walk, WalkEngine, Workload,
@@ -161,17 +161,8 @@ pub struct GraphWalkerSim<'g> {
     cfg: GwConfig,
     wl: Workload,
     ssd: Ssd,
+    /// The host walk RNG: every hop draws from it, in program order.
     rng: Xoshiro256pp,
-    /// Which sampled-path universe this run inhabits (DESIGN.md §14).
-    /// `Global` draws every hop from the root `rng`; `Sharded` draws each
-    /// block-update batch from the block's own jump-ahead lane stream in
-    /// `lane_rngs`.
-    rng_model: RngModel,
-    /// Per-block walk RNG streams, 2^128 draws apart. Lane `b` is a pure
-    /// function of `(seed, b)` — keyed by *block id*, never by thread
-    /// count — and lanes materialize on demand. Only consulted when
-    /// `rng_model` is `Sharded`.
-    lane_rngs: LaneRngs,
     /// Construction seed, kept so [`Self::with_faults`] can derive the
     /// injector's independent stream.
     seed: u64,
@@ -185,22 +176,10 @@ pub struct GraphWalkerSim<'g> {
     trace_window_ns: u64,
     walk_log: Option<Vec<Walk>>,
     pub(super) tracer: Tracer,
-    /// Worker count for the block-stream planes; `1` (the default) is the
-    /// sequential reference. The scheduler loop itself is serial — every
-    /// hop draws from the one host RNG — so `threads` shards the
-    /// measurement plane (block-stream tracer lanes) and the run plane
-    /// (suite cells in `fwbench`), never the committed schedule.
-    threads: u32,
-    /// Trace config, kept so stream tracers can be rebuilt when the
-    /// builder order puts `with_threads` after `with_span_trace`.
-    trace_cfg: Option<TraceConfig>,
-    /// Per-block-stream tracers (block → stream `block % streams`),
-    /// merged into the root tracer at run end. The canonical
-    /// [`Tracer::finish`] makes the report identical at any stream count.
-    pub(super) stream_tracers: Vec<Tracer>,
-    /// Sampled per-walk lifecycle recorder; the scheduler loop is serial,
-    /// so one recorder serves every stream and the finished report is
-    /// identical at any thread count.
+    /// Tracer for the block-level spans (loads, walk I/O, updates),
+    /// merged into the root tracer at run end.
+    pub(super) stream_tracer: Tracer,
+    /// Sampled per-walk lifecycle recorder.
     pub(super) journeys: JourneyRecorder,
     /// Dependency recorder for the critical-path profile. The serial
     /// loop records one node per non-empty phase (sched / load / walk
@@ -264,8 +243,6 @@ impl<'g> GraphWalkerSim<'g> {
             wl: Workload::paper_default(0),
             ssd: Ssd::new(ssd_cfg, static_blocks),
             rng: Xoshiro256pp::new(seed),
-            rng_model: RngModel::Global,
-            lane_rngs: LaneRngs::new(seed, 0),
             seed,
             faults: FaultProfile::none(),
             cache: Vec::new(),
@@ -274,9 +251,7 @@ impl<'g> GraphWalkerSim<'g> {
             trace_window_ns: 1_000_000,
             walk_log: None,
             tracer: Tracer::disabled(),
-            threads: 1,
-            trace_cfg: None,
-            stream_tracers: vec![Tracer::disabled()],
+            stream_tracer: Tracer::disabled(),
             journeys: JourneyRecorder::disabled(),
             critical: CriticalRecorder::disabled(),
             crit_prev: None,
@@ -284,58 +259,16 @@ impl<'g> GraphWalkerSim<'g> {
         }
     }
 
-    /// Run with `n` workers. The committed schedule — and therefore every
-    /// report byte — is identical at any thread count; `n > 1` shards the
-    /// block-stream tracer lanes per worker.
-    pub fn with_threads(mut self, n: u32) -> Self {
-        self.threads = n.max(1);
-        self.rebuild_stream_tracers();
-        self
+    /// Move the walk RNG out so an update batch can draw from it
+    /// alongside `&mut self` (same object, same draw order). Must be
+    /// returned via [`Self::put_walk_rng`].
+    pub(super) fn take_walk_rng(&mut self) -> Xoshiro256pp {
+        std::mem::replace(&mut self.rng, Xoshiro256pp::new(0))
     }
 
-    /// Select the walk-RNG universe (default [`RngModel::Global`]).
-    /// `Sharded` samples each block's update batches from the block's own
-    /// jump-ahead stream — different but statistically equivalent walk
-    /// paths, still byte-reproducible for a fixed seed at any thread
-    /// count because lanes are keyed by block id (DESIGN.md §14).
-    pub fn with_rng(mut self, model: RngModel) -> Self {
-        self.rng_model = model;
-        self
-    }
-
-    /// Borrow the walk RNG an update batch on `block` must draw from: the
-    /// root generator in the global universe (moved out so the batch can
-    /// hold it alongside `&mut self`; same object, same draw order), the
-    /// block's own lane stream in the sharded one. Must be returned via
-    /// [`Self::put_walk_rng`].
-    pub(super) fn take_walk_rng(&mut self, block: u32) -> Xoshiro256pp {
-        match self.rng_model {
-            RngModel::Global => std::mem::replace(&mut self.rng, Xoshiro256pp::new(0)),
-            RngModel::Sharded => self.lane_rngs.take(block as usize),
-        }
-    }
-
-    /// Return a generator borrowed with [`Self::take_walk_rng`].
-    pub(super) fn put_walk_rng(&mut self, block: u32, rng: Xoshiro256pp) {
-        match self.rng_model {
-            RngModel::Global => self.rng = rng,
-            RngModel::Sharded => self.lane_rngs.put(block as usize, rng),
-        }
-    }
-
-    fn rebuild_stream_tracers(&mut self) {
-        let template = match self.trace_cfg {
-            Some(c) => Tracer::enabled(c),
-            None => Tracer::disabled(),
-        };
-        self.stream_tracers = (0..self.threads.max(1)).map(|_| template.clone()).collect();
-    }
-
-    /// The block-stream tracer owning `block`'s lanes (blocks stripe
-    /// round-robin over the streams).
-    pub(super) fn stream_tracer(&mut self, block: u32) -> &mut Tracer {
-        let n = self.stream_tracers.len();
-        &mut self.stream_tracers[block as usize % n]
+    /// Return the generator taken with [`Self::take_walk_rng`].
+    pub(super) fn put_walk_rng(&mut self, rng: Xoshiro256pp) {
+        self.rng = rng;
     }
 
     /// Set the progress trace window (default 1 ms).
@@ -404,8 +337,7 @@ impl<'g> GraphWalkerSim<'g> {
     /// derived views land in [`GwReport::trace`].
     pub fn with_span_trace(mut self, cfg: TraceConfig) -> Self {
         self.tracer = Tracer::enabled(cfg);
-        self.trace_cfg = Some(cfg);
-        self.rebuild_stream_tracers();
+        self.stream_tracer = Tracer::enabled(cfg);
         self.ssd.enable_span_trace(cfg);
         self
     }
@@ -473,12 +405,8 @@ impl<'g> GraphWalkerSim<'g> {
             self.crit_phase("gw.spill", block, t4, run.now);
         }
 
-        // Deterministic merge of the block-stream lanes (stream order is
-        // fixed; the canonical finish is merge-order independent anyway).
-        let stream_tracers = std::mem::take(&mut self.stream_tracers);
-        for t in &stream_tracers {
-            self.tracer.merge(t);
-        }
+        let stream_tracer = std::mem::replace(&mut self.stream_tracer, Tracer::disabled());
+        self.tracer.merge(&stream_tracer);
         let ssd_tracer = self.ssd.take_tracer();
         self.tracer.merge(&ssd_tracer);
         let span_trace = self.tracer.finish(run.now);
@@ -891,83 +819,6 @@ mod tests {
         expect.sort_unstable();
         assert_eq!(got, expect);
         assert!(r.walk_log.iter().all(|w| w.is_done()));
-    }
-
-    #[test]
-    fn explicit_global_rng_is_byte_identical_to_default() {
-        let g = graph(800, 8_000);
-        let base = run(&g, small_cfg(64 << 10), 1_000);
-        let explicit = GraphWalkerSim::new(&g, 4, small_cfg(64 << 10), SsdConfig::tiny(), 5)
-            .with_rng(RngModel::Global)
-            .run_detailed(Workload::paper_default(1_000));
-        assert_eq!(explicit.time, base.time);
-        assert_eq!(explicit.hops, base.hops);
-        assert_eq!(explicit.flash_read_bytes, base.flash_read_bytes);
-    }
-
-    #[test]
-    fn sharded_rng_conserves_walks_and_is_byte_reproducible_across_threads() {
-        // Per-block lane streams: the sampled paths are a pure function
-        // of (seed, block id), so the run is byte-reproducible at any
-        // thread count, and walk sources are conserved exactly through
-        // block switches and spills.
-        let g = graph(1500, 18_000);
-        let wl = Workload::paper_default(2_500);
-        let at = |threads: u32| {
-            GraphWalkerSim::new(&g, 4, small_cfg(96 << 10), SsdConfig::tiny(), 5)
-                .with_rng(RngModel::Sharded)
-                .with_threads(threads)
-                .with_walk_log()
-                .run_detailed(wl)
-        };
-        let a = at(1);
-        assert_eq!(a.walks, 2_500);
-        for threads in [2u32, 4] {
-            let r = at(threads);
-            assert_eq!(r.time, a.time, "threads={threads}");
-            assert_eq!(r.hops, a.hops);
-            assert_eq!(r.flash_read_bytes, a.flash_read_bytes);
-            assert_eq!(r.walk_log, a.walk_log, "identical sampled paths");
-        }
-        let mut got: Vec<u32> = a.walk_log.iter().map(|w| w.src).collect();
-        let mut expect: Vec<u32> = wl.init_walks(&g, 0).iter().map(|w| w.src).collect();
-        got.sort_unstable();
-        expect.sort_unstable();
-        assert_eq!(got, expect, "sharded universe conserves walk sources");
-        // And it IS a different universe than the global reference.
-        let global =
-            GraphWalkerSim::new(&g, 4, small_cfg(96 << 10), SsdConfig::tiny(), 5).run_detailed(wl);
-        assert_ne!(
-            (a.time, a.flash_read_bytes),
-            (global.time, global.flash_read_bytes),
-            "the sampled-path universes must actually differ"
-        );
-    }
-
-    #[test]
-    fn sharded_rng_completes_under_heavy_faults_at_every_thread_count() {
-        // Fault-retry accounting under the sharded universe: heavy
-        // profile, threads ∈ {1, 2, 4}, every walk completes and the
-        // retry ledger replays identically.
-        let g = graph(2000, 20_000);
-        let at = |threads: u32| {
-            GraphWalkerSim::new(&g, 4, small_cfg(96 << 10), SsdConfig::tiny(), 5)
-                .with_rng(RngModel::Sharded)
-                .with_threads(threads)
-                .with_faults(fw_fault::FaultProfile::heavy())
-                .run_detailed(Workload::paper_default(2_000))
-        };
-        let a = at(1);
-        assert_eq!(a.walks, 2_000, "every walk completes under heavy faults");
-        let f = a.faults.expect("faulted run reports a summary");
-        assert!(f.read_retries > 0, "heavy profile must trigger retries");
-        for threads in [2u32, 4] {
-            let r = at(threads);
-            assert_eq!(r.walks, 2_000);
-            assert_eq!(r.time, a.time, "threads={threads}");
-            assert_eq!(r.hops, a.hops);
-            assert_eq!(r.faults, a.faults, "fault ledger replays exactly");
-        }
     }
 
     #[test]

@@ -19,11 +19,9 @@ impl GraphWalkerSim<'_> {
         // cached (and keep hopping) or leave to *another* block's pool —
         // nothing pushes into `block`'s own pool mid-update.
         let mut work = std::mem::take(&mut self.pools[block as usize].walks);
-        // The batch's walk RNG: the root generator in the global universe
-        // (same object, same draw order), the block's own jump-ahead lane
-        // in the sharded one — GraphWalker lanes are keyed by block id, a
-        // pure function of the graph, never of thread count.
-        let mut wrng = self.take_walk_rng(block);
+        // The walk RNG, moved out for the batch (same object, same draw
+        // order).
+        let mut wrng = self.take_walk_rng();
         let mut batch_hops: u64 = 0;
         // Journey bookkeeping: the batch duration is only known after the
         // drain, so sampled ids are collected and stamped below.
@@ -68,13 +66,12 @@ impl GraphWalkerSim<'_> {
                 }
             }
         }
-        self.put_walk_rng(block, wrng);
+        self.put_walk_rng(wrng);
         self.pools[block as usize].walks = work;
         run.hops += batch_hops;
         let cpu = Duration::nanos(batch_hops * self.cfg.cpu_ns_per_hop);
         let now = run.now;
-        self.stream_tracer(block)
-            .span("gw.update", block, now, now + cpu);
+        self.stream_tracer.span("gw.update", block, now, now + cpu);
         for &id in &j_ids {
             self.journeys
                 .event(id, JourneyEventKind::SampleStep, block, now, now + cpu);
@@ -88,7 +85,7 @@ impl GraphWalkerSim<'_> {
                 .event(id, JourneyEventKind::Enqueue, dest, now + cpu, now + cpu);
         }
         if let Some(per_hop) = cpu.as_nanos().checked_div(batch_hops) {
-            self.stream_tracer(block).record("walk.step_ns", per_hop);
+            self.stream_tracer.record("walk.step_ns", per_hop);
         }
         run.breakdown.update_walks += cpu;
         run.now += cpu;
