@@ -57,6 +57,10 @@ fn load_graph(arg: &str, seed: u64) -> (Csr, u32) {
             .next()
             .and_then(|x| x.parse().ok())
             .unwrap_or_else(|| usage());
+        if v < 2 {
+            eprintln!("error: rmat:V:E needs V >= 2, got {v}");
+            usage();
+        }
         return (generate_csr(RmatParams::graph500(), v, e, seed), 4);
     }
     eprintln!("loading edge list {arg} …");

@@ -25,34 +25,32 @@ pub struct Csr {
 }
 
 impl Csr {
-    /// Build from an edge list. Edges are bucketed per source; duplicate
-    /// edges are kept (they simply weight the destination implicitly),
-    /// self-loops are dropped.
+    /// Build from an edge list. Edges are bucketed per source in
+    /// edge-list order; duplicate edges are kept (they simply weight the
+    /// destination implicitly), self-loops are dropped.
     pub fn from_edges(num_vertices: u32, edge_list: &[(VertexId, VertexId)]) -> Csr {
         let n = num_vertices as usize;
-        let mut degree = vec![0u64; n];
-        let mut kept = 0u64;
+        // `offsets[u]` counts u's edges, then (inclusive prefix sum) holds
+        // the end of u's range; the back-to-front scatter moves each end
+        // down to its start, keeping edge-list order within every source.
+        let mut offsets = vec![0u64; n + 1];
         for &(u, v) in edge_list {
             debug_assert!((u as usize) < n && (v as usize) < n, "edge out of range");
             if u != v {
-                degree[u as usize] += 1;
-                kept += 1;
+                offsets[u as usize] += 1;
             }
         }
-        let mut offsets = Vec::with_capacity(n + 1);
         let mut acc = 0u64;
-        offsets.push(0);
-        for d in &degree {
-            acc += d;
-            offsets.push(acc);
+        for o in &mut offsets {
+            acc += *o;
+            *o = acc;
         }
-        let mut edges = vec![0 as VertexId; kept as usize];
-        let mut cursor = offsets.clone();
-        for &(u, v) in edge_list {
+        let mut edges = vec![0 as VertexId; acc as usize];
+        for &(u, v) in edge_list.iter().rev() {
             if u != v {
-                let c = &mut cursor[u as usize];
+                let c = &mut offsets[u as usize];
+                *c -= 1;
                 edges[*c as usize] = v;
-                *c += 1;
             }
         }
         Csr {
@@ -330,6 +328,25 @@ mod tests {
                 got.sort_unstable();
                 expect[v as usize].sort_unstable();
                 assert_eq!(got, expect[v as usize]);
+            }
+        }
+    }
+
+    /// Walks index neighbor lists by position, so a reorder inside a list
+    /// changes every walk even though the multisets above still match.
+    #[test]
+    fn prop_neighbors_keep_edge_list_order() {
+        let mut rng = Xoshiro256pp::new(0xc5a3);
+        for _ in 0..64 {
+            let edges = random_edges(&mut rng, 20, 200);
+            let g = Csr::from_edges(20, &edges);
+            for v in 0..20u32 {
+                let expect: Vec<u32> = edges
+                    .iter()
+                    .filter(|&&(u, w)| u == v && u != w)
+                    .map(|&(_, w)| w)
+                    .collect();
+                assert_eq!(g.neighbors(v), &expect[..], "vertex {v}");
             }
         }
     }
