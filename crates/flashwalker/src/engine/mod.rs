@@ -134,7 +134,6 @@ pub struct FlashWalkerSim<'g> {
     chip_pwb: Vec<Vec<u32>>,
     foreign: ForeignStore,
     current_partition: u32,
-    pending_loads: std::collections::HashMap<(u32, SgId), Vec<TWalk>>,
     /// Quiesce mode: the scheduler may load pools below the threshold.
     relaxed_pick: bool,
 
@@ -285,7 +284,6 @@ impl<'g> FlashWalkerSim<'g> {
             chip_pwb: Vec::new(),
             foreign: ForeignStore::default(),
             current_partition: 0,
-            pending_loads: std::collections::HashMap::new(),
             relaxed_pick: false,
             scratch: Vec::new(),
             loaded_scratch: Vec::new(),

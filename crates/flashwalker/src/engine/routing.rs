@@ -219,58 +219,51 @@ impl FlashWalkerSim<'_> {
         self.try_start_chip(chip, now);
     }
 
+    /// The load landed: the slot's walk set (PWB-fetched walks, then
+    /// walks delivered during the load in arrival order) becomes its queue.
     pub(super) fn on_chip_loaded(&mut self, chip: u32, sg: SgId, now: SimTime) {
-        let walks = self.pending_loads.remove(&(chip, sg)).unwrap_or_default();
-        let c = &mut self.chips[chip as usize];
-        if let Some(slot) = c
-            .slots
-            .iter_mut()
-            .find(|s| matches!(s, Slot::Loading(x) if *x == sg))
-        {
-            *slot = Slot::Loaded {
-                sg,
-                queue: walks,
-                fresh: true,
-            };
+        for slot in &mut self.chips[chip as usize].slots {
+            if let Slot::Loading { sg: s, walks } = slot {
+                if *s == sg {
+                    let queue = std::mem::take(walks);
+                    *slot = Slot::Loaded {
+                        sg,
+                        queue,
+                        fresh: true,
+                    };
+                    break;
+                }
+            }
         }
         self.try_start_chip(chip, now);
     }
 
     pub(super) fn on_chip_deliver(&mut self, chip: u32, mut walks: Vec<TWalk>, now: SimTime) {
-        let mut retry = self.pools.take_walks();
         for tw in walks.drain(..) {
             let sg = tw.dest.expect("delivery without destination");
-            match self.chips[chip as usize].slot_of(sg) {
-                Some(i) => {
-                    if let Slot::Loaded { queue, .. } = &mut self.chips[chip as usize].slots[i] {
-                        queue.push(tw);
-                    }
-                }
+            // A walk for a still-loading subgraph waits in that slot and
+            // joins its queue when the load lands.
+            let slot_queue = self.chips[chip as usize]
+                .slots
+                .iter_mut()
+                .find_map(|s| match s {
+                    Slot::Loaded { sg: x, queue, .. }
+                    | Slot::Loading {
+                        sg: x,
+                        walks: queue,
+                    } if *x == sg => Some(queue),
+                    _ => None,
+                });
+            match slot_queue {
+                Some(queue) => queue.push(tw),
+                // Evicted while the walk was in flight: back to the
+                // partition walk buffer.
                 None => {
-                    if self.chips[chip as usize].resident().any(|r| r == sg) {
-                        // Still loading: hold the walk briefly.
-                        retry.push(tw);
-                    } else {
-                        // Evicted while the walk was in flight: back to
-                        // the partition walk buffer.
-                        self.pwb_insert(tw, now, true);
-                    }
+                    self.pwb_insert(tw, now, true);
                 }
             }
         }
         self.pools.put_walks(walks);
-        if !retry.is_empty() {
-            self.sched_ev(
-                self.shard_of_chip(chip),
-                now + Duration::micros(1),
-                Ev::ChipDeliver { chip, walks: retry },
-                "chip.deliver",
-                chip,
-                now,
-            );
-        } else {
-            self.pools.put_walks(retry);
-        }
         self.maybe_fill_chip(chip, now);
         self.try_start_chip(chip, now);
     }
@@ -714,7 +707,7 @@ pub(super) fn mark_dirty(dirty_mask: &mut u128, dirty_chips: &mut Vec<u32>, chip
 
 #[cfg(test)]
 mod tests {
-    use super::super::state::TWalk;
+    use super::super::state::{Slot, TWalk};
     use super::super::FlashWalkerSim;
     use crate::config::AccelConfig;
     use fw_graph::partition::PartitionConfig;
@@ -743,6 +736,60 @@ mod tests {
             dest: None,
             range: None,
         }
+    }
+
+    /// A walk bound for `sg`, tagged with `id` so queue order is visible.
+    fn bound_for(pg: &PartitionedGraph, sg: u32, id: u32) -> TWalk {
+        let mut walk = Walk::new(pg.subgraphs[sg as usize].low, 6);
+        walk.id = id;
+        TWalk {
+            walk,
+            dest: Some(sg),
+            range: None,
+        }
+    }
+
+    #[test]
+    fn deliveries_to_a_loading_slot_wait_in_it_until_the_load_lands() {
+        let (csr, pg) = multi_partition_setup();
+        let mut sim = FlashWalkerSim::new(&csr, &pg, AccelConfig::scaled(), SsdConfig::tiny(), 1);
+        sim.setup_partition(0, SimTime::ZERO, false);
+        let mut part = pg.partition_range(0);
+        let sg = part.next().unwrap();
+        let other = part.next().unwrap();
+        let chip = sim.chip_of_sg(sg);
+        let fetched = sim.cfg.min_load_walks as u32;
+        for id in 0..fetched {
+            sim.pwb_insert(bound_for(&pg, sg, id), SimTime::ZERO, false);
+        }
+        sim.maybe_fill_chip(chip, SimTime::ZERO);
+        assert_eq!(sim.stats.sg_loads, 1);
+        let pending = sim.events.len();
+
+        // Mid-load deliveries park in the slot: no event, nothing queued.
+        let parked = [900, 901, 902];
+        let walks = parked.iter().map(|&id| bound_for(&pg, sg, id)).collect();
+        sim.on_chip_deliver(chip, walks, SimTime(1_000));
+        assert_eq!(sim.events.len(), pending, "a parked walk schedules nothing");
+        assert_eq!(sim.chips[chip as usize].queued_walks(), 0);
+
+        // A walk whose subgraph is neither loading nor loaded goes back to
+        // the partition walk buffer.
+        sim.on_chip_deliver(chip, vec![bound_for(&pg, other, 950)], SimTime(1_000));
+        let idx = sim.pwb.index_of(other).unwrap();
+        assert_eq!(sim.pwb.entries[idx].total_walks(), 1);
+
+        // The load lands: PWB-fetched walks first, then the parked ones in
+        // arrival order. A busy chip keeps the queue from being drained.
+        sim.chips[chip as usize].busy = true;
+        sim.on_chip_loaded(chip, sg, SimTime(2_000));
+        let slot = sim.chips[chip as usize].slot_of(sg).expect("loaded");
+        let Slot::Loaded { queue, .. } = &sim.chips[chip as usize].slots[slot] else {
+            unreachable!("slot_of only finds loaded slots");
+        };
+        let ids: Vec<u32> = queue.iter().map(|tw| tw.walk.id).collect();
+        let want: Vec<u32> = (0..fetched).chain(parked).collect();
+        assert_eq!(ids, want);
     }
 
     #[test]

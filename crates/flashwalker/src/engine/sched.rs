@@ -7,7 +7,7 @@ use fw_sim::{Duration, JourneyEventKind, SimTime};
 use fw_walk::WALK_BYTES;
 
 use super::events::Ev;
-use super::state::{eq1_score, SgId, Slot};
+use super::state::{eq1_score, SgId, Slot, TWalk};
 use super::FlashWalkerSim;
 
 impl FlashWalkerSim<'_> {
@@ -37,8 +37,8 @@ impl FlashWalkerSim<'_> {
                 self.stats.fill_no_candidate += 1;
                 return;
             };
-            self.chips[chip as usize].slots[slot] = Slot::Loading(sg);
-            self.issue_load(chip, sg, now);
+            let walks = self.issue_load(chip, sg, now);
+            self.chips[chip as usize].slots[slot] = Slot::Loading { sg, walks };
         }
     }
 
@@ -77,8 +77,9 @@ impl FlashWalkerSim<'_> {
     /// walk pages. The slot opens when the block and its walk set are
     /// resident (the paper's chip "reads the subgraph from flash planes in
     /// this chip, and collects its walks from partition walk buffer in the
-    /// on-board DRAM and from the flash planes", §III-B).
-    pub(super) fn issue_load(&mut self, chip: u32, sg: SgId, now: SimTime) {
+    /// on-board DRAM and from the flash planes", §III-B). Returns the
+    /// fetched walk set, which the caller parks in the loading slot.
+    pub(super) fn issue_load(&mut self, chip: u32, sg: SgId, now: SimTime) -> Vec<TWalk> {
         self.stats.sg_loads += 1;
         let sh = self.shard_of_chip(chip).index();
         let j_on = self.shard_journeys[sh].is_enabled();
@@ -182,7 +183,6 @@ impl FlashWalkerSim<'_> {
         self.stats.load_spill_ns += (spill_done - now).as_nanos();
         self.stats.load_latency_ns += (done - now).as_nanos();
         self.stats.load_walks += walks.len() as u64;
-        self.pending_loads.insert((chip, sg), walks);
         self.sched_ev(
             self.shard_of_chip(chip),
             done,
@@ -191,6 +191,7 @@ impl FlashWalkerSim<'_> {
             chip,
             now,
         );
+        walks
     }
 
     /// Recovery path for a chip-private page read whose ECC ladder was
@@ -295,7 +296,10 @@ mod tests {
         let other = (0..sim.num_chips()).find(|&c| c != chip0).unwrap();
         assert_eq!(sim.pick_subgraph(other, true), None, "wrong chip");
         // Mark sg 0 resident: it must no longer be a candidate.
-        sim.chips[chip0 as usize].slots[0] = Slot::Loading(0);
+        sim.chips[chip0 as usize].slots[0] = Slot::Loading {
+            sg: 0,
+            walks: Vec::new(),
+        };
         assert_ne!(sim.pick_subgraph(chip0, true), Some(0), "already resident");
     }
 
@@ -310,13 +314,12 @@ mod tests {
         sim.maybe_fill_chip(chip0, SimTime::ZERO);
         assert_eq!(sim.stats.sg_loads, 1);
         assert!(!sim.events.is_empty(), "ChipLoaded event scheduled");
+        // The PWB entry was drained into the loading slot.
         assert!(matches!(
-            sim.chips[chip0 as usize].slots[0],
-            Slot::Loading(0)
+            &sim.chips[chip0 as usize].slots[0],
+            Slot::Loading { sg: 0, walks } if walks.len() == 50
         ));
-        // The PWB entry was drained into the pending load.
         assert_eq!(sim.pwb.entries[0].walks.len(), 0);
-        assert_eq!(sim.pending_loads[&(chip0, 0)].len(), 50);
     }
 
     #[test]

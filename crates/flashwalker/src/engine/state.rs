@@ -39,7 +39,14 @@ pub enum Slot {
     /// Nothing resident.
     Empty,
     /// A load command is in flight for this subgraph.
-    Loading(SgId),
+    Loading {
+        /// The subgraph being loaded.
+        sg: SgId,
+        /// Its walk set: the PWB-fetched walks, then walks delivered
+        /// while the load was in flight, in arrival order. Becomes the
+        /// `Loaded` queue when the load completes.
+        walks: Vec<TWalk>,
+    },
     /// Subgraph resident with its walk queue.
     Loaded {
         /// The resident subgraph.
@@ -100,8 +107,7 @@ impl ChipState {
     pub fn resident(&self) -> impl Iterator<Item = SgId> + '_ {
         self.slots.iter().filter_map(|s| match s {
             Slot::Empty => None,
-            Slot::Loading(sg) => Some(*sg),
-            Slot::Loaded { sg, .. } => Some(*sg),
+            Slot::Loading { sg, .. } | Slot::Loaded { sg, .. } => Some(*sg),
         })
     }
 }
@@ -342,7 +348,10 @@ mod tests {
     fn chip_slot_bookkeeping() {
         let mut c = ChipState::new(2);
         assert_eq!(c.free_slot(), Some(0));
-        c.slots[0] = Slot::Loading(7);
+        c.slots[0] = Slot::Loading {
+            sg: 7,
+            walks: vec![TWalk::undirected(Walk::new(0, 6))],
+        };
         c.slots[1] = Slot::Loaded {
             sg: 9,
             queue: vec![TWalk::undirected(Walk::new(1, 6))],
@@ -351,7 +360,7 @@ mod tests {
         assert_eq!(c.free_slot(), None);
         assert_eq!(c.slot_of(9), Some(1));
         assert_eq!(c.slot_of(7), None, "loading != loaded");
-        assert_eq!(c.queued_walks(), 1);
+        assert_eq!(c.queued_walks(), 1, "loading walks are not queued");
         let resident: Vec<_> = c.resident().collect();
         assert_eq!(resident, vec![7, 9]);
     }

@@ -28,6 +28,32 @@ fn run(csr: &Csr, pg: &PartitionedGraph, walks: u64, opts: crate::OptToggles) ->
         .run_detailed(wl)
 }
 
+/// Every dispatched event has a counted cause: a subgraph load
+/// (`ChipLoaded`), a chip batch (its `ChipBatchDone` plus at most one
+/// `ChanArrive`), a channel batch, a board batch, or a delivered walk
+/// (at most one `ChipDeliver` per walk). Exact, with no wall clock.
+fn assert_events_have_causes(r: &FwReport) {
+    let s = &r.stats;
+    let bound = s.sg_loads + 2 * s.chip_batches + s.chan_batches + s.board_batches + s.deliveries;
+    assert!(
+        r.events <= bound,
+        "{} events but only {bound} counted causes",
+        r.events
+    );
+}
+
+#[test]
+fn events_are_bounded_by_their_causes() {
+    // 20k walks on a 20k-vertex graph: enough concurrent deliveries that
+    // walks regularly reach a chip while their subgraph is still loading.
+    let (csr, pg) = small_setup(20_000, 200_000, 5_000);
+    let wl = Workload::deepwalk(20_000, 6);
+    let r = FlashWalkerSim::new(&csr, &pg, AccelConfig::scaled(), SsdConfig::tiny(), 1)
+        .run_detailed(wl);
+    assert_eq!(r.walks, 20_000);
+    assert_events_have_causes(&r);
+}
+
 #[test]
 fn completes_all_walks_single_partition() {
     let (csr, pg) = small_setup(2000, 20_000, 5_000);
@@ -40,6 +66,7 @@ fn completes_all_walks_single_partition() {
     assert!(r.stats.hops >= 5_000, "at least one hop per walk");
     assert!(r.stats.sg_loads > 0);
     assert!(r.flash_read_bytes > 0);
+    assert_events_have_causes(&r);
 }
 
 #[test]
@@ -52,6 +79,7 @@ fn completes_across_partitions_with_foreigners() {
         r.stats.partition_switches > 0,
         "multiple partitions visited"
     );
+    assert_events_have_causes(&r);
 }
 
 #[test]
@@ -66,6 +94,8 @@ fn opt_toggles_change_behaviour_not_correctness() {
     assert!(all.stats.cache_hits + all.stats.cache_misses > 0);
     // With HS off, no channel/board hops.
     assert_eq!(none.stats.chan_hops + none.stats.board_hops, 0);
+    assert_events_have_causes(&all);
+    assert_events_have_causes(&none);
 }
 
 #[test]
