@@ -1,410 +1,20 @@
-//! The `BENCH_*.json` format: a schema-versioned, byte-deterministic,
-//! hand-rolled JSON record of one benchmark-suite run, plus the in-crate
-//! parser that reads records back for regression comparison.
+//! The `BENCH_*.json` format: the record types of one benchmark-suite
+//! run, built on the workspace's one JSON value type
+//! ([`fw_sim::json::Json`]) and read back for regression comparison.
 //!
-//! The workspace builds offline with no serde, so both directions are
-//! written by hand. Determinism rules (same as `fw-trace`'s exporters):
-//! object keys are emitted in fixed order, floats are rendered with fixed
-//! precision, and number literals survive a parse→render round trip
-//! verbatim, so `BenchReport::parse(s).render() == s` for any string this
-//! module produced.
+//! Determinism rules (those of `fw_sim::json`): object keys are emitted
+//! in fixed order, floats are rendered with fixed precision, and number
+//! literals survive a parse→render round trip verbatim, so
+//! `BenchReport::parse(s).render() == s` for any string this module
+//! produced.
 
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+
+use fw_sim::Json;
 
 /// Schema tag written at the top of every record. Bump on incompatible
 /// layout changes; `compare` refuses to diff mismatched schemas.
 pub const SCHEMA: &str = "fwbench/v1";
-
-// ----------------------------------------------------------------------
-// Generic JSON tree.
-// ----------------------------------------------------------------------
-
-/// A parsed or under-construction JSON value. Numbers keep their source
-/// literal (`Num("1.2340")`) so re-rendering a parsed tree is
-/// byte-identical; objects preserve insertion order.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// A number, stored as its literal text.
-    Num(String),
-    /// A string (unescaped).
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object with insertion-ordered keys.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// An unsigned integer literal.
-    pub fn u(v: u64) -> Json {
-        Json::Num(v.to_string())
-    }
-
-    /// A float literal with fixed decimal places (the only way floats
-    /// enter a record — fixed precision keeps round trips canonical).
-    /// Non-finite values render as 0 at the same precision.
-    pub fn f(v: f64, decimals: usize) -> Json {
-        let v = if v.is_finite() { v } else { 0.0 };
-        Json::Num(format!("{v:.decimals$}"))
-    }
-
-    /// A string value.
-    pub fn s(v: &str) -> Json {
-        Json::Str(v.to_string())
-    }
-
-    /// An object from `(key, value)` pairs.
-    pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
-        Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-    }
-
-    /// Object field lookup (None on non-objects / missing keys).
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// Numeric value as f64 (None for non-numbers or bad literals).
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(s) => s.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// Numeric value as u64 (None for non-numbers / non-integers).
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(s) => s.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// String value (None for non-strings).
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Array elements (None for non-arrays).
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Parse a JSON document. Errors carry a byte offset and message.
-    pub fn parse(src: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            bytes: src.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing data at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    /// Render the tree as pretty JSON (2-space indent, `\n` line ends).
-    /// Purely a function of the tree — byte-deterministic.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    fn is_scalar(&self) -> bool {
-        !matches!(self, Json::Arr(_) | Json::Obj(_))
-    }
-
-    fn write(&self, out: &mut String, indent: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(s) => out.push_str(s),
-            Json::Str(s) => {
-                out.push('"');
-                out.push_str(&esc(s));
-                out.push('"');
-            }
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                } else if items.iter().all(Json::is_scalar) {
-                    out.push('[');
-                    for (i, item) in items.iter().enumerate() {
-                        if i > 0 {
-                            out.push_str(", ");
-                        }
-                        item.write(out, indent);
-                    }
-                    out.push(']');
-                } else {
-                    out.push_str("[\n");
-                    for (i, item) in items.iter().enumerate() {
-                        if i > 0 {
-                            out.push_str(",\n");
-                        }
-                        pad(out, indent + 1);
-                        item.write(out, indent + 1);
-                    }
-                    out.push('\n');
-                    pad(out, indent);
-                    out.push(']');
-                }
-            }
-            Json::Obj(pairs) => {
-                if pairs.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push_str("{\n");
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(",\n");
-                    }
-                    pad(out, indent + 1);
-                    out.push('"');
-                    out.push_str(&esc(k));
-                    out.push_str("\": ");
-                    v.write(out, indent + 1);
-                }
-                out.push('\n');
-                pad(out, indent);
-                out.push('}');
-            }
-        }
-    }
-}
-
-fn pad(out: &mut String, indent: usize) {
-    for _ in 0..indent {
-        out.push_str("  ");
-    }
-}
-
-/// Minimal JSON string escape (mirrors `fw-trace`'s exporter rules).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn lit(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'n') => self.lit("null", Json::Null),
-            Some(b't') => self.lit("true", Json::Bool(true)),
-            Some(b'f') => self.lit("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            _ => Err(format!("unexpected input at byte {}", self.pos)),
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let digits = |p: &mut Self| {
-            let s = p.pos;
-            while p.peek().is_some_and(|b| b.is_ascii_digit()) {
-                p.pos += 1;
-            }
-            p.pos > s
-        };
-        if !digits(self) {
-            return Err(format!("bad number at byte {start}"));
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            if !digits(self) {
-                return Err(format!("bad fraction at byte {start}"));
-            }
-        }
-        if matches!(self.peek(), Some(b'e') | Some(b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+') | Some(b'-')) {
-                self.pos += 1;
-            }
-            if !digits(self) {
-                return Err(format!("bad exponent at byte {start}"));
-            }
-        }
-        let lit = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number literal is ASCII")
-            .to_string();
-        Ok(Json::Num(lit))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let e = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            self.pos += 4;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos - 1)),
-                    }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let k = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let v = self.value()?;
-            pairs.push((k, v));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-}
 
 // ----------------------------------------------------------------------
 // Statistics over seed repetitions.
@@ -696,20 +306,20 @@ pub struct ScenarioRecord {
     /// Per-seed speedup over the paired GraphWalker scenario, when the
     /// suite contains one at the same dataset/walks/variant.
     pub speedup_over_graphwalker: Option<StatF>,
-    /// The seed-0 run's `RunReport::summary_json` (fw-walk), parsed:
+    /// The seed-0 run's `RunReport::summary_json` (fw-walk) tree:
     /// stats, traffic, breakdown, read bandwidth.
     pub report: Json,
-    /// The seed-0 run's `trace_summary_json` (fw-trace), parsed:
+    /// The seed-0 run's `trace_summary_json` (fw-trace) tree:
     /// utilization, latencies, queues, bottleneck. None when tracing was
     /// off.
     pub trace: Option<Json>,
-    /// The seed-0 run's `JourneyReport::to_json` (fw-trace), parsed:
+    /// The seed-0 run's `JourneyReport::to_json` (fw-trace) tree:
     /// walk-latency percentiles, per-walk segment decompositions and the
     /// tail-attribution table. Unlike `trace` (always present as a key,
     /// null when off), the key is omitted entirely when journeys were not
     /// recorded so pre-journey records stay byte-identical.
     pub journeys: Option<Json>,
-    /// The seed-0 run's `CriticalReport::to_json` (fw-trace), parsed:
+    /// The seed-0 run's `CriticalReport::to_json` (fw-trace) tree:
     /// critical-path totals, per-component critical-time shares and the
     /// heatmap summary. Key omitted entirely when critical recording was
     /// off, so pre-critical records stay byte-identical.
@@ -1058,7 +668,10 @@ pub mod tests_support {
                     min: 4.5,
                     max: 5.5,
                 }),
-                report: Json::parse("{\"traffic\":{\"flash_read_bytes\":4096}}").unwrap(),
+                report: Json::obj(vec![(
+                    "traffic",
+                    Json::obj(vec![("flash_read_bytes", Json::u(4096))]),
+                )]),
                 trace: None,
                 journeys: None,
                 critical: None,
@@ -1072,56 +685,6 @@ pub mod tests_support {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_render_round_trips_all_value_kinds() {
-        let tree = Json::obj(vec![
-            ("null", Json::Null),
-            ("flag", Json::Bool(true)),
-            ("int", Json::u(18_446_744_073_709_551_615)),
-            ("float", Json::f(1.5, 4)),
-            ("neg", Json::Num("-2.5e3".into())),
-            ("text", Json::s("a\"b\\c\nd")),
-            ("inline", Json::Arr(vec![Json::u(1), Json::u(2)])),
-            (
-                "nested",
-                Json::Arr(vec![Json::obj(vec![("k", Json::s("v"))])]),
-            ),
-            ("empty_arr", Json::Arr(vec![])),
-            ("empty_obj", Json::Obj(vec![])),
-        ]);
-        let text = tree.render();
-        let back = Json::parse(&text).expect("parse own output");
-        assert_eq!(back, tree);
-        assert_eq!(back.render(), text, "round trip must be byte-identical");
-    }
-
-    #[test]
-    fn parser_rejects_malformed_input() {
-        for bad in [
-            "",
-            "{",
-            "[1,]",
-            "{\"a\":}",
-            "{\"a\" 1}",
-            "1 2",
-            "\"unterminated",
-            "nul",
-            "{\"a\":1,}",
-        ] {
-            assert!(Json::parse(bad).is_err(), "should reject {bad:?}");
-        }
-    }
-
-    #[test]
-    fn number_literals_survive_verbatim() {
-        let v = Json::parse("[1.2300, 42, -7.5e2]").unwrap();
-        let arr = v.as_arr().unwrap();
-        assert_eq!(arr[0], Json::Num("1.2300".into()));
-        assert_eq!(arr[0].as_f64(), Some(1.23));
-        assert_eq!(arr[1].as_u64(), Some(42));
-        assert_eq!(v.render().trim(), "[1.2300, 42, -7.5e2]");
-    }
 
     #[test]
     fn stat_u_rounds_mean_with_integer_math() {
@@ -1138,12 +701,6 @@ mod tests {
         assert_eq!(s.rel_spread(), 0.0);
         let s = StatU::of(&[90, 110]);
         assert!((s.rel_spread() - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn non_finite_floats_render_as_zero() {
-        assert_eq!(Json::f(f64::NAN, 4), Json::Num("0.0000".into()));
-        assert_eq!(Json::f(f64::INFINITY, 2), Json::Num("0.00".into()));
     }
 
     use super::tests_support::tiny_report;

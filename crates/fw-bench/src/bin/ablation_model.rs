@@ -4,7 +4,7 @@
 //! cliff edges, and quantifies each mechanism's contribution.
 //!
 //! ```text
-//! cargo run --release -p fw-bench --bin ablation_model [TT|FS|R2B|R8B]
+//! cargo run --release -p fw-bench --bin ablation_model [TT|FS|CW|R2B|R8B]
 //! ```
 
 use flashwalker::{AccelConfig, FlashWalkerSim};
@@ -33,11 +33,12 @@ fn run_with(p: &fw_bench::Prepared, walks: u64, f: impl Fn(&mut AccelConfig)) ->
 }
 
 fn main() {
-    let id = match std::env::args().nth(1).as_deref() {
-        Some("FS") => DatasetId::Friendster,
-        Some("R2B") => DatasetId::Rmat2B,
-        Some("R8B") => DatasetId::Rmat8B,
-        _ => DatasetId::Twitter,
+    let id = match std::env::args().nth(1) {
+        Some(s) => DatasetId::from_abbrev(&s).unwrap_or_else(|| {
+            eprintln!("usage: ablation_model [TT|FS|CW|R2B|R8B]");
+            std::process::exit(2)
+        }),
+        None => DatasetId::Twitter,
     };
     let p = prepared(id, DEFAULT_SEED);
     let walks = id.default_walks() / 2;

@@ -9,18 +9,17 @@
 //!
 //! With `--json` the ablation text dump is skipped and the three-engine
 //! utilization/queue-depth comparison is emitted as one machine-readable
-//! JSON document on stdout (the `bench_json` writer wrapping
-//! `fw-trace`'s `trace_summary_json`).
+//! JSON document on stdout (schema `fwdiag/v1`, wrapping `fw-trace`'s
+//! `trace_summary_json` tree per engine).
 
 use flashwalker::OptToggles;
-use fw_bench::bench_json::Json;
 use fw_bench::runner::{
     prepared, run_flashwalker_alpha, run_flashwalker_traced, run_graphwalker_traced,
     run_iterative_traced, DEFAULT_SEED,
 };
 use fw_graph::DatasetId;
 use fw_sim::export::trace_summary_json;
-use fw_sim::{TraceConfig, TraceReport};
+use fw_sim::{Json, TraceConfig, TraceReport};
 
 /// Print one engine's per-component-group utilization and queue-depth
 /// rows, prefixed with the engine tag so the three blocks read side by
@@ -50,21 +49,23 @@ fn print_trace_rows(tag: &str, t: &TraceReport) {
     }
 }
 
+fn usage() -> ! {
+    eprintln!("usage: diag [TT|FS|CW|R2B|R8B] [walks] [--json]");
+    std::process::exit(2)
+}
+
 fn main() {
     let mut args: Vec<String> = std::env::args().collect();
     let json_out = args.iter().any(|a| a == "--json");
     args.retain(|a| a != "--json");
-    let id = match args.get(1).map(|s| s.as_str()) {
-        Some("FS") => DatasetId::Friendster,
-        Some("CW") => DatasetId::ClueWeb,
-        Some("R2B") => DatasetId::Rmat2B,
-        Some("R8B") => DatasetId::Rmat8B,
-        _ => DatasetId::Twitter,
+    let id = match args.get(1) {
+        Some(s) => DatasetId::from_abbrev(s).unwrap_or_else(|| usage()),
+        None => DatasetId::Twitter,
     };
-    let walks: u64 = args
-        .get(2)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| id.default_walks() / 2);
+    let walks: u64 = match args.get(2) {
+        Some(s) => s.parse().unwrap_or_else(|_| usage()),
+        None => id.default_walks() / 2,
+    };
     let p = prepared(id, DEFAULT_SEED);
     eprintln!(
         "{}: subgraphs={} dense={} partitions={}",
@@ -74,34 +75,28 @@ fn main() {
         p.pg.num_partitions()
     );
 
+    // Span-traced three-engine comparison: component utilization and
+    // queue depths from the fw-trace layer, side by side.
+    let tcfg = TraceConfig::default();
+    let mem = 8 << 20;
+    let fw = run_flashwalker_traced(&p, walks, tcfg, DEFAULT_SEED).trace;
+    let gw = run_graphwalker_traced(&p, walks, mem, tcfg, DEFAULT_SEED).trace;
+    let iter = run_iterative_traced(&p, walks, mem, tcfg, DEFAULT_SEED).trace;
+    let traces = [("fw", fw), ("gw", gw), ("iter", iter)].map(|(t, r)| (t, r.expect("traced")));
+
     if json_out {
         // Machine-readable three-engine comparison only.
-        let tcfg = TraceConfig::default();
-        let mem = 8 << 20;
-        let fw = run_flashwalker_traced(&p, walks, tcfg, DEFAULT_SEED);
-        let gw = run_graphwalker_traced(&p, walks, mem, tcfg, DEFAULT_SEED);
-        let iter = run_iterative_traced(&p, walks, mem, tcfg, DEFAULT_SEED);
-        let engine_obj = |tag: &str, t: &TraceReport| {
+        let engines = traces.iter().map(|(tag, t)| {
             Json::obj(vec![
                 ("engine", Json::s(tag)),
-                (
-                    "trace",
-                    Json::parse(&trace_summary_json(t)).expect("trace summary is well-formed"),
-                ),
+                ("trace", trace_summary_json(t)),
             ])
-        };
+        });
         let doc = Json::obj(vec![
             ("schema", Json::s("fwdiag/v1")),
             ("dataset", Json::s(id.abbrev())),
             ("walks", Json::u(walks)),
-            (
-                "engines",
-                Json::Arr(vec![
-                    engine_obj("fw", fw.trace.as_ref().expect("tracing enabled")),
-                    engine_obj("gw", gw.trace.as_ref().expect("tracing enabled")),
-                    engine_obj("iter", iter.trace.as_ref().expect("tracing enabled")),
-                ]),
-            ),
+            ("engines", Json::Arr(engines.collect())),
         ]);
         print!("{}", doc.render());
         return;
@@ -177,15 +172,8 @@ fn main() {
         );
     }
 
-    // Span-traced three-engine comparison: component utilization and
-    // queue depths from the fw-trace layer, side by side.
-    let tcfg = TraceConfig::default();
-    let mem = 8 << 20;
     println!("\nengine\tcomponent\tutilization / queue depth");
-    let fw = run_flashwalker_traced(&p, walks, tcfg, DEFAULT_SEED);
-    print_trace_rows("fw", fw.trace.as_ref().expect("tracing enabled"));
-    let gw = run_graphwalker_traced(&p, walks, mem, tcfg, DEFAULT_SEED);
-    print_trace_rows("gw", gw.trace.as_ref().expect("tracing enabled"));
-    let iter = run_iterative_traced(&p, walks, mem, tcfg, DEFAULT_SEED);
-    print_trace_rows("iter", iter.trace.as_ref().expect("tracing enabled"));
+    for (tag, t) in &traces {
+        print_trace_rows(tag, t);
+    }
 }

@@ -79,7 +79,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use fw_bench::bench_json::{newest_bench_file, BenchReport, Json};
+use fw_bench::bench_json::{newest_bench_file, BenchReport};
 use fw_bench::compare::{compare_reports, CompareConfig};
 use fw_bench::record::{load_bench_report, load_serve_record};
 use fw_bench::runner::DEFAULT_SEED;
@@ -87,6 +87,7 @@ use fw_bench::serve::{build_serve_record, render_serve_table, run_ci_serve_suite
 use fw_bench::suite::{build_bench_report, env_seeds, env_threads, run_suite, Suite};
 use fw_bench::why::why_reports;
 use fw_fault::FaultProfile;
+use fw_sim::Json;
 
 fn usage() -> ExitCode {
     eprintln!(

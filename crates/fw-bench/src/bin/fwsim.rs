@@ -37,12 +37,8 @@ fn usage() -> ! {
     exit(2)
 }
 
-fn dataset_by_abbrev(s: &str) -> Option<DatasetId> {
-    DatasetId::ALL.into_iter().find(|d| d.abbrev() == s)
-}
-
 fn load_graph(arg: &str, seed: u64) -> (Csr, u32) {
-    if let Some(id) = dataset_by_abbrev(arg) {
+    if let Some(id) = DatasetId::from_abbrev(arg) {
         eprintln!("generating dataset {} …", id.abbrev());
         let d = Dataset::generate(id, seed);
         return (d.csr, id.id_bytes());
@@ -254,12 +250,5 @@ mod tests {
         assert_eq!(opt_val(&a, "--seed"), None);
         // A flag at the end with no value yields None.
         assert_eq!(opt_val(&a, "500"), None);
-    }
-
-    #[test]
-    fn dataset_abbrevs_resolve() {
-        assert!(dataset_by_abbrev("TT").is_some());
-        assert!(dataset_by_abbrev("CW").is_some());
-        assert!(dataset_by_abbrev("XX").is_none());
     }
 }

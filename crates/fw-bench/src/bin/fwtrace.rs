@@ -23,21 +23,38 @@
 //! contention heatmap (per-component busy fraction and queue depth per
 //! sim-time window) and appends a Perfetto counter track to the JSON.
 
+use std::process::exit;
+
 use flashwalker::{AccelConfig, OptToggles};
 use fw_bench::runner::{
     flashwalker_engine, graphwalker_engine, iterative_engine, prepared, DEFAULT_SEED,
 };
 use fw_graph::DatasetId;
 use fw_sim::{
-    chrome_trace_json, chrome_trace_json_with_heatmap, chrome_trace_json_with_journeys, export,
-    CriticalConfig, CriticalReport, HeatmapReport, JourneyConfig, JourneyReport, TraceConfig,
-    TraceReport,
+    chrome_trace_json, export, CriticalConfig, CriticalReport, HeatmapReport, JourneyConfig,
+    JourneyReport, TraceConfig, TraceReport,
 };
 use fw_walk::Workload;
 
 /// Host memory for the baseline engines (the scaled mid-range sweep
 /// point the comparison binaries use).
 const BASELINE_MEMORY: u64 = 8 << 20;
+
+const USAGE: &str = "usage: fwtrace [fw|gw|iter] [TT|FS|CW|R2B|R8B] [walks] [out.json] \
+                     [--journeys] [--critical] [--heatmap]";
+
+fn usage() -> ! {
+    eprintln!("{USAGE}");
+    exit(2)
+}
+
+/// Write `contents` to `path`, or exit 1 naming it.
+fn write(path: &str, contents: &str) {
+    if let Err(e) = std::fs::write(path, contents) {
+        eprintln!("fwtrace: cannot write {path}: {e}");
+        exit(1)
+    }
+}
 
 fn main() {
     let raw: Vec<String> = std::env::args().collect();
@@ -49,10 +66,9 @@ fn main() {
         .find(|a| matches!(a.as_str(), "--threads" | "--rng"))
     {
         eprintln!(
-            "fwtrace: {flag} was removed: every engine run is one sequential event loop with one walk RNG\n\
-             usage: fwtrace [fw|gw|iter] [TT|FS|CW|R2B|R8B] [walks] [out.json] [--journeys] [--critical] [--heatmap]"
+            "fwtrace: {flag} was removed: every engine run is one sequential event loop with one walk RNG\n{USAGE}"
         );
-        std::process::exit(2);
+        exit(2);
     }
     let journeys = raw.iter().any(|a| a == "--journeys");
     let heatmap = raw.iter().any(|a| a == "--heatmap");
@@ -64,22 +80,35 @@ fn main() {
         .into_iter()
         .filter(|a| !matches!(a.as_str(), "--journeys" | "--critical" | "--heatmap"))
         .collect();
-    let engine = args.get(1).map(|s| s.as_str()).unwrap_or("fw").to_string();
-    let id = match args.get(2).map(|s| s.as_str()) {
-        Some("FS") => DatasetId::Friendster,
-        Some("CW") => DatasetId::ClueWeb,
-        Some("R2B") => DatasetId::Rmat2B,
-        Some("R8B") => DatasetId::Rmat8B,
-        _ => DatasetId::Twitter,
+    let engine = args.get(1).map_or("fw", String::as_str).to_string();
+    if !matches!(engine.as_str(), "fw" | "gw" | "iter") {
+        usage();
+    }
+    let id = match args.get(2) {
+        Some(s) => DatasetId::from_abbrev(s).unwrap_or_else(|| usage()),
+        None => DatasetId::Twitter,
     };
-    let walks: u64 = args
-        .get(3)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| id.default_walks() / 8);
-    let out = args
-        .get(4)
-        .cloned()
-        .unwrap_or_else(|| "fwtrace.json".to_string());
+    let walks: u64 = match args.get(3) {
+        Some(s) => s.parse().unwrap_or_else(|_| usage()),
+        None => id.default_walks() / 8,
+    };
+    let out = args.get(4).map_or("fwtrace.json", String::as_str);
+    let stem = out.trim_end_matches(".json");
+    let csv_path = format!("{stem}.csv");
+    // The iterative baseline has no per-walk event stream to journal and
+    // no dependency log, so it writes neither sibling CSV.
+    let per_walk = engine != "iter";
+    let journeys_path = (journeys && per_walk).then(|| format!("{stem}.journeys.csv"));
+    let heatmap_path = (heatmap && per_walk).then(|| format!("{stem}.heatmap.csv"));
+    // Create every output before the run, so an unwritable path fails in
+    // milliseconds instead of after the simulation.
+    let sibling_csvs = [journeys_path.as_deref(), heatmap_path.as_deref()];
+    for path in [out, &csv_path]
+        .into_iter()
+        .chain(sibling_csvs.into_iter().flatten())
+    {
+        write(path, "");
+    }
 
     let p = prepared(id, DEFAULT_SEED);
     let cfg = TraceConfig::default();
@@ -160,43 +189,33 @@ fn main() {
         print!("{}", c.render_table());
     }
 
-    let mut json = match &journey_report {
-        Some(j) => chrome_trace_json_with_journeys(&trace, j),
-        None => chrome_trace_json(&trace),
-    };
-    if heatmap {
-        if let Some(c) = &critical_report {
-            let hm = HeatmapReport::from_critical(c, c.window_ns);
-            // Journey tracks occupy one extra Perfetto process.
-            let pid = trace.names.len() + usize::from(journey_report.is_some());
-            json = chrome_trace_json_with_heatmap(&json, &hm, pid);
-            let hcsv_path = format!("{}.heatmap.csv", out.trim_end_matches(".json"));
-            std::fs::write(&hcsv_path, hm.csv()).expect("write heatmap csv");
-            eprintln!(
-                "fwtrace: wrote {} ({} lanes x {} windows)",
-                hcsv_path,
-                hm.lanes.len(),
-                hm.windows
-            );
-        }
+    let hm = critical_report
+        .as_ref()
+        .filter(|_| heatmap)
+        .map(|c| HeatmapReport::from_critical(c, c.window_ns));
+    if let (Some(path), Some(hm)) = (&heatmap_path, &hm) {
+        write(path, &hm.csv());
+        eprintln!(
+            "fwtrace: wrote {path} ({} lanes x {} windows)",
+            hm.lanes.len(),
+            hm.windows
+        );
     }
-    std::fs::write(&out, &json).expect("write chrome trace json");
-    let csv_path = format!("{}.csv", out.trim_end_matches(".json"));
-    std::fs::write(&csv_path, export::utilization_csv(&trace)).expect("write utilization csv");
-    eprintln!(
-        "fwtrace: wrote {} ({} spans, {} dropped) and {}",
+    write(
         out,
+        &chrome_trace_json(&trace, journey_report.as_ref(), hm.as_ref()),
+    );
+    write(&csv_path, &export::utilization_csv(&trace));
+    eprintln!(
+        "fwtrace: wrote {out} ({} spans, {} dropped) and {csv_path}",
         trace.spans.len(),
         trace.dropped_spans,
-        csv_path
     );
     if let Some(j) = &journey_report {
         print!("{}", j.render_table());
-        let jcsv_path = format!("{}.journeys.csv", out.trim_end_matches(".json"));
-        std::fs::write(&jcsv_path, j.journeys_csv()).expect("write journeys csv");
-        eprintln!(
-            "fwtrace: wrote {} ({} sampled walks)",
-            jcsv_path, j.sampled_walks
-        );
+        if let Some(path) = &journeys_path {
+            write(path, &j.journeys_csv());
+            eprintln!("fwtrace: wrote {path} ({} sampled walks)", j.sampled_walks);
+        }
     }
 }

@@ -11,19 +11,21 @@
 use fw_bench::suite::{default_gw_memory, env_seeds, run_suite, Suite};
 use fw_graph::DatasetId;
 
+fn usage() -> ! {
+    eprintln!("usage: smoke [TT|FS|CW|R2B|R8B] [walks]");
+    std::process::exit(2)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let id = match args.get(1).map(|s| s.as_str()) {
-        Some("FS") => DatasetId::Friendster,
-        Some("CW") => DatasetId::ClueWeb,
-        Some("R2B") => DatasetId::Rmat2B,
-        Some("R8B") => DatasetId::Rmat8B,
-        _ => DatasetId::Twitter,
+    let id = match args.get(1) {
+        Some(s) => DatasetId::from_abbrev(s).unwrap_or_else(|| usage()),
+        None => DatasetId::Twitter,
     };
-    let walks: u64 = args
-        .get(2)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| id.default_walks() / 4);
+    let walks: u64 = match args.get(2) {
+        Some(s) => s.parse().unwrap_or_else(|_| usage()),
+        None => id.default_walks() / 4,
+    };
 
     let suite = Suite::single(id, walks, default_gw_memory(), env_seeds());
     let res = run_suite(&suite).expect("suite has seeds and scenarios");

@@ -516,7 +516,8 @@ pub fn fidelity_checks(rep: &BenchReport, cfg: &CompareConfig) -> Vec<FidelityCh
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bench_json::{EnvFingerprint, Json, StatF, StatU, SCHEMA};
+    use crate::bench_json::{EnvFingerprint, StatF, StatU, SCHEMA};
+    use fw_sim::Json;
 
     fn record(
         tag: &str,

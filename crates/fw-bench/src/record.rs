@@ -20,7 +20,9 @@
 use std::fmt;
 use std::path::Path;
 
-use crate::bench_json::{BenchReport, Json};
+use fw_sim::Json;
+
+use crate::bench_json::BenchReport;
 
 /// Why a record could not be loaded.
 #[derive(Debug, Clone, PartialEq, Eq)]

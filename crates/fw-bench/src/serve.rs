@@ -24,8 +24,8 @@ use fw_serve::{
     probe_walks_per_sec, run_serve, AdmissionConfig, ArrivalProcess, QueryMix, ServeConfig,
     ServeEngine, ServeHost, ServeReport, WalkCacheConfig,
 };
+use fw_sim::Json;
 
-use crate::bench_json::Json;
 use crate::record::SERVE_SCHEMA;
 use crate::runner::prepared;
 use crate::suite::{default_gw_memory, git_rev};
@@ -188,19 +188,15 @@ pub fn build_serve_record(res: &ServeSuiteResult) -> Json {
         .scenarios
         .iter()
         .map(|sc| {
-            let body = Json::parse(&sc.report.to_json()).expect("serve report json is valid");
-            let Json::Obj(mut pairs) = body else {
-                unreachable!("serve report renders an object")
-            };
-            let mut head = vec![
-                ("name".to_string(), Json::s(&sc.name)),
-                ("dataset".to_string(), Json::s(res.dataset)),
-                ("arrival".to_string(), Json::s(sc.arrival)),
-                ("load_factor".to_string(), Json::f(sc.load_factor, 2)),
-                ("capacity_qps".to_string(), Json::f(sc.capacity_qps, 3)),
+            let mut pairs = vec![
+                ("name", Json::s(&sc.name)),
+                ("dataset", Json::s(res.dataset)),
+                ("arrival", Json::s(sc.arrival)),
+                ("load_factor", Json::f(sc.load_factor, 2)),
+                ("capacity_qps", Json::f(sc.capacity_qps, 3)),
             ];
-            head.append(&mut pairs);
-            Json::Obj(head)
+            pairs.extend(sc.report.json_fields());
+            Json::obj(pairs)
         })
         .collect();
     Json::obj(vec![

@@ -22,7 +22,7 @@ use fw_sim::{CriticalConfig, JourneyConfig, TraceConfig, WorkerPool};
 use fw_walk::{RunReport, WalkEngine, Workload};
 
 use crate::bench_json::{
-    BenchReport, EnvFingerprint, HostScenario, Json, ScenarioRecord, StatF, StatU, SCHEMA,
+    BenchReport, EnvFingerprint, HostScenario, ScenarioRecord, StatF, StatU, SCHEMA,
 };
 use crate::runner::{
     flashwalker_engine, graphwalker_engine, iterative_engine, prepared, Prepared, DEFAULT_SEED,
@@ -750,19 +750,6 @@ pub fn build_bench_report(label: &str, res: &SuiteResult, include_wall: bool) ->
         .map(|r| {
             let sc = &r.scenario;
             let seed0 = r.seed0();
-            let report =
-                Json::parse(&seed0.summary_json()).expect("fw-walk summary_json is well-formed");
-            let trace = seed0.trace.as_ref().map(|t| {
-                Json::parse(&trace_summary_json(t)).expect("fw-trace summary is well-formed")
-            });
-            let journeys = seed0
-                .journeys
-                .as_ref()
-                .map(|j| Json::parse(&j.to_json()).expect("journey report is well-formed"));
-            let critical = seed0
-                .critical
-                .as_ref()
-                .map(|c| Json::parse(&c.to_json()).expect("critical report is well-formed"));
             ScenarioRecord {
                 name: sc.name(),
                 tag: sc.tag.clone(),
@@ -777,10 +764,10 @@ pub fn build_bench_report(label: &str, res: &SuiteResult, include_wall: bool) ->
                     StatF::zero()
                 },
                 speedup_over_graphwalker: r.speedup_stat(),
-                report,
-                trace,
-                journeys,
-                critical,
+                report: seed0.summary_json(),
+                trace: seed0.trace.as_ref().map(trace_summary_json),
+                journeys: seed0.journeys.as_ref().map(|j| j.to_json()),
+                critical: seed0.critical.as_ref().map(|c| c.to_json()),
             }
         })
         .collect();

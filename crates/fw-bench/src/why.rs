@@ -16,7 +16,9 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::bench_json::{BenchReport, Json};
+use fw_sim::Json;
+
+use crate::bench_json::BenchReport;
 
 /// One component's critical-time movement between two records.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,5 +1,5 @@
 //! Integration tests for the fwbench observability subsystem: the
-//! declarative suite runner, the hand-rolled `BENCH_*.json` writer, and
+//! declarative suite runner, the `BENCH_*.json` record writer, and
 //! the noise-aware compare gate (ISSUE 3 acceptance tests).
 //!
 //! Tests run in the debug profile, so the suite under test is tiny: one
@@ -8,11 +8,13 @@
 
 use std::sync::OnceLock;
 
-use fw_bench::bench_json::{BenchReport, Json, StatU};
+use fw_bench::bench_json::{BenchReport, StatU};
 use fw_bench::compare::{compare_reports, fidelity_checks, CompareConfig, Verdict};
+use fw_bench::serve::{build_serve_record, run_ci_serve_suite};
 use fw_bench::suite::{build_bench_report, default_gw_memory, run_suite, Suite, SuiteResult};
 use fw_fault::FaultProfile;
 use fw_graph::DatasetId;
+use fw_sim::Json;
 
 const WALKS: u64 = 500;
 
@@ -215,6 +217,29 @@ fn journey_suite_reconciles_and_stays_deterministic() {
 
     // Plain records keep the pre-journey shape.
     assert!(!shared_report().render().contains("journeys"));
+}
+
+/// Every producer tree survives render → parse unchanged, so each emits
+/// only canonical JSON literals: the fw-walk summary with its fault
+/// counters and the trace, journey, critical and heatmap summaries of
+/// real fw and gw runs (one record embeds them all), and the
+/// `ServeReport` trees of a tiny serve suite.
+#[test]
+fn every_producer_tree_round_trips_through_render_and_parse() {
+    let mut suite = tiny_suite()
+        .with_faults(FaultProfile::light())
+        .with_journeys()
+        .with_critical();
+    suite.seeds = vec![42];
+    let rep = build_bench_report("trees", &run_suite(&suite).expect("suite runs"), false);
+    for sc in &rep.scenarios {
+        assert!(sc.report.get("faults").is_some(), "{}", sc.name);
+        assert!(sc.trace.is_some() && sc.journeys.is_some() && sc.critical.is_some());
+    }
+    let serve = build_serve_record(&run_ci_serve_suite("trees", 42, 4));
+    for tree in [rep.to_json(), serve] {
+        assert_eq!(Json::parse(&tree.render()).as_ref(), Ok(&tree));
+    }
 }
 
 /// The suite runner's report carries everything the schema promises:

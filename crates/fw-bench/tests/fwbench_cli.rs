@@ -4,7 +4,9 @@
 //! wall-time is zero or sub-microsecond must be visibly warned about or
 //! compared — never silently dropped from the "vs base" column. Also the
 //! shared loader's refusal of records from the removed per-lane RNG mode,
-//! and the refusal of the removed engine-thread and RNG flags.
+//! the refusal of the removed engine-thread and RNG flags, and the
+//! diagnostic binaries' refusal of unknown datasets and unwritable output
+//! paths before any simulation runs.
 //!
 //! Records are doctored `tests_support::tiny_report` fixtures written to
 //! a per-test temp directory; the binary under test comes from
@@ -206,6 +208,31 @@ fn removed_thread_and_rng_flags_are_usage_errors() {
         assert_eq!(exit_code(&out), 2, "{args:?}");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains("was removed"), "{args:?}: {err}");
+    }
+}
+
+#[test]
+fn bad_diagnostic_arguments_fail_before_any_run() {
+    // Unknown datasets and walk counts used to fall back to TT and exit
+    // 0; an unwritable output path used to panic after the whole run.
+    let missing = tmp_dir("fwtrace_unwritable").join("missing").join("x.json");
+    let missing = missing.to_str().unwrap();
+    let (fwtrace, diag) = (env!("CARGO_BIN_EXE_fwtrace"), env!("CARGO_BIN_EXE_diag"));
+    let cases: [(&str, &[&str], i32, &str); 4] = [
+        (fwtrace, &["fw", "XYZ"], 2, "usage:"),
+        (fwtrace, &["fw", "R2B", "many"], 2, "usage:"),
+        (diag, &["XYZ"], 2, "usage:"),
+        (fwtrace, &["fw", "R2B", "9", missing], 1, "cannot write"),
+    ];
+    for (bin, args, code, needle) in cases {
+        let out = Command::new(bin).args(args).output().expect("run binary");
+        assert_eq!(exit_code(&out), code, "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(needle), "{args:?}: {err}");
+        // fwtrace's and diag's run banners: neither may be reached.
+        for banner in ["engine=", "subgraphs="] {
+            assert!(!err.contains(banner), "{args:?} must not simulate: {err}");
+        }
     }
 }
 

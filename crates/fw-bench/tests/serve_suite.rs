@@ -7,9 +7,9 @@
 //! Debug-profile budget: two runs of a trimmed suite (few queries per
 //! scenario). The full-size double-run `cmp` gate lives in CI.
 
-use fw_bench::bench_json::Json;
 use fw_bench::record::validate_serve_record;
 use fw_bench::serve::{build_serve_record, run_ci_serve_suite, serve_csv};
+use fw_sim::Json;
 
 const QUERIES: u64 = 10;
 

@@ -57,6 +57,12 @@ impl DatasetId {
         }
     }
 
+    /// The dataset whose [`Self::abbrev`] is `s` (case-sensitive), `None`
+    /// for anything else — the one parser every CLI shares.
+    pub fn from_abbrev(s: &str) -> Option<DatasetId> {
+        DatasetId::ALL.into_iter().find(|d| d.abbrev() == s)
+    }
+
     /// `(vertices, edges)` at experiment scale (paper values / 500).
     pub fn scaled_size(self) -> (u32, u64) {
         match self {
@@ -164,6 +170,14 @@ fn hash_id(id: DatasetId) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn from_abbrev_inverts_abbrev_and_rejects_the_rest() {
+        for id in DatasetId::ALL {
+            assert_eq!(DatasetId::from_abbrev(id.abbrev()), Some(id));
+        }
+        assert_eq!(DatasetId::from_abbrev("tt"), None, "case-sensitive");
+    }
 
     #[test]
     fn scaled_sizes_track_paper_ratios() {

@@ -29,7 +29,7 @@ use flashwalker::{AccelConfig, FlashWalkerSim};
 use fw_graph::{Csr, PartitionedGraph, VertexId};
 use fw_nand::SsdConfig;
 use fw_sim::{derive_stream_seed, Xoshiro256pp};
-use fw_trace::JourneyLatency;
+use fw_trace::{JourneyLatency, Json};
 use fw_walk::{RunReport, WalkEngine};
 use graphwalker::{GraphWalkerSim, GwConfig};
 
@@ -212,69 +212,65 @@ impl ServeReport {
         Ok(())
     }
 
-    /// Serialize the aggregate view (per-query outcomes stay in memory;
-    /// records carry the distributions). Field order is fixed and floats
-    /// print at fixed precision, so equal reports render byte-identically.
-    pub fn to_json(&self) -> String {
+    /// The aggregate view as a [`fw_trace::json`] object (per-query
+    /// outcomes stay in memory; records carry the distributions).
+    pub fn to_json(&self) -> Json {
+        Json::obj(self.json_fields())
+    }
+
+    /// The fields of [`Self::to_json`], for records that prepend their
+    /// own identity keys. Field order is fixed and floats print at fixed
+    /// precision, so equal reports render byte-identically.
+    pub fn json_fields(&self) -> Vec<(&'static str, Json)> {
         let a = &self.admission;
-        let tenants: Vec<String> = a
+        let tenants = a
             .per_tenant
             .iter()
             .enumerate()
             .map(|(i, t)| {
-                format!(
-                    "{{\"tenant\":{},\"offered\":{},\"admitted\":{},\"rejected\":{}}}",
-                    i, t.offered, t.admitted, t.rejected
-                )
+                Json::obj(vec![
+                    ("tenant", Json::u(i as u64)),
+                    ("offered", Json::u(t.offered)),
+                    ("admitted", Json::u(t.admitted)),
+                    ("rejected", Json::u(t.rejected)),
+                ])
             })
             .collect();
-        let lat = |l: &JourneyLatency| {
-            format!(
-                "{{\"count\":{},\"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{},\"max_ns\":{},\"mean_ns\":{}}}",
-                l.count, l.p50_ns, l.p95_ns, l.p99_ns, l.max_ns, l.mean_ns
-            )
-        };
-        format!(
-            concat!(
-                "{{\"engine\":\"{}\",",
-                "\"offered\":{},\"admitted\":{},\"rejected\":{},",
-                "\"rejected_capacity\":{},\"rejected_fairness\":{},",
-                "\"walks_offered\":{},\"walks_admitted\":{},\"walks_completed\":{},",
-                "\"tenants\":[{}],",
-                "\"makespan_ns\":{},\"batches\":{},\"engine_runs\":{},\"engine_sim_ns\":{},\"hops\":{},",
-                "\"cache\":{{\"hits\":{},\"misses\":{},\"installs\":{},\"evictions\":{},\"cached_walks\":{}}},",
-                "\"latency\":{},\"wait\":{},\"service\":{},",
-                "\"tail_wait_share\":{:.4},",
-                "\"offered_qps\":{:.3},\"achieved_qps\":{:.3},\"walks_per_sec\":{:.1}}}"
+        let c = &self.cache;
+        vec![
+            ("engine", Json::s(self.engine)),
+            ("offered", Json::u(a.offered)),
+            ("admitted", Json::u(a.admitted)),
+            ("rejected", Json::u(a.rejected)),
+            ("rejected_capacity", Json::u(a.rejected_capacity)),
+            ("rejected_fairness", Json::u(a.rejected_fairness)),
+            ("walks_offered", Json::u(a.walks_offered)),
+            ("walks_admitted", Json::u(a.walks_admitted)),
+            ("walks_completed", Json::u(self.walks_completed)),
+            ("tenants", Json::Arr(tenants)),
+            ("makespan_ns", Json::u(self.makespan_ns)),
+            ("batches", Json::u(self.batches)),
+            ("engine_runs", Json::u(self.engine_runs)),
+            ("engine_sim_ns", Json::u(self.engine_sim_ns)),
+            ("hops", Json::u(self.hops)),
+            (
+                "cache",
+                Json::obj(vec![
+                    ("hits", Json::u(c.hits)),
+                    ("misses", Json::u(c.misses)),
+                    ("installs", Json::u(c.installs)),
+                    ("evictions", Json::u(c.evictions)),
+                    ("cached_walks", Json::u(c.cached_walks_served)),
+                ]),
             ),
-            self.engine,
-            a.offered,
-            a.admitted,
-            a.rejected,
-            a.rejected_capacity,
-            a.rejected_fairness,
-            a.walks_offered,
-            a.walks_admitted,
-            self.walks_completed,
-            tenants.join(","),
-            self.makespan_ns,
-            self.batches,
-            self.engine_runs,
-            self.engine_sim_ns,
-            self.hops,
-            self.cache.hits,
-            self.cache.misses,
-            self.cache.installs,
-            self.cache.evictions,
-            self.cache.cached_walks_served,
-            lat(&self.latency),
-            lat(&self.wait),
-            lat(&self.service),
-            self.tail_wait_share,
-            self.offered_qps,
-            self.achieved_qps,
-            self.walks_per_sec,
-        )
+            ("latency", self.latency.to_json()),
+            ("wait", self.wait.to_json()),
+            ("service", self.service.to_json()),
+            ("tail_wait_share", Json::f(self.tail_wait_share, 4)),
+            ("offered_qps", Json::f(self.offered_qps, 3)),
+            ("achieved_qps", Json::f(self.achieved_qps, 3)),
+            ("walks_per_sec", Json::f(self.walks_per_sec, 1)),
+        ]
     }
 }
 

@@ -27,16 +27,15 @@ pub mod pool;
 pub mod rng;
 pub mod timeline;
 
-pub use fw_trace::{critical, export, heatmap, journey, metrics, report, span, stats, time};
+pub use fw_trace::{critical, export, heatmap, journey, json, metrics, report, span, stats, time};
 
 pub use event::{EventQueue, HeapEventQueue};
 pub use fw_trace::{
-    chrome_trace_json, chrome_trace_json_with_heatmap, chrome_trace_json_with_journeys, spans_csv,
-    ComponentUtil, Counter, CritNode, CritSegment, CritShare, CriticalConfig, CriticalRecorder,
-    CriticalReport, Duration, HeatSummary, HeatmapLane, HeatmapReport, Histogram, JourneyConfig,
-    JourneyEvent, JourneyEventKind, JourneyLatency, JourneyRecorder, JourneyReport, LatencySummary,
-    MetricsRegistry, QueueDepthSeries, SimTime, SpanRecord, StatSet, TailRow, TimeSeries,
-    TraceConfig, TraceReport, Tracer, WalkJourney,
+    chrome_trace_json, spans_csv, ComponentUtil, Counter, CritNode, CritSegment, CritShare,
+    CriticalConfig, CriticalRecorder, CriticalReport, Duration, HeatmapLane, HeatmapReport,
+    Histogram, JourneyConfig, JourneyEvent, JourneyEventKind, JourneyLatency, JourneyRecorder,
+    JourneyReport, Json, LatencySummary, MetricsRegistry, QueueDepthSeries, SimTime, SpanRecord,
+    StatSet, TailRow, TimeSeries, TraceConfig, TraceReport, Tracer, WalkJourney,
 };
 pub use pool::WorkerPool;
 pub use rng::{derive_stream_seed, SplitMix64, Xoshiro256pp};

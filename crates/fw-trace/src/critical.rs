@@ -34,6 +34,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::json::Json;
 use crate::time::SimTime;
 
 /// Sentinel for "no cause" (a root node) in the packed node layout.
@@ -389,40 +390,36 @@ impl CriticalReport {
         self.path.iter().map(|s| s.wait_ns + s.service_ns).sum()
     }
 
-    /// Hand-rolled deterministic JSON (fixed key order, fixed float
-    /// precision; the workspace builds offline with no serde). The node
-    /// log and per-segment path are *not* embedded — only the bounded
-    /// shares and the heatmap summary — so BENCH records stay small.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let _ = write!(
-            out,
-            "\"horizon_ns\":{},\"total_ns\":{},\"logged_nodes\":{},\
-             \"dropped_nodes\":{},\"truncated\":{},\"path_segments\":{}",
-            self.horizon_ns,
-            self.total_ns,
-            self.logged_nodes,
-            self.dropped_nodes,
-            self.truncated,
-            self.path.len()
-        );
-        out.push_str(",\"shares\":[");
-        for (i, s) in self.shares.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"lane\":{},\"count\":{},\"service_ns\":{},\
-                 \"wait_ns\":{},\"share\":{:.4}}}",
-                s.name, s.lane, s.count, s.service_ns, s.wait_ns, s.share
-            );
-        }
-        out.push(']');
+    /// The report as a [`crate::json`] tree (fixed key order, fixed
+    /// float precision). The node log and per-segment path are *not*
+    /// embedded — only the bounded shares and the heatmap summary — so
+    /// BENCH records stay small.
+    pub fn to_json(&self) -> Json {
+        let shares = self
+            .shares
+            .iter()
+            .map(|s| {
+                Json::obj(vec![
+                    ("name", Json::s(&s.name)),
+                    ("lane", Json::u(s.lane.into())),
+                    ("count", Json::u(s.count)),
+                    ("service_ns", Json::u(s.service_ns)),
+                    ("wait_ns", Json::u(s.wait_ns)),
+                    ("share", Json::f(s.share, 4)),
+                ])
+            })
+            .collect();
         let hm = crate::heatmap::HeatmapReport::from_critical(self, self.window_ns);
-        let _ = write!(out, ",\"heatmap\":{}", hm.summary_json());
-        out.push('}');
-        out
+        Json::obj(vec![
+            ("horizon_ns", Json::u(self.horizon_ns)),
+            ("total_ns", Json::u(self.total_ns)),
+            ("logged_nodes", Json::u(self.logged_nodes)),
+            ("dropped_nodes", Json::u(self.dropped_nodes)),
+            ("truncated", Json::Bool(self.truncated)),
+            ("path_segments", Json::u(self.path.len() as u64)),
+            ("shares", Json::Arr(shares)),
+            ("heatmap", hm.summary_json()),
+        ])
     }
 
     /// Human-readable per-(component, lane) critical-time table.
@@ -601,18 +598,19 @@ mod tests {
     }
 
     #[test]
-    fn json_is_deterministic_and_balanced() {
+    fn json_is_deterministic_and_complete() {
         let mut r = rec();
         r.node(0, "a", 0, t(0), t(10), None);
         r.node(1, "b", 1, t(10), t(30), Some(0));
         let rep = r.finish(t(30)).unwrap();
         let j = rep.to_json();
-        assert_eq!(j, rep.to_json());
-        assert!(j.contains("\"total_ns\":30"));
-        assert!(j.contains("\"shares\":["));
-        assert!(j.contains("\"heatmap\":{"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
+        assert_eq!(j.render(), rep.to_json().render());
+        assert_eq!(j.get("total_ns"), Some(&Json::u(30)));
+        assert_eq!(
+            j.get("shares").and_then(Json::as_arr).map(<[_]>::len),
+            Some(2)
+        );
+        assert!(j.get("heatmap").and_then(|h| h.get("lanes")).is_some());
         let table = rep.render_table();
         assert!(table.contains("critical path: 2 segments"));
     }

@@ -1,40 +1,25 @@
 //! Trace exporters: Chrome `trace_event` JSON (loadable in
-//! `chrome://tracing` / [Perfetto](https://ui.perfetto.dev)) and CSV.
+//! `chrome://tracing` / [Perfetto](https://ui.perfetto.dev)), CSV, and the
+//! [`trace_summary_json`] record tree.
 //!
-//! The workspace builds offline with no serde, so the JSON is emitted by
-//! hand. Output is byte-deterministic: names are interned in first-seen
-//! order, spans are emitted in recording order, and the microsecond
-//! timestamps Chrome requires are formatted with integer math (never
-//! `f64` printing, whose shortest-round-trip digits could differ across
-//! platforms).
+//! The Chrome trace is an export, not a record, so it is streamed as text
+//! in one pass rather than built as a [`Json`] tree; its strings go
+//! through the one escape, [`crate::json::esc`]. Output is
+//! byte-deterministic: names are interned in first-seen order, spans are
+//! emitted in recording order, and the microsecond timestamps Chrome
+//! requires are formatted with integer math (never `f64` printing, whose
+//! shortest-round-trip digits could differ across platforms).
 
 use std::fmt::Write as _;
 
+use crate::heatmap::HeatmapReport;
+use crate::journey::JourneyReport;
+use crate::json::{esc, Json};
 use crate::report::TraceReport;
 
 /// Nanoseconds rendered as Chrome's microsecond timestamps ("12.345").
 fn us(ns: u64) -> String {
     format!("{}.{:03}", ns / 1000, ns % 1000)
-}
-
-/// Minimal JSON string escape; span names are ASCII identifiers but the
-/// exporter must not emit malformed JSON for any input.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Render a [`TraceReport`]'s retained spans as Chrome `trace_event` JSON.
@@ -43,28 +28,43 @@ fn esc(s: &str) -> String {
 /// metadata) and each lane a *thread* within it, so channels, chips and
 /// banks show up as parallel rows. Spans are "X" (complete) events with
 /// `ts`/`dur` in microseconds and byte payloads in `args`.
-pub fn chrome_trace_json(report: &TraceReport) -> String {
-    let mut out = String::new();
-    out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
+///
+/// With `journeys`, one more process ("walk journeys") follows whose
+/// threads are sampled walk ids: every recorded
+/// [`crate::journey::JourneyEvent`] becomes an "X" event on its walk's
+/// row, so a walk's whole lifecycle (loads, reads, retries, hops,
+/// compute) reads left-to-right alongside the component tracks.
+///
+/// With `heatmap`, a last process ("contention heatmap") holds a Perfetto
+/// *counter* track: per-component "C" events whose `args` carry the
+/// window's mean busy fraction and summed queue-depth occupancy. Lanes of
+/// one component are aggregated so the track count stays bounded on
+/// 128-chip geometries.
+pub fn chrome_trace_json(
+    report: &TraceReport,
+    journeys: Option<&JourneyReport>,
+    heatmap: Option<&HeatmapReport>,
+) -> String {
+    let mut out = String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
     let mut first = true;
-    let push = |out: &mut String, first: &mut bool, ev: String| {
-        if !*first {
+    let mut event = |out: &mut String| {
+        if !first {
             out.push(',');
         }
-        *first = false;
+        first = false;
         out.push('\n');
-        out.push_str(&ev);
+    };
+    let process = |out: &mut String, pid: usize, name: &str| {
+        let _ = write!(
+            out,
+            "{{\"ph\":\"M\",\"pid\":{pid},\"name\":\"process_name\",\
+             \"args\":{{\"name\":\"{}\"}}}}",
+            esc(name)
+        );
     };
     for (pid, name) in report.names.iter().enumerate() {
-        push(
-            &mut out,
-            &mut first,
-            format!(
-                "{{\"ph\":\"M\",\"pid\":{pid},\"name\":\"process_name\",\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                esc(name)
-            ),
-        );
+        event(&mut out);
+        process(&mut out, pid, name);
     }
     for s in &report.spans {
         let dur = s.end.as_nanos().saturating_sub(s.start.as_nanos());
@@ -73,189 +73,133 @@ pub fn chrome_trace_json(report: &TraceReport) -> String {
         } else {
             "{}".to_string()
         };
-        push(
-            &mut out,
-            &mut first,
-            format!(
-                "{{\"ph\":\"X\",\"pid\":{},\"tid\":{},\"name\":\"{}\",\
-                 \"ts\":{},\"dur\":{},\"args\":{}}}",
-                s.name,
-                s.lane,
-                esc(&report.names[s.name as usize]),
-                us(s.start.as_nanos()),
-                us(dur),
-                args
-            ),
+        event(&mut out);
+        let _ = write!(
+            out,
+            "{{\"ph\":\"X\",\"pid\":{},\"tid\":{},\"name\":\"{}\",\
+             \"ts\":{},\"dur\":{},\"args\":{}}}",
+            s.name,
+            s.lane,
+            esc(&report.names[s.name as usize]),
+            us(s.start.as_nanos()),
+            us(dur),
+            args
         );
     }
-    out.push_str("\n]}\n");
-    out
-}
-
-/// Like [`chrome_trace_json`], with one extra Perfetto *process* ("walk
-/// journeys") whose threads are sampled walk ids: every recorded
-/// [`crate::journey::JourneyEvent`] becomes an "X" event on its walk's
-/// row, so a walk's whole lifecycle (loads, reads, retries, hops,
-/// compute) reads left-to-right alongside the component tracks.
-pub fn chrome_trace_json_with_journeys(
-    report: &TraceReport,
-    journeys: &crate::journey::JourneyReport,
-) -> String {
-    let base = chrome_trace_json(report);
-    // Splice before the closing "\n]}\n" of the base document.
-    let body = base
-        .strip_suffix("\n]}\n")
-        .expect("chrome_trace_json ends with its event-array close");
-    let mut out = String::from(body);
-    let jpid = report.names.len();
-    let sep = if body.ends_with('[') { "" } else { "," };
-    let _ = write!(
-        out,
-        "{sep}\n{{\"ph\":\"M\",\"pid\":{jpid},\"name\":\"process_name\",\
-         \"args\":{{\"name\":\"walk journeys\"}}}}"
-    );
-    for w in &journeys.walks {
-        for e in &w.events {
-            let dur = e.end.as_nanos().saturating_sub(e.start.as_nanos());
-            let _ = write!(
-                out,
-                ",\n{{\"ph\":\"X\",\"pid\":{jpid},\"tid\":{},\"name\":\"{}\",\
-                 \"ts\":{},\"dur\":{},\"args\":{{\"lane\":{}}}}}",
-                w.id,
-                e.kind.name(),
-                us(e.start.as_nanos()),
-                us(dur),
-                e.lane
-            );
+    let mut pid = report.names.len();
+    if let Some(journeys) = journeys {
+        event(&mut out);
+        process(&mut out, pid, "walk journeys");
+        for w in &journeys.walks {
+            for e in &w.events {
+                let dur = e.end.as_nanos().saturating_sub(e.start.as_nanos());
+                event(&mut out);
+                let _ = write!(
+                    out,
+                    "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{},\"name\":\"{}\",\
+                     \"ts\":{},\"dur\":{},\"args\":{{\"lane\":{}}}}}",
+                    w.id,
+                    e.kind.name(),
+                    us(e.start.as_nanos()),
+                    us(dur),
+                    e.lane
+                );
+            }
+        }
+        pid += 1;
+    }
+    if let Some(heatmap) = heatmap {
+        event(&mut out);
+        process(&mut out, pid, "contention heatmap");
+        for (comp, cells) in heatmap.component_series() {
+            for (start, busy, depth) in cells {
+                event(&mut out);
+                let _ = write!(
+                    out,
+                    "{{\"ph\":\"C\",\"pid\":{pid},\"name\":\"{}\",\"ts\":{},\
+                     \"args\":{{\"busy\":{:.4},\"depth\":{:.4}}}}}",
+                    esc(&comp),
+                    us(start),
+                    busy,
+                    depth
+                );
+            }
         }
     }
     out.push_str("\n]}\n");
     out
 }
 
-/// Splice a [`crate::heatmap::HeatmapReport`] into an already-rendered
-/// Chrome trace document as a Perfetto *counter* track: one process
-/// (`pid`, pass the next unused process id) holding per-component "C"
-/// events whose `args` carry the window's mean busy fraction and summed
-/// queue-depth occupancy. Lanes of one component are aggregated so the
-/// track count stays bounded on 128-chip geometries.
-pub fn chrome_trace_json_with_heatmap(
-    base: &str,
-    heatmap: &crate::heatmap::HeatmapReport,
-    pid: usize,
-) -> String {
-    let body = base
-        .strip_suffix("\n]}\n")
-        .expect("base document ends with its event-array close");
-    let mut out = String::from(body);
-    let sep = if body.ends_with('[') { "" } else { "," };
-    let _ = write!(
-        out,
-        "{sep}\n{{\"ph\":\"M\",\"pid\":{pid},\"name\":\"process_name\",\
-         \"args\":{{\"name\":\"contention heatmap\"}}}}"
-    );
-    for (comp, cells) in heatmap.component_series() {
-        for (start, busy, depth) in cells {
-            let _ = write!(
-                out,
-                ",\n{{\"ph\":\"C\",\"pid\":{pid},\"name\":\"{}\",\"ts\":{},\
-                 \"args\":{{\"busy\":{:.4},\"depth\":{:.4}}}}}",
-                esc(&comp),
-                us(start),
-                busy,
-                depth
-            );
-        }
-    }
-    out.push_str("\n]}\n");
-    out
-}
-
-/// Render a [`TraceReport`]'s derived summaries — per-group utilization,
+/// A [`TraceReport`]'s derived summaries — per-group utilization,
 /// latency percentiles, queue depths and the bottleneck pick — as one
-/// hand-rolled JSON object (no serde; the workspace builds offline).
+/// [`Json`] tree.
 ///
 /// This is the machine-readable companion of the `Display` text report,
 /// meant for embedding in benchmark records (`fwbench`'s `BENCH_*.json`).
 /// Groups, queues and latencies are emitted in their already-sorted
 /// report order and floats use fixed precision, so identical reports
 /// serialize byte-identically.
-pub fn trace_summary_json(report: &TraceReport) -> String {
+pub fn trace_summary_json(report: &TraceReport) -> Json {
     use std::collections::BTreeMap;
-
-    let mut out = String::from("{");
-    let _ = write!(out, "\"horizon_ns\":{}", report.horizon_ns);
 
     // Per-group utilization: mean over lanes, plus exact busy/byte totals.
     let mut groups: BTreeMap<&str, Vec<&crate::report::ComponentUtil>> = BTreeMap::new();
     for c in &report.components {
         groups.entry(c.name.as_str()).or_default().push(c);
     }
-    out.push_str(",\"utilization\":[");
-    for (i, (name, rows)) in groups.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let mean = rows.iter().map(|c| c.utilization).sum::<f64>() / rows.len() as f64;
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"lanes\":{},\"mean_util\":{:.4},\"busy_ns\":{},\"bytes\":{}}}",
-            esc(name),
-            rows.len(),
-            mean,
-            report.busy_ns_for(name),
-            report.bytes_for(name)
-        );
-    }
-    out.push(']');
-
-    out.push_str(",\"latencies\":[");
-    for (i, l) in report.latencies.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"count\":{},\"mean\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"max\":{}}}",
-            esc(&l.name),
-            l.count,
-            l.mean,
-            l.p50,
-            l.p95,
-            l.p99,
-            l.max
-        );
-    }
-    out.push(']');
-
-    out.push_str(",\"queues\":[");
-    for (i, q) in report.queue_depths.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"mean_depth\":{:.3},\"peak_depth\":{:.3}}}",
-            esc(&q.name),
-            q.overall_mean(),
-            q.peak()
-        );
-    }
-    out.push(']');
-
-    match report.bottleneck() {
-        Some((name, util)) => {
-            let _ = write!(
-                out,
-                ",\"bottleneck\":{{\"name\":\"{}\",\"mean_util\":{:.4}}}",
-                esc(&name),
-                util
-            );
-        }
-        None => out.push_str(",\"bottleneck\":null"),
-    }
-    out.push('}');
-    out
+    let utilization = groups
+        .iter()
+        .map(|(name, rows)| {
+            let mean = rows.iter().map(|c| c.utilization).sum::<f64>() / rows.len() as f64;
+            Json::obj(vec![
+                ("name", Json::s(name)),
+                ("lanes", Json::u(rows.len() as u64)),
+                ("mean_util", Json::f(mean, 4)),
+                ("busy_ns", Json::u(report.busy_ns_for(name))),
+                ("bytes", Json::u(report.bytes_for(name))),
+            ])
+        })
+        .collect();
+    let latencies = report
+        .latencies
+        .iter()
+        .map(|l| {
+            Json::obj(vec![
+                ("name", Json::s(&l.name)),
+                ("count", Json::u(l.count)),
+                ("mean", Json::u(l.mean)),
+                ("p50", Json::u(l.p50)),
+                ("p95", Json::u(l.p95)),
+                ("p99", Json::u(l.p99)),
+                ("max", Json::u(l.max)),
+            ])
+        })
+        .collect();
+    let queues = report
+        .queue_depths
+        .iter()
+        .map(|q| {
+            Json::obj(vec![
+                ("name", Json::s(&q.name)),
+                ("mean_depth", Json::f(q.overall_mean(), 3)),
+                ("peak_depth", Json::f(q.peak(), 3)),
+            ])
+        })
+        .collect();
+    let bottleneck = match report.bottleneck() {
+        Some((name, util)) => Json::obj(vec![
+            ("name", Json::s(&name)),
+            ("mean_util", Json::f(util, 4)),
+        ]),
+        None => Json::Null,
+    };
+    Json::obj(vec![
+        ("horizon_ns", Json::u(report.horizon_ns)),
+        ("utilization", Json::Arr(utilization)),
+        ("latencies", Json::Arr(latencies)),
+        ("queues", Json::Arr(queues)),
+        ("bottleneck", bottleneck),
+    ])
 }
 
 /// Render the retained spans as CSV: `name,lane,start_ns,end_ns,bytes`.
@@ -302,72 +246,18 @@ mod tests {
         tr.finish(SimTime(50_000)).unwrap()
     }
 
-    #[test]
-    fn chrome_json_shape() {
-        let json = chrome_trace_json(&report());
-        assert!(json.starts_with("{\"displayTimeUnit\":\"ns\",\"traceEvents\":["));
-        assert!(json.trim_end().ends_with("]}"));
-        // Metadata names both processes.
-        assert!(json.contains("\"process_name\""));
-        assert!(json.contains("\"name\":\"channel.bus\""));
-        // Microsecond timestamps via integer math: 1500 ns -> "1.500".
-        assert!(json.contains("\"ts\":1.500"), "{json}");
-        assert!(json.contains("\"dur\":12.345"), "{json}");
-        assert!(json.contains("\"bytes\":4096"));
-        // Balanced braces/brackets (cheap well-formedness check).
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced braces"
-        );
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
-    fn chrome_json_is_deterministic() {
-        let a = chrome_trace_json(&report());
-        let b = chrome_trace_json(&report());
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn chrome_json_with_journeys_adds_walk_tracks() {
-        use crate::journey::{JourneyConfig, JourneyEventKind, JourneyRecorder};
+    /// Journeys for walk 7 (one NAND read) and a heatmap over a
+    /// two-node dependency log — inputs for both optional processes.
+    fn journeys_and_heatmap() -> (JourneyReport, HeatmapReport) {
+        use crate::critical::{CriticalConfig, CriticalRecorder};
+        use crate::journey::{JourneyConfig, JourneyEventKind::*, JourneyRecorder};
         let mut jr = JourneyRecorder::enabled(JourneyConfig {
             seed: 0,
             sample_period: 1,
             max_walks: 16,
         });
-        jr.event(
-            7,
-            JourneyEventKind::NandRead,
-            2,
-            SimTime(1_000),
-            SimTime(3_000),
-        );
-        jr.event(
-            7,
-            JourneyEventKind::Complete,
-            2,
-            SimTime(3_000),
-            SimTime(3_000),
-        );
-        let journeys = jr.finish().unwrap();
-        let json = chrome_trace_json_with_journeys(&report(), &journeys);
-        assert!(json.contains("\"name\":\"walk journeys\""));
-        assert!(json.contains("\"name\":\"nand_read\""));
-        assert!(json.contains("\"tid\":7"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        // The base document is untouched apart from the splice.
-        assert!(json.starts_with("{\"displayTimeUnit\":\"ns\",\"traceEvents\":["));
-        assert!(json.ends_with("\n]}\n"));
-    }
-
-    #[test]
-    fn chrome_json_with_heatmap_adds_counter_track() {
-        use crate::critical::{CriticalConfig, CriticalRecorder};
-        use crate::heatmap::HeatmapReport;
+        jr.event(7, NandRead, 2, SimTime(1_000), SimTime(3_000));
+        jr.event(7, Complete, 2, SimTime(3_000), SimTime(3_000));
         let mut cr = CriticalRecorder::enabled(CriticalConfig::default());
         cr.node(0, "channel.bus", 2, SimTime(0), SimTime(30_000), None);
         cr.node(
@@ -379,19 +269,79 @@ mod tests {
             Some(0),
         );
         let crit = cr.finish(SimTime(50_000)).unwrap();
-        let hm = HeatmapReport::from_critical(&crit, 10_000);
-        let rep = report();
-        let base = chrome_trace_json(&rep);
-        let json = chrome_trace_json_with_heatmap(&base, &hm, rep.names.len());
-        assert!(json.contains("\"name\":\"contention heatmap\""));
-        assert!(json.contains("\"ph\":\"C\""));
-        assert!(json.contains("\"busy\":"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let heatmap = HeatmapReport::from_critical(&crit, 10_000);
+        (jr.finish().unwrap(), heatmap)
+    }
+
+    /// The `traceEvents` array of a Chrome trace, which must parse.
+    fn events(json: &str) -> Vec<Json> {
+        let doc = Json::parse(json).expect("chrome trace is valid JSON");
+        doc.get("traceEvents")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .to_vec()
+    }
+
+    /// The pid of the `process_name` metadata event naming `name`.
+    fn pid_of(events: &[Json], name: &str) -> Option<u64> {
+        events
+            .iter()
+            .find(|e| e.get("args").and_then(|a| a.get("name")) == Some(&Json::s(name)))
+            .and_then(|e| e.get("pid").and_then(Json::as_u64))
+    }
+
+    #[test]
+    fn chrome_json_shape() {
+        let json = chrome_trace_json(&report(), None, None);
+        assert!(json.starts_with("{\"displayTimeUnit\":\"ns\",\"traceEvents\":["));
         assert!(json.ends_with("\n]}\n"));
-        // Splices compose: journeys first, heatmap second.
-        let again = chrome_trace_json_with_heatmap(&json, &hm, rep.names.len() + 1);
-        assert_eq!(again.matches('{').count(), again.matches('}').count());
+        // Metadata names both processes.
+        assert!(json.contains("\"process_name\""));
+        assert!(json.contains("\"name\":\"channel.bus\""));
+        // Microsecond timestamps via integer math: 1500 ns -> "1.500".
+        assert!(json.contains("\"ts\":1.500"), "{json}");
+        assert!(json.contains("\"dur\":12.345"), "{json}");
+        assert!(json.contains("\"bytes\":4096"));
+        assert_eq!(events(&json).len(), 4, "two processes, two spans");
+    }
+
+    #[test]
+    fn chrome_json_is_deterministic() {
+        let (j, hm) = journeys_and_heatmap();
+        let a = chrome_trace_json(&report(), Some(&j), Some(&hm));
+        let b = chrome_trace_json(&report(), Some(&j), Some(&hm));
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn chrome_json_adds_walk_and_heatmap_tracks_after_the_components() {
+        let rep = report();
+        let base = events(&chrome_trace_json(&rep, None, None));
+        let (j, hm) = journeys_and_heatmap();
+        let n = rep.names.len() as u64;
+        for (journeys, heatmap) in [(Some(&j), None), (None, Some(&hm)), (Some(&j), Some(&hm))] {
+            let ev = events(&chrome_trace_json(&rep, journeys, heatmap));
+            assert_eq!(ev[..base.len()], base[..], "component events come first");
+            let jpid = pid_of(&ev, "walk journeys");
+            let hpid = pid_of(&ev, "contention heatmap");
+            assert_eq!(jpid, journeys.map(|_| n));
+            assert_eq!(hpid, heatmap.map(|_| n + u64::from(journeys.is_some())));
+            if let Some(jpid) = jpid {
+                let on_track = |e: &&Json| e.get("pid").and_then(Json::as_u64) == Some(jpid);
+                // The process-name event, then the walk's first event.
+                let walk = ev.iter().filter(on_track).nth(1).expect("a walk event");
+                assert_eq!(walk.get("tid"), Some(&Json::u(7)));
+                assert_eq!(walk.get("name"), Some(&Json::s("nand_read")));
+            }
+            if let Some(hpid) = hpid {
+                let counters = ev.iter().filter(|e| e.get("ph") == Some(&Json::s("C")));
+                assert!(counters.clone().count() > 0);
+                for c in counters {
+                    assert_eq!(c.get("pid").and_then(Json::as_u64), Some(hpid));
+                    assert!(c.get("args").and_then(|a| a.get("busy")).is_some());
+                }
+            }
+        }
     }
 
     #[test]
@@ -409,18 +359,17 @@ mod tests {
         let rep = report();
         let json = trace_summary_json(&rep);
         assert_eq!(json, trace_summary_json(&rep), "must be deterministic");
-        assert!(json.contains("\"horizon_ns\":50000"));
-        assert!(json.contains("\"name\":\"channel.bus\""));
-        assert!(json.contains("\"bottleneck\":{\"name\":\"flash.read\",\"mean_util\":0.8000}"));
-        assert!(json.contains("\"latencies\":["));
-        assert!(json.contains("\"queues\":["));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
-    fn escaping_never_emits_raw_quotes() {
-        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(esc("plain.name"), "plain.name");
+        assert_eq!(json.get("horizon_ns"), Some(&Json::u(50_000)));
+        let util = json.get("utilization").and_then(Json::as_arr).unwrap();
+        assert_eq!(util[0].get("name"), Some(&Json::s("channel.bus")));
+        assert_eq!(
+            json.get("bottleneck"),
+            Some(&Json::obj(vec![
+                ("name", Json::s("flash.read")),
+                ("mean_util", Json::Num("0.8000".into())),
+            ]))
+        );
+        assert!(json.get("latencies").and_then(Json::as_arr).is_some());
+        assert!(json.get("queues").and_then(Json::as_arr).is_some());
     }
 }

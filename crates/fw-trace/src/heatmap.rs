@@ -13,7 +13,7 @@
 //!   occupancy — overlapping transfers on one bus show up as depth > 1).
 //!
 //! Exports are a deterministic CSV and a Perfetto counter track (see
-//! [`crate::export::chrome_trace_json_with_heatmap`]). Long runs coarsen
+//! [`crate::export::chrome_trace_json`]). Long runs coarsen
 //! the window deterministically so the heatmap never exceeds
 //! [`MAX_WINDOWS`] windows.
 
@@ -21,6 +21,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::critical::CriticalReport;
+use crate::json::Json;
 
 /// Upper bound on heatmap windows: longer runs coarsen the window width
 /// by an integer factor instead of growing the export.
@@ -39,23 +40,6 @@ pub struct HeatmapLane {
     /// Per-window `(window_start_ns, busy, depth)`, every window from 0
     /// to the horizon.
     pub cells: Vec<(u64, f64, f64)>,
-}
-
-/// Per-lane summary row of a [`HeatmapReport`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct HeatSummary {
-    /// Component name.
-    pub name: String,
-    /// Lane within the component.
-    pub lane: u32,
-    /// Mean busy fraction over all windows.
-    pub mean_busy: f64,
-    /// Peak busy fraction.
-    pub max_busy: f64,
-    /// Mean occupancy (in-flight operations).
-    pub mean_depth: f64,
-    /// Peak window occupancy.
-    pub max_depth: f64,
 }
 
 /// Windowed busy/occupancy view of a run's dependency log.
@@ -144,46 +128,32 @@ impl HeatmapReport {
         }
     }
 
-    /// Per-lane mean/peak summary rows, in lane order.
-    pub fn summary(&self) -> Vec<HeatSummary> {
-        self.lanes
+    /// Per-lane mean/peak busy fraction and occupancy, in lane order, as
+    /// a [`Json`] tree (fixed key order and float precision) — the
+    /// heatmap section embedded in BENCH records.
+    pub fn summary_json(&self) -> Json {
+        let lanes = self
+            .lanes
             .iter()
             .map(|l| {
                 let n = l.cells.len().max(1) as f64;
-                HeatSummary {
-                    name: l.name.clone(),
-                    lane: l.lane,
-                    mean_busy: l.cells.iter().map(|c| c.1).sum::<f64>() / n,
-                    max_busy: l.cells.iter().map(|c| c.1).fold(0.0, f64::max),
-                    mean_depth: l.cells.iter().map(|c| c.2).sum::<f64>() / n,
-                    max_depth: l.cells.iter().map(|c| c.2).fold(0.0, f64::max),
-                }
+                let busy = l.cells.iter().map(|c| c.1);
+                let depth = l.cells.iter().map(|c| c.2);
+                Json::obj(vec![
+                    ("name", Json::s(&l.name)),
+                    ("lane", Json::u(l.lane.into())),
+                    ("mean_busy", Json::f(busy.clone().sum::<f64>() / n, 4)),
+                    ("max_busy", Json::f(busy.fold(0.0, f64::max), 4)),
+                    ("mean_depth", Json::f(depth.clone().sum::<f64>() / n, 4)),
+                    ("max_depth", Json::f(depth.fold(0.0, f64::max), 4)),
+                ])
             })
-            .collect()
-    }
-
-    /// Deterministic JSON of the summary rows (fixed key order and float
-    /// precision) — the heatmap section embedded in BENCH records.
-    pub fn summary_json(&self) -> String {
-        let mut out = String::from("{");
-        let _ = write!(
-            out,
-            "\"window_ns\":{},\"windows\":{},\"lanes\":[",
-            self.window_ns, self.windows
-        );
-        for (i, s) in self.summary().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"lane\":{},\"mean_busy\":{:.4},\"max_busy\":{:.4},\
-                 \"mean_depth\":{:.4},\"max_depth\":{:.4}}}",
-                s.name, s.lane, s.mean_busy, s.max_busy, s.mean_depth, s.max_depth
-            );
-        }
-        out.push_str("]}");
-        out
+            .collect();
+        Json::obj(vec![
+            ("window_ns", Json::u(self.window_ns)),
+            ("windows", Json::u(self.windows as u64)),
+            ("lanes", Json::Arr(lanes)),
+        ])
     }
 
     /// Deterministic CSV: `comp,lane,window_start_ns,busy,depth`.
@@ -324,12 +294,12 @@ mod tests {
         assert!(csv.starts_with("comp,lane,window_start_ns,busy,depth\n"));
         assert_eq!(csv, HeatmapReport::from_critical(&rep, 50).csv());
         assert!(csv.contains("bus,0,0,"));
-        let rows = hm.summary();
-        assert_eq!(rows.len(), 3, "one row per (comp, lane)");
-        assert!(rows[0].max_busy <= 1.0 + 1e-9);
         let j = hm.summary_json();
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert!(j.contains("\"window_ns\":50"));
+        assert_eq!(j, hm.summary_json());
+        assert_eq!(j.get("window_ns"), Some(&Json::u(50)));
+        let rows = j.get("lanes").and_then(Json::as_arr).unwrap();
+        assert_eq!(rows.len(), 3, "one row per (comp, lane)");
+        assert!(rows[0].get("max_busy").and_then(Json::as_f64).unwrap() <= 1.0);
     }
 
     #[test]

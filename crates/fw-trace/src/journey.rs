@@ -20,6 +20,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::json::Json;
 use crate::time::SimTime;
 
 /// SplitMix64 finalizer over (seed, id) — the sampling hash. Private to
@@ -388,6 +389,19 @@ impl JourneyLatency {
             },
         }
     }
+
+    /// The percentiles as a [`Json`] object, keys in field order — the
+    /// one serializer for journey and `fw-serve` latency objects alike.
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("count", Json::u(self.count)),
+            ("p50_ns", Json::u(self.p50_ns)),
+            ("p95_ns", Json::u(self.p95_ns)),
+            ("p99_ns", Json::u(self.p99_ns)),
+            ("max_ns", Json::u(self.max_ns)),
+            ("mean_ns", Json::u(self.mean_ns)),
+        ])
+    }
 }
 
 impl JourneyReport {
@@ -404,58 +418,48 @@ impl JourneyReport {
         }
     }
 
-    /// Compact deterministic JSON (hand-rolled; fixed key order, shares
-    /// at four decimals). Raw events are deliberately excluded — they
-    /// live in the CSV/Chrome exports.
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(4096);
-        s.push_str(&format!(
-            "{{\"sampled_walks\":{},\"sample_period\":{},\"latency\":{{\"count\":{},\"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{},\"max_ns\":{},\"mean_ns\":{}}}",
-            self.sampled_walks,
-            self.sample_period,
-            self.latency.count,
-            self.latency.p50_ns,
-            self.latency.p95_ns,
-            self.latency.p99_ns,
-            self.latency.max_ns,
-            self.latency.mean_ns
-        ));
-        s.push_str(",\"tail\":[");
-        for (i, r) in self.tail.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"kind\":\"{}\",\"median_ns\":{},\"tail_ns\":{},\"median_share\":{:.4},\"tail_share\":{:.4}}}",
-                r.kind.name(),
-                r.median_ns,
-                r.tail_ns,
-                r.median_share,
-                r.tail_share
-            ));
-        }
-        s.push_str("],\"walks\":[");
-        for (i, w) in self.walks.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"id\":{},\"start_ns\":{},\"end_ns\":{},\"latency_ns\":{},\"segments\":{{",
-                w.id,
-                w.start.as_nanos(),
-                w.end.as_nanos(),
-                w.latency_ns
-            ));
-            for (j, (k, ns)) in w.segments.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!("\"{}\":{}", k.name(), ns));
-            }
-            s.push_str("}}");
-        }
-        s.push_str("]}");
-        s
+    /// The report as a [`crate::json`] tree (fixed key order, shares at
+    /// four decimals). Raw events are deliberately excluded — they live
+    /// in the CSV/Chrome exports.
+    pub fn to_json(&self) -> Json {
+        let tail = self
+            .tail
+            .iter()
+            .map(|r| {
+                Json::obj(vec![
+                    ("kind", Json::s(r.kind.name())),
+                    ("median_ns", Json::u(r.median_ns)),
+                    ("tail_ns", Json::u(r.tail_ns)),
+                    ("median_share", Json::f(r.median_share, 4)),
+                    ("tail_share", Json::f(r.tail_share, 4)),
+                ])
+            })
+            .collect();
+        let walks = self
+            .walks
+            .iter()
+            .map(|w| {
+                let segments = w
+                    .segments
+                    .iter()
+                    .map(|(k, ns)| (k.name(), Json::u(*ns)))
+                    .collect();
+                Json::obj(vec![
+                    ("id", Json::u(w.id.into())),
+                    ("start_ns", Json::u(w.start.as_nanos())),
+                    ("end_ns", Json::u(w.end.as_nanos())),
+                    ("latency_ns", Json::u(w.latency_ns)),
+                    ("segments", Json::obj(segments)),
+                ])
+            })
+            .collect();
+        Json::obj(vec![
+            ("sampled_walks", Json::u(self.sampled_walks)),
+            ("sample_period", Json::u(self.sample_period)),
+            ("latency", self.latency.to_json()),
+            ("tail", Json::Arr(tail)),
+            ("walks", Json::Arr(walks)),
+        ])
     }
 
     /// Human-readable tail-attribution table (the `fwbench tail` body).

@@ -32,7 +32,9 @@
 //! * [`heatmap`] — windowed contention heatmaps (per-lane busy fraction
 //!   and queue-depth occupancy) derived from the same dependency log,
 //! * [`export`] — Chrome `trace_event` JSON (loadable in
-//!   `chrome://tracing` / Perfetto), CSV, and a human-readable text report.
+//!   `chrome://tracing` / Perfetto), CSV, and a human-readable text report,
+//! * [`json`] — the workspace's one JSON value type ([`Json`]): every
+//!   record producer in the workspace builds its summary as a `Json` tree.
 //!
 //! Tracing is **zero-cost when disabled**: a disabled [`Tracer`] is a
 //! no-op sink behind a single branch, so Tier-1 benchmark numbers are
@@ -47,6 +49,7 @@ pub mod critical;
 pub mod export;
 pub mod heatmap;
 pub mod journey;
+pub mod json;
 pub mod metrics;
 pub mod report;
 pub mod span;
@@ -56,14 +59,13 @@ pub mod time;
 pub use critical::{
     CritNode, CritSegment, CritShare, CriticalConfig, CriticalRecorder, CriticalReport,
 };
-pub use export::{
-    chrome_trace_json, chrome_trace_json_with_heatmap, chrome_trace_json_with_journeys, spans_csv,
-};
-pub use heatmap::{HeatSummary, HeatmapLane, HeatmapReport};
+pub use export::{chrome_trace_json, spans_csv};
+pub use heatmap::{HeatmapLane, HeatmapReport};
 pub use journey::{
     JourneyConfig, JourneyEvent, JourneyEventKind, JourneyLatency, JourneyRecorder, JourneyReport,
     TailRow, WalkJourney,
 };
+pub use json::Json;
 pub use metrics::MetricsRegistry;
 pub use report::{ComponentUtil, LatencySummary, QueueDepthSeries, TraceReport};
 pub use span::{SpanRecord, TraceConfig, Tracer};

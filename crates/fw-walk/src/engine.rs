@@ -8,7 +8,7 @@
 //! GraphWalker cache behaviour, …) stays on the engines' own `run_detailed`
 //! methods and report types; this module is the lowest common denominator.
 
-use fw_sim::{CriticalReport, Duration, JourneyReport, TraceReport};
+use fw_sim::{CriticalReport, Duration, JourneyReport, Json, TraceReport};
 
 use crate::walk::Walk;
 use crate::workload::Workload;
@@ -60,23 +60,24 @@ pub struct EngineBreakdown {
 }
 
 impl RunStats {
-    /// Hand-rolled JSON object (the workspace builds offline, no serde).
-    /// Key order is fixed; output is byte-deterministic.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"hops\":{},\"loads\":{},\"walk_spill_pages\":{}}}",
-            self.hops, self.loads, self.walk_spill_pages
-        )
+    /// The counters as a [`fw_sim::json`] object, keys in field order.
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("hops", Json::u(self.hops)),
+            ("loads", Json::u(self.loads)),
+            ("walk_spill_pages", Json::u(self.walk_spill_pages)),
+        ])
     }
 }
 
 impl Traffic {
-    /// Hand-rolled JSON object; key order fixed, byte-deterministic.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"flash_read_bytes\":{},\"flash_write_bytes\":{},\"interconnect_bytes\":{}}}",
-            self.flash_read_bytes, self.flash_write_bytes, self.interconnect_bytes
-        )
+    /// The byte counters as a [`fw_sim::json`] object, keys in field order.
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("flash_read_bytes", Json::u(self.flash_read_bytes)),
+            ("flash_write_bytes", Json::u(self.flash_write_bytes)),
+            ("interconnect_bytes", Json::u(self.interconnect_bytes)),
+        ])
     }
 }
 
@@ -86,12 +87,14 @@ impl EngineBreakdown {
         self.load_ns + self.update_ns + self.walk_io_ns + self.other_ns
     }
 
-    /// Hand-rolled JSON object; key order fixed, byte-deterministic.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"load_ns\":{},\"update_ns\":{},\"walk_io_ns\":{},\"other_ns\":{}}}",
-            self.load_ns, self.update_ns, self.walk_io_ns, self.other_ns
-        )
+    /// The slices as a [`fw_sim::json`] object, keys in field order.
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("load_ns", Json::u(self.load_ns)),
+            ("update_ns", Json::u(self.update_ns)),
+            ("walk_io_ns", Json::u(self.walk_io_ns)),
+            ("other_ns", Json::u(self.other_ns)),
+        ])
     }
 
     /// Fraction of the breakdown spent loading graph data.
@@ -154,22 +157,21 @@ impl FaultSummary {
             + self.degraded_ops
     }
 
-    /// Hand-rolled JSON object; key order fixed, byte-deterministic.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"read_retries\":{},\"recovered_reads\":{},\"hard_read_fails\":{},\"program_retries\":{},\"chip_stalls\":{},\"channel_stalls\":{},\"stall_ns\":{},\"retry_ns\":{},\"stalled_loads\":{},\"requeues\":{},\"degraded_ops\":{}}}",
-            self.read_retries,
-            self.recovered_reads,
-            self.hard_read_fails,
-            self.program_retries,
-            self.chip_stalls,
-            self.channel_stalls,
-            self.stall_ns,
-            self.retry_ns,
-            self.stalled_loads,
-            self.requeues,
-            self.degraded_ops
-        )
+    /// The counters as a [`fw_sim::json`] object, keys in field order.
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("read_retries", Json::u(self.read_retries)),
+            ("recovered_reads", Json::u(self.recovered_reads)),
+            ("hard_read_fails", Json::u(self.hard_read_fails)),
+            ("program_retries", Json::u(self.program_retries)),
+            ("chip_stalls", Json::u(self.chip_stalls)),
+            ("channel_stalls", Json::u(self.channel_stalls)),
+            ("stall_ns", Json::u(self.stall_ns)),
+            ("retry_ns", Json::u(self.retry_ns)),
+            ("stalled_loads", Json::u(self.stalled_loads)),
+            ("requeues", Json::u(self.requeues)),
+            ("degraded_ops", Json::u(self.degraded_ops)),
+        ])
     }
 }
 
@@ -245,30 +247,27 @@ impl RunReport {
         other.time.as_nanos() as f64 / self.time.as_nanos() as f64
     }
 
-    /// Machine-readable one-run summary as a hand-rolled JSON object
-    /// (the workspace builds offline, no serde). Covers the scalar core
-    /// of the report — engine, simulated time, walks, [`RunStats`],
-    /// [`Traffic`], [`EngineBreakdown`] and achieved read bandwidth —
-    /// and deliberately excludes the bulky per-run vectors (`progress`,
-    /// `walk_log`) and the optional trace, which have their own
-    /// exporters. Key order is fixed and floats use fixed precision, so
-    /// identical runs serialize byte-identically.
-    pub fn summary_json(&self) -> String {
-        let faults = match &self.faults {
-            Some(f) => format!(",\"faults\":{}", f.to_json()),
-            None => String::new(),
-        };
-        format!(
-            "{{\"engine\":\"{}\",\"time_ns\":{},\"walks\":{},\"stats\":{},\"traffic\":{},\"breakdown\":{},\"read_bw\":{:.3}{}}}",
-            self.engine,
-            self.time.as_nanos(),
-            self.walks,
-            self.stats.to_json(),
-            self.traffic.to_json(),
-            self.breakdown.to_json(),
-            self.read_bw,
-            faults
-        )
+    /// Machine-readable one-run summary as a [`fw_sim::json`] tree.
+    /// Covers the scalar core of the report — engine, simulated time,
+    /// walks, [`RunStats`], [`Traffic`], [`EngineBreakdown`] and achieved
+    /// read bandwidth — and deliberately excludes the bulky per-run
+    /// vectors (`progress`, `walk_log`) and the optional trace, which have
+    /// their own exporters. Key order is fixed and floats use fixed
+    /// precision, so identical runs serialize byte-identically.
+    pub fn summary_json(&self) -> Json {
+        let mut pairs = vec![
+            ("engine", Json::s(self.engine)),
+            ("time_ns", Json::u(self.time.as_nanos())),
+            ("walks", Json::u(self.walks)),
+            ("stats", self.stats.to_json()),
+            ("traffic", self.traffic.to_json()),
+            ("breakdown", self.breakdown.to_json()),
+            ("read_bw", Json::f(self.read_bw, 3)),
+        ];
+        if let Some(f) = &self.faults {
+            pairs.push(("faults", f.to_json()));
+        }
+        Json::obj(pairs)
     }
 }
 
@@ -340,18 +339,17 @@ mod tests {
         };
         let json = r.summary_json();
         assert_eq!(json, r.summary_json());
-        assert!(json.contains("\"engine\":\"flashwalker\""));
-        assert!(json.contains("\"time_ns\":1234567"));
-        assert!(json.contains("\"flash_read_bytes\":4096"));
-        assert!(json.contains("\"read_bw\":12.346"));
-        // Cheap well-formedness: balanced braces, no trailing commas.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(!json.contains(",}"));
+        assert_eq!(json.get("engine"), Some(&Json::s("flashwalker")));
+        assert_eq!(json.get("time_ns"), Some(&Json::u(1_234_567)));
+        let traffic = json.get("traffic").expect("traffic object");
+        assert_eq!(traffic.get("flash_read_bytes"), Some(&Json::u(4096)));
+        assert_eq!(json.get("read_bw"), Some(&Json::Num("12.346".into())));
         // Host metrics must never leak into the simulated summary.
-        assert!(!json.contains("host_events"));
+        let text = json.render();
+        assert!(!text.contains("host_events"));
         // Fault-free runs must not carry a faults key: the byte-identity
         // contract against pre-fault baselines depends on it.
-        assert!(!json.contains("faults"));
+        assert!(!text.contains("faults"));
 
         let mut faulted = r.clone();
         faulted.faults = Some(FaultSummary {
@@ -362,11 +360,13 @@ mod tests {
             degraded_ops: 1,
             ..FaultSummary::default()
         });
-        let fj = faulted.summary_json();
-        assert!(fj.ends_with("}}"), "faults object closes the summary: {fj}");
-        assert!(fj.contains("\"faults\":{\"read_retries\":5"));
-        assert!(fj.contains("\"degraded_ops\":1"));
-        assert_eq!(fj.matches('{').count(), fj.matches('}').count());
+        let Json::Obj(pairs) = faulted.summary_json() else {
+            panic!("summary is an object")
+        };
+        let (last_key, faults) = pairs.last().expect("non-empty summary");
+        assert_eq!(last_key, "faults", "faults object closes the summary");
+        assert_eq!(faults.get("read_retries"), Some(&Json::u(5)));
+        assert_eq!(faults.get("degraded_ops"), Some(&Json::u(1)));
         // read_retries + requeues + degraded_ops (hard fails are already
         // counted through their ladder retries).
         assert_eq!(faulted.faults.unwrap().total_events(), 5 + 2 + 1);

@@ -117,11 +117,17 @@ fn traced_runs_are_deterministic() {
     let pg = partition(&csr);
     let a = run_fw(&csr, &pg, 11).trace.unwrap();
     let b = run_fw(&csr, &pg, 11).trace.unwrap();
-    assert_eq!(chrome_trace_json(&a), chrome_trace_json(&b));
+    assert_eq!(
+        chrome_trace_json(&a, None, None),
+        chrome_trace_json(&b, None, None)
+    );
 
     let a = run_gw(&csr, 21).trace.unwrap();
     let b = run_gw(&csr, 21).trace.unwrap();
-    assert_eq!(chrome_trace_json(&a), chrome_trace_json(&b));
+    assert_eq!(
+        chrome_trace_json(&a, None, None),
+        chrome_trace_json(&b, None, None)
+    );
 
     let run_iter = |seed| {
         IterativeSim::new(&csr, 4, gw_cfg(), SsdConfig::tiny(), seed)
@@ -130,7 +136,10 @@ fn traced_runs_are_deterministic() {
     };
     let a = run_iter(31).trace.unwrap();
     let b = run_iter(31).trace.unwrap();
-    assert_eq!(chrome_trace_json(&a), chrome_trace_json(&b));
+    assert_eq!(
+        chrome_trace_json(&a, None, None),
+        chrome_trace_json(&b, None, None)
+    );
 }
 
 #[test]
@@ -159,5 +168,5 @@ fn unified_trait_run_carries_trace() {
     let unified = eng.run(wl);
     let trace = unified.trace.expect("trait path preserves the trace");
     assert!(trace.bottleneck().is_some());
-    assert!(!chrome_trace_json(&trace).is_empty());
+    assert!(!chrome_trace_json(&trace, None, None).is_empty());
 }
