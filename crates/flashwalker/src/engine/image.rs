@@ -1,0 +1,210 @@
+//! The flash image: everything about a FlashWalker device that is fixed
+//! once the partitioned graph has been preprocessed into flash.
+//!
+//! In the paper the graph is partitioned and written into the SSD once;
+//! every walk batch then runs against that resident layout. A
+//! [`FlashImage`] is that layout plus the tables and per-partition
+//! selections derived from it: graph block placements, the subgraph
+//! mapping, range and dense tables, each partition's mapping-table window,
+//! per-chip scheduler candidates and hot sets. It is a pure function of
+//! `(pg, AccelConfig, SsdConfig)` and is never mutated by a run, so one
+//! image can back any number of [`super::FlashWalkerSim`] runs (the
+//! serving loop builds one per service) while each run owns only its
+//! mutable device state.
+
+use fw_graph::{PartitionedGraph, RangeTable, SubgraphMappingTable};
+use fw_nand::layout::GraphBlockPlacement;
+use fw_nand::{GraphLayout, SsdConfig};
+
+use crate::config::AccelConfig;
+use crate::tables::DenseTable;
+
+use super::state::SgId;
+
+/// The preprocessed, read-only device image of one partitioned graph.
+#[derive(Debug)]
+pub struct FlashImage {
+    pub(super) cfg: AccelConfig,
+    pub(super) ssd_cfg: SsdConfig,
+    /// Blocks per plane reserved for the graph region; the FTL manages
+    /// the rest.
+    pub(super) static_blocks: u32,
+    /// Where each subgraph's graph block lives, indexed by subgraph id.
+    pub(super) placements: Vec<GraphBlockPlacement>,
+    pub(super) table: SubgraphMappingTable,
+    pub(super) ranges: RangeTable,
+    pub(super) dense: DenseTable,
+    /// Mapping-table entry window per partition.
+    pub(super) part_windows: Vec<(usize, usize)>,
+    /// Per-partition scheduler candidates and hot sets.
+    pub(super) parts: Vec<PartitionImage>,
+}
+
+/// What a partition setup selects, precomputed: the partition walk
+/// buffer's entries grouped by chip, and the hot subgraphs of the board
+/// and of every channel.
+#[derive(Debug)]
+pub(super) struct PartitionImage {
+    /// Chip `c`'s PWB entry indices are
+    /// `chip_pwb[chip_pwb_start[c]..chip_pwb_start[c + 1]]`, ascending.
+    chip_pwb_start: Vec<u32>,
+    chip_pwb: Vec<u32>,
+    /// Global top in-degree subgraphs (board-resident).
+    board_hot: Vec<SgId>,
+    /// Channel `ch`'s hot subgraphs are
+    /// `chan_hot[chan_hot_start[ch]..chan_hot_start[ch + 1]]`.
+    chan_hot_start: Vec<u32>,
+    chan_hot: Vec<SgId>,
+}
+
+impl PartitionImage {
+    /// PWB entry indices (ascending) of the subgraphs stored on `chip`:
+    /// the scheduler's candidate scan walks only these.
+    pub(super) fn chip_candidates(&self, chip: u32) -> &[u32] {
+        let c = chip as usize;
+        &self.chip_pwb[self.chip_pwb_start[c] as usize..self.chip_pwb_start[c + 1] as usize]
+    }
+
+    /// The board-level accelerator's hot subgraphs.
+    pub(super) fn board_hot(&self) -> &[SgId] {
+        &self.board_hot
+    }
+
+    /// Channel `ch`'s hot subgraphs.
+    pub(super) fn chan_hot(&self, ch: u32) -> &[SgId] {
+        let c = ch as usize;
+        &self.chan_hot[self.chan_hot_start[c] as usize..self.chan_hot_start[c + 1] as usize]
+    }
+
+    /// Every hot subgraph the partition setup loads: the board's, then
+    /// each channel's in channel order.
+    pub(super) fn hot_loads(&self) -> impl Iterator<Item = SgId> + '_ {
+        self.board_hot.iter().chain(&self.chan_hot).copied()
+    }
+}
+
+impl FlashImage {
+    /// Preprocess `pg` into a device image: lay the graph out in the
+    /// static region of an `ssd_cfg` device and build the board tables and
+    /// per-partition selections `cfg` calls for.
+    ///
+    /// # Panics
+    /// Panics if the graph does not fit the static region, or if the
+    /// partition size exceeds the mapping-table capacity.
+    pub fn new(pg: &PartitionedGraph, cfg: AccelConfig, ssd_cfg: SsdConfig) -> Self {
+        assert!(
+            pg.config.subgraphs_per_partition <= cfg.mapping_table_entries(),
+            "partition ({}) exceeds mapping table capacity ({})",
+            pg.config.subgraphs_per_partition,
+            cfg.mapping_table_entries()
+        );
+        // Lay the graph out in the static region, leaving the rest to the
+        // FTL for walk spills.
+        let g = ssd_cfg.geometry;
+        let pages_per_sg = (pg.config.subgraph_bytes / g.page_bytes).max(1) as u32;
+        let total_pages = pg.num_subgraphs() as u64 * pages_per_sg as u64;
+        let per_plane_pages = total_pages.div_ceil(g.num_planes() as u64);
+        let static_blocks = (per_plane_pages.div_ceil(g.pages_per_block as u64) as u32 + 1)
+            .min(g.blocks_per_plane - 4);
+        let mut layout = GraphLayout::new(g, static_blocks);
+        let placements: Vec<GraphBlockPlacement> = (0..pg.num_subgraphs())
+            .map(|_| layout.place_block(pages_per_sg))
+            .collect();
+
+        let table = SubgraphMappingTable::build(pg);
+        let ranges = RangeTable::build(&table, cfg.range_size);
+        let dense = DenseTable::build(pg);
+
+        // Per-partition entry windows.
+        let mut part_windows = vec![(usize::MAX, 0usize); pg.num_partitions() as usize];
+        for (i, e) in table.entries().iter().enumerate() {
+            let p = pg.partition_of(e.sg_id) as usize;
+            let w = &mut part_windows[p];
+            w.0 = w.0.min(i);
+            w.1 = w.1.max(i + 1);
+        }
+        for w in &mut part_windows {
+            if w.0 == usize::MAX {
+                *w = (0, 0);
+            }
+        }
+
+        let parts = (0..pg.num_partitions())
+            .map(|p| PartitionImage::new(pg, &cfg, &ssd_cfg, &placements, p))
+            .collect();
+        FlashImage {
+            cfg,
+            ssd_cfg,
+            static_blocks,
+            placements,
+            table,
+            ranges,
+            dense,
+            part_windows,
+            parts,
+        }
+    }
+}
+
+impl PartitionImage {
+    fn new(
+        pg: &PartitionedGraph,
+        cfg: &AccelConfig,
+        ssd_cfg: &SsdConfig,
+        placements: &[GraphBlockPlacement],
+        p: u32,
+    ) -> Self {
+        let g = ssd_cfg.geometry;
+        let range = pg.partition_range(p);
+        // Group the partition's PWB entries by their (static) chip,
+        // ascending within each chip: a counting sort over chips.
+        let mut chip_pwb_start = vec![0u32; g.num_chips() as usize + 1];
+        for sg in range.clone() {
+            chip_pwb_start[placements[sg as usize].chip as usize + 1] += 1;
+        }
+        for c in 0..g.num_chips() as usize {
+            chip_pwb_start[c + 1] += chip_pwb_start[c];
+        }
+        let mut fill = chip_pwb_start.clone();
+        let mut chip_pwb = vec![0u32; range.len()];
+        for (idx, sg) in range.clone().enumerate() {
+            let slot = &mut fill[placements[sg as usize].chip as usize];
+            chip_pwb[*slot as usize] = idx as u32;
+            *slot += 1;
+        }
+
+        // Hot-subgraph selection: "K subgraphs whose in-degree are top K"
+        // per channel, and the global top set on the board. Dense slices
+        // are excluded (they need the dense table to route into).
+        let mut board_hot = Vec::new();
+        let mut per_chan: Vec<Vec<SgId>> = vec![Vec::new(); g.channels as usize];
+        if cfg.opts.hot_subgraphs {
+            let sgb = pg.config.subgraph_bytes;
+            let board_k = cfg.board_hot_slots(sgb) as usize;
+            let chan_k = cfg.chan_hot_slots(sgb) as usize;
+            let mut by_indeg: Vec<SgId> = range
+                .filter(|&sg| !pg.subgraphs[sg as usize].is_dense())
+                .collect();
+            by_indeg.sort_by_key(|&sg| std::cmp::Reverse(pg.subgraphs[sg as usize].in_degree));
+            board_hot = by_indeg.iter().copied().take(board_k).collect();
+            for &sg in &by_indeg {
+                let hot = &mut per_chan[placements[sg as usize].channel as usize];
+                if hot.len() < chan_k {
+                    hot.push(sg);
+                }
+            }
+        }
+        let mut chan_hot_start = Vec::with_capacity(per_chan.len() + 1);
+        chan_hot_start.push(0);
+        for hot in &per_chan {
+            chan_hot_start.push(chan_hot_start.last().copied().unwrap_or(0) + hot.len() as u32);
+        }
+        PartitionImage {
+            chip_pwb_start,
+            chip_pwb,
+            board_hot,
+            chan_hot_start,
+            chan_hot: per_chan.concat(),
+        }
+    }
+}

@@ -15,9 +15,11 @@
 //!   batches, board batches and destination resolution.
 //! * `partition` — the partition walk buffer, foreigner pages, partition
 //!   setup and switching.
+//! * `image` — the read-only [`FlashImage`]: graph layout, board tables
+//!   and per-partition selections, shareable across runs.
 //!
-//! This file owns the simulator struct, construction (graph layout,
-//! tables, per-level state) and the top-level event loop.
+//! This file owns the simulator struct, construction of the per-run
+//! device state, and the top-level event loop.
 //!
 //! ## Model granularity
 //!
@@ -55,6 +57,7 @@
 //!    set up and its foreigner pages are read back.
 
 mod events;
+mod image;
 mod partition;
 mod routing;
 mod sched;
@@ -65,12 +68,14 @@ pub mod step;
 mod tests;
 
 pub use events::{FwReport, FwStats};
+pub use image::FlashImage;
+
+use std::sync::Arc;
 
 use fw_dram::{Dram, DramConfig};
 use fw_fault::{derive_stream_seed, FaultProfile, FAULT_STREAM};
-use fw_graph::{Csr, PartitionedGraph, RangeTable, SubgraphMappingTable};
-use fw_nand::layout::GraphBlockPlacement;
-use fw_nand::{GraphLayout, Lpn, Ssd, SsdConfig};
+use fw_graph::{Csr, PartitionedGraph};
+use fw_nand::{Lpn, Ssd, SsdConfig};
 use fw_sim::{
     CriticalConfig, CriticalRecorder, EventQueue, JourneyConfig, JourneyRecorder, SimTime,
     TimeSeries, TraceConfig, Tracer, Xoshiro256pp,
@@ -78,9 +83,9 @@ use fw_sim::{
 use fw_walk::{FaultSummary, RunReport, WalkEngine, Workload, WALK_BYTES};
 
 use crate::config::AccelConfig;
-use crate::tables::{DenseTable, WalkQueryCache};
+use crate::tables::WalkQueryCache;
 use events::Ev;
-use state::{ChannelState, ChipState, ForeignStore, Pools, Pwb, SgId, Slot, TWalk};
+use state::{ChannelState, ChipSlots, ChipState, ForeignStore, Pools, Pwb, SgId, Slot, TWalk};
 use step::prewalk_slice;
 
 /// A recorder lane: one per channel (carrying that channel's chip and
@@ -103,14 +108,10 @@ pub struct FlashWalkerSim<'g> {
     csr: &'g Csr,
     pg: &'g PartitionedGraph,
     wl: Workload,
-    table: SubgraphMappingTable,
-    ranges: RangeTable,
-    dense: DenseTable,
+    /// The preprocessed graph layout and tables this run walks on.
+    image: Arc<FlashImage>,
     ssd: Ssd,
     dram: Dram,
-    placements: Vec<GraphBlockPlacement>,
-    /// Mapping-table entry window per partition.
-    part_windows: Vec<(usize, usize)>,
     events: EventQueue<Ev>,
     /// The walk RNG: every sampling decision draws from this one
     /// generator, in event order.
@@ -123,15 +124,12 @@ pub struct FlashWalkerSim<'g> {
     faults: FaultProfile,
 
     chips: Vec<ChipState>,
+    slots: ChipSlots,
     channels: Vec<ChannelState>,
     board: state::BoardState,
     caches: Vec<WalkQueryCache>,
 
     pwb: Pwb,
-    /// Per-chip PWB entry indices (ascending), rebuilt at each partition
-    /// setup: the scheduler's candidate scan only walks the entries that
-    /// can actually be placed on the chip instead of the whole partition.
-    chip_pwb: Vec<Vec<u32>>,
     foreign: ForeignStore,
     current_partition: u32,
     /// Quiesce mode: the scheduler may load pools below the threshold.
@@ -186,9 +184,9 @@ fn page_walks(ssd: &Ssd) -> u64 {
 }
 
 impl<'g> FlashWalkerSim<'g> {
-    /// Build a simulator over a partitioned graph. `static_blocks` of each
-    /// plane are reserved for the graph region. The workload is supplied
-    /// at run time ([`Self::run_detailed`] / [`WalkEngine::run`]).
+    /// Build a simulator over a partitioned graph, preprocessing it into
+    /// a private [`FlashImage`]. The workload is supplied at run time
+    /// ([`Self::run_detailed`] / [`WalkEngine::run`]).
     ///
     /// # Panics
     /// Panics if the graph does not fit the static region, or if the
@@ -200,52 +198,34 @@ impl<'g> FlashWalkerSim<'g> {
         ssd_cfg: SsdConfig,
         seed: u64,
     ) -> Self {
+        Self::from_image(csr, pg, Arc::new(FlashImage::new(pg, cfg, ssd_cfg)), seed)
+    }
+
+    /// Build a simulator that runs on a prebuilt `image` of `pg`: only
+    /// the per-run device state (FTL, resource timelines, accelerator
+    /// state, queues) is created. Equivalent to [`Self::new`] with the
+    /// image's configurations, report for report.
+    ///
+    /// # Panics
+    /// Panics if `image` was built for a graph with a different
+    /// subgraph or partition count.
+    pub fn from_image(
+        csr: &'g Csr,
+        pg: &'g PartitionedGraph,
+        image: Arc<FlashImage>,
+        seed: u64,
+    ) -> Self {
         assert!(
-            pg.config.subgraphs_per_partition <= cfg.mapping_table_entries(),
-            "partition ({}) exceeds mapping table capacity ({})",
-            pg.config.subgraphs_per_partition,
-            cfg.mapping_table_entries()
+            image.placements.len() == pg.num_subgraphs() as usize
+                && image.parts.len() == pg.num_partitions() as usize,
+            "flash image built for another graph"
         );
-        // Lay the graph out in the static region, leaving the rest to the
-        // FTL for walk spills.
-        let pages_per_sg = (pg.config.subgraph_bytes / ssd_cfg.geometry.page_bytes).max(1) as u32;
-        let total_pages = pg.num_subgraphs() as u64 * pages_per_sg as u64;
-        let per_plane_pages = total_pages.div_ceil(ssd_cfg.geometry.num_planes() as u64);
-        let static_blocks =
-            (per_plane_pages.div_ceil(ssd_cfg.geometry.pages_per_block as u64) as u32 + 1)
-                .min(ssd_cfg.geometry.blocks_per_plane - 4);
-        let mut layout = GraphLayout::new(ssd_cfg.geometry, static_blocks);
-        let placements: Vec<GraphBlockPlacement> = (0..pg.num_subgraphs())
-            .map(|_| layout.place_block(pages_per_sg))
-            .collect();
-
-        let table = SubgraphMappingTable::build(pg);
-        let ranges = RangeTable::build(&table, cfg.range_size);
-        let dense = DenseTable::build(pg);
-
-        // Per-partition entry windows.
-        let mut part_windows = vec![(usize::MAX, 0usize); pg.num_partitions() as usize];
-        for (i, e) in table.entries().iter().enumerate() {
-            let p = pg.partition_of(e.sg_id) as usize;
-            let w = &mut part_windows[p];
-            w.0 = w.0.min(i);
-            w.1 = w.1.max(i + 1);
-        }
-        for w in &mut part_windows {
-            if w.0 == usize::MAX {
-                *w = (0, 0);
-            }
-        }
-
-        let ssd = Ssd::new(ssd_cfg, static_blocks);
-        let geometry = ssd_cfg.geometry;
+        let cfg = image.cfg;
+        let ssd = Ssd::new(image.ssd_cfg, image.static_blocks);
+        let geometry = image.ssd_cfg.geometry;
         let chip_slots = cfg.chip_slots(pg.config.subgraph_bytes);
-        let chips = (0..geometry.num_chips())
-            .map(|_| ChipState::new(chip_slots))
-            .collect();
         let channels = (0..geometry.channels)
             .map(|_| ChannelState {
-                hot: Vec::new(),
                 inbox: Vec::new(),
                 busy: false,
             })
@@ -259,21 +239,17 @@ impl<'g> FlashWalkerSim<'g> {
             csr,
             pg,
             wl: Workload::paper_default(0),
-            table,
-            ranges,
-            dense,
+            image,
             ssd,
             dram: Dram::new(DramConfig::ddr4_1600()),
-            placements,
-            part_windows,
             events: EventQueue::new(),
             rng: Xoshiro256pp::new(seed),
             seed,
             faults: FaultProfile::none(),
-            chips,
+            chips: vec![ChipState::default(); geometry.num_chips() as usize],
+            slots: ChipSlots::new(geometry.num_chips(), chip_slots),
             channels,
             board: state::BoardState {
-                hot: Vec::new(),
                 inbox: Vec::new(),
                 busy: false,
                 foreigner_buf: Vec::new(),
@@ -281,7 +257,6 @@ impl<'g> FlashWalkerSim<'g> {
             },
             caches,
             pwb: Pwb::new(0, 1, 4),
-            chip_pwb: Vec::new(),
             foreign: ForeignStore::default(),
             current_partition: 0,
             relaxed_pick: false,
@@ -402,7 +377,7 @@ impl<'g> FlashWalkerSim<'g> {
     }
 
     fn chip_of_sg(&self, sg: SgId) -> u32 {
-        self.placements[sg as usize].chip
+        self.image.placements[sg as usize].chip
     }
 
     fn channel_of_chip(&self, chip: u32) -> u32 {
@@ -518,7 +493,7 @@ impl<'g> FlashWalkerSim<'g> {
             // slots so the scheduler can make progress, then refill.
             self.relaxed_pick = true;
             for chip in 0..self.num_chips() {
-                for slot in &mut self.chips[chip as usize].slots {
+                for slot in self.slots.of_mut(chip) {
                     if matches!(slot, Slot::Loaded { queue, .. } if queue.is_empty()) {
                         *slot = Slot::Empty;
                     }

@@ -4,10 +4,12 @@
 //! drain/switch sequence that moves the device to the next partition with
 //! work.
 
+use std::sync::Arc;
+
 use fw_sim::{JourneyEventKind, SimTime};
 use fw_walk::WALK_BYTES;
 
-use super::state::{SgId, SpillPage, TWalk};
+use super::state::{SpillPage, TWalk};
 use super::{page_walks, FlashWalkerSim};
 
 impl FlashWalkerSim<'_> {
@@ -105,7 +107,7 @@ impl FlashWalkerSim<'_> {
     // Partition management
     // ------------------------------------------------------------------
 
-    /// Set up partition `p`: fresh PWB, hot-subgraph selection, foreigner
+    /// Set up partition `p`: fresh PWB, hot-subgraph loads, foreigner
     /// read-back.
     pub(super) fn setup_partition(&mut self, p: u32, now: SimTime, charge: bool) {
         self.current_partition = p;
@@ -114,56 +116,17 @@ impl FlashWalkerSim<'_> {
         let len = range.len();
         let quota = (self.cfg.dram_pwb_bytes / len.max(1) as u64) / WALK_BYTES;
         self.pwb = super::state::Pwb::new(range.start, len, quota);
-        // Group this partition's PWB entries by their (static) chip so
-        // the scheduler scans only a chip's own candidates. Ascending
-        // index order matches the old full scan, so picks are identical.
-        self.chip_pwb = vec![Vec::new(); self.num_chips() as usize];
-        for idx in 0..len {
-            let chip = self.chip_of_sg(range.start + idx as u32);
-            self.chip_pwb[chip as usize].push(idx as u32);
-        }
 
-        // Hot-subgraph selection: "K subgraphs whose in-degree are top K"
-        // per channel, and the global top set on the board. Dense slices
-        // are excluded (they need the dense table to route into).
-        if self.cfg.opts.hot_subgraphs {
-            let sgb = self.pg.config.subgraph_bytes;
-            let board_k = self.cfg.board_hot_slots(sgb) as usize;
-            let chan_k = self.cfg.chan_hot_slots(sgb) as usize;
-            let mut by_indeg: Vec<SgId> = range
-                .clone()
-                .filter(|&sg| !self.pg.subgraphs[sg as usize].is_dense())
-                .collect();
-            by_indeg.sort_by_key(|&sg| std::cmp::Reverse(self.pg.subgraphs[sg as usize].in_degree));
-            self.board.hot = by_indeg.iter().copied().take(board_k).collect();
-            for ch in 0..self.channels.len() as u32 {
-                let hot: Vec<SgId> = by_indeg
-                    .iter()
-                    .copied()
-                    .filter(|&sg| self.channel_of_chip(self.chip_of_sg(sg)) == ch)
-                    .take(chan_k)
-                    .collect();
-                self.channels[ch as usize].hot = hot;
-            }
-            // Charge the hot-subgraph loads: pages cross the channel bus
-            // to the channel accelerator / the controller.
-            if charge {
-                let mut hot_all: Vec<SgId> = self.board.hot.clone();
-                for c in &self.channels {
-                    hot_all.extend(&c.hot);
+        // Charge the hot-subgraph loads (the image holds the per-chip
+        // scheduler candidates and the hot sets themselves): pages cross
+        // the channel bus to the channel accelerator / the controller.
+        if charge {
+            let image = Arc::clone(&self.image);
+            for sg in image.parts[p as usize].hot_loads() {
+                for &ppa in &image.placements[sg as usize].pages {
+                    self.ssd.read_page_to_controller(now, ppa);
+                    self.stats.hot_load_pages += 1;
                 }
-                for sg in hot_all {
-                    let pages = self.placements[sg as usize].pages.clone();
-                    for ppa in pages {
-                        self.ssd.read_page_to_controller(now, ppa);
-                        self.stats.hot_load_pages += 1;
-                    }
-                }
-            }
-        } else {
-            self.board.hot.clear();
-            for c in &mut self.channels {
-                c.hot.clear();
             }
         }
 
@@ -179,11 +142,20 @@ impl FlashWalkerSim<'_> {
                 }
             }
         }
-        for idx in 0..self.pwb.entries.len() {
-            self.refresh_score(idx);
-        }
+        self.refresh_filled_scores();
         for chip in 0..self.num_chips() {
             self.maybe_fill_chip(chip, now);
+        }
+    }
+
+    /// Refresh the score of every PWB entry holding walks. Only called
+    /// right after a fresh buffer is filled, where an empty entry still
+    /// has the 0.0 score a refresh would give it.
+    fn refresh_filled_scores(&mut self) {
+        for idx in 0..self.pwb.entries.len() {
+            if !self.pwb.entries[idx].is_empty() {
+                self.refresh_score(idx);
+            }
         }
     }
 
@@ -217,8 +189,6 @@ impl FlashWalkerSim<'_> {
         if !foreign_buf.is_empty() {
             self.flush_foreign_page(foreign_buf, SimTime::ZERO, false);
         }
-        for idx in 0..self.pwb.entries.len() {
-            self.refresh_score(idx);
-        }
+        self.refresh_filled_scores();
     }
 }

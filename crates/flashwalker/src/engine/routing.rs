@@ -2,6 +2,8 @@
 //! channel batches (hot subgraphs + approximate walk search), board
 //! batches (destination resolution and delivery fan-out).
 
+use std::sync::Arc;
+
 use fw_dram::DramOp;
 use fw_sim::{Duration, JourneyEventKind, SimTime};
 use fw_walk::WALK_BYTES;
@@ -17,18 +19,17 @@ impl FlashWalkerSim<'_> {
     // ------------------------------------------------------------------
 
     pub(super) fn try_start_chip(&mut self, chip: u32, now: SimTime) {
-        let c = &mut self.chips[chip as usize];
-        if c.busy || c.queued_walks() == 0 {
+        if self.chips[chip as usize].busy || self.slots.queued_walks(chip) == 0 {
             return;
         }
-        c.busy = true;
+        self.chips[chip as usize].busy = true;
         self.run_chip_batch(chip, now);
     }
 
     fn run_chip_batch(&mut self, chip: u32, now: SimTime) {
         let hops_before = self.stats.chip_hops;
         let sh = self.shard_of_chip(chip).index();
-        let queued = self.chips[chip as usize].queued_walks();
+        let queued = self.slots.queued_walks(chip);
         self.shard_tracers[sh].gauge("chip.queue", now, queued);
         // Snapshot loaded subgraphs and drain their queues into the
         // reusable scratch buffers (batch bodies never nest, so taking
@@ -37,7 +38,7 @@ impl FlashWalkerSim<'_> {
         let mut loaded = std::mem::take(&mut self.loaded_scratch);
         debug_assert!(work.is_empty() && loaded.is_empty());
         let cap = self.cfg.chip_batch_cap;
-        for slot in &mut self.chips[chip as usize].slots {
+        for slot in self.slots.of_mut(chip) {
             if let Slot::Loaded { sg, queue, fresh } = slot {
                 loaded.push(*sg);
                 let take = queue.len().min(cap.saturating_sub(work.len()));
@@ -171,7 +172,7 @@ impl FlashWalkerSim<'_> {
         // forever and starve the chip's other subgraphs (convoying).
         // Stragglers return through the normal roving path, paying the
         // channel-bus cost of their trip back to the board.
-        for slot in &mut self.chips[chip as usize].slots {
+        for slot in self.slots.of_mut(chip) {
             if let Slot::Loaded { queue, fresh, .. } = slot {
                 if !*fresh && queue.len() < self.cfg.evict_below as usize {
                     for mut tw in queue.drain(..) {
@@ -222,7 +223,7 @@ impl FlashWalkerSim<'_> {
     /// The load landed: the slot's walk set (PWB-fetched walks, then
     /// walks delivered during the load in arrival order) becomes its queue.
     pub(super) fn on_chip_loaded(&mut self, chip: u32, sg: SgId, now: SimTime) {
-        for slot in &mut self.chips[chip as usize].slots {
+        for slot in self.slots.of_mut(chip) {
             if let Slot::Loading { sg: s, walks } = slot {
                 if *s == sg {
                     let queue = std::mem::take(walks);
@@ -243,17 +244,14 @@ impl FlashWalkerSim<'_> {
             let sg = tw.dest.expect("delivery without destination");
             // A walk for a still-loading subgraph waits in that slot and
             // joins its queue when the load lands.
-            let slot_queue = self.chips[chip as usize]
-                .slots
-                .iter_mut()
-                .find_map(|s| match s {
-                    Slot::Loaded { sg: x, queue, .. }
-                    | Slot::Loading {
-                        sg: x,
-                        walks: queue,
-                    } if *x == sg => Some(queue),
-                    _ => None,
-                });
+            let slot_queue = self.slots.of_mut(chip).iter_mut().find_map(|s| match s {
+                Slot::Loaded { sg: x, queue, .. }
+                | Slot::Loading {
+                    sg: x,
+                    walks: queue,
+                } if *x == sg => Some(queue),
+                _ => None,
+            });
             match slot_queue {
                 Some(queue) => queue.push(tw),
                 // Evicted while the walk was in flight: back to the
@@ -290,10 +288,10 @@ impl FlashWalkerSim<'_> {
         let inbox_all = &mut self.channels[ch as usize].inbox;
         let take = inbox_all.len().min(self.cfg.chan_batch_cap);
         inbox.extend(inbox_all.drain(..take));
-        // Borrow the hot list by moving it out for the batch; restored
-        // below (nothing mutates it mid-batch — hot sets only change at
-        // partition setup).
-        let hot = std::mem::take(&mut self.channels[ch as usize].hot);
+        // Hot sets are part of the read-only image; a shared handle lets
+        // the batch borrow them alongside `&mut self`.
+        let image = Arc::clone(&self.image);
+        let hot = image.parts[self.current_partition as usize].chan_hot(ch);
         let mut guid_ops: u64 = 0;
         let mut upd_ops: u64 = 0;
         let mut to_board = self.pools.take_walks();
@@ -312,7 +310,7 @@ impl FlashWalkerSim<'_> {
             let mut done = false;
             if self.cfg.opts.hot_subgraphs {
                 loop {
-                    let (hit, gops) = guide_local(self.pg, &hot, tw.walk.cur);
+                    let (hit, gops) = guide_local(self.pg, hot, tw.walk.cur);
                     guid_ops += gops as u64;
                     let Some(_sg) = hit else { break };
                     let (res, ops) = hop_regular(&self.wl, self.csr, tw.walk, &mut wrng);
@@ -338,7 +336,7 @@ impl FlashWalkerSim<'_> {
             }
             // Approximate walk search (WQ): tag the walk with its range.
             if self.cfg.opts.walk_query {
-                let rl = self.ranges.lookup(tw.walk.cur);
+                let rl = image.ranges.lookup(tw.walk.cur);
                 guid_ops += rl.steps as u64;
                 tw.range = rl.range_id;
             } else {
@@ -348,7 +346,6 @@ impl FlashWalkerSim<'_> {
         }
         self.put_walk_rng(wrng);
         self.scratch = inbox;
-        self.channels[ch as usize].hot = hot;
 
         self.completed += completed_now;
         self.board.completed_buf += completed_now;
@@ -425,14 +422,15 @@ impl FlashWalkerSim<'_> {
         let mut gops: u64 = 1; // dense-table bloom probe
         let mut probes: u64 = 0;
         // Dense vertices mapping table first (§III-D).
-        if let Some(meta) = self.dense.lookup(v) {
+        let image = &*self.image;
+        if let Some(meta) = image.dense.lookup(v) {
             let cap = self.pg.config.dense_slice_edges();
             let (sg, ops) = prewalk_slice(&meta, cap, rng);
             gops += ops as u64;
             let dest = (self.pg.partition_of(sg) == self.current_partition).then_some(sg);
             return (dest, gops, probes);
         }
-        let (pstart, pend) = self.part_windows[self.current_partition as usize];
+        let (pstart, pend) = image.part_windows[self.current_partition as usize];
         if self.cfg.opts.walk_query {
             // Walk query cache probe. A hit may name a subgraph of another
             // partition (cached entries are graph-wide) — such walks are
@@ -447,12 +445,12 @@ impl FlashWalkerSim<'_> {
             // Narrowed search: range window ∩ partition window.
             let (s, e) = match tw.range {
                 Some(rid) => {
-                    let (rs, re) = self.ranges.entry_window(rid);
+                    let (rs, re) = image.ranges.entry_window(rid);
                     (rs.max(pstart), re.min(pend))
                 }
                 None => (pstart, pend),
             };
-            let l = self.table.lookup_in(v, s, e.max(s));
+            let l = image.table.lookup_in(v, s, e.max(s));
             // "A binary search always touches common nodes in the upper
             // level of the binary search tree, and therefore these nodes
             // exhibit strong temporal locality" (§III-D): the top
@@ -463,13 +461,13 @@ impl FlashWalkerSim<'_> {
             gops += charged;
             probes += charged;
             if let Some(sg) = l.sg_id {
-                let entry = self.table.entries()[l.entry_idx.expect("entry for hit") as usize];
+                let entry = image.table.entries()[l.entry_idx.expect("entry for hit") as usize];
                 self.caches[cache_idx].install(entry.low, entry.high, sg);
                 return (Some(sg), gops, probes);
             }
             (None, gops, probes)
         } else {
-            let l = self.table.lookup_in(v, pstart, pend);
+            let l = image.table.lookup_in(v, pstart, pend);
             gops += l.steps as u64;
             probes += l.steps as u64;
             (l.sg_id, gops, probes)
@@ -484,8 +482,9 @@ impl FlashWalkerSim<'_> {
         debug_assert!(inbox.is_empty());
         let take = self.board.inbox.len().min(self.cfg.board_batch_cap);
         inbox.extend(self.board.inbox.drain(..take));
-        // Moved out for the batch, restored below (see run_channel_batch).
-        let hot = std::mem::take(&mut self.board.hot);
+        // Shared image handle, as in run_channel_batch.
+        let image = Arc::clone(&self.image);
+        let hot = image.parts[self.current_partition as usize].board_hot();
         let mut guid_ops: u64 = 0;
         let mut upd_ops: u64 = 0;
         let mut map_probes: u64 = 0;
@@ -552,7 +551,7 @@ impl FlashWalkerSim<'_> {
                     tw.dest = Some(sg);
                     tw.range = None;
                     let chip = self.chip_of_sg(sg);
-                    if self.chips[chip as usize].slot_of(sg).is_some() {
+                    if self.slots.slot_of(chip, sg).is_some() {
                         // Deliver straight to the loaded slot.
                         self.stats.deliveries += 1;
                         deliveries.push_pooled(chip, tw, &mut self.pools);
@@ -572,7 +571,6 @@ impl FlashWalkerSim<'_> {
         }
         self.put_walk_rng(wrng);
         self.scratch = inbox;
-        self.board.hot = hot;
 
         // Flush foreigner pages if the buffer overflowed.
         let pw = page_walks(&self.ssd) as usize;
@@ -771,7 +769,7 @@ mod tests {
         let walks = parked.iter().map(|&id| bound_for(&pg, sg, id)).collect();
         sim.on_chip_deliver(chip, walks, SimTime(1_000));
         assert_eq!(sim.events.len(), pending, "a parked walk schedules nothing");
-        assert_eq!(sim.chips[chip as usize].queued_walks(), 0);
+        assert_eq!(sim.slots.queued_walks(chip), 0);
 
         // A walk whose subgraph is neither loading nor loaded goes back to
         // the partition walk buffer.
@@ -783,8 +781,8 @@ mod tests {
         // arrival order. A busy chip keeps the queue from being drained.
         sim.chips[chip as usize].busy = true;
         sim.on_chip_loaded(chip, sg, SimTime(2_000));
-        let slot = sim.chips[chip as usize].slot_of(sg).expect("loaded");
-        let Slot::Loaded { queue, .. } = &sim.chips[chip as usize].slots[slot] else {
+        let slot = sim.slots.slot_of(chip, sg).expect("loaded");
+        let Slot::Loaded { queue, .. } = &sim.slots.of(chip)[slot] else {
             unreachable!("slot_of only finds loaded slots");
         };
         let ids: Vec<u32> = queue.iter().map(|tw| tw.walk.id).collect();

@@ -1,6 +1,8 @@
 //! The subgraph scheduler: Eq. 1 scoring over PWB entries and filling of
 //! idle chip slots, plus the subgraph-load path it triggers.
 
+use std::sync::Arc;
+
 use fw_dram::DramOp;
 use fw_nand::Ppa;
 use fw_sim::{Duration, JourneyEventKind, SimTime};
@@ -29,7 +31,7 @@ impl FlashWalkerSim<'_> {
     /// subgraph of this chip that still has walks.
     pub(super) fn maybe_fill_chip(&mut self, chip: u32, now: SimTime) {
         loop {
-            let Some(slot) = self.chips[chip as usize].free_slot() else {
+            let Some(slot) = self.slots.free_slot(chip) else {
                 self.stats.fill_no_slot += 1;
                 return;
             };
@@ -38,7 +40,7 @@ impl FlashWalkerSim<'_> {
                 return;
             };
             let walks = self.issue_load(chip, sg, now);
-            self.chips[chip as usize].slots[slot] = Slot::Loading { sg, walks };
+            self.slots.of_mut(chip)[slot] = Slot::Loading { sg, walks };
         }
     }
 
@@ -47,17 +49,15 @@ impl FlashWalkerSim<'_> {
     /// restricts that subgraphs fetched by a chip-level accelerator must
     /// be in the same chip's flash planes.")
     pub(super) fn pick_subgraph(&self, chip: u32, relaxed: bool) -> Option<SgId> {
-        let chip_state = &self.chips[chip as usize];
         let threshold = if relaxed { 1 } else { self.cfg.min_load_walks };
         let mut best: Option<(f64, SgId)> = None;
-        for &idx in &self.chip_pwb[chip as usize] {
+        let part = &self.image.parts[self.current_partition as usize];
+        for &idx in part.chip_candidates(chip) {
             let idx = idx as usize;
             let entry = &self.pwb.entries[idx];
             let sg = self.pwb.first_sg + idx as u32;
-            if chip_state.resident().any(|r| r == sg) {
-                continue;
-            }
-            if entry.total_walks() < threshold {
+            // The cheap walk-count test first: most entries are empty.
+            if entry.total_walks() < threshold || self.slots.resident(chip).any(|r| r == sg) {
                 continue;
             }
             let score = self.pwb.stale_score[idx].max(entry.total_walks() as f64 * 1e-9);
@@ -86,11 +86,10 @@ impl FlashWalkerSim<'_> {
         // Fault segments happen before the walk set is known; collected
         // here and replayed onto each sampled fetched walk below.
         let mut j_faults: Vec<(JourneyEventKind, SimTime, SimTime)> = Vec::new();
-        // Graph block pages: chip-private path, no channel traffic
-        // (index loop: `Ppa` is `Copy`, so no placement clone needed).
+        // Graph block pages: chip-private path, no channel traffic.
+        let image = Arc::clone(&self.image);
         let mut array_done = now;
-        for i in 0..self.placements[sg as usize].pages.len() {
-            let ppa = self.placements[sg as usize].pages[i];
+        for &ppa in &image.placements[sg as usize].pages {
             let (r, fault) = self.ssd.array_read_checked(now, ppa);
             let mut end = r.end;
             if j_on && fault.extra.as_nanos() > 0 {
@@ -296,7 +295,7 @@ mod tests {
         let other = (0..sim.num_chips()).find(|&c| c != chip0).unwrap();
         assert_eq!(sim.pick_subgraph(other, true), None, "wrong chip");
         // Mark sg 0 resident: it must no longer be a candidate.
-        sim.chips[chip0 as usize].slots[0] = Slot::Loading {
+        sim.slots.of_mut(chip0)[0] = Slot::Loading {
             sg: 0,
             walks: Vec::new(),
         };
@@ -316,7 +315,7 @@ mod tests {
         assert!(!sim.events.is_empty(), "ChipLoaded event scheduled");
         // The PWB entry was drained into the loading slot.
         assert!(matches!(
-            &sim.chips[chip0 as usize].slots[0],
+            &sim.slots.of(chip0)[0],
             Slot::Loading { sg: 0, walks } if walks.len() == 50
         ));
         assert_eq!(sim.pwb.entries[0].walks.len(), 0);

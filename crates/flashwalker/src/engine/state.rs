@@ -59,30 +59,51 @@ pub enum Slot {
     },
 }
 
-/// Chip-level accelerator state.
-#[derive(Debug, Clone)]
+/// Chip-level accelerator state (its subgraph buffer slots live in
+/// [`ChipSlots`]).
+#[derive(Debug, Clone, Default)]
 pub struct ChipState {
-    /// Subgraph buffer slots.
-    pub slots: Vec<Slot>,
     /// An update batch is running.
     pub busy: bool,
     /// Completed walks buffered, awaiting a page-sized flush.
     pub completed_buf: u64,
 }
 
-impl ChipState {
-    /// A chip with `n_slots` empty slots.
-    pub fn new(n_slots: u32) -> Self {
-        ChipState {
-            slots: vec![Slot::Empty; n_slots as usize],
-            busy: false,
-            completed_buf: 0,
+/// Every chip's subgraph buffer slots in one array (one allocation for
+/// the whole device): chip `c` owns `slots[c * per_chip..(c + 1) * per_chip]`.
+#[derive(Debug, Clone)]
+pub struct ChipSlots {
+    slots: Vec<Slot>,
+    per_chip: usize,
+}
+
+impl ChipSlots {
+    /// `chips` chips with `per_chip` empty slots each.
+    pub fn new(chips: u32, per_chip: u32) -> Self {
+        let per_chip = per_chip as usize;
+        ChipSlots {
+            slots: std::iter::repeat_with(|| Slot::Empty)
+                .take(chips as usize * per_chip)
+                .collect(),
+            per_chip,
         }
     }
 
-    /// Total walks queued across slots.
-    pub fn queued_walks(&self) -> u64 {
-        self.slots
+    /// Chip `chip`'s slots.
+    pub fn of(&self, chip: u32) -> &[Slot] {
+        let c = chip as usize * self.per_chip;
+        &self.slots[c..c + self.per_chip]
+    }
+
+    /// Chip `chip`'s slots, mutably.
+    pub fn of_mut(&mut self, chip: u32) -> &mut [Slot] {
+        let c = chip as usize * self.per_chip;
+        &mut self.slots[c..c + self.per_chip]
+    }
+
+    /// Total walks queued across `chip`'s slots.
+    pub fn queued_walks(&self, chip: u32) -> u64 {
+        self.of(chip)
             .iter()
             .map(|s| match s {
                 Slot::Loaded { queue, .. } => queue.len() as u64,
@@ -91,21 +112,21 @@ impl ChipState {
             .sum()
     }
 
-    /// Index of the slot holding `sg`, if loaded.
-    pub fn slot_of(&self, sg: SgId) -> Option<usize> {
-        self.slots
+    /// Index of `chip`'s slot holding `sg`, if loaded.
+    pub fn slot_of(&self, chip: u32, sg: SgId) -> Option<usize> {
+        self.of(chip)
             .iter()
             .position(|s| matches!(s, Slot::Loaded { sg: s2, .. } if *s2 == sg))
     }
 
-    /// Index of a free slot, if any.
-    pub fn free_slot(&self) -> Option<usize> {
-        self.slots.iter().position(|s| matches!(s, Slot::Empty))
+    /// Index of a free slot of `chip`, if any.
+    pub fn free_slot(&self, chip: u32) -> Option<usize> {
+        self.of(chip).iter().position(|s| matches!(s, Slot::Empty))
     }
 
-    /// Subgraphs currently loaded or loading (to avoid double loads).
-    pub fn resident(&self) -> impl Iterator<Item = SgId> + '_ {
-        self.slots.iter().filter_map(|s| match s {
+    /// Subgraphs loaded or loading on `chip` (to avoid double loads).
+    pub fn resident(&self, chip: u32) -> impl Iterator<Item = SgId> + '_ {
+        self.of(chip).iter().filter_map(|s| match s {
             Slot::Empty => None,
             Slot::Loading { sg, .. } | Slot::Loaded { sg, .. } => Some(*sg),
         })
@@ -115,20 +136,16 @@ impl ChipState {
 /// Channel-level accelerator state.
 #[derive(Debug, Clone)]
 pub struct ChannelState {
-    /// Hot subgraphs resident this partition (top-K in-degree among the
-    /// channel's chips).
-    pub hot: Vec<SgId>,
     /// Walks that arrived from chip-level accelerators, pending a batch.
     pub inbox: Vec<TWalk>,
     /// A batch is running.
     pub busy: bool,
 }
 
-/// Board-level accelerator state (tables live in the sim root).
+/// Board-level accelerator state (tables and hot sets live in the
+/// [`super::FlashImage`]).
 #[derive(Debug, Clone)]
 pub struct BoardState {
-    /// Hot subgraphs resident this partition (global top in-degree).
-    pub hot: Vec<SgId>,
     /// Walks pending a board batch.
     pub inbox: Vec<TWalk>,
     /// A batch is running.
@@ -159,6 +176,11 @@ pub struct PwbEntry {
 }
 
 impl PwbEntry {
+    /// No walks in DRAM and none on flash.
+    pub fn is_empty(&self) -> bool {
+        self.walks.is_empty() && self.spilled.is_empty()
+    }
+
     /// Walks in DRAM plus walks on flash for this subgraph.
     pub fn total_walks(&self) -> u64 {
         self.walks.len() as u64
@@ -192,7 +214,9 @@ impl Pwb {
     pub fn new(first_sg: SgId, len: usize, quota: u64) -> Self {
         Pwb {
             first_sg,
-            entries: vec![PwbEntry::default(); len],
+            entries: std::iter::repeat_with(PwbEntry::default)
+                .take(len)
+                .collect(),
             quota: quota.max(4),
             inserts_since_refresh: vec![0; len],
             stale_score: vec![0.0; len],
@@ -346,23 +370,26 @@ mod tests {
 
     #[test]
     fn chip_slot_bookkeeping() {
-        let mut c = ChipState::new(2);
-        assert_eq!(c.free_slot(), Some(0));
-        c.slots[0] = Slot::Loading {
+        let mut c = ChipSlots::new(3, 2);
+        assert_eq!(c.free_slot(1), Some(0));
+        c.of_mut(1)[0] = Slot::Loading {
             sg: 7,
             walks: vec![TWalk::undirected(Walk::new(0, 6))],
         };
-        c.slots[1] = Slot::Loaded {
+        c.of_mut(1)[1] = Slot::Loaded {
             sg: 9,
             queue: vec![TWalk::undirected(Walk::new(1, 6))],
             fresh: true,
         };
-        assert_eq!(c.free_slot(), None);
-        assert_eq!(c.slot_of(9), Some(1));
-        assert_eq!(c.slot_of(7), None, "loading != loaded");
-        assert_eq!(c.queued_walks(), 1, "loading walks are not queued");
-        let resident: Vec<_> = c.resident().collect();
+        assert_eq!(c.free_slot(1), None);
+        assert_eq!(c.slot_of(1, 9), Some(1));
+        assert_eq!(c.slot_of(1, 7), None, "loading != loaded");
+        assert_eq!(c.queued_walks(1), 1, "loading walks are not queued");
+        let resident: Vec<_> = c.resident(1).collect();
         assert_eq!(resident, vec![7, 9]);
+        // Neighbouring chips are untouched.
+        assert_eq!(c.free_slot(0), Some(0));
+        assert_eq!(c.resident(2).count(), 0);
     }
 
     #[test]

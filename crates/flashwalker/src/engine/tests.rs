@@ -440,3 +440,87 @@ fn heavy_fault_journeys_surface_retry_and_stall_segments() {
         "heavy faults must appear as retry/stall events in sampled journeys"
     );
 }
+
+/// Field-by-field equality of two reports.
+fn assert_same_report(a: &FwReport, b: &FwReport, ctx: &str) {
+    assert_eq!(a.time, b.time, "{ctx}: time");
+    assert_eq!(a.walks, b.walks, "{ctx}: walks");
+    assert_eq!(
+        format!("{:?}", a.stats),
+        format!("{:?}", b.stats),
+        "{ctx}: stats"
+    );
+    assert_eq!(a.flash_read_bytes, b.flash_read_bytes, "{ctx}: flash reads");
+    assert_eq!(
+        a.flash_write_bytes, b.flash_write_bytes,
+        "{ctx}: flash writes"
+    );
+    assert_eq!(a.channel_bytes, b.channel_bytes, "{ctx}: channel bytes");
+    assert_eq!(a.read_bw.to_bits(), b.read_bw.to_bits(), "{ctx}: read bw");
+    assert_eq!(
+        a.channel_util.to_bits(),
+        b.channel_util.to_bits(),
+        "{ctx}: channel util"
+    );
+    assert_eq!(a.channel_wait_ns, b.channel_wait_ns, "{ctx}: channel wait");
+    assert_eq!(a.events, b.events, "{ctx}: events");
+    assert_eq!(a.progress, b.progress, "{ctx}: progress");
+    assert_eq!(
+        a.read_bytes_series, b.read_bytes_series,
+        "{ctx}: read series"
+    );
+    assert_eq!(
+        a.write_bytes_series, b.write_bytes_series,
+        "{ctx}: write series"
+    );
+    assert_eq!(
+        a.channel_bytes_series, b.channel_bytes_series,
+        "{ctx}: channel series"
+    );
+    assert_eq!(a.walk_log, b.walk_log, "{ctx}: walk log");
+    assert_eq!(a.faults, b.faults, "{ctx}: faults");
+    // Everything else (recorder reports) through the Debug rendering.
+    assert_eq!(format!("{a:?}"), format!("{b:?}"), "{ctx}: report");
+}
+
+#[test]
+fn one_image_backs_many_runs_like_fresh_simulators() {
+    // Several partitions (foreigner pages, partition switches) and a PWB
+    // so small that entries spill to flash.
+    let (csr, pg) = small_setup(2000, 20_000, 8);
+    assert!(pg.num_partitions() > 2);
+    let mut cfg = AccelConfig::scaled();
+    cfg.dram_pwb_bytes = 2 << 10;
+    let ssd_cfg = SsdConfig::tiny();
+    let image = Arc::new(FlashImage::new(&pg, cfg, ssd_cfg));
+    let light = fw_fault::FaultProfile::light();
+    // (seed, workload, walk log, faults)
+    let cases = [
+        (7, Workload::deepwalk(2_000, 6), false, FaultProfile::none()),
+        (8, Workload::paper_default(500), true, FaultProfile::none()),
+        (9, Workload::ppr(300, 17, 0.15, 10), false, light),
+        (10, Workload::deepwalk(1_000, 4), true, light),
+        (7, Workload::deepwalk(2_000, 6), false, FaultProfile::none()),
+    ];
+    let (mut spilled, mut foreign) = (false, false);
+    for (i, &(seed, wl, log, faults)) in cases.iter().enumerate() {
+        fn build(sim: FlashWalkerSim<'_>, log: bool, faults: FaultProfile) -> FlashWalkerSim<'_> {
+            let sim = sim.with_trace_window(100_000).with_faults(faults);
+            if log {
+                sim.with_walk_log()
+            } else {
+                sim
+            }
+        }
+        let shared = FlashWalkerSim::from_image(&csr, &pg, Arc::clone(&image), seed);
+        let shared = build(shared, log, faults).run_detailed(wl);
+        let fresh = FlashWalkerSim::new(&csr, &pg, cfg, ssd_cfg, seed);
+        let fresh = build(fresh, log, faults).run_detailed(wl);
+        assert_eq!(fresh.walks, wl.num_walks);
+        assert_same_report(&shared, &fresh, &format!("run {i}"));
+        spilled |= fresh.stats.pwb_spill_pages > 0;
+        foreign |= fresh.stats.foreign_pages > 0;
+    }
+    assert!(spilled, "no run spilled a PWB entry");
+    assert!(foreign, "no run wrote a foreigner page");
+}

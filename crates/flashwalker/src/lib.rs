@@ -31,5 +31,5 @@ pub mod engine;
 pub mod tables;
 
 pub use config::{AccelConfig, OptToggles};
-pub use engine::{FlashWalkerSim, FwReport};
+pub use engine::{FlashImage, FlashWalkerSim, FwReport};
 pub use tables::{BloomFilter, DenseTable, WalkQueryCache};

@@ -37,17 +37,18 @@ pub struct WalkQueryCache {
 }
 
 impl WalkQueryCache {
-    /// A cache holding `capacity` mapping entries.
+    /// A cache holding `capacity` mapping entries. Its arrays are sized on
+    /// the first install, so a cache that is never filled never allocates.
     ///
     /// # Panics
     /// Panics if `capacity == 0`.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "zero-capacity query cache");
         WalkQueryCache {
-            lows: Vec::with_capacity(capacity),
-            highs: Vec::with_capacity(capacity),
-            sgs: Vec::with_capacity(capacity),
-            ticks: Vec::with_capacity(capacity),
+            lows: Vec::new(),
+            highs: Vec::new(),
+            sgs: Vec::new(),
+            ticks: Vec::new(),
             tick: 0,
             capacity,
             hits: 0,
@@ -95,6 +96,12 @@ impl WalkQueryCache {
             self.sgs[lru] = sg_id;
             self.ticks[lru] = self.tick;
         } else {
+            if self.lows.is_empty() {
+                self.lows.reserve_exact(self.capacity);
+                self.highs.reserve_exact(self.capacity);
+                self.sgs.reserve_exact(self.capacity);
+                self.ticks.reserve_exact(self.capacity);
+            }
             self.lows.push(low);
             self.highs.push(high);
             self.sgs.push(sg_id);
@@ -177,8 +184,6 @@ impl BloomFilter {
 pub struct DenseTable {
     bloom: BloomFilter,
     map: HashMap<VertexId, DenseVertexMeta>,
-    probes: u64,
-    bloom_rejects: u64,
 }
 
 impl DenseTable {
@@ -193,21 +198,14 @@ impl DenseTable {
             bloom.insert(m.vertex);
             map.insert(m.vertex, *m);
         }
-        DenseTable {
-            bloom,
-            map,
-            probes: 0,
-            bloom_rejects: 0,
-        }
+        DenseTable { bloom, map }
     }
 
     /// Look up `v`. Returns the dense metadata if `v` is dense, `None`
     /// otherwise (including bloom false positives that miss the hash
     /// table).
-    pub fn lookup(&mut self, v: VertexId) -> Option<DenseVertexMeta> {
-        self.probes += 1;
+    pub fn lookup(&self, v: VertexId) -> Option<DenseVertexMeta> {
         if !self.bloom.contains(v) {
-            self.bloom_rejects += 1;
             return None;
         }
         self.map.get(&v).copied()
@@ -221,15 +219,6 @@ impl DenseTable {
     /// True when the graph has no dense vertices.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-
-    /// Fraction of probes short-circuited by the bloom filter.
-    pub fn bloom_reject_rate(&self) -> f64 {
-        if self.probes == 0 {
-            0.0
-        } else {
-            self.bloom_rejects as f64 / self.probes as f64
-        }
     }
 }
 
@@ -299,14 +288,16 @@ mod tests {
     #[test]
     fn dense_table_finds_only_dense_vertices() {
         let pg = star_pg();
-        let mut t = DenseTable::build(&pg);
+        let t = DenseTable::build(&pg);
         assert_eq!(t.len(), pg.dense.len());
         let meta = t.lookup(0).expect("hub is dense");
         assert_eq!(meta.total_degree, 299);
         for v in 1..300u32 {
             assert!(t.lookup(v).is_none(), "vertex {v} is not dense");
         }
-        assert!(t.bloom_reject_rate() > 0.9, "{}", t.bloom_reject_rate());
+        // The bloom filter short-circuits almost every non-dense probe.
+        let rejected = (1..300u32).filter(|&v| !t.bloom.contains(v)).count();
+        assert!(rejected > 269, "bloom rejected only {rejected}/299");
     }
 
     #[test]
@@ -320,7 +311,7 @@ mod tests {
                 subgraphs_per_partition: 4,
             },
         );
-        let mut t = DenseTable::build(&pg);
+        let t = DenseTable::build(&pg);
         assert!(t.is_empty());
         assert!(t.lookup(0).is_none());
     }

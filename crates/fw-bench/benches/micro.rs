@@ -133,7 +133,7 @@ fn bench_bloom_and_dense() {
             subgraphs_per_partition: 10_000,
         },
     );
-    let mut dense = DenseTable::build(&pg);
+    let dense = DenseTable::build(&pg);
     let mut rng2 = Xoshiro256pp::new(5);
     bench("dense_table_lookup", iters(500_000), || {
         let v = rng2.next_below(5_000) as u32;

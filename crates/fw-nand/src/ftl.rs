@@ -48,28 +48,42 @@ pub struct WriteOutcome {
     pub gc: Vec<GcOp>,
 }
 
-#[derive(Debug, Clone)]
-struct PlaneState {
-    /// Blocks with no valid data, ready to become open blocks.
-    free_blocks: Vec<u32>,
+/// Per-plane allocation head.
+#[derive(Debug, Clone, Copy)]
+struct PlaneHead {
     /// The block currently being filled and its next free page.
     open: Option<(u32, u32)>,
-    /// Valid-page count per block.
-    valid: Vec<u16>,
-    /// Erase count per block (wear).
-    erases: Vec<u32>,
+    /// Length of the plane's free list.
+    free_len: u32,
 }
 
 /// Page-mapped FTL over the dynamic block region.
+///
+/// Per-plane state lives in flat arrays (a few allocations however many
+/// planes the device has): block-indexed arrays are indexed
+/// `plane * blocks_per_plane + block`, and plane `p`'s free list is
+/// `free[p * stride..p * stride + free_len]`, front first, where `stride`
+/// is the number of dynamic blocks per plane. The arrays are laid out on
+/// the first write, so a device that never writes (a short walk batch)
+/// never pays for them.
 pub struct Ftl {
     geometry: Geometry,
     /// First block index (per plane) the FTL may use; blocks below this
     /// belong to the static graph region.
     first_block: u32,
+    /// A threshold of >= 2 guarantees the collector always has at least
+    /// one whole free block to migrate victims into.
     gc_threshold: u32,
     map: HashMap<Lpn, u64>,
     rmap: HashMap<u64, Lpn>,
-    planes: Vec<PlaneState>,
+    /// Empty until the first write.
+    planes: Vec<PlaneHead>,
+    /// Blocks with no valid data, ready to become open blocks.
+    free: Vec<u32>,
+    /// Valid-page count per block.
+    valid: Vec<u16>,
+    /// Erase count per block (wear).
+    erases: Vec<u32>,
     cursor: usize,
     host_pages_written: u64,
     nand_pages_written: u64,
@@ -91,28 +105,63 @@ impl Ftl {
             first_block,
             geometry.blocks_per_plane
         );
-        let blocks = geometry.blocks_per_plane as usize;
-        let plane = PlaneState {
-            free_blocks: (first_block..geometry.blocks_per_plane).rev().collect(),
-            open: None,
-            valid: vec![0; blocks],
-            erases: vec![0; blocks],
-        };
         Ftl {
             geometry,
             first_block,
             gc_threshold: gc_threshold.max(2),
             map: HashMap::new(),
             rmap: HashMap::new(),
-            planes: vec![plane; geometry.num_planes() as usize],
-            // A threshold of >= 2 guarantees the collector always has at
-            // least one whole free block to migrate victims into.
+            planes: Vec::new(),
+            free: Vec::new(),
+            valid: Vec::new(),
+            erases: Vec::new(),
             cursor: 0,
             host_pages_written: 0,
             nand_pages_written: 0,
             gc_migrations: 0,
             gc_erases: 0,
         }
+    }
+
+    /// Lay out the per-plane arrays: every block unwritten and unworn,
+    /// every plane's free list all of its dynamic blocks, highest first.
+    fn init_planes(&mut self) {
+        let g = self.geometry;
+        let planes = g.num_planes() as usize;
+        let blocks = planes * g.blocks_per_plane as usize;
+        let plane_free: Vec<u32> = (self.first_block..g.blocks_per_plane).rev().collect();
+        self.planes = vec![
+            PlaneHead {
+                open: None,
+                free_len: plane_free.len() as u32,
+            };
+            planes
+        ];
+        self.free = plane_free.repeat(planes);
+        self.valid = vec![0; blocks];
+        self.erases = vec![0; blocks];
+    }
+
+    /// Index of `(plane, block)` in the block-indexed arrays.
+    fn block_at(&self, plane: usize, block: u32) -> usize {
+        plane * self.geometry.blocks_per_plane as usize + block as usize
+    }
+
+    /// Block-array index of the block holding linear page `ppn`.
+    fn block_of_ppn(&self, ppn: u64) -> usize {
+        let ppa = Ppa::from_linear(&self.geometry, ppn);
+        self.block_at(ppa.plane_index(&self.geometry), ppa.block)
+    }
+
+    /// Start of plane `plane`'s free list in `free`.
+    fn free_base(&self, plane: usize) -> usize {
+        plane * (self.geometry.blocks_per_plane - self.first_block) as usize
+    }
+
+    /// Plane `plane`'s free list, front first.
+    fn free_list(&self, plane: usize) -> &[u32] {
+        let base = self.free_base(plane);
+        &self.free[base..base + self.planes[plane].free_len as usize]
     }
 
     /// Translate a logical page, if mapped.
@@ -125,13 +174,15 @@ impl Ftl {
     /// Write (or overwrite) a logical page. Returns the physical placement
     /// and any GC work that the write triggered.
     pub fn write(&mut self, lpn: Lpn) -> WriteOutcome {
+        if self.planes.is_empty() {
+            self.init_planes();
+        }
         self.host_pages_written += 1;
         // Invalidate previous version.
         if let Some(old) = self.map.remove(&lpn) {
             self.rmap.remove(&old);
-            let ppa = Ppa::from_linear(&self.geometry, old);
-            let plane = ppa.plane_index(&self.geometry);
-            self.planes[plane].valid[ppa.block as usize] -= 1;
+            let b = self.block_of_ppn(old);
+            self.valid[b] -= 1;
         }
 
         let plane_idx = self.cursor;
@@ -152,9 +203,8 @@ impl Ftl {
     pub fn trim(&mut self, lpn: Lpn) {
         if let Some(ppn) = self.map.remove(&lpn) {
             self.rmap.remove(&ppn);
-            let ppa = Ppa::from_linear(&self.geometry, ppn);
-            let plane = ppa.plane_index(&self.geometry);
-            self.planes[plane].valid[ppa.block as usize] -= 1;
+            let b = self.block_of_ppn(ppn);
+            self.valid[b] -= 1;
         }
     }
 
@@ -186,9 +236,9 @@ impl Ftl {
         let mut max = 0u32;
         let mut sum = 0u64;
         let mut n = 0u64;
-        for plane in &self.planes {
+        for plane in 0..self.planes.len() {
             for b in self.first_block..self.geometry.blocks_per_plane {
-                let e = plane.erases[b as usize];
+                let e = self.erases[self.block_at(plane, b)];
                 min = min.min(e);
                 max = max.max(e);
                 sum += e as u64;
@@ -196,6 +246,7 @@ impl Ftl {
             }
         }
         if n == 0 {
+            // Nothing written yet: no plane arrays, no wear.
             (0, 0, 0.0)
         } else {
             (min, max, sum as f64 / n as f64)
@@ -219,35 +270,45 @@ impl Ftl {
 
     fn alloc_page(&mut self, plane_idx: usize) -> Ppa {
         let g = self.geometry;
-        let plane = &mut self.planes[plane_idx];
-        let (block, page) = match plane.open {
+        let (block, page) = match self.planes[plane_idx].open {
             Some((b, p)) if p < g.pages_per_block => (b, p),
             _ => {
                 // Wear-aware allocation: open the least-erased free block
                 // so erase wear levels across the dynamic region.
-                let (pos, _) = plane
-                    .free_blocks
+                let (pos, _) = self
+                    .free_list(plane_idx)
                     .iter()
                     .enumerate()
-                    .min_by_key(|&(i, &b)| (plane.erases[b as usize], std::cmp::Reverse(i)))
+                    .min_by_key(|&(i, &b)| {
+                        (
+                            self.erases[self.block_at(plane_idx, b)],
+                            std::cmp::Reverse(i),
+                        )
+                    })
                     .expect("plane out of free blocks — GC threshold too low for workload");
-                let b = plane.free_blocks.remove(pos);
+                let base = self.free_base(plane_idx);
+                let len = self.planes[plane_idx].free_len as usize;
+                let b = self.free[base + pos];
+                self.free
+                    .copy_within(base + pos + 1..base + len, base + pos);
+                self.planes[plane_idx].free_len -= 1;
                 (b, 0)
             }
         };
         let next = page + 1;
-        plane.open = if next < g.pages_per_block {
+        self.planes[plane_idx].open = if next < g.pages_per_block {
             Some((block, next))
         } else {
             None
         };
-        plane.valid[block as usize] += 1;
+        let b = self.block_at(plane_idx, block);
+        self.valid[b] += 1;
         self.plane_ppa(plane_idx, block, page)
     }
 
     fn maybe_collect(&mut self, plane_idx: usize) -> Vec<GcOp> {
         let mut ops = Vec::new();
-        while (self.planes[plane_idx].free_blocks.len() as u32) < self.gc_threshold {
+        while self.planes[plane_idx].free_len < self.gc_threshold {
             match self.collect_one(plane_idx) {
                 Some(mut o) => ops.append(&mut o),
                 None => break,
@@ -262,14 +323,15 @@ impl Ftl {
         let g = self.geometry;
         let open_block = self.planes[plane_idx].open.map(|(b, _)| b);
         let victim = {
-            let plane = &self.planes[plane_idx];
+            let free = self.free_list(plane_idx);
             (self.first_block..g.blocks_per_plane)
-                .filter(|&b| Some(b) != open_block && !plane.free_blocks.contains(&b))
-                .min_by_key(|&b| plane.valid[b as usize])?
+                .filter(|&b| Some(b) != open_block && !free.contains(&b))
+                .min_by_key(|&b| self.valid[self.block_at(plane_idx, b)])?
         };
+        let vb = self.block_at(plane_idx, victim);
         // A victim full of valid pages cannot reclaim space; collecting it
         // would loop forever.
-        if self.planes[plane_idx].valid[victim as usize] as u32 == g.pages_per_block {
+        if self.valid[vb] as u32 == g.pages_per_block {
             return None;
         }
 
@@ -284,19 +346,24 @@ impl Ftl {
             let to = self.alloc_page(plane_idx);
             let to_ppn = to.to_linear(&g);
             self.rmap.remove(&from_ppn);
-            self.planes[plane_idx].valid[victim as usize] -= 1;
+            self.valid[vb] -= 1;
             self.map.insert(lpn, to_ppn);
             self.rmap.insert(to_ppn, lpn);
             self.nand_pages_written += 1;
             self.gc_migrations += 1;
             ops.push(GcOp::Migrate { from, to });
         }
-        debug_assert_eq!(self.planes[plane_idx].valid[victim as usize], 0);
+        debug_assert_eq!(self.valid[vb], 0);
         ops.push(GcOp::Erase {
             block: self.plane_ppa(plane_idx, victim, 0),
         });
-        self.planes[plane_idx].free_blocks.insert(0, victim);
-        self.planes[plane_idx].erases[victim as usize] += 1;
+        // The victim goes to the front of the free list.
+        let base = self.free_base(plane_idx);
+        let len = self.planes[plane_idx].free_len as usize;
+        self.free.copy_within(base..base + len, base + 1);
+        self.free[base] = victim;
+        self.planes[plane_idx].free_len += 1;
+        self.erases[vb] += 1;
         self.gc_erases += 1;
         Some(ops)
     }
@@ -443,6 +510,95 @@ mod tests {
             }
         }
         assert_eq!(found, f.mapped_pages());
+    }
+
+    /// FNV-1a digest over a long seeded write/overwrite/trim mix that
+    /// forces GC: every `WriteOutcome` (the PPA plus its `GcOp`s), sampled
+    /// `translate` results, write amplification, erases and wear. Pins
+    /// block allocation, victim choice and wear order op for op.
+    fn churn_digest(first_block: u32, lpn_space: u64, ops: u32, seed: u64) -> u64 {
+        let cfg = SsdConfig::tiny();
+        let g = cfg.geometry;
+        let mut f = Ftl::new(g, first_block, cfg.gc_threshold_blocks);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let put = |h: &mut u64, v: u64| {
+            for b in v.to_le_bytes() {
+                *h = (*h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        let mut state = seed;
+        let mut next = || {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let hot = lpn_space / 8;
+        for i in 0..ops {
+            let r = next();
+            let lpn = next() % lpn_space;
+            if r % 20 < 3 {
+                f.trim(lpn);
+                put(&mut h, 1);
+            } else {
+                // Seven in twenty writes overwrite a small hot set.
+                let out = f.write(if r % 20 < 10 { lpn % hot } else { lpn });
+                put(&mut h, out.ppa.to_linear(&g));
+                for op in out.gc {
+                    match op {
+                        GcOp::Migrate { from, to } => {
+                            put(&mut h, 2);
+                            put(&mut h, from.to_linear(&g));
+                            put(&mut h, to.to_linear(&g));
+                        }
+                        GcOp::Erase { block } => {
+                            put(&mut h, 3);
+                            put(&mut h, block.to_linear(&g));
+                        }
+                    }
+                }
+            }
+            if i % 97 == 0 {
+                for k in 0..8 {
+                    let q = (lpn + k * 13) % lpn_space;
+                    put(&mut h, f.translate(q).map_or(u64::MAX, |p| p.to_linear(&g)));
+                }
+            }
+        }
+        for lpn in 0..lpn_space {
+            put(
+                &mut h,
+                f.translate(lpn).map_or(u64::MAX, |p| p.to_linear(&g)),
+            );
+        }
+        let (host, nand) = f.write_amplification();
+        let (min, max, mean) = f.wear_stats();
+        assert!(f.gc_erases() > 100, "mix must force GC");
+        for v in [
+            host,
+            nand,
+            f.gc_erases(),
+            f.gc_migrations(),
+            f.mapped_pages() as u64,
+        ] {
+            put(&mut h, v);
+        }
+        for v in [min as u64, max as u64, mean.to_bits()] {
+            put(&mut h, v);
+        }
+        h
+    }
+
+    #[test]
+    fn churn_digest_is_pinned_op_for_op() {
+        // Digests taken from the per-plane `Vec` FTL this file replaced;
+        // the flat FTL must reproduce them exactly.
+        let a = churn_digest(0, 448, 40_000, 42);
+        let b = churn_digest(3, 256, 30_000, 7);
+        assert_eq!(a, 0xa907_242c_b01b_0135, "{a:016x}");
+        assert_eq!(b, 0x3bd6_acb7_1ba2_053b, "{b:016x}");
     }
 
     #[test]

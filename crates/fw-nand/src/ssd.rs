@@ -53,8 +53,9 @@ pub struct Ssd {
     cfg: SsdConfig,
     /// One timeline per plane: serializes array ops on that plane.
     planes: Vec<Timeline>,
-    /// Four array ports per chip: caps concurrent plane ops per chip.
-    chip_ports: Vec<ServerBank>,
+    /// Four array ports per chip (one bank per chip): caps concurrent
+    /// plane ops per chip.
+    chip_ports: ServerBank,
     /// One ONFI bus per channel.
     channels: Vec<BandwidthLink>,
     /// The host link.
@@ -81,12 +82,15 @@ impl Ssd {
         let ftl = Ftl::new(g, static_blocks_per_plane, cfg.gc_threshold_blocks);
         Ssd {
             cfg,
-            planes: vec![Timeline::new(); g.num_planes() as usize],
-            chip_ports: vec![
-                ServerBank::new(cfg.array_ports_per_chip as usize);
-                g.num_chips() as usize
-            ],
-            channels: vec![BandwidthLink::new(cfg.channel_rate); g.channels as usize],
+            // Built element by element: cloning a template runs the
+            // `VecDeque` clone once per plane, several times slower.
+            planes: std::iter::repeat_with(Timeline::new)
+                .take(g.num_planes() as usize)
+                .collect(),
+            chip_ports: ServerBank::new(g.num_chips() as usize, cfg.array_ports_per_chip as usize),
+            channels: std::iter::repeat_with(|| BandwidthLink::new(cfg.channel_rate))
+                .take(g.channels as usize)
+                .collect(),
             pcie: BandwidthLink::new(cfg.pcie_rate),
             ftl,
             stats: SsdStats::default(),
@@ -387,7 +391,7 @@ impl Ssd {
         // slightly under backfill, but total port occupancy — what caps
         // per-chip throughput — stays exact.
         let plane_res = self.planes[plane].reserve(at, latency);
-        let port_res = self.chip_ports[chip].reserve(plane_res.start, latency);
+        let port_res = self.chip_ports.reserve(chip, plane_res.start, latency);
         let res = Reservation {
             start: plane_res.start.max(port_res.start),
             end: plane_res.end.max(port_res.end),
@@ -728,10 +732,13 @@ mod tests {
 
     #[test]
     fn tiny_geometry_resource_counts() {
-        let s = ssd();
+        let mut s = ssd();
         let g: Geometry = s.config().geometry;
         assert_eq!(s.planes.len(), g.num_planes() as usize);
-        assert_eq!(s.chip_ports.len(), g.num_chips() as usize);
+        // One port bank per chip: the last chip's bank exists.
+        let last = g.num_chips() as usize - 1;
+        s.chip_ports
+            .reserve(last, SimTime::ZERO, Duration::micros(1));
         assert_eq!(s.channels.len(), g.channels as usize);
     }
 }

@@ -15,6 +15,8 @@
 //!    engine with walk logging and installs the endpoint distribution.
 //! 4. Batch service occupies the device for the engine's simulated run
 //!    time; every query in the batch completes at `start + service`.
+//!    FlashWalker batches all run on one [`FlashImage`] built when the
+//!    service starts; only the per-run device state is built per batch.
 //!
 //! Event ordering is deterministic: batch starts happen only when the
 //! device-free time does not exceed the next arrival, ties broken in
@@ -24,8 +26,9 @@
 //! built from it — is a pure function of [`ServeConfig`].
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
-use flashwalker::{AccelConfig, FlashWalkerSim};
+use flashwalker::{AccelConfig, FlashImage, FlashWalkerSim};
 use fw_graph::{Csr, PartitionedGraph, VertexId};
 use fw_nand::SsdConfig;
 use fw_sim::{derive_stream_seed, Xoshiro256pp};
@@ -274,32 +277,50 @@ impl ServeReport {
     }
 }
 
-/// Run one batch through the configured engine with walk logging.
-fn run_batch(
-    host: &ServeHost,
-    cfg: &ServeConfig,
-    workload: fw_walk::Workload,
-    batch_seed: u64,
-) -> RunReport {
-    match cfg.engine {
-        ServeEngine::Flashwalker => FlashWalkerSim::new(
-            host.csr,
-            host.pg,
-            AccelConfig::scaled(),
-            SsdConfig::scaled(),
-            batch_seed,
-        )
-        .with_walk_log()
-        .run(workload),
-        ServeEngine::Graphwalker => GraphWalkerSim::new(
-            host.csr,
-            host.id_bytes,
-            GwConfig::scaled().with_memory(host.gw_memory_bytes),
-            SsdConfig::scaled(),
-            batch_seed,
-        )
-        .with_walk_log()
-        .run(workload),
+/// The device a service runs its batches on. FlashWalker's graph layout
+/// and tables are preprocessed into flash once per service, as in the
+/// paper, and every batch runs against that image; GraphWalker keeps no
+/// state across batches.
+enum Device {
+    Flash(Arc<FlashImage>),
+    Host,
+}
+
+impl Device {
+    fn new(host: &ServeHost, engine: ServeEngine) -> Self {
+        match engine {
+            ServeEngine::Flashwalker => Device::Flash(Arc::new(FlashImage::new(
+                host.pg,
+                AccelConfig::scaled(),
+                SsdConfig::scaled(),
+            ))),
+            ServeEngine::Graphwalker => Device::Host,
+        }
+    }
+
+    /// Run one batch with walk logging.
+    fn run_batch(
+        &self,
+        host: &ServeHost,
+        workload: fw_walk::Workload,
+        batch_seed: u64,
+    ) -> RunReport {
+        match self {
+            Device::Flash(image) => {
+                FlashWalkerSim::from_image(host.csr, host.pg, Arc::clone(image), batch_seed)
+                    .with_walk_log()
+                    .run(workload)
+            }
+            Device::Host => GraphWalkerSim::new(
+                host.csr,
+                host.id_bytes,
+                GwConfig::scaled().with_memory(host.gw_memory_bytes),
+                SsdConfig::scaled(),
+                batch_seed,
+            )
+            .with_walk_log()
+            .run(workload),
+        }
     }
 }
 
@@ -310,7 +331,8 @@ fn run_batch(
 /// derived load points are as byte-deterministic as everything else.
 pub fn probe_walks_per_sec(host: &ServeHost, cfg: &ServeConfig, walks: u64) -> f64 {
     let seed = derive_stream_seed(cfg.seed, SERVE_BATCH_STREAM ^ u64::MAX);
-    let report = run_batch(host, cfg, fw_walk::Workload::deepwalk(walks, 6), seed);
+    let device = Device::new(host, cfg.engine);
+    let report = device.run_batch(host, fw_walk::Workload::deepwalk(walks, 6), seed);
     report.walks as f64 / (report.time.0.max(1) as f64 / 1e9)
 }
 
@@ -328,6 +350,7 @@ pub fn run_serve(host: &ServeHost, cfg: &ServeConfig) -> ServeReport {
         "tenant count mismatch"
     );
 
+    let device = Device::new(host, cfg.engine);
     let mut admission = Admission::new(cfg.admission);
     let mut cache = WalkCache::new(cfg.cache);
     let mut cache_rng = Xoshiro256pp::new(derive_stream_seed(cfg.seed, SERVE_CACHE_STREAM));
@@ -394,7 +417,7 @@ pub fn run_serve(host: &ServeHost, cfg: &ServeConfig) -> ServeReport {
                 let batch_seed =
                     derive_stream_seed(cfg.seed, SERVE_BATCH_STREAM ^ batches.rotate_left(17));
                 let workload = head.kind.workload(total_walks, weighted);
-                let report = run_batch(host, cfg, workload, batch_seed);
+                let report = device.run_batch(host, workload, batch_seed);
                 engine_runs += 1;
                 engine_sim_ns += report.time.0;
                 walks_completed += report.walks;

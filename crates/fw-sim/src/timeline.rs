@@ -151,73 +151,54 @@ impl Timeline {
     }
 }
 
-/// A pool of `n` identical single-server resources with
-/// pick-the-earliest-free dispatch (e.g. the four walk updaters of the
-/// board-level accelerator, Table II).
+/// `banks` independent pools of `n` identical single-server resources,
+/// each with pick-the-earliest-free dispatch (e.g. the four array ports of
+/// every flash chip). All servers live in one flat array, so a bank per
+/// chip costs one allocation rather than one per chip.
 #[derive(Debug, Clone)]
 pub struct ServerBank {
+    /// Bank `b`'s servers are `servers[b * n .. (b + 1) * n]`.
     servers: Vec<Timeline>,
+    n: usize,
 }
 
 impl ServerBank {
-    /// A bank of `n` servers, all free at `t = 0`.
+    /// `banks` banks of `n` servers each, all free at `t = 0`.
     ///
     /// # Panics
     /// Panics if `n == 0`.
-    pub fn new(n: usize) -> Self {
+    pub fn new(banks: usize, n: usize) -> Self {
         assert!(n > 0, "empty server bank");
         ServerBank {
-            servers: vec![Timeline::new(); n],
+            servers: std::iter::repeat_with(Timeline::new)
+                .take(banks * n)
+                .collect(),
+            n,
         }
     }
 
-    /// Number of servers in the bank.
-    pub fn len(&self) -> usize {
-        self.servers.len()
-    }
-
-    /// Always false — the constructor rejects zero-size banks.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// When the earliest server becomes idle — a request issued at or
-    /// after this instant starts with no queueing delay.
-    pub fn earliest_free(&self) -> SimTime {
-        self.servers
-            .iter()
-            .map(|s| s.next_free())
-            .min()
-            .expect("bank is non-empty")
-    }
-
-    /// Reserve the earliest-available server for `dur` starting no earlier
-    /// than `at`. Ties pick the lowest-index server, deterministically.
-    pub fn reserve(&mut self, at: SimTime, dur: Duration) -> Reservation {
-        let idx = self
-            .servers
+    /// Reserve bank `bank`'s earliest-available server for `dur` starting
+    /// no earlier than `at`. Ties pick the lowest-index server,
+    /// deterministically.
+    pub fn reserve(&mut self, bank: usize, at: SimTime, dur: Duration) -> Reservation {
+        let servers = &mut self.servers[bank * self.n..(bank + 1) * self.n];
+        let idx = servers
             .iter()
             .enumerate()
             .min_by_key(|(i, s)| (s.next_free(), *i))
             .map(|(i, _)| i)
             .expect("bank is non-empty");
-        self.servers[idx].reserve(at, dur)
+        servers[idx].reserve(at, dur)
     }
 
-    /// Aggregate busy time across all servers.
+    /// Aggregate busy time across all servers of all banks.
     pub fn busy_time(&self) -> Duration {
         self.servers.iter().map(|s| s.busy_time()).sum()
     }
 
-    /// Aggregate requests served.
+    /// Aggregate requests served across all banks.
     pub fn requests_served(&self) -> u64 {
         self.servers.iter().map(|s| s.requests_served()).sum()
-    }
-
-    /// Mean utilization across servers over `[0, horizon]`.
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
-        let sum: f64 = self.servers.iter().map(|s| s.utilization(horizon)).sum();
-        sum / self.servers.len() as f64
     }
 }
 
@@ -329,29 +310,32 @@ mod tests {
 
     #[test]
     fn server_bank_spreads_load() {
-        let mut bank = ServerBank::new(4);
+        let mut bank = ServerBank::new(2, 4);
         // Four simultaneous unit jobs: all start at t=0 on distinct servers.
         for _ in 0..4 {
-            let r = bank.reserve(SimTime(0), Duration(10));
+            let r = bank.reserve(1, SimTime(0), Duration(10));
             assert_eq!(r.start, SimTime(0));
         }
         // Fifth queues behind the earliest-free (all free at 10).
-        let r = bank.reserve(SimTime(0), Duration(10));
+        let r = bank.reserve(1, SimTime(0), Duration(10));
         assert_eq!(r.start, SimTime(10));
-        assert_eq!(bank.requests_served(), 5);
-        assert_eq!(bank.busy_time(), Duration(50));
+        // The other bank is untouched.
+        let r = bank.reserve(0, SimTime(0), Duration(10));
+        assert_eq!(r.start, SimTime(0));
+        assert_eq!(bank.requests_served(), 6);
+        assert_eq!(bank.busy_time(), Duration(60));
     }
 
     #[test]
     fn server_bank_conserves_work_under_random_load() {
         let mut rng = crate::rng::Xoshiro256pp::new(23);
-        let mut bank = ServerBank::new(4);
+        let mut bank = ServerBank::new(1, 4);
         let mut total = 0u64;
         let mut clock = 0u64;
         for _ in 0..2_000 {
             clock += rng.next_below(500);
             let dur = rng.next_below(1_000);
-            bank.reserve(SimTime(clock), Duration(dur));
+            bank.reserve(0, SimTime(clock), Duration(dur));
             total += dur;
         }
         assert_eq!(bank.busy_time().as_nanos(), total);
