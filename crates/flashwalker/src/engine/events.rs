@@ -119,8 +119,8 @@ pub struct FwReport {
     pub channel_util: f64,
     /// Mean queueing delay per channel transfer (ns).
     pub channel_wait_ns: u64,
-    /// Simulator events delivered over the run (host-performance metric;
-    /// see [`RunReport::host_events`]).
+    /// Simulator events delivered over the run: how much host work the
+    /// simulator did, not simulated behaviour.
     pub events: u64,
     /// Walks completed per trace window (Figure 8 progression curve).
     pub progress: Vec<f64>,
@@ -176,7 +176,6 @@ impl From<FwReport> for RunReport {
                 other_ns: 0,
             },
             read_bw: r.read_bw,
-            host_events: r.events,
             progress: r.progress,
             trace_window_ns: r.trace_window_ns,
             walk_log: r.walk_log,

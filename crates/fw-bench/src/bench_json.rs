@@ -14,7 +14,7 @@ use fw_sim::Json;
 
 /// Schema tag written at the top of every record. Bump on incompatible
 /// layout changes; `compare` refuses to diff mismatched schemas.
-pub const SCHEMA: &str = "fwbench/v1";
+pub const SCHEMA: &str = "fwbench/v2";
 
 // ----------------------------------------------------------------------
 // Statistics over seed repetitions.
@@ -84,8 +84,8 @@ impl StatU {
     }
 }
 
-/// mean/min/max over per-seed float observations (speedups, wall-clock
-/// milliseconds). Rendered at fixed 4-decimal precision.
+/// mean/min/max over per-seed float observations (speedups). Rendered at
+/// fixed 4-decimal precision.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StatF {
     /// Mean.
@@ -113,15 +113,6 @@ impl StatF {
             min: xs.iter().copied().fold(f64::INFINITY, f64::min),
             max: xs.iter().copied().fold(f64::NEG_INFINITY, f64::max),
         })
-    }
-
-    /// The all-zero stat (used when wall-clock capture is disabled).
-    pub fn zero() -> StatF {
-        StatF {
-            mean: 0.0,
-            min: 0.0,
-            max: 0.0,
-        }
     }
 
     fn to_json(self) -> Json {
@@ -180,15 +171,15 @@ pub struct EnvFingerprint {
     /// Whether the run recorded walk journeys (`fwbench run --journeys`).
     /// Written only when true so default records stay byte-identical to
     /// records written before journeys existed; absent on parse means
-    /// false. `compare` refuses to diff a journey record against a
-    /// non-journey one unless explicitly overridden — the scenario rows
-    /// carry different sections, so a silent cross-diff hides which side
-    /// actually measured the tails.
+    /// false. An observer key: journey recording is schedule-neutral, so
+    /// `compare` and `why` print a journey/plain mismatch but never
+    /// refuse on it.
     pub journeys: bool,
     /// Whether the run recorded critical-path profiles (`fwbench run
     /// --critical`). Written only when true, for the same byte-identity
-    /// reason as `journeys`; absent on parse means false. `fwbench why`
-    /// requires both records to carry critical sections.
+    /// reason as `journeys`; absent on parse means false. An observer key
+    /// for `compare`, like `journeys`; `fwbench why` requires both records
+    /// to carry critical sections.
     pub critical: bool,
     /// The *effective* worker count the suite sweep ran with: `threads`
     /// clamped to the widest parallel pass. Written only when it differs
@@ -300,9 +291,6 @@ pub struct ScenarioRecord {
     pub num_seeds: u64,
     /// Simulated end-to-end time per seed, nanoseconds.
     pub sim_time_ns: StatU,
-    /// Host wall-clock per seed, milliseconds (all-zero when the run was
-    /// in deterministic mode — wall time is never byte-stable).
-    pub wall_time_ms: StatF,
     /// Per-seed speedup over the paired GraphWalker scenario, when the
     /// suite contains one at the same dataset/walks/variant.
     pub speedup_over_graphwalker: Option<StatF>,
@@ -345,7 +333,6 @@ impl ScenarioRecord {
             ("walks", Json::u(self.walks)),
             ("num_seeds", Json::u(self.num_seeds)),
             ("sim_time_ns", self.sim_time_ns.to_json()),
-            ("wall_time_ms", self.wall_time_ms.to_json()),
         ];
         pairs.push((
             "speedup_over_graphwalker",
@@ -412,11 +399,6 @@ impl ScenarioRecord {
                     .ok_or_else(|| format!("{name}: missing 'sim_time_ns'"))?,
                 &name,
             )?,
-            wall_time_ms: StatF::from_json(
-                v.get("wall_time_ms")
-                    .ok_or_else(|| format!("{name}: missing 'wall_time_ms'"))?,
-                &name,
-            )?,
             speedup_over_graphwalker: speedup,
             report: v
                 .get("report")
@@ -425,63 +407,6 @@ impl ScenarioRecord {
             trace,
             journeys,
             critical,
-            name,
-        })
-    }
-}
-
-/// One scenario's host-performance row: how fast the *simulator* ran,
-/// not what it simulated. Lives in the optional `host` section of a
-/// record, which only exists when the run captured wall-clock
-/// (`fwbench run --wall`) — the default record omits the key entirely so
-/// same-seed runs stay byte-identical.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HostScenario {
-    /// Scenario name this row belongs to (matches a `scenarios` row).
-    pub name: String,
-    /// Host wall-clock per seed, nanoseconds.
-    pub wall_ns: StatU,
-    /// Host work units per seed: simulator events delivered
-    /// (event-driven engines) or hops executed (serial baselines); see
-    /// `RunReport::host_events`.
-    pub host_events: StatU,
-    /// Per-seed `host_events / wall_seconds` — the headline host
-    /// throughput the hot-path work optimizes.
-    pub events_per_sec: StatF,
-}
-
-impl HostScenario {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("name", Json::s(&self.name)),
-            ("wall_ns", self.wall_ns.to_json()),
-            ("host_events", self.host_events.to_json()),
-            ("events_per_sec", self.events_per_sec.to_json()),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<HostScenario, String> {
-        let name = v
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or("host row: missing string field 'name'")?
-            .to_string();
-        Ok(HostScenario {
-            wall_ns: StatU::from_json(
-                v.get("wall_ns")
-                    .ok_or_else(|| format!("host {name}: missing 'wall_ns'"))?,
-                &name,
-            )?,
-            host_events: StatU::from_json(
-                v.get("host_events")
-                    .ok_or_else(|| format!("host {name}: missing 'host_events'"))?,
-                &name,
-            )?,
-            events_per_sec: StatF::from_json(
-                v.get("events_per_sec")
-                    .ok_or_else(|| format!("host {name}: missing 'events_per_sec'"))?,
-                &name,
-            )?,
             name,
         })
     }
@@ -498,24 +423,12 @@ pub struct BenchReport {
     pub env: EnvFingerprint,
     /// Per-scenario rows, in suite order.
     pub scenarios: Vec<ScenarioRecord>,
-    /// Host-performance rows ([`HostScenario`]), present only on `--wall`
-    /// runs. Never gated by `compare`; `fwbench hostperf` reads it.
-    pub host: Option<Vec<HostScenario>>,
-    /// End-to-end wall-clock of the whole suite run, nanoseconds —
-    /// scheduling and dataset generation included, which is what the
-    /// thread-scaling sweep actually buys down. Present only alongside
-    /// `host`; records written before the field (or without `--wall`)
-    /// parse to `None`, which `fwbench hostperf` treats as a
-    /// pre-threads record.
-    pub suite_wall_ns: Option<u64>,
 }
 
 impl BenchReport {
-    /// Build the JSON tree for this record. The `host` key is emitted
-    /// only when present, so default (deterministic) records are
-    /// byte-identical to records written before the section existed.
+    /// Build the JSON tree for this record.
     pub fn to_json(&self) -> Json {
-        let mut pairs = vec![
+        Json::obj(vec![
             ("schema", Json::s(&self.schema)),
             ("label", Json::s(&self.label)),
             ("env", self.env.to_json()),
@@ -523,17 +436,7 @@ impl BenchReport {
                 "scenarios",
                 Json::Arr(self.scenarios.iter().map(ScenarioRecord::to_json).collect()),
             ),
-        ];
-        if let Some(host) = &self.host {
-            pairs.push((
-                "host",
-                Json::Arr(host.iter().map(HostScenario::to_json).collect()),
-            ));
-            if let Some(ns) = self.suite_wall_ns {
-                pairs.push(("suite_wall_ns", Json::u(ns)));
-            }
-        }
-        Json::obj(pairs)
+        ])
     }
 
     /// Render the record as the canonical `BENCH_*.json` text.
@@ -550,7 +453,8 @@ impl BenchReport {
             .to_string();
         if schema != SCHEMA {
             return Err(format!(
-                "unsupported schema '{schema}' (this build reads '{SCHEMA}')"
+                "unsupported schema '{schema}' (this build reads '{SCHEMA}'); \
+                 re-run the suite to produce a current record"
             ));
         }
         Ok(BenchReport {
@@ -568,17 +472,6 @@ impl BenchReport {
                 .iter()
                 .map(ScenarioRecord::from_json)
                 .collect::<Result<Vec<_>, _>>()?,
-            host: match v.get("host") {
-                None | Some(Json::Null) => None,
-                Some(h) => Some(
-                    h.as_arr()
-                        .ok_or("'host' is not an array")?
-                        .iter()
-                        .map(HostScenario::from_json)
-                        .collect::<Result<Vec<_>, _>>()?,
-                ),
-            },
-            suite_wall_ns: v.get("suite_wall_ns").and_then(Json::as_u64),
         })
     }
 
@@ -662,7 +555,6 @@ pub mod tests_support {
                     min: 990,
                     max: 1010,
                 },
-                wall_time_ms: StatF::zero(),
                 speedup_over_graphwalker: Some(StatF {
                     mean: 5.0,
                     min: 4.5,
@@ -676,8 +568,6 @@ pub mod tests_support {
                 journeys: None,
                 critical: None,
             }],
-            suite_wall_ns: None,
-            host: None,
         }
     }
 }
@@ -716,39 +606,6 @@ mod tests {
             back.scenario("fw/TT/w100").unwrap().flash_read_bytes(),
             4096
         );
-    }
-
-    #[test]
-    fn host_section_is_optional_and_round_trips() {
-        // Default record: no 'host' key at all (byte-identity contract).
-        let rep = tiny_report();
-        assert!(!rep.render().contains("\"host\""));
-
-        // --wall record: section round-trips through parse → render.
-        let mut rep = tiny_report();
-        rep.host = Some(vec![HostScenario {
-            name: "fw/TT/w100".into(),
-            wall_ns: StatU {
-                mean: 5_000_000,
-                min: 4_000_000,
-                max: 6_000_000,
-            },
-            host_events: StatU {
-                mean: 1200,
-                min: 1200,
-                max: 1200,
-            },
-            events_per_sec: StatF {
-                mean: 240000.0,
-                min: 200000.0,
-                max: 300000.0,
-            },
-        }]);
-        let text = rep.render();
-        assert!(text.contains("\"host\""));
-        let back = BenchReport::parse(&text).expect("parse own output");
-        assert_eq!(back, rep);
-        assert_eq!(back.render(), text);
     }
 
     #[test]
@@ -890,29 +747,12 @@ mod tests {
     }
 
     #[test]
-    fn suite_wall_rides_with_the_host_section_and_round_trips() {
-        // Without `host` the field never serializes — a deterministic
-        // record stays byte-identical even if a caller sets it.
-        let mut rep = tiny_report();
-        rep.suite_wall_ns = Some(7_000_000);
-        assert!(!rep.render().contains("suite_wall_ns"));
-
-        // With `host` it round-trips; absent on parse means an older
-        // `--wall` record (hostperf's fallback).
-        rep.host = Some(vec![]);
-        let text = rep.render();
-        assert!(text.contains("\"suite_wall_ns\": 7000000"));
-        let back = BenchReport::parse(&text).unwrap();
-        assert_eq!(back.suite_wall_ns, Some(7_000_000));
-        assert_eq!(back.render(), text);
-    }
-
-    #[test]
     fn schema_mismatch_is_rejected() {
         let mut rep = tiny_report();
         rep.schema = "fwbench/v0".into();
         let text = rep.render();
         let err = BenchReport::parse(&text).unwrap_err();
         assert!(err.contains("unsupported schema"), "{err}");
+        assert!(err.contains("re-run"), "{err}");
     }
 }

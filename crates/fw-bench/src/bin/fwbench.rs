@@ -5,45 +5,41 @@
 //!
 //! ```text
 //! fwbench run [--suite ci|paper] [--seeds N] [--label L] [--out PATH]
-//!             [--wall] [--no-trace] [--journeys] [--critical] [--threads N]
+//!             [--no-trace] [--journeys] [--critical] [--threads N]
+//!             [--faults none|light|heavy]
 //! fwbench compare [BASELINE] [CURRENT] [--noise-floor F]
-//!                 [--allow-journey-mismatch]
 //! fwbench why BASELINE CURRENT
-//! fwbench hostperf RECORD [BASELINE]
 //! fwbench tail RECORD
 //! fwbench serve [--suite ci] [--seed S] [--queries N] [--label L]
 //!               [--out PATH] [--csv PATH]
 //! ```
 //!
+//! Each subcommand takes exactly the flags listed; any other `--flag`
+//! exits 2 naming it, and a removed flag also says why it went.
+//!
 //! `run` defaults: the `ci` suite, 3 seeds (or `FW_SEEDS`), label = suite
-//! name, output `BENCH_<label>.json` in the working directory. Output is
-//! byte-identical across same-seed runs; `--wall` adds host wall-clock
-//! columns, a suite wall total, and a per-scenario `host` section
-//! (informational, not byte-stable, never gated). `--threads N` (or
-//! `FW_THREADS`) fans scenario×seed cells over N workers; each cell is
-//! one sequential engine run, so the simulated record is identical at
-//! any thread count — only wall-clock moves — and a non-default count is
+//! name, output `BENCH_<label>.json` in the working directory. Every
+//! field is simulated or a run stamp, so output is byte-identical across
+//! same-seed runs; host time is measured by the `bench/` package, not
+//! here. `--threads N` (or `FW_THREADS`) fans scenario×seed cells over N
+//! workers; each cell is one sequential engine run, so the simulated
+//! record is identical at any thread count and a non-default count is
 //! stamped into the env fingerprint.
 //!
 //! `compare` with one path compares it against the newest *other*
 //! `BENCH_*.json` in its directory; with two paths the first is the
 //! baseline. Exits 1 when the regression gate or a fidelity verdict
-//! fails, so CI can gate on it. Thread and worker counts are observer
-//! keys: a mismatch is printed but never refuses the diff.
+//! fails, so CI can gate on it. Thread, worker, journey and critical
+//! stamps are observer keys: a mismatch is printed but never refuses the
+//! diff. Fault profile, config and scales are model keys that refuse.
 //!
 //! `run --journeys` records sampled walk journeys on every seed-0 run:
 //! the record's scenario rows gain a `journeys` section (walk-latency
 //! percentiles, per-walk critical-path decompositions, the tail
-//! attribution table) and the env fingerprint is stamped, so journey and
-//! plain records never diff silently. Journey records default to a
-//! `-journeys` label suffix for the same reason fault runs do: the plain
-//! `BENCH_<suite>.json` byte-identity baseline stays untouched.
-//!
-//! `hostperf` prints the `host` section of a `--wall` record — wall-clock,
-//! host work units, events/sec and events/sec-per-worker per scenario,
-//! plus the suite wall total — and, given a second record, the wall-clock
-//! speedup of the first over it. Informational only: host performance
-//! never gates.
+//! attribution table) and the env fingerprint is stamped. Journey records
+//! default to a `-journeys` label suffix for the same reason fault runs
+//! do: the plain `BENCH_<suite>.json` byte-identity baseline stays
+//! untouched.
 //!
 //! `run --critical` records the causal profile on every seed-0 run: the
 //! scenario rows gain a `critical` section (per-component critical-path
@@ -76,6 +72,7 @@
 //! unreadable/malformed, 4 record parsed but an accounting invariant is
 //! violated (see EXPERIMENTS.md "Exit codes").
 
+use std::ops::RangeInclusive;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -91,10 +88,35 @@ use fw_sim::Json;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  fwbench run [--suite ci|paper] [--seeds N] [--label L] [--out PATH] [--wall] [--no-trace] [--journeys] [--critical] [--faults none|light|heavy] [--threads N]\n  fwbench compare [BASELINE] [CURRENT] [--noise-floor F] [--allow-journey-mismatch]\n  fwbench why BASELINE CURRENT\n  fwbench hostperf RECORD [BASELINE]\n  fwbench tail RECORD\n  fwbench serve [--suite ci] [--seed S] [--queries N] [--label L] [--out PATH] [--csv PATH]"
+        "usage:\n  fwbench run [--suite ci|paper] [--seeds N] [--label L] [--out PATH] [--no-trace] [--journeys] [--critical] [--faults none|light|heavy] [--threads N]\n  fwbench compare [BASELINE] [CURRENT] [--noise-floor F]\n  fwbench why BASELINE CURRENT\n  fwbench tail RECORD\n  fwbench serve [--suite ci] [--seed S] [--queries N] [--label L] [--out PATH] [--csv PATH]"
     );
     ExitCode::from(2)
 }
+
+/// Removed flags, each with the reason it went: `(subcommand, flag,
+/// reason)`. The removed `hostperf` subcommand is refused in `main`.
+const REMOVED: &[(&str, &str, &str)] = &[
+    (
+        "run",
+        "--rng",
+        "every engine run is one sequential event loop with one walk RNG",
+    ),
+    (
+        "run",
+        "--wall",
+        "records hold only simulated numbers; host time is measured by the bench/ package",
+    ),
+    (
+        "compare",
+        "--allow-journey-mismatch",
+        "journeys are an observer key: a journey/plain mismatch is printed and never refuses",
+    ),
+    (
+        "serve",
+        "--threads",
+        "each serving scenario is one sequential simulation with no worker threads to set",
+    ),
+];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -102,9 +124,15 @@ fn main() -> ExitCode {
         Some("run") => cmd_run(&args[1..]),
         Some("compare") => cmd_compare(&args[1..]),
         Some("why") => cmd_why(&args[1..]),
-        Some("hostperf") => cmd_hostperf(&args[1..]),
         Some("tail") => cmd_tail(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
+        Some("hostperf") => {
+            eprintln!(
+                "fwbench: hostperf was removed: host time is measured by the bench/ package \
+                 (EXPERIMENTS.md \"Host performance\")"
+            );
+            usage()
+        }
         _ => usage(),
     }
 }
@@ -118,31 +146,90 @@ fn load_record(cmd: &str, path: &Path) -> Result<BenchReport, ExitCode> {
     })
 }
 
-/// Refuse a flag this subcommand no longer takes (exit 2). Ignoring it
-/// would run a different experiment than the command line asks for.
-fn removed_flag(cmd: &str, args: &[String], flag: &str) -> Option<ExitCode> {
-    if !args.iter().any(|a| a == flag) {
-        return None;
-    }
-    eprintln!(
-        "fwbench {cmd}: {flag} was removed: every engine run is one sequential event loop with one walk RNG"
-    );
-    Some(usage())
+/// A subcommand's command line, split against the flags it takes.
+struct Args<'a> {
+    positional: Vec<&'a str>,
+    values: Vec<(&'a str, &'a str)>,
+    switches: Vec<&'a str>,
 }
 
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+impl<'a> Args<'a> {
+    /// Split `args` into positionals (their count must lie in
+    /// `positionals`), `valued` flags with their values and `switches`.
+    /// Any other `--flag` is a usage error (exit 2) naming it: ignoring it
+    /// would run a different experiment than the command line asks for.
+    /// A removed flag also says why it went.
+    fn parse(
+        cmd: &str,
+        args: &'a [String],
+        positionals: RangeInclusive<usize>,
+        valued: &[&str],
+        switches: &[&str],
+    ) -> Result<Args<'a>, ExitCode> {
+        let mut out = Args {
+            positional: Vec::new(),
+            values: Vec::new(),
+            switches: Vec::new(),
+        };
+        let mut it = args.iter().map(String::as_str);
+        while let Some(a) = it.next() {
+            if !a.starts_with("--") {
+                out.positional.push(a);
+            } else if valued.contains(&a) {
+                let Some(v) = it.next() else {
+                    eprintln!("fwbench {cmd}: {a} wants a value");
+                    return Err(usage());
+                };
+                out.values.push((a, v));
+            } else if switches.contains(&a) {
+                out.switches.push(a);
+            } else {
+                match REMOVED.iter().find(|(c, f, _)| *c == cmd && *f == a) {
+                    Some((_, _, why)) => eprintln!("fwbench {cmd}: {a} was removed: {why}"),
+                    None => eprintln!("fwbench {cmd}: unknown flag {a}"),
+                }
+                return Err(usage());
+            }
+        }
+        if !positionals.contains(&out.positional.len()) {
+            return Err(usage());
+        }
+        Ok(out)
+    }
+
+    /// The value of the first occurrence of `flag`.
+    fn value(&self, flag: &str) -> Option<&'a str> {
+        self.values
+            .iter()
+            .find(|(f, _)| *f == flag)
+            .map(|(_, v)| *v)
+    }
+
+    fn has(&self, switch: &str) -> bool {
+        self.switches.contains(&switch)
+    }
 }
 
 fn cmd_run(args: &[String]) -> ExitCode {
-    if let Some(code) = removed_flag("run", args, "--rng") {
-        return code;
-    }
-    let suite_name = flag_value(args, "--suite").unwrap_or("ci");
-    let seeds = match flag_value(args, "--seeds") {
+    let args = match Args::parse(
+        "run",
+        args,
+        0..=0,
+        &[
+            "--suite",
+            "--seeds",
+            "--label",
+            "--out",
+            "--faults",
+            "--threads",
+        ],
+        &["--no-trace", "--journeys", "--critical"],
+    ) {
+        Ok(a) => a,
+        Err(c) => return c,
+    };
+    let suite_name = args.value("--suite").unwrap_or("ci");
+    let seeds = match args.value("--seeds") {
         Some(n) => {
             let n: u64 = match n.parse() {
                 Ok(n) if n >= 1 => n,
@@ -166,16 +253,16 @@ fn cmd_run(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if args.iter().any(|a| a == "--no-trace") {
+    if args.has("--no-trace") {
         suite.trace = false;
     }
-    if args.iter().any(|a| a == "--journeys") {
+    if args.has("--journeys") {
         suite = suite.with_journeys();
     }
-    if args.iter().any(|a| a == "--critical") {
+    if args.has("--critical") {
         suite = suite.with_critical();
     }
-    if let Some(name) = flag_value(args, "--faults") {
+    if let Some(name) = args.value("--faults") {
         match FaultProfile::parse(name) {
             Ok(p) => suite = suite.with_faults(p),
             Err(e) => {
@@ -184,7 +271,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
             }
         }
     }
-    let threads: u32 = match flag_value(args, "--threads") {
+    let threads: u32 = match args.value("--threads") {
         Some(t) => match t.parse() {
             Ok(n) if n >= 1 => n,
             _ => {
@@ -196,7 +283,6 @@ fn cmd_run(args: &[String]) -> ExitCode {
         None => env_threads(),
     };
     suite = suite.with_threads(threads);
-    let include_wall = args.iter().any(|a| a == "--wall");
     // Fault and journey runs default to a suffixed label so they never
     // clobber the plain BENCH_<suite>.json byte-identity
     // baseline.
@@ -211,10 +297,9 @@ fn cmd_run(args: &[String]) -> ExitCode {
     if suite.critical {
         default_label.push_str("-critical");
     }
-    let label = flag_value(args, "--label")
-        .unwrap_or(&default_label)
-        .to_string();
-    let out: PathBuf = flag_value(args, "--out")
+    let label = args.value("--label").unwrap_or(&default_label).to_string();
+    let out: PathBuf = args
+        .value("--out")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from(format!("BENCH_{label}.json")));
 
@@ -263,7 +348,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    let report = build_bench_report(&label, &result, include_wall);
+    let report = build_bench_report(&label, &result);
     if let Err(e) = std::fs::write(&out, report.render()) {
         eprintln!("fwbench: cannot write {}: {e}", out.display());
         return ExitCode::FAILURE;
@@ -289,168 +374,11 @@ fn cmd_run(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_hostperf(args: &[String]) -> ExitCode {
-    let paths: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
-    let (cur_path, base_path) = match paths.as_slice() {
-        [cur] => (PathBuf::from(cur), None),
-        [cur, base] => (PathBuf::from(cur), Some(PathBuf::from(base))),
-        _ => return usage(),
-    };
-    let load = |p: &Path| load_record("hostperf", p);
-    let cur = match load(&cur_path) {
-        Ok(r) => r,
+fn cmd_tail(args: &[String]) -> ExitCode {
+    let path = match Args::parse("tail", args, 1..=1, &[], &[]) {
+        Ok(a) => PathBuf::from(a.positional[0]),
         Err(c) => return c,
     };
-    let Some(host) = &cur.host else {
-        eprintln!(
-            "fwbench hostperf: {} has no 'host' section — re-run with `fwbench run --wall`",
-            cur_path.display()
-        );
-        return ExitCode::FAILURE;
-    };
-    // Carry the baseline path *with* the loaded record, so every later
-    // use of the path is on the proven-Some arm — a missing baseline
-    // argument can only reach the shared loader's error path (exit 3),
-    // never an unwrap.
-    let base: Option<(PathBuf, BenchReport)> = match base_path {
-        Some(p) => match load(&p) {
-            Ok(r) => Some((p, r)),
-            Err(c) => return c,
-        },
-        None => None,
-    };
-    // Baseline wall-ns per scenario, resolved through the shared helper
-    // (host section first, scenario `wall_time_ms` fallback rounded
-    // half-up). A scenario the baseline can't price is *reported*, not
-    // silently dropped from the "vs base" column.
-    let base_wall_ns = |name: &str| -> Option<u64> {
-        let (_, b) = base.as_ref()?;
-        match fw_bench::hostperf::baseline_wall_ns(b, name) {
-            Ok(ns) => Some(ns),
-            Err(why) => {
-                eprintln!("fwbench hostperf: no baseline wall for '{name}': {why}");
-                None
-            }
-        }
-    };
-    if let Some((p, b)) = &base {
-        if b.host.is_none() && b.scenarios.iter().all(|s| s.wall_time_ms.mean == 0.0) {
-            eprintln!(
-                "fwbench hostperf: baseline {} has no wall-clock data — re-run with `fwbench run --wall`",
-                p.display()
-            );
-            return ExitCode::FAILURE;
-        }
-    }
-
-    // Per-worker figures divide by the *effective* worker count: when the
-    // clamp fired (`--threads` wider than the suite), `workers` is what
-    // actually ran. Records predating the field parse as workers==threads.
-    let workers = cur.env.workers.max(1);
-    eprintln!(
-        "fwbench hostperf: {} (label '{}', rev {}, {} worker(s))",
-        cur_path.display(),
-        cur.label,
-        cur.env.git_rev,
-        workers
-    );
-    // Ideal-scaling efficiency: this record's ev/s-per-worker as a
-    // fraction of the baseline's. Against a 1-worker baseline this is
-    // exactly "how much of perfect N× scaling did N workers deliver".
-    let base_evs_per_worker = |name: &str| -> Option<f64> {
-        let (_, b) = base.as_ref()?;
-        let bw = b.env.workers.max(1) as f64;
-        b.host
-            .as_ref()?
-            .iter()
-            .find(|h| h.name == name)
-            .map(|h| h.events_per_sec.mean / bw)
-            .filter(|&e| e > 0.0)
-    };
-    println!(
-        "{:<28} {:>13} {:>12} {:>14} {:>12} {:>9} {:>7}",
-        "scenario", "wall_ms(mean)", "host_events", "events/sec", "ev/s/worker", "vs base", "eff"
-    );
-    let mut total_cur = 0u64;
-    let mut total_base = 0u64;
-    for h in host {
-        let vs = base_wall_ns(&h.name).map(|b| {
-            total_cur += h.wall_ns.mean;
-            total_base += b;
-            b as f64 / h.wall_ns.mean.max(1) as f64
-        });
-        let per_worker = h.events_per_sec.mean / workers as f64;
-        let eff = base_evs_per_worker(&h.name).map(|b| per_worker / b);
-        println!(
-            "{:<28} {:>13.3} {:>12} {:>14.0} {:>12.0} {:>9} {:>7}",
-            h.name,
-            h.wall_ns.mean as f64 / 1e6,
-            h.host_events.mean,
-            h.events_per_sec.mean,
-            per_worker,
-            match vs {
-                Some(s) => format!("{s:.2}x"),
-                None => "-".to_string(),
-            },
-            match eff {
-                Some(e) => format!("{:.0}%", e * 100.0),
-                None => "-".to_string(),
-            }
-        );
-    }
-    if total_base > 0 {
-        println!(
-            "{:<28} {:>13.3} {:>12} {:>14} {:>12} {:>8.2}x {:>7}",
-            "TOTAL",
-            total_cur as f64 / 1e6,
-            "-",
-            "-",
-            "-",
-            total_base as f64 / total_cur.max(1) as f64,
-            "-"
-        );
-    }
-    // Suite wall total: the elapsed time of the whole sweep, the number
-    // the thread-scaling experiments compare. Older `--wall` records
-    // predate the field (and the `threads` stamp); say so instead of
-    // inventing a total from overlapping per-cell times.
-    match cur.suite_wall_ns {
-        Some(ns) => {
-            let base_suite = base.as_ref().and_then(|(_, b)| b.suite_wall_ns);
-            match base_suite {
-                Some(bns) => {
-                    let speedup = bns as f64 / ns.max(1) as f64;
-                    let base_workers =
-                        base.as_ref().map(|(_, b)| b.env.workers.max(1)).unwrap_or(1);
-                    // Suite-level scaling efficiency: measured speedup as
-                    // a fraction of the ideal worker-count ratio.
-                    let ideal = workers as f64 / base_workers as f64;
-                    println!(
-                        "suite wall {:.3} ms at {} worker(s) — {:.2}x vs baseline's {:.3} ms at {} worker(s) ({:.0}% of ideal)",
-                        ns as f64 / 1e6,
-                        workers,
-                        speedup,
-                        bns as f64 / 1e6,
-                        base_workers,
-                        speedup / ideal * 100.0
-                    );
-                }
-                None => println!("suite wall {:.3} ms at {} worker(s)", ns as f64 / 1e6, workers),
-            }
-        }
-        None => eprintln!(
-            "fwbench hostperf: record predates the suite-wall/threads fields — per-worker numbers assume 1 worker"
-        ),
-    }
-    ExitCode::SUCCESS
-}
-
-fn cmd_tail(args: &[String]) -> ExitCode {
-    let paths: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
-    let [path] = paths.as_slice() else {
-        return usage();
-    };
-    let path = PathBuf::from(path);
     // The shared loader already enforces the segment-sum invariant (exit
     // 4 on violation); the per-walk reconciliation below re-derives the
     // detail for the human-readable report.
@@ -537,9 +465,9 @@ fn cmd_tail(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Print the thread/worker stamps of both records when they differ. They
-/// are observer keys: the cell-pool width never changes a simulated
-/// number, so the diff proceeds either way.
+/// Print the observer stamps of both records where they differ. Neither
+/// the cell-pool width nor the schedule-neutral journey and critical
+/// recorders change a simulated number, so the diff proceeds either way.
 fn note_observer_keys(cmd: &str, base: &BenchReport, cur: &BenchReport) {
     let (b, c) = (&base.env, &cur.env);
     if (b.threads, b.workers) != (c.threads, c.workers) {
@@ -549,14 +477,28 @@ fn note_observer_keys(cmd: &str, base: &BenchReport, cur: &BenchReport) {
             b.threads, b.workers, c.threads, c.workers
         );
     }
+    let which = |on: bool| if on { "with" } else { "without" };
+    for (flag, bo, co) in [
+        ("--journeys", b.journeys, c.journeys),
+        ("--critical", b.critical, c.critical),
+    ] {
+        if bo != co {
+            eprintln!(
+                "fwbench {cmd}: baseline ran {} {flag}, current {} (observer key, not compared)",
+                which(bo),
+                which(co)
+            );
+        }
+    }
 }
 
 fn cmd_compare(args: &[String]) -> ExitCode {
+    let args = match Args::parse("compare", args, 1..=2, &["--noise-floor"], &[]) {
+        Ok(a) => a,
+        Err(c) => return c,
+    };
     let mut cfg = CompareConfig::default();
-    if args.iter().any(|a| a == "--allow-journey-mismatch") {
-        cfg.allow_journey_mismatch = true;
-    }
-    if let Some(f) = flag_value(args, "--noise-floor") {
+    if let Some(f) = args.value("--noise-floor") {
         match f.parse() {
             Ok(v) => cfg.noise_floor = v,
             Err(_) => {
@@ -565,17 +507,7 @@ fn cmd_compare(args: &[String]) -> ExitCode {
             }
         }
     }
-    let paths: Vec<&String> = args
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| {
-            !a.starts_with("--")
-                && !matches!(args.get(i.wrapping_sub(1)), Some(prev) if prev == "--noise-floor")
-        })
-        .map(|(_, a)| a)
-        .collect();
-
-    let (base_path, cur_path): (PathBuf, PathBuf) = match paths.as_slice() {
+    let (base_path, cur_path): (PathBuf, PathBuf) = match args.positional.as_slice() {
         [base, cur] => ((*base).into(), (*cur).into()),
         [cur] => {
             let cur_path = PathBuf::from(cur);
@@ -630,8 +562,11 @@ fn cmd_compare(args: &[String]) -> ExitCode {
 }
 
 fn cmd_why(args: &[String]) -> ExitCode {
-    let paths: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
-    let [base_path, cur_path] = paths.as_slice() else {
+    let args = match Args::parse("why", args, 2..=2, &[], &[]) {
+        Ok(a) => a,
+        Err(c) => return c,
+    };
+    let [base_path, cur_path] = args.positional[..] else {
         return usage();
     };
     let base = match load_record("why", Path::new(base_path)) {
@@ -646,9 +581,11 @@ fn cmd_why(args: &[String]) -> ExitCode {
         "fwbench why: baseline {base_path} (label '{}', rev {}) vs current {cur_path} (label '{}', rev {})",
         base.label, base.env.git_rev, cur.label, cur.env.git_rev
     );
-    note_observer_keys("why", &base, &cur);
     match why_reports(&base, &cur) {
         Ok(res) => {
+            // After the refusals: `why` requires critical sections on both
+            // sides, so only a diff that goes ahead has keys to note.
+            note_observer_keys("why", &base, &cur);
             print!("{}", res.render());
             ExitCode::SUCCESS
         }
@@ -665,15 +602,29 @@ fn cmd_why(args: &[String]) -> ExitCode {
 /// command reports success, so a record that doesn't balance its own
 /// admission books can never be published with exit 0.
 fn cmd_serve(args: &[String]) -> ExitCode {
-    if let Some(code) = removed_flag("serve", args, "--threads") {
-        return code;
-    }
-    let suite_name = flag_value(args, "--suite").unwrap_or("ci");
+    let args = match Args::parse(
+        "serve",
+        args,
+        0..=0,
+        &[
+            "--suite",
+            "--seed",
+            "--queries",
+            "--label",
+            "--out",
+            "--csv",
+        ],
+        &[],
+    ) {
+        Ok(a) => a,
+        Err(c) => return c,
+    };
+    let suite_name = args.value("--suite").unwrap_or("ci");
     if suite_name != "ci" {
         eprintln!("unknown serve suite '{suite_name}' (known: ci)");
         return ExitCode::from(2);
     }
-    let seed: u64 = match flag_value(args, "--seed") {
+    let seed: u64 = match args.value("--seed") {
         Some(s) => match s.parse() {
             Ok(n) => n,
             Err(_) => {
@@ -683,7 +634,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         },
         None => DEFAULT_SEED,
     };
-    let queries: u64 = match flag_value(args, "--queries") {
+    let queries: u64 = match args.value("--queries") {
         Some(q) => match q.parse() {
             Ok(n) if n >= 1 => n,
             _ => {
@@ -693,10 +644,9 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         },
         None => 96,
     };
-    let label = flag_value(args, "--label")
-        .unwrap_or(suite_name)
-        .to_string();
-    let out: PathBuf = flag_value(args, "--out")
+    let label = args.value("--label").unwrap_or(suite_name).to_string();
+    let out: PathBuf = args
+        .value("--out")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from(format!("SERVE_{label}.json")));
 
@@ -713,7 +663,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         eprintln!("fwbench serve: written record fails validation: {e}");
         return ExitCode::from(e.exit_code());
     }
-    if let Some(csv_path) = flag_value(args, "--csv") {
+    if let Some(csv_path) = args.value("--csv") {
         if let Err(e) = std::fs::write(csv_path, serve_csv(&doc)) {
             eprintln!("fwbench serve: cannot write {csv_path}: {e}");
             return ExitCode::FAILURE;

@@ -35,13 +35,6 @@ pub struct CompareConfig {
     /// `noise_floor * single_seed_floor_mult` and the row is flagged in
     /// the rendered table. `1.0` restores the old collapsed behavior.
     pub single_seed_floor_mult: f64,
-    /// Permit diffing a journey-enabled record against a plain one. Off
-    /// by default — the journey sections change what the record carries,
-    /// so a mixed diff usually means the wrong pair of records. The
-    /// simulated times themselves are journey-invariant (recording is
-    /// schedule-neutral), which is exactly why a deliberate cross-diff
-    /// with the override must still gate clean.
-    pub allow_journey_mismatch: bool,
 }
 
 impl Default for CompareConfig {
@@ -51,7 +44,6 @@ impl Default for CompareConfig {
             warn_mult: 1.0,
             fail_mult: 2.0,
             single_seed_floor_mult: 2.0,
-            allow_journey_mismatch: false,
         }
     }
 }
@@ -201,17 +193,6 @@ pub fn compare_reports(
             "fault profile mismatch: baseline '{}' vs current '{}' — faulted and \
              fault-free records are not comparable",
             base.env.fault_profile, cur.env.fault_profile
-        ));
-    }
-    if base.env.journeys != cur.env.journeys && !cfg.allow_journey_mismatch {
-        let which = |on: bool| if on { "with" } else { "without" };
-        return Err(format!(
-            "journey mismatch: baseline ran {} --journeys, current {} — pass \
-             --allow-journey-mismatch to diff anyway (journey recording is \
-             schedule-neutral, so the simulated numbers still have to match; \
-             this guard catches accidental record mixups)",
-            which(base.env.journeys),
-            which(cur.env.journeys)
         ));
     }
     if base.env.graph_scale != cur.env.graph_scale
@@ -544,7 +525,6 @@ mod tests {
                 min: mean_ns - spread_ns,
                 max: mean_ns + spread_ns,
             },
-            wall_time_ms: StatF::zero(),
             speedup_over_graphwalker: speedup.map(|s| StatF {
                 mean: s,
                 min: s,
@@ -575,8 +555,6 @@ mod tests {
                 workers: 1,
             },
             scenarios,
-            suite_wall_ns: None,
-            host: None,
         }
     }
 
@@ -592,32 +570,31 @@ mod tests {
 
     #[test]
     fn thread_and_worker_counts_are_observer_keys() {
-        // The cell-pool width never changes a simulated number, so a
-        // thread/worker mismatch is diffed, not refused.
-        let base = sample();
-        let mut cur = sample();
-        cur.env.threads = 4;
-        cur.env.workers = 2;
-        let res = compare_reports(&base, &cur, &CompareConfig::default())
-            .expect("thread counts never block a compare");
-        assert!(!res.failed());
-    }
-
-    #[test]
-    fn journey_and_plain_records_are_refused_unless_overridden() {
-        let base = sample();
-        let mut cur = sample();
-        cur.env.journeys = true;
-        let err = compare_reports(&base, &cur, &CompareConfig::default()).unwrap_err();
-        assert!(err.contains("journey mismatch"), "{err}");
-        // Journey recording is schedule-neutral, so an overridden diff
-        // against a plain baseline must still gate clean.
-        let cfg = CompareConfig {
-            allow_journey_mismatch: true,
-            ..CompareConfig::default()
-        };
-        let res = compare_reports(&base, &cur, &cfg).expect("override permits the diff");
-        assert!(!res.failed());
+        // Neither the cell-pool width nor the schedule-neutral journey and
+        // critical recorders change a simulated number, so a mismatch in
+        // any of them is diffed, not refused — and the diff gates clean.
+        let stamps: [fn(&mut EnvFingerprint); 4] = [
+            |e| {
+                e.threads = 4;
+                e.workers = 2;
+            },
+            |e| e.journeys = true,
+            |e| e.critical = true,
+            |e| {
+                e.journeys = true;
+                e.critical = true;
+            },
+        ];
+        for stamp in stamps {
+            let base = sample();
+            let mut cur = sample();
+            stamp(&mut cur.env);
+            for (b, c) in [(&base, &cur), (&cur, &base)] {
+                let res = compare_reports(b, c, &CompareConfig::default())
+                    .expect("observer keys never block a compare");
+                assert!(!res.failed(), "{:?} vs {:?}", b.env, c.env);
+            }
+        }
     }
 
     #[test]

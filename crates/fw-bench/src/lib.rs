@@ -21,16 +21,14 @@
 //! * [`serve`] — the online-serving suite over `fw-serve`: capacity-
 //!   calibrated offered-load points, throughput-vs-p99 curves, and the
 //!   byte-deterministic `SERVE_*.json` record + CSV artifact,
-//! * [`hostperf`] — shared baseline wall-time resolution for
-//!   `fwbench hostperf` (explicit reasons instead of silent drops),
 //!
-//! all driven by the `fwbench` binary (`fwbench run` / `fwbench compare`
-//! / `fwbench why` / `fwbench serve`).
+//! all driven by the `fwbench` binary (`fwbench run` / `compare` / `why` /
+//! `tail` / `serve`). Every record holds only simulated numbers and run
+//! stamps; host time is measured by the separate `bench/` package.
 
 pub mod bench_json;
 pub mod chart;
 pub mod compare;
-pub mod hostperf;
 pub mod record;
 pub mod runner;
 pub mod serve;

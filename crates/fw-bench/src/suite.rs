@@ -11,7 +11,6 @@
 //! (see [`crate::bench_json`]).
 
 use std::collections::HashMap;
-use std::time::Instant;
 
 use flashwalker::{AccelConfig, OptToggles};
 use fw_fault::FaultProfile;
@@ -21,9 +20,7 @@ use fw_sim::export::trace_summary_json;
 use fw_sim::{CriticalConfig, JourneyConfig, TraceConfig, WorkerPool};
 use fw_walk::{RunReport, WalkEngine, Workload};
 
-use crate::bench_json::{
-    BenchReport, EnvFingerprint, HostScenario, ScenarioRecord, StatF, StatU, SCHEMA,
-};
+use crate::bench_json::{BenchReport, EnvFingerprint, ScenarioRecord, StatF, StatU, SCHEMA};
 use crate::runner::{
     flashwalker_engine, graphwalker_engine, iterative_engine, prepared, Prepared, DEFAULT_SEED,
 };
@@ -217,7 +214,7 @@ pub struct Suite {
     /// Worker threads for the suite sweep: scenario×seed cells execute
     /// on a [`WorkerPool`] this wide. Each cell is an independent
     /// sequential simulator run, so simulated results are thread-invariant
-    /// (the equivalence tests assert it); only wall-clock changes. 1 — the
+    /// (the equivalence tests assert it); only host time changes. 1 — the
     /// default — runs every cell inline in order.
     pub threads: u32,
     /// Record sampled walk journeys on each scenario's seed-0 run (adds
@@ -369,11 +366,6 @@ impl Suite {
 pub struct SeedRun {
     /// Engine seed.
     pub seed: u64,
-    /// Host wall-clock for the run, milliseconds.
-    pub wall_ms: f64,
-    /// Host wall-clock for the run, nanoseconds (the `host` section's
-    /// integer-stat source; `wall_ms` is the same measurement as f64).
-    pub wall_ns: u64,
     /// Speedup over the paired GraphWalker run at the same seed (None
     /// when the suite has no GraphWalker cell at this dataset/walks/
     /// variant, and on the GraphWalker scenarios themselves).
@@ -405,40 +397,6 @@ impl ScenarioResult {
     /// mean/min/max simulated time.
     pub fn sim_stat(&self) -> StatU {
         StatU::of(&self.sim_ns())
-    }
-
-    /// mean/min/max wall-clock milliseconds.
-    pub fn wall_stat(&self) -> StatF {
-        StatF::of(&self.runs.iter().map(|r| r.wall_ms).collect::<Vec<_>>())
-    }
-
-    /// mean/min/max wall-clock nanoseconds (`host` section source).
-    pub fn wall_ns_stat(&self) -> StatU {
-        StatU::of(&self.runs.iter().map(|r| r.wall_ns).collect::<Vec<_>>())
-    }
-
-    /// mean/min/max host work units per seed (simulator events or hops,
-    /// see `RunReport::host_events`). Deterministic, unlike wall-clock.
-    pub fn host_events_stat(&self) -> StatU {
-        StatU::of(
-            &self
-                .runs
-                .iter()
-                .map(|r| r.report.host_events)
-                .collect::<Vec<_>>(),
-        )
-    }
-
-    /// mean/min/max host throughput per seed: `host_events` over wall
-    /// seconds — the number the host hot-path optimizations move.
-    pub fn events_per_sec_stat(&self) -> StatF {
-        StatF::of(
-            &self
-                .runs
-                .iter()
-                .map(|r| r.report.host_events as f64 / (r.wall_ns.max(1) as f64 / 1e9))
-                .collect::<Vec<_>>(),
-        )
     }
 
     /// mean/min/max speedup over GraphWalker, when every seed has one.
@@ -473,11 +431,6 @@ pub struct SuiteResult {
     /// logged at run time and this — not the request — is what the env
     /// fingerprint stamps.
     pub workers: u32,
-    /// Wall-clock for the whole sweep (dataset generation + every
-    /// scenario×seed cell), nanoseconds. This is the number the
-    /// thread-scaling experiments divide — per-cell wall times overlap
-    /// under a parallel pool, so their sum overstates elapsed time.
-    pub suite_wall_ns: u64,
     /// Per-scenario results, in suite order.
     pub results: Vec<ScenarioResult>,
 }
@@ -576,8 +529,7 @@ fn run_one(
 /// GraphWalker time. With `threads == 1` the pool runs every job inline
 /// in order — the sequential reference the equivalence tests diff
 /// against. Simulated results are identical either way (each cell is an
-/// independent simulator run); only wall-clock and [`SuiteResult::
-/// suite_wall_ns`] change.
+/// independent simulator run); only host time changes.
 ///
 /// Errors (rather than panicking) on a suite with no seeds or no
 /// scenarios — both are reachable from the `fwbench` CLI.
@@ -632,7 +584,6 @@ pub fn run_suite(suite: &Suite) -> Result<SuiteResult, String> {
         );
     }
     let pool = WorkerPool::new(workers as usize);
-    let t_suite = Instant::now();
 
     let prepped: Vec<Prepared> = pool.map_ordered(order.clone(), |_, id| {
         eprintln!("[{}] generating …", id.abbrev());
@@ -648,7 +599,6 @@ pub fn run_suite(suite: &Suite) -> Result<SuiteResult, String> {
         let sc = &suite.scenarios[i];
         let seed = suite.seeds[si];
         eprintln!("[{}] {} seed {} …", sc.dataset.abbrev(), sc.name(), seed);
-        let t0 = Instant::now();
         let report = run_one(
             prep_of(sc.dataset),
             sc,
@@ -660,13 +610,13 @@ pub fn run_suite(suite: &Suite) -> Result<SuiteResult, String> {
             },
             suite.faults,
         );
-        (i, si, t0.elapsed().as_nanos() as u64, report)
+        (i, si, report)
     };
     let gw_runs = pool.map_ordered(cells(true), run_cell);
     // GraphWalker sim times per (dataset, walks, variant, seed), for
     // speedup pairing in the second pass.
     let mut gw_ns: HashMap<(DatasetId, u64, String, u64), u64> = HashMap::new();
-    for (i, si, _, report) in &gw_runs {
+    for (i, si, report) in &gw_runs {
         let sc = &suite.scenarios[*i];
         gw_ns.insert(
             (sc.dataset, sc.walks, sc.variant.clone(), suite.seeds[*si]),
@@ -676,18 +626,18 @@ pub fn run_suite(suite: &Suite) -> Result<SuiteResult, String> {
     let rest_runs = pool.map_ordered(cells(false), run_cell);
 
     // Reassemble per-scenario results in suite order, seeds in order.
-    let mut by_scenario: Vec<Vec<(usize, u64, RunReport)>> =
+    let mut by_scenario: Vec<Vec<(usize, RunReport)>> =
         (0..suite.scenarios.len()).map(|_| Vec::new()).collect();
-    for (i, si, wall_ns, report) in gw_runs.into_iter().chain(rest_runs) {
-        by_scenario[i].push((si, wall_ns, report));
+    for (i, si, report) in gw_runs.into_iter().chain(rest_runs) {
+        by_scenario[i].push((si, report));
     }
     let mut results = Vec::new();
     for (i, mut seed_runs) in by_scenario.into_iter().enumerate() {
         let sc = &suite.scenarios[i];
-        seed_runs.sort_by_key(|(si, _, _)| *si);
+        seed_runs.sort_by_key(|(si, _)| *si);
         let runs = seed_runs
             .into_iter()
-            .map(|(si, wall_ns, report)| {
+            .map(|(si, report)| {
                 let seed = suite.seeds[si];
                 let speedup = if sc.engine == EngineKind::Graphwalker {
                     None
@@ -698,8 +648,6 @@ pub fn run_suite(suite: &Suite) -> Result<SuiteResult, String> {
                 };
                 SeedRun {
                     seed,
-                    wall_ms: wall_ns as f64 / 1e6,
-                    wall_ns,
                     speedup,
                     report,
                 }
@@ -718,7 +666,6 @@ pub fn run_suite(suite: &Suite) -> Result<SuiteResult, String> {
         journeys: suite.journeys,
         critical: suite.critical,
         workers,
-        suite_wall_ns: t_suite.elapsed().as_nanos() as u64,
         results,
     })
 }
@@ -736,14 +683,10 @@ pub fn git_rev() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// Distill an executed suite into the `BENCH_*.json` record. With
-/// `include_wall` false (the default `fwbench` mode) wall-clock columns
-/// are zeroed and the `host` section is omitted so same-seed runs
-/// serialize byte-identically; with it true the record additionally
-/// carries a per-scenario `host` section (wall-ns, host work units,
-/// events/sec) for `fwbench hostperf`. Sim-time, traffic and trace
-/// numbers are deterministic either way.
-pub fn build_bench_report(label: &str, res: &SuiteResult, include_wall: bool) -> BenchReport {
+/// Distill an executed suite into the `BENCH_*.json` record. Every field
+/// is simulated or a run stamp, so same-seed runs serialize
+/// byte-identically; host time is measured by the `bench/` package.
+pub fn build_bench_report(label: &str, res: &SuiteResult) -> BenchReport {
     let scenarios = res
         .results
         .iter()
@@ -758,11 +701,6 @@ pub fn build_bench_report(label: &str, res: &SuiteResult, include_wall: bool) ->
                 walks: sc.walks,
                 num_seeds: r.runs.len() as u64,
                 sim_time_ns: r.sim_stat(),
-                wall_time_ms: if include_wall {
-                    r.wall_stat()
-                } else {
-                    StatF::zero()
-                },
                 speedup_over_graphwalker: r.speedup_stat(),
                 report: seed0.summary_json(),
                 trace: seed0.trace.as_ref().map(trace_summary_json),
@@ -771,17 +709,6 @@ pub fn build_bench_report(label: &str, res: &SuiteResult, include_wall: bool) ->
             }
         })
         .collect();
-    let host = include_wall.then(|| {
-        res.results
-            .iter()
-            .map(|r| HostScenario {
-                name: r.scenario.name(),
-                wall_ns: r.wall_ns_stat(),
-                host_events: r.host_events_stat(),
-                events_per_sec: r.events_per_sec_stat(),
-            })
-            .collect()
-    });
     BenchReport {
         schema: SCHEMA.to_string(),
         label: label.to_string(),
@@ -799,8 +726,6 @@ pub fn build_bench_report(label: &str, res: &SuiteResult, include_wall: bool) ->
             workers: res.workers,
         },
         scenarios,
-        suite_wall_ns: include_wall.then_some(res.suite_wall_ns),
-        host,
     }
 }
 

@@ -30,7 +30,7 @@ fn shared_result() -> &'static SuiteResult {
 }
 
 fn shared_report() -> BenchReport {
-    build_bench_report("test", shared_result(), false)
+    build_bench_report("test", shared_result())
 }
 
 /// Two runs of the same suite with the same seeds must render to
@@ -38,13 +38,9 @@ fn shared_report() -> BenchReport {
 /// the committed baseline rely on).
 #[test]
 fn same_seed_runs_emit_byte_identical_json() {
-    let a = build_bench_report("test", shared_result(), false).render();
-    let b = build_bench_report(
-        "test",
-        &run_suite(&tiny_suite()).expect("tiny suite runs"),
-        false,
-    )
-    .render();
+    let a = build_bench_report("test", shared_result()).render();
+    let b =
+        build_bench_report("test", &run_suite(&tiny_suite()).expect("tiny suite runs")).render();
     assert_eq!(a, b, "same-seed fwbench runs must be byte-identical");
     assert!(a.ends_with('\n'), "rendered report ends with a newline");
 }
@@ -137,12 +133,8 @@ fn empty_suites_error_instead_of_panicking() {
 fn fault_suite_is_deterministic_and_reports_fault_metrics() {
     let faulted = || tiny_suite().with_faults(FaultProfile::light());
     let a = run_suite(&faulted()).expect("fault suite runs");
-    let ra = build_bench_report("faults", &a, false);
-    let rb = build_bench_report(
-        "faults",
-        &run_suite(&faulted()).expect("fault suite runs"),
-        false,
-    );
+    let ra = build_bench_report("faults", &a);
+    let rb = build_bench_report("faults", &run_suite(&faulted()).expect("fault suite runs"));
     assert_eq!(
         ra.render(),
         rb.render(),
@@ -183,8 +175,8 @@ fn fault_suite_is_deterministic_and_reports_fault_metrics() {
 #[test]
 fn journey_suite_reconciles_and_stays_deterministic() {
     let journeyed = || tiny_suite().with_journeys();
-    let ra = build_bench_report("j", &run_suite(&journeyed()).expect("suite runs"), false);
-    let rb = build_bench_report("j", &run_suite(&journeyed()).expect("suite runs"), false);
+    let ra = build_bench_report("j", &run_suite(&journeyed()).expect("suite runs"));
+    let rb = build_bench_report("j", &run_suite(&journeyed()).expect("suite runs"));
     assert_eq!(
         ra.render(),
         rb.render(),
@@ -231,7 +223,7 @@ fn every_producer_tree_round_trips_through_render_and_parse() {
         .with_journeys()
         .with_critical();
     suite.seeds = vec![42];
-    let rep = build_bench_report("trees", &run_suite(&suite).expect("suite runs"), false);
+    let rep = build_bench_report("trees", &run_suite(&suite).expect("suite runs"));
     for sc in &rep.scenarios {
         assert!(sc.report.get("faults").is_some(), "{}", sc.name);
         assert!(sc.trace.is_some() && sc.journeys.is_some() && sc.critical.is_some());
@@ -248,7 +240,7 @@ fn every_producer_tree_round_trips_through_render_and_parse() {
 #[test]
 fn suite_report_carries_traffic_trace_and_speedup() {
     let rep = shared_report();
-    assert_eq!(rep.schema, "fwbench/v1");
+    assert_eq!(rep.schema, "fwbench/v2");
     assert_eq!(rep.env.seeds, vec![42, 43]);
     let fw = rep
         .scenarios
@@ -268,8 +260,6 @@ fn suite_report_carries_traffic_trace_and_speedup() {
         .find(|s| s.tag == "gw")
         .expect("gw cell");
     assert!(gw.speedup_over_graphwalker.is_none());
-    // Deterministic mode zeroes wall-clock stats.
-    assert_eq!(fw.wall_time_ms.mean, 0.0);
 
     // Fidelity checks on a single-dataset report: nothing fails, and
     // the cross-dataset claims are skipped rather than guessed.

@@ -92,8 +92,8 @@ fn journey_sections_are_byte_identical_across_thread_counts() {
         s.trace = false;
         s.with_threads(threads).with_journeys()
     };
-    let seq = build_bench_report("t", &run_suite(&suite(1)).unwrap(), false);
-    let par = build_bench_report("t", &run_suite(&suite(4)).unwrap(), false);
+    let seq = build_bench_report("t", &run_suite(&suite(1)).unwrap());
+    let par = build_bench_report("t", &run_suite(&suite(4)).unwrap());
     assert!(seq.env.journeys, "journey runs stamp the env fingerprint");
     for (a, b) in seq.scenarios.iter().zip(&par.scenarios) {
         assert_eq!(a.name, b.name);
@@ -134,9 +134,9 @@ fn bench_records_are_byte_stable_across_thread_counts() {
         s.trace = true;
         s.with_threads(threads)
     };
-    let seq = build_bench_report("t", &run_suite(&suite(1)).unwrap(), false).render();
-    let par = build_bench_report("t", &run_suite(&suite(4)).unwrap(), false).render();
-    let par2 = build_bench_report("t", &run_suite(&suite(4)).unwrap(), false).render();
+    let seq = build_bench_report("t", &run_suite(&suite(1)).unwrap()).render();
+    let par = build_bench_report("t", &run_suite(&suite(4)).unwrap()).render();
+    let par2 = build_bench_report("t", &run_suite(&suite(4)).unwrap()).render();
     assert_eq!(par, par2, "threads=4 double run must be byte-identical");
     // Strip the legitimate differences — the env `threads` stamp and the
     // clamped effective `workers` count — and require the rest byte-equal.

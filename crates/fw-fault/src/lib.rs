@@ -20,7 +20,7 @@
 //!   exact same fault schedule;
 //! * a disabled injector ([`FaultProfile::none`]) draws **zero** random
 //!   numbers and adds **zero** latency, which is what keeps fault-free
-//!   runs byte-identical to the committed `BENCH_pr3.json` baseline.
+//!   runs byte-identical to runs made without the fault subsystem.
 //!
 //! The device-level model (raw bit errors, the ECC read-retry ladder,
 //! chip/channel stalls) lives in [`FaultInjector`] and is wired into

@@ -192,12 +192,6 @@ pub struct RunReport {
     pub breakdown: EngineBreakdown,
     /// Achieved flash read bandwidth over the run, bytes/s.
     pub read_bw: f64,
-    /// Host-side work proxy for the run: delivered simulator events for
-    /// the event-driven engines, executed hops for the serial baselines.
-    /// This measures how much the *simulator* did, not simulated
-    /// behaviour — it is deliberately excluded from [`Self::summary_json`]
-    /// so the byte-identical simulated-results contract is untouched.
-    pub host_events: u64,
     /// Walks completed per trace window (empty when the engine does not
     /// trace).
     pub progress: Vec<f64>,
@@ -328,7 +322,6 @@ mod tests {
                 other_ns: 0,
             },
             read_bw: 12.3456,
-            host_events: 99,
             progress: vec![1.0],
             trace_window_ns: 0,
             walk_log: Vec::new(),
@@ -344,9 +337,7 @@ mod tests {
         let traffic = json.get("traffic").expect("traffic object");
         assert_eq!(traffic.get("flash_read_bytes"), Some(&Json::u(4096)));
         assert_eq!(json.get("read_bw"), Some(&Json::Num("12.346".into())));
-        // Host metrics must never leak into the simulated summary.
         let text = json.render();
-        assert!(!text.contains("host_events"));
         // Fault-free runs must not carry a faults key: the byte-identity
         // contract against pre-fault baselines depends on it.
         assert!(!text.contains("faults"));

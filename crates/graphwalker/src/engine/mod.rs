@@ -107,8 +107,6 @@ impl From<GwReport> for RunReport {
                 other_ns: r.breakdown.other.as_nanos(),
             },
             read_bw: r.read_bw,
-            // Serial engine: no event queue; hops are the host-work proxy.
-            host_events: r.hops,
             progress: r.progress,
             trace_window_ns: r.trace_window_ns,
             walk_log: r.walk_log,

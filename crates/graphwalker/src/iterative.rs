@@ -81,8 +81,6 @@ impl From<IterReport> for RunReport {
                 other_ns: r.breakdown.other.as_nanos(),
             },
             read_bw: r.read_bw,
-            // Serial engine: no event queue; hops are the host-work proxy.
-            host_events: r.hops,
             progress: Vec::new(), // untraced engine
             trace_window_ns: 0,
             walk_log: Vec::new(), // no walk logging
