@@ -88,20 +88,6 @@ use events::Ev;
 use state::{ChannelState, ChipSlots, ChipState, ForeignStore, Pools, Pwb, SgId, Slot, TWalk};
 use step::prewalk_slice;
 
-/// A recorder lane: one per channel (carrying that channel's chip and
-/// channel-accelerator work) plus a board/PCIe lane last. Indexes the
-/// per-lane tracers, journey recorders and critical recorders.
-#[derive(Clone, Copy)]
-pub(super) struct ShardId(u32);
-
-impl ShardId {
-    /// The lane index as a `usize` (for indexing per-lane recorders).
-    #[inline]
-    pub(super) fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
 /// The FlashWalker system simulator.
 pub struct FlashWalkerSim<'g> {
     cfg: AccelConfig,
@@ -151,28 +137,17 @@ pub struct FlashWalkerSim<'g> {
     progress: TimeSeries,
     trace_window_ns: u64,
     walk_log: Option<Vec<fw_walk::Walk>>,
+    /// The run's span tracer: accelerator batch spans (`chip.batch`,
+    /// `chan.batch`, `board.batch`, `sg.load`), queue gauges and walk-step
+    /// latency. The SSD and DRAM tracers are folded in at run end.
     pub(super) tracer: Tracer,
-    /// Per-lane tracers for the accelerator batch spans and queue
-    /// gauges, so each lane's span cap is its own. Merged into the root
-    /// tracer at run end.
-    pub(super) shard_tracers: Vec<Tracer>,
-    /// Root journey recorder (board-side events: PWB enqueues, foreigner
-    /// flushes). Merged with the per-lane recorders at run end.
+    /// The run's journey recorder: every chip, channel, board, load and
+    /// PWB event of a sampled walk.
     pub(super) journeys: JourneyRecorder,
-    /// Per-lane journey recorders mirroring `shard_tracers`: chip /
-    /// channel / load events ride the lane whose handler records them,
-    /// and the canonical `JourneyRecorder::finish` sort makes the merged
-    /// report independent of merge order.
-    pub(super) shard_journeys: Vec<JourneyRecorder>,
-    /// Root critical-path recorder (merge target). Dependency nodes are
-    /// recorded by [`Self::sched_ev`] at every `schedule_at` site; node
-    /// ids are the queue's sequence numbers.
+    /// The run's critical-path recorder. Dependency nodes are recorded by
+    /// [`Self::sched_ev`] at every `schedule_at` site; node ids are the
+    /// queue's sequence numbers.
     pub(super) critical: CriticalRecorder,
-    /// Per-lane critical recorders mirroring `shard_tracers`, each with
-    /// its own node cap; sequence-number node ids are unique, so the
-    /// merge is a plain union and the canonical `CriticalRecorder::finish`
-    /// sort makes the report independent of merge order.
-    pub(super) shard_criticals: Vec<CriticalRecorder>,
     /// Causal anchor: the seq of the event currently being dispatched.
     /// Everything a handler schedules happens-after this event.
     crit_cause: Option<u64>,
@@ -271,17 +246,8 @@ impl<'g> FlashWalkerSim<'g> {
             trace_window_ns: 1_000_000,
             walk_log: None,
             tracer: Tracer::disabled(),
-            shard_tracers: (0..geometry.channels as usize + 1)
-                .map(|_| Tracer::disabled())
-                .collect(),
             journeys: JourneyRecorder::disabled(),
-            shard_journeys: (0..geometry.channels as usize + 1)
-                .map(|_| JourneyRecorder::disabled())
-                .collect(),
             critical: CriticalRecorder::disabled(),
-            shard_criticals: (0..geometry.channels as usize + 1)
-                .map(|_| CriticalRecorder::disabled())
-                .collect(),
             crit_cause: None,
         }
     }
@@ -293,9 +259,6 @@ impl<'g> FlashWalkerSim<'g> {
     /// [`fw_sim::TraceReport`] lands in [`FwReport::trace`].
     pub fn with_span_trace(mut self, cfg: TraceConfig) -> Self {
         self.tracer = Tracer::enabled(cfg);
-        for t in &mut self.shard_tracers {
-            *t = Tracer::enabled(cfg);
-        }
         self.ssd.enable_span_trace(cfg);
         self.dram.enable_span_trace(cfg);
         self
@@ -323,9 +286,6 @@ impl<'g> FlashWalkerSim<'g> {
     /// canonical).
     pub fn with_journeys(mut self, cfg: JourneyConfig) -> Self {
         self.journeys = JourneyRecorder::enabled(cfg);
-        for j in &mut self.shard_journeys {
-            *j = JourneyRecorder::enabled(cfg);
-        }
         self
     }
 
@@ -339,9 +299,6 @@ impl<'g> FlashWalkerSim<'g> {
     /// report is byte-deterministic.
     pub fn with_critical(mut self, cfg: CriticalConfig) -> Self {
         self.critical = CriticalRecorder::enabled(cfg);
-        for c in &mut self.shard_criticals {
-            *c = CriticalRecorder::enabled(cfg);
-        }
         self
     }
 
@@ -384,37 +341,14 @@ impl<'g> FlashWalkerSim<'g> {
         chip / self.ssd.config().geometry.chips_per_channel
     }
 
-    /// Lane ownership: a chip's work is recorded on its channel's lane.
-    pub(super) fn shard_of_chip(&self, chip: u32) -> ShardId {
-        ShardId(self.channel_of_chip(chip))
-    }
-
-    pub(super) fn shard_of_chan(&self, ch: u32) -> ShardId {
-        ShardId(ch)
-    }
-
-    /// The board/PCIe lane: the last one, after one per channel.
-    pub(super) fn board_shard(&self) -> ShardId {
-        ShardId(self.ssd.config().geometry.channels)
-    }
-
     /// Schedule `ev` at `at` and record the happens-before edge: a
     /// dependency-log node spanning `[start, at]` on the `(comp, lane)`
     /// resource, caused by the event being dispatched (`crit_cause`). The
-    /// node id is the queue's sequence number, and the node lands in the
-    /// `shard` lane's recorder.
-    fn sched_ev(
-        &mut self,
-        shard: ShardId,
-        at: SimTime,
-        ev: Ev,
-        comp: &str,
-        lane: u32,
-        start: SimTime,
-    ) {
+    /// node id is the queue's sequence number.
+    fn sched_ev(&mut self, at: SimTime, ev: Ev, comp: &str, lane: u32, start: SimTime) {
         let cause = self.crit_cause;
         let id = self.events.schedule_at(at, ev);
-        self.shard_criticals[shard.index()].node(id, comp, lane, start, at, cause);
+        self.critical.node(id, comp, lane, start, at, cause);
     }
 
     fn alloc_lpn(&mut self) -> Lpn {
@@ -564,27 +498,12 @@ impl<'g> FlashWalkerSim<'g> {
         let horizon = SimTime::ZERO.max(end);
         let cfgp = *self.ssd.config();
         let s = *self.ssd.stats();
-        // Deterministic merge of the per-lane recorders: lane order here is
-        // fixed, and the canonical `Tracer::finish` is merge-order
-        // independent anyway (asserted in fw-trace's shuffled-merge test).
-        let shard_tracers = std::mem::take(&mut self.shard_tracers);
-        for t in &shard_tracers {
-            self.tracer.merge(t);
-        }
         let ssd_tracer = self.ssd.take_tracer();
         let dram_tracer = self.dram.take_tracer();
         self.tracer.merge(&ssd_tracer);
         self.tracer.merge(&dram_tracer);
         let span_trace = self.tracer.finish(horizon);
-        let shard_journeys = std::mem::take(&mut self.shard_journeys);
-        for j in &shard_journeys {
-            self.journeys.merge(j);
-        }
         let journeys = std::mem::replace(&mut self.journeys, JourneyRecorder::disabled()).finish();
-        let shard_criticals = std::mem::take(&mut self.shard_criticals);
-        for c in &shard_criticals {
-            self.critical.merge(c);
-        }
         let critical =
             std::mem::replace(&mut self.critical, CriticalRecorder::disabled()).finish(horizon);
         let faults = self.faults.is_on().then(|| {

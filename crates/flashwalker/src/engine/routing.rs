@@ -28,9 +28,8 @@ impl FlashWalkerSim<'_> {
 
     fn run_chip_batch(&mut self, chip: u32, now: SimTime) {
         let hops_before = self.stats.chip_hops;
-        let sh = self.shard_of_chip(chip).index();
         let queued = self.slots.queued_walks(chip);
-        self.shard_tracers[sh].gauge("chip.queue", now, queued);
+        self.tracer.gauge("chip.queue", now, queued);
         // Snapshot loaded subgraphs and drain their queues into the
         // reusable scratch buffers (batch bodies never nest, so taking
         // them is safe; both go back before this function returns).
@@ -60,12 +59,12 @@ impl FlashWalkerSim<'_> {
         let mut wrng = self.take_walk_rng();
         // Journey bookkeeping: batch duration is only known after the
         // drain, so sampled ids are collected now and stamped below.
-        let j_on = self.shard_journeys[sh].is_enabled();
+        let j_on = self.journeys.is_enabled();
         let mut j_ids: Vec<u32> = Vec::new();
         let mut j_done: Vec<u32> = Vec::new();
 
         for mut tw in work.drain(..) {
-            let jw = j_on && self.shard_journeys[sh].wants(tw.walk.id);
+            let jw = j_on && self.journeys.wants(tw.walk.id);
             if jw {
                 j_ids.push(tw.walk.id);
             }
@@ -135,25 +134,20 @@ impl FlashWalkerSim<'_> {
         let busy = upd_time.max(gui_time).max(cyc);
         self.stats.chip_busy_ns += busy.as_nanos();
         self.stats.chip_batches += 1;
-        self.shard_tracers[sh].span("chip.batch", chip, now, now + busy);
+        self.tracer.span("chip.batch", chip, now, now + busy);
         for &id in &j_ids {
-            self.shard_journeys[sh].event(id, JourneyEventKind::SampleStep, chip, now, now + busy);
+            self.journeys
+                .event(id, JourneyEventKind::SampleStep, chip, now, now + busy);
         }
         for &id in &j_done {
-            self.shard_journeys[sh].event(
-                id,
-                JourneyEventKind::Complete,
-                chip,
-                now + busy,
-                now + busy,
-            );
+            self.journeys
+                .event(id, JourneyEventKind::Complete, chip, now + busy, now + busy);
         }
         let batch_hops = self.stats.chip_hops - hops_before;
         if let Some(per_hop) = busy.as_nanos().checked_div(batch_hops) {
-            self.shard_tracers[sh].record("walk.step_ns", per_hop);
+            self.tracer.record("walk.step_ns", per_hop);
         }
         self.sched_ev(
-            self.shard_of_chip(chip),
             now + busy,
             Ev::ChipBatchDone { chip, outbox },
             "chip.batch",
@@ -163,7 +157,6 @@ impl FlashWalkerSim<'_> {
     }
 
     pub(super) fn on_chip_batch_done(&mut self, chip: u32, mut outbox: Vec<TWalk>, now: SimTime) {
-        let sh = self.shard_of_chip(chip).index();
         self.chips[chip as usize].busy = false;
         // "When a walk queue for a loaded subgraph becomes empty … the
         // subgraph scheduler is informed to decide a subgraph." We also
@@ -194,19 +187,13 @@ impl FlashWalkerSim<'_> {
             let res = self
                 .ssd
                 .channel_transfer(now, ch, outbox.len() as u64 * WALK_BYTES);
-            if self.shard_journeys[sh].is_enabled() {
+            if self.journeys.is_enabled() {
                 for tw in &outbox {
-                    self.shard_journeys[sh].event(
-                        tw.walk.id,
-                        JourneyEventKind::Hop,
-                        ch,
-                        now,
-                        res.end,
-                    );
+                    self.journeys
+                        .event(tw.walk.id, JourneyEventKind::Hop, ch, now, res.end);
                 }
             }
             self.sched_ev(
-                self.shard_of_chan(ch),
                 res.end,
                 Ev::ChanArrive { ch, walks: outbox },
                 "chan.bus",
@@ -280,9 +267,8 @@ impl FlashWalkerSim<'_> {
     }
 
     fn run_channel_batch(&mut self, ch: u32, now: SimTime) {
-        let sh = self.shard_of_chan(ch).index();
         let depth = self.channels[ch as usize].inbox.len() as u64;
-        self.shard_tracers[sh].gauge("chan.queue", now, depth);
+        self.tracer.gauge("chan.queue", now, depth);
         let mut inbox = std::mem::take(&mut self.scratch);
         debug_assert!(inbox.is_empty());
         let inbox_all = &mut self.channels[ch as usize].inbox;
@@ -297,12 +283,12 @@ impl FlashWalkerSim<'_> {
         let mut to_board = self.pools.take_walks();
         let mut completed_now: u64 = 0;
         let mut wrng = self.take_walk_rng();
-        let j_on = self.shard_journeys[sh].is_enabled();
+        let j_on = self.journeys.is_enabled();
         let mut j_ids: Vec<u32> = Vec::new();
         let mut j_done: Vec<u32> = Vec::new();
 
         for mut tw in inbox.drain(..) {
-            let jw = j_on && self.shard_journeys[sh].wants(tw.walk.id);
+            let jw = j_on && self.journeys.wants(tw.walk.id);
             if jw {
                 j_ids.push(tw.walk.id);
             }
@@ -359,21 +345,16 @@ impl FlashWalkerSim<'_> {
             .max(cyc);
         self.stats.chan_busy_ns += busy.as_nanos();
         self.stats.chan_batches += 1;
-        self.shard_tracers[sh].span("chan.batch", ch, now, now + busy);
+        self.tracer.span("chan.batch", ch, now, now + busy);
         for &id in &j_ids {
-            self.shard_journeys[sh].event(id, JourneyEventKind::SampleStep, ch, now, now + busy);
+            self.journeys
+                .event(id, JourneyEventKind::SampleStep, ch, now, now + busy);
         }
         for &id in &j_done {
-            self.shard_journeys[sh].event(
-                id,
-                JourneyEventKind::Complete,
-                ch,
-                now + busy,
-                now + busy,
-            );
+            self.journeys
+                .event(id, JourneyEventKind::Complete, ch, now + busy, now + busy);
         }
         self.sched_ev(
-            self.shard_of_chan(ch),
             now + busy,
             Ev::ChanBatchDone { ch, to_board },
             "chan.batch",
@@ -475,9 +456,8 @@ impl FlashWalkerSim<'_> {
     }
 
     fn run_board_batch(&mut self, now: SimTime) {
-        let bs = self.board_shard().index();
         let depth = self.board.inbox.len() as u64;
-        self.shard_tracers[bs].gauge("board.queue", now, depth);
+        self.tracer.gauge("board.queue", now, depth);
         let mut inbox = std::mem::take(&mut self.scratch);
         debug_assert!(inbox.is_empty());
         let take = self.board.inbox.len().min(self.cfg.board_batch_cap);
@@ -496,12 +476,12 @@ impl FlashWalkerSim<'_> {
         let mut dirty_mask: u128 = 0;
         let mut completed_now: u64 = 0;
         let mut wrng = self.take_walk_rng();
-        let j_on = self.shard_journeys[bs].is_enabled();
+        let j_on = self.journeys.is_enabled();
         let mut j_ids: Vec<u32> = Vec::new();
         let mut j_done: Vec<u32> = Vec::new();
 
         for (walk_i, mut tw) in inbox.drain(..).enumerate() {
-            let jw = j_on && self.shard_journeys[bs].wants(tw.walk.id);
+            let jw = j_on && self.journeys.wants(tw.walk.id);
             if jw {
                 j_ids.push(tw.walk.id);
             }
@@ -608,18 +588,13 @@ impl FlashWalkerSim<'_> {
         let busy = gui.max(upd).max(map).max(dram).max(cyc);
         self.stats.board_busy_ns += busy.as_nanos();
         self.stats.board_batches += 1;
-        self.shard_tracers[bs].span("board.batch", 0, now, now + busy);
+        self.tracer.span("board.batch", 0, now, now + busy);
         for &id in &j_ids {
-            self.shard_journeys[bs].event(
-                id,
-                JourneyEventKind::SampleStep,
-                u32::MAX,
-                now,
-                now + busy,
-            );
+            self.journeys
+                .event(id, JourneyEventKind::SampleStep, u32::MAX, now, now + busy);
         }
         for &id in &j_done {
-            self.shard_journeys[bs].event(
+            self.journeys.event(
                 id,
                 JourneyEventKind::Complete,
                 u32::MAX,
@@ -630,7 +605,6 @@ impl FlashWalkerSim<'_> {
         self.stats.board_dram_ns += dram.as_nanos();
         self.stats.board_map_ns += map.as_nanos();
         self.sched_ev(
-            self.board_shard(),
             now + busy,
             Ev::BoardBatchDone {
                 deliveries: deliveries.buckets,
@@ -648,26 +622,19 @@ impl FlashWalkerSim<'_> {
         mut dirty_chips: Vec<u32>,
         now: SimTime,
     ) {
-        let bs = self.board_shard().index();
         self.board.busy = false;
         for (chip, walks) in deliveries.drain(..) {
             let ch = self.channel_of_chip(chip);
             let res = self
                 .ssd
                 .channel_transfer(now, ch, walks.len() as u64 * WALK_BYTES);
-            if self.shard_journeys[bs].is_enabled() {
+            if self.journeys.is_enabled() {
                 for tw in &walks {
-                    self.shard_journeys[bs].event(
-                        tw.walk.id,
-                        JourneyEventKind::Hop,
-                        ch,
-                        now,
-                        res.end,
-                    );
+                    self.journeys
+                        .event(tw.walk.id, JourneyEventKind::Hop, ch, now, res.end);
                 }
             }
             self.sched_ev(
-                self.shard_of_chip(chip),
                 res.end,
                 Ev::ChipDeliver { chip, walks },
                 "chan.bus",

@@ -81,8 +81,7 @@ impl FlashWalkerSim<'_> {
     /// fetched walk set, which the caller parks in the loading slot.
     pub(super) fn issue_load(&mut self, chip: u32, sg: SgId, now: SimTime) -> Vec<TWalk> {
         self.stats.sg_loads += 1;
-        let sh = self.shard_of_chip(chip).index();
-        let j_on = self.shard_journeys[sh].is_enabled();
+        let j_on = self.journeys.is_enabled();
         // Fault segments happen before the walk set is known; collected
         // here and replayed onto each sampled fetched walk below.
         let mut j_faults: Vec<(JourneyEventKind, SimTime, SimTime)> = Vec::new();
@@ -153,18 +152,18 @@ impl FlashWalkerSim<'_> {
             done = t.end;
         }
         self.refresh_score(idx);
-        self.shard_tracers[sh].span("sg.load", chip, now, done);
+        self.tracer.span("sg.load", chip, now, done);
         if j_on {
             for tw in &walks {
-                if self.shard_journeys[sh].wants(tw.walk.id) {
-                    self.shard_journeys[sh].event(
+                if self.journeys.wants(tw.walk.id) {
+                    self.journeys.event(
                         tw.walk.id,
                         JourneyEventKind::SubgraphLoad,
                         chip,
                         now,
                         done,
                     );
-                    self.shard_journeys[sh].event(
+                    self.journeys.event(
                         tw.walk.id,
                         JourneyEventKind::NandRead,
                         chip,
@@ -172,7 +171,7 @@ impl FlashWalkerSim<'_> {
                         array_done,
                     );
                     for &(kind, s, e) in &j_faults {
-                        self.shard_journeys[sh].event(tw.walk.id, kind, chip, s, e);
+                        self.journeys.event(tw.walk.id, kind, chip, s, e);
                     }
                 }
             }
@@ -182,14 +181,7 @@ impl FlashWalkerSim<'_> {
         self.stats.load_spill_ns += (spill_done - now).as_nanos();
         self.stats.load_latency_ns += (done - now).as_nanos();
         self.stats.load_walks += walks.len() as u64;
-        self.sched_ev(
-            self.shard_of_chip(chip),
-            done,
-            Ev::ChipLoaded { chip, sg },
-            "sg.load",
-            chip,
-            now,
-        );
+        self.sched_ev(done, Ev::ChipLoaded { chip, sg }, "sg.load", chip, now);
         walks
     }
 

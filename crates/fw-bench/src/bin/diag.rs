@@ -13,13 +13,13 @@
 //! `trace_summary_json` tree per engine).
 
 use flashwalker::OptToggles;
-use fw_bench::runner::{
-    prepared, run_flashwalker_alpha, run_flashwalker_traced, run_graphwalker_traced,
-    run_iterative_traced, DEFAULT_SEED,
-};
+use fw_bench::cli::Args;
+use fw_bench::runner::{prepared, run_flashwalker_alpha, DEFAULT_SEED};
+use fw_bench::suite::{run_one, Probes, Scenario};
+use fw_fault::FaultProfile;
 use fw_graph::DatasetId;
 use fw_sim::export::trace_summary_json;
-use fw_sim::{Json, TraceConfig, TraceReport};
+use fw_sim::{Json, TraceReport};
 
 /// Print one engine's per-component-group utilization and queue-depth
 /// rows, prefixed with the engine tag so the three blocks read side by
@@ -55,14 +55,17 @@ fn usage() -> ! {
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().collect();
-    let json_out = args.iter().any(|a| a == "--json");
-    args.retain(|a| a != "--json");
-    let id = match args.get(1) {
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let args = Args::parse(&raw, 0..=2, &[], &["--json"], &[]).unwrap_or_else(|e| {
+        eprintln!("diag: {e}");
+        usage()
+    });
+    let json_out = args.has("--json");
+    let id = match args.positional.first() {
         Some(s) => DatasetId::from_abbrev(s).unwrap_or_else(|| usage()),
         None => DatasetId::Twitter,
     };
-    let walks: u64 = match args.get(2) {
+    let walks: u64 = match args.positional.get(1) {
         Some(s) => s.parse().unwrap_or_else(|_| usage()),
         None => id.default_walks() / 2,
     };
@@ -77,12 +80,20 @@ fn main() {
 
     // Span-traced three-engine comparison: component utilization and
     // queue depths from the fw-trace layer, side by side.
-    let tcfg = TraceConfig::default();
     let mem = 8 << 20;
-    let fw = run_flashwalker_traced(&p, walks, tcfg, DEFAULT_SEED).trace;
-    let gw = run_graphwalker_traced(&p, walks, mem, tcfg, DEFAULT_SEED).trace;
-    let iter = run_iterative_traced(&p, walks, mem, tcfg, DEFAULT_SEED).trace;
-    let traces = [("fw", fw), ("gw", gw), ("iter", iter)].map(|(t, r)| (t, r.expect("traced")));
+    let probes = Probes {
+        trace: true,
+        ..Probes::default()
+    };
+    let traced = |sc: Scenario| {
+        let r = run_one(&p, &sc, DEFAULT_SEED, probes, FaultProfile::none());
+        r.trace.expect("traced")
+    };
+    let traces = [
+        ("fw", traced(Scenario::fw(id, walks))),
+        ("gw", traced(Scenario::gw(id, walks, mem))),
+        ("iter", traced(Scenario::iter(id, walks, mem))),
+    ];
 
     if json_out {
         // Machine-readable three-engine comparison only.

@@ -77,6 +77,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use fw_bench::bench_json::{newest_bench_file, BenchReport};
+use fw_bench::cli::Args;
 use fw_bench::compare::{compare_reports, CompareConfig};
 use fw_bench::record::{load_bench_report, load_serve_record};
 use fw_bench::runner::DEFAULT_SEED;
@@ -146,72 +147,28 @@ fn load_record(cmd: &str, path: &Path) -> Result<BenchReport, ExitCode> {
     })
 }
 
-/// A subcommand's command line, split against the flags it takes.
-struct Args<'a> {
-    positional: Vec<&'a str>,
-    values: Vec<(&'a str, &'a str)>,
-    switches: Vec<&'a str>,
-}
-
-impl<'a> Args<'a> {
-    /// Split `args` into positionals (their count must lie in
-    /// `positionals`), `valued` flags with their values and `switches`.
-    /// Any other `--flag` is a usage error (exit 2) naming it: ignoring it
-    /// would run a different experiment than the command line asks for.
-    /// A removed flag also says why it went.
-    fn parse(
-        cmd: &str,
-        args: &'a [String],
-        positionals: RangeInclusive<usize>,
-        valued: &[&str],
-        switches: &[&str],
-    ) -> Result<Args<'a>, ExitCode> {
-        let mut out = Args {
-            positional: Vec::new(),
-            values: Vec::new(),
-            switches: Vec::new(),
-        };
-        let mut it = args.iter().map(String::as_str);
-        while let Some(a) = it.next() {
-            if !a.starts_with("--") {
-                out.positional.push(a);
-            } else if valued.contains(&a) {
-                let Some(v) = it.next() else {
-                    eprintln!("fwbench {cmd}: {a} wants a value");
-                    return Err(usage());
-                };
-                out.values.push((a, v));
-            } else if switches.contains(&a) {
-                out.switches.push(a);
-            } else {
-                match REMOVED.iter().find(|(c, f, _)| *c == cmd && *f == a) {
-                    Some((_, _, why)) => eprintln!("fwbench {cmd}: {a} was removed: {why}"),
-                    None => eprintln!("fwbench {cmd}: unknown flag {a}"),
-                }
-                return Err(usage());
-            }
-        }
-        if !positionals.contains(&out.positional.len()) {
-            return Err(usage());
-        }
-        Ok(out)
-    }
-
-    /// The value of the first occurrence of `flag`.
-    fn value(&self, flag: &str) -> Option<&'a str> {
-        self.values
-            .iter()
-            .find(|(f, _)| *f == flag)
-            .map(|(_, v)| *v)
-    }
-
-    fn has(&self, switch: &str) -> bool {
-        self.switches.contains(&switch)
-    }
+/// Split a subcommand's command line with the shared [`Args`] parser,
+/// printing the error and the usage text on a usage error (exit 2).
+fn parse_args<'a>(
+    cmd: &str,
+    args: &'a [String],
+    positionals: RangeInclusive<usize>,
+    valued: &[&str],
+    switches: &[&str],
+) -> Result<Args<'a>, ExitCode> {
+    let removed: Vec<(&str, &str)> = REMOVED
+        .iter()
+        .filter(|(c, _, _)| *c == cmd)
+        .map(|&(_, f, why)| (f, why))
+        .collect();
+    Args::parse(args, positionals, valued, switches, &removed).map_err(|e| {
+        eprintln!("fwbench {cmd}: {e}");
+        usage()
+    })
 }
 
 fn cmd_run(args: &[String]) -> ExitCode {
-    let args = match Args::parse(
+    let args = match parse_args(
         "run",
         args,
         0..=0,
@@ -318,6 +275,20 @@ fn cmd_run(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    // One critical recorder bounds a whole run: a log that outgrew its
+    // `max_nodes` cap is recorded, but never silently.
+    for r in &result.results {
+        for c in r.runs.iter().filter_map(|run| run.report.critical.as_ref()) {
+            if c.dropped_nodes > 0 {
+                eprintln!(
+                    "fwbench: warning: {}: critical log dropped {} nodes (truncated: {})",
+                    r.scenario.name(),
+                    c.dropped_nodes,
+                    c.truncated
+                );
+            }
+        }
+    }
     if suite.faults.is_on() {
         // A requested fault profile that injects nothing means the model
         // is mis-wired — fail loudly rather than record a silently clean
@@ -375,7 +346,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
 }
 
 fn cmd_tail(args: &[String]) -> ExitCode {
-    let path = match Args::parse("tail", args, 1..=1, &[], &[]) {
+    let path = match parse_args("tail", args, 1..=1, &[], &[]) {
         Ok(a) => PathBuf::from(a.positional[0]),
         Err(c) => return c,
     };
@@ -493,7 +464,7 @@ fn note_observer_keys(cmd: &str, base: &BenchReport, cur: &BenchReport) {
 }
 
 fn cmd_compare(args: &[String]) -> ExitCode {
-    let args = match Args::parse("compare", args, 1..=2, &["--noise-floor"], &[]) {
+    let args = match parse_args("compare", args, 1..=2, &["--noise-floor"], &[]) {
         Ok(a) => a,
         Err(c) => return c,
     };
@@ -562,7 +533,7 @@ fn cmd_compare(args: &[String]) -> ExitCode {
 }
 
 fn cmd_why(args: &[String]) -> ExitCode {
-    let args = match Args::parse("why", args, 2..=2, &[], &[]) {
+    let args = match parse_args("why", args, 2..=2, &[], &[]) {
         Ok(a) => a,
         Err(c) => return c,
     };
@@ -602,7 +573,7 @@ fn cmd_why(args: &[String]) -> ExitCode {
 /// command reports success, so a record that doesn't balance its own
 /// admission books can never be published with exit 0.
 fn cmd_serve(args: &[String]) -> ExitCode {
-    let args = match Args::parse(
+    let args = match parse_args(
         "serve",
         args,
         0..=0,

@@ -25,16 +25,12 @@
 
 use std::process::exit;
 
-use flashwalker::{AccelConfig, OptToggles};
-use fw_bench::runner::{
-    flashwalker_engine, graphwalker_engine, iterative_engine, prepared, DEFAULT_SEED,
-};
+use fw_bench::cli::Args;
+use fw_bench::runner::{prepared, DEFAULT_SEED};
+use fw_bench::suite::{run_one, Probes, Scenario};
+use fw_fault::FaultProfile;
 use fw_graph::DatasetId;
-use fw_sim::{
-    chrome_trace_json, export, CriticalConfig, CriticalReport, HeatmapReport, JourneyConfig,
-    JourneyReport, TraceConfig, TraceReport,
-};
-use fw_walk::Workload;
+use fw_sim::{chrome_trace_json, export, HeatmapReport};
 
 /// Host memory for the baseline engines (the scaled mid-range sweep
 /// point the comparison binaries use).
@@ -57,47 +53,52 @@ fn write(path: &str, contents: &str) {
 }
 
 fn main() {
-    let raw: Vec<String> = std::env::args().collect();
-    // The engine-thread and walk-RNG flags are gone. Refuse them rather
-    // than let the positional parse below read them as engine/dataset/out.
-    if let Some(flag) = raw
-        .iter()
-        .skip(1)
-        .find(|a| matches!(a.as_str(), "--threads" | "--rng"))
-    {
-        eprintln!(
-            "fwtrace: {flag} was removed: every engine run is one sequential event loop with one walk RNG\n{USAGE}"
-        );
-        exit(2);
-    }
-    let journeys = raw.iter().any(|a| a == "--journeys");
-    let heatmap = raw.iter().any(|a| a == "--heatmap");
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    const GONE: &str = "every engine run is one sequential event loop with one walk RNG";
+    let args = Args::parse(
+        &raw,
+        0..=4,
+        &[],
+        &["--journeys", "--critical", "--heatmap"],
+        &[("--threads", GONE), ("--rng", GONE)],
+    )
+    .unwrap_or_else(|e| {
+        eprintln!("fwtrace: {e}");
+        usage()
+    });
+    let journeys = args.has("--journeys");
+    let heatmap = args.has("--heatmap");
     // The heatmap is derived from the dependency log, so asking for one
     // turns critical recording on.
-    let critical = heatmap || raw.iter().any(|a| a == "--critical");
-    // Strip the flags before the positional parse.
-    let args: Vec<String> = raw
-        .into_iter()
-        .filter(|a| !matches!(a.as_str(), "--journeys" | "--critical" | "--heatmap"))
-        .collect();
-    let engine = args.get(1).map_or("fw", String::as_str).to_string();
-    if !matches!(engine.as_str(), "fw" | "gw" | "iter") {
-        usage();
-    }
-    let id = match args.get(2) {
+    let critical = heatmap || args.has("--critical");
+    let engine = args.positional.first().copied().unwrap_or("fw");
+    let id = match args.positional.get(1) {
         Some(s) => DatasetId::from_abbrev(s).unwrap_or_else(|| usage()),
         None => DatasetId::Twitter,
     };
-    let walks: u64 = match args.get(3) {
+    let walks: u64 = match args.positional.get(2) {
         Some(s) => s.parse().unwrap_or_else(|_| usage()),
         None => id.default_walks() / 8,
     };
-    let out = args.get(4).map_or("fwtrace.json", String::as_str);
+    let scenario = match engine {
+        "fw" => Scenario::fw(id, walks),
+        "gw" => Scenario::gw(id, walks, BASELINE_MEMORY),
+        "iter" => Scenario::iter(id, walks, BASELINE_MEMORY),
+        _ => usage(),
+    };
+    let out = args.positional.get(3).copied().unwrap_or("fwtrace.json");
     let stem = out.trim_end_matches(".json");
     let csv_path = format!("{stem}.csv");
     // The iterative baseline has no per-walk event stream to journal and
     // no dependency log, so it writes neither sibling CSV.
     let per_walk = engine != "iter";
+    if !per_walk {
+        for flag in ["--journeys", "--critical", "--heatmap"] {
+            if args.has(flag) {
+                eprintln!("fwtrace: {flag} is a no-op on the iterative baseline");
+            }
+        }
+    }
     let journeys_path = (journeys && per_walk).then(|| format!("{stem}.journeys.csv"));
     let heatmap_path = (heatmap && per_walk).then(|| format!("{stem}.heatmap.csv"));
     // Create every output before the run, so an unwritable path fails in
@@ -111,68 +112,18 @@ fn main() {
     }
 
     let p = prepared(id, DEFAULT_SEED);
-    let cfg = TraceConfig::default();
-    let wl = Workload::paper_default(walks);
     eprintln!(
         "fwtrace: engine={engine} dataset={} walks={walks}",
         id.abbrev()
     );
-
-    let jcfg = JourneyConfig {
-        seed: DEFAULT_SEED,
-        ..JourneyConfig::default()
+    let probes = Probes {
+        trace: true,
+        journeys,
+        critical,
     };
-    let ccfg = CriticalConfig::default();
-    #[allow(clippy::type_complexity)]
-    let (trace, journey_report, critical_report): (
-        Option<TraceReport>,
-        Option<JourneyReport>,
-        Option<CriticalReport>,
-    ) = match engine.as_str() {
-        "gw" => {
-            let mut e = graphwalker_engine(&p, BASELINE_MEMORY, DEFAULT_SEED).with_span_trace(cfg);
-            if journeys {
-                e = e.with_journeys(jcfg);
-            }
-            if critical {
-                e = e.with_critical(ccfg);
-            }
-            let r = e.run_detailed(wl);
-            (r.trace, r.journeys, r.critical)
-        }
-        // The iteration-synchronous baseline has no per-walk event stream
-        // to journal and no dependency log.
-        "iter" => {
-            if journeys {
-                eprintln!("fwtrace: --journeys is a no-op on the iterative baseline");
-            }
-            if critical {
-                eprintln!("fwtrace: --critical is a no-op on the iterative baseline");
-            }
-            let r = iterative_engine(&p, BASELINE_MEMORY, DEFAULT_SEED)
-                .with_span_trace(cfg)
-                .run_detailed(wl);
-            (r.trace, None, None)
-        }
-        _ => {
-            let mut e = flashwalker_engine(
-                &p,
-                OptToggles::all(),
-                AccelConfig::scaled().alpha,
-                DEFAULT_SEED,
-            )
-            .with_span_trace(cfg);
-            if journeys {
-                e = e.with_journeys(jcfg);
-            }
-            if critical {
-                e = e.with_critical(ccfg);
-            }
-            let r = e.run_detailed(wl);
-            (r.trace, r.journeys, r.critical)
-        }
-    };
-    let trace = trace.expect("span tracing was enabled");
+    let r = run_one(&p, &scenario, DEFAULT_SEED, probes, FaultProfile::none());
+    let (journey_report, critical_report) = (r.journeys, r.critical);
+    let trace = r.trace.expect("span tracing was enabled");
 
     println!("{trace}");
     // Utilization ranks who was *busiest* — a correlation signal that

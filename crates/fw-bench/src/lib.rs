@@ -18,6 +18,8 @@
 //!   codes for parse (3) vs invariant (4) failures,
 //! * [`why`] — causal trace diffing: attribute a sim-time movement to
 //!   the components whose critical-path time grew,
+//! * [`cli`] — the one command-line splitter of `fwbench`, `fwtrace`
+//!   and `diag`,
 //! * [`serve`] — the online-serving suite over `fw-serve`: capacity-
 //!   calibrated offered-load points, throughput-vs-p99 curves, and the
 //!   byte-deterministic `SERVE_*.json` record + CSV artifact,
@@ -28,6 +30,7 @@
 
 pub mod bench_json;
 pub mod chart;
+pub mod cli;
 pub mod compare;
 pub mod record;
 pub mod runner;

@@ -16,9 +16,9 @@
 use flashwalker::{AccelConfig, FlashWalkerSim, FwReport, OptToggles};
 use fw_graph::{Dataset, DatasetId, PartitionedGraph};
 use fw_nand::SsdConfig;
-use fw_sim::{Duration, TraceConfig};
+use fw_sim::Duration;
 use fw_walk::{RunReport, WalkEngine, Workload};
-use graphwalker::{GraphWalkerSim, GwConfig, GwReport, IterReport, IterativeSim};
+use graphwalker::{GraphWalkerSim, GwConfig, GwReport, IterativeSim};
 
 /// The seed every experiment uses unless it sweeps seeds.
 pub const DEFAULT_SEED: u64 = 42;
@@ -123,43 +123,6 @@ pub fn run_flashwalker_alpha(
 /// (detailed report).
 pub fn run_graphwalker(p: &Prepared, walks: u64, memory_bytes: u64, seed: u64) -> GwReport {
     graphwalker_engine(p, memory_bytes, seed).run_detailed(Workload::paper_default(walks))
-}
-
-// ----------------------------------------------------------------------
-// Span-traced wrappers (reports carry a populated `trace` field).
-// ----------------------------------------------------------------------
-
-/// Run FlashWalker (all optimizations) with span tracing enabled.
-pub fn run_flashwalker_traced(p: &Prepared, walks: u64, trace: TraceConfig, seed: u64) -> FwReport {
-    flashwalker_engine(p, OptToggles::all(), AccelConfig::scaled().alpha, seed)
-        .with_span_trace(trace)
-        .run_detailed(Workload::paper_default(walks))
-}
-
-/// Run the GraphWalker baseline with span tracing enabled.
-pub fn run_graphwalker_traced(
-    p: &Prepared,
-    walks: u64,
-    memory_bytes: u64,
-    trace: TraceConfig,
-    seed: u64,
-) -> GwReport {
-    graphwalker_engine(p, memory_bytes, seed)
-        .with_span_trace(trace)
-        .run_detailed(Workload::paper_default(walks))
-}
-
-/// Run the iteration-synchronous baseline with span tracing enabled.
-pub fn run_iterative_traced(
-    p: &Prepared,
-    walks: u64,
-    memory_bytes: u64,
-    trace: TraceConfig,
-    seed: u64,
-) -> IterReport {
-    iterative_engine(p, memory_bytes, seed)
-        .with_span_trace(trace)
-        .run_detailed(Workload::paper_default(walks))
 }
 
 // ----------------------------------------------------------------------

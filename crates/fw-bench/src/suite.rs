@@ -450,16 +450,24 @@ impl SuiteResult {
     }
 }
 
-/// The observability layers enabled for one run (all seed-0-only in a
-/// suite: they are schedule-neutral but bulky in the record).
+/// The recorders enabled for one run. A suite enables them on seed-0
+/// runs only: they are schedule-neutral but bulky in the record.
 #[derive(Debug, Clone, Copy, Default)]
-struct Probes {
-    trace: bool,
-    journeys: bool,
-    critical: bool,
+pub struct Probes {
+    /// Span tracing ([`TraceConfig::default`]).
+    pub trace: bool,
+    /// Walk journeys, sampled with the engine seed.
+    pub journeys: bool,
+    /// The critical-path dependency log ([`CriticalConfig::default`]).
+    pub critical: bool,
 }
 
-fn run_one(
+/// Run one scenario at `seed` with the given recorders and fault
+/// profile. This is the one place that builds an engine and switches its
+/// recorders on: the suite runner, `fwtrace` and `diag` all call it. The
+/// iterative baseline has no per-walk event stream and no dependency
+/// log, so it ignores `journeys` and `critical`.
+pub fn run_one(
     p: &Prepared,
     sc: &Scenario,
     seed: u64,
@@ -509,9 +517,6 @@ fn run_one(
             e.run(wl)
         }
         EngineKind::Iterative => {
-            // No event loop, no dependency log: `critical` is a no-op on
-            // the iteration-synchronous baseline (its record row simply
-            // omits the section).
             let mut e = iterative_engine(p, sc.gw_memory, seed);
             if probes.trace {
                 e = e.with_span_trace(tcfg);

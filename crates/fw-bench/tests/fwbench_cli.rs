@@ -68,8 +68,12 @@ fn removed_thread_and_rng_flags_are_usage_errors() {
     // Each must be refused before any run starts, not read as a
     // positional argument or silently ignored, and a removed flag must
     // give its own reason.
-    let (fwbench, fwtrace) = (env!("CARGO_BIN_EXE_fwbench"), env!("CARGO_BIN_EXE_fwtrace"));
-    let cases: [(&str, &[&str], &str); 9] = [
+    let (fwbench, fwtrace, diag) = (
+        env!("CARGO_BIN_EXE_fwbench"),
+        env!("CARGO_BIN_EXE_fwtrace"),
+        env!("CARGO_BIN_EXE_diag"),
+    );
+    let cases: [(&str, &[&str], &str); 15] = [
         (
             fwbench,
             &["run", "--rng", "sharded"],
@@ -109,6 +113,26 @@ fn removed_thread_and_rng_flags_are_usage_errors() {
             "was removed",
         ),
         (fwtrace, &["--threads", "4", "fw", "TT"], "was removed"),
+        // fwtrace and diag used to drop a typo'd switch and run without
+        // it, and to ignore surplus positionals.
+        (
+            fwtrace,
+            &["fw", "R2B", "500", "t.json", "--jouneys"],
+            "unknown flag --jouneys",
+        ),
+        (
+            fwtrace,
+            &["fw", "R2B", "500", "t.json", "extra"],
+            "unexpected argument extra",
+        ),
+        (diag, &["R2B", "300", "--jsn"], "unknown flag --jsn"),
+        (diag, &["R2B", "300", "extra"], "unexpected argument extra"),
+        (fwbench, &["run", "--seeds"], "--seeds wants a value"),
+        (
+            fwbench,
+            &["why", "a.json"],
+            "wants 2 positional argument(s), got 1",
+        ),
     ];
     for (bin, args, needle) in cases {
         let out = Command::new(bin).args(args).output().expect("run binary");
@@ -118,11 +142,26 @@ fn removed_thread_and_rng_flags_are_usage_errors() {
             err.contains(needle),
             "{args:?}: want {needle:?}, got: {err}"
         );
-        assert!(
-            !err.contains("fwbench: suite="),
-            "{args:?} must not run: {err}"
-        );
+        // The run banners of fwbench, fwtrace and diag.
+        for banner in ["fwbench: suite=", "engine=", "subgraphs="] {
+            assert!(!err.contains(banner), "{args:?} must not run: {err}");
+        }
     }
+}
+
+#[test]
+fn iterative_no_op_notice_names_the_flag_given() {
+    // `--heatmap` implies critical recording, but the notice must name
+    // the flag on the command line, not the one it implies.
+    let out = tmp_dir("fwtrace_iter_notice").join("t.json");
+    let o = Command::new(env!("CARGO_BIN_EXE_fwtrace"))
+        .args(["iter", "R2B", "50", out.to_str().unwrap(), "--heatmap"])
+        .output()
+        .expect("run fwtrace");
+    assert_eq!(exit_code(&o), 0);
+    let err = String::from_utf8_lossy(&o.stderr);
+    assert!(err.contains("--heatmap is a no-op"), "{err}");
+    assert!(!err.contains("--critical"), "{err}");
 }
 
 #[test]

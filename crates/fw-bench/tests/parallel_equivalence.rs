@@ -76,12 +76,12 @@ fn heavy_fault_run_conserves_walks_across_chips() {
 
 /// Journey equivalence on the ci scenario grid: the `JourneyReport`
 /// sections of a `--journeys` record are byte-identical at threads=1 and
-/// threads=4. Journey events are recorded on per-lane recorders and
-/// merged at finish, and cells finish in pool order, so this pins the
-/// order-independence of the merge, the canonical event sort, and the
-/// determinism of the seeded sampling — at the record level where CI
-/// consumes it. The grid is `ci_small`'s (fw/gw/fw-base on TT and R2B)
-/// with walk counts shrunk to debug-profile size.
+/// threads=4. Each cell records its journeys into the one recorder of
+/// its engine run, and cells finish in pool order, so this pins the
+/// canonical event sort and the determinism of the seeded sampling — at
+/// the record level where CI consumes it. The grid is `ci_small`'s
+/// (fw/gw/fw-base on TT and R2B) with walk counts shrunk to
+/// debug-profile size.
 #[test]
 fn journey_sections_are_byte_identical_across_thread_counts() {
     let suite = |threads: u32| {

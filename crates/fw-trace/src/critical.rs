@@ -26,10 +26,10 @@
 //!
 //! ## Determinism
 //!
-//! Node ids are the engine's globally-unique event sequence numbers (or a
-//! serial phase counter), so the shard-merged log is a plain union and the
-//! canonical finish (sort by id, lexicographic name table) makes the
-//! report independent of merge order and thread count.
+//! Node ids are the engine's unique event sequence numbers (or a serial
+//! phase counter), and the canonical finish (sort by id, lexicographic
+//! name table) makes the report independent of the order nodes were
+//! recorded in and of the order component names were first seen.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -150,8 +150,8 @@ fn intern(names: &mut Vec<String>, comp: &str) -> u32 {
 }
 
 /// Bounded, deterministic happens-before recorder. Zero-cost when
-/// disabled (one branch per call); engines hold one per shard and merge
-/// at run end.
+/// disabled (one branch per call); an engine run holds one, so
+/// `max_nodes` bounds the whole run's log.
 #[derive(Debug, Clone)]
 pub struct CriticalRecorder {
     inner: Option<Box<Inner>>,
@@ -185,8 +185,8 @@ impl CriticalRecorder {
         self.inner.as_ref().map(|i| i.cfg)
     }
 
-    /// Record one dependency node. `id` must be globally unique across
-    /// every recorder that will be merged into the same report.
+    /// Record one dependency node. `id` must be unique within the
+    /// recorder.
     pub fn node(
         &mut self,
         id: u64,
@@ -210,24 +210,6 @@ impl CriticalRecorder {
             end_ns: end.as_nanos(),
             cause: cause.unwrap_or(NO_CAUSE),
         });
-    }
-
-    /// Fold `other`'s log into this one (name indices are remapped). The
-    /// canonical [`Self::finish`] makes the result independent of merge
-    /// order.
-    pub fn merge(&mut self, other: &CriticalRecorder) {
-        let Some(o) = &other.inner else { return };
-        match &mut self.inner {
-            None => self.inner = Some(o.clone()),
-            Some(s) => {
-                let remap: Vec<u32> = o.names.iter().map(|n| intern(&mut s.names, n)).collect();
-                s.nodes.extend(o.nodes.iter().map(|n| CritNode {
-                    name: remap[n.name as usize],
-                    ..*n
-                }));
-                s.dropped += o.dropped;
-            }
-        }
     }
 
     /// Derive the [`CriticalReport`]: canonicalize the log, pick the
@@ -520,40 +502,25 @@ mod tests {
     }
 
     #[test]
-    fn merge_is_order_independent() {
-        let mk = |ids: &[u64]| {
+    fn recording_order_is_canonicalized() {
+        let finish = |ids: &[u64]| {
             let mut r = rec();
             for &i in ids {
                 let comp = if i % 2 == 0 { "even" } else { "odd" };
                 let cause = i.checked_sub(1);
                 r.node(i, comp, i as u32, t(i * 10), t(i * 10 + 10), cause);
             }
-            r
+            r.finish(t(60)).unwrap()
         };
-        let (a1, b1) = (mk(&[0, 2, 4]), mk(&[1, 3, 5]));
-        let (a2, b2) = (mk(&[0, 2, 4]), mk(&[1, 3, 5]));
-        let mut m1 = rec();
-        m1.merge(&a1);
-        m1.merge(&b1);
-        let mut m2 = rec();
-        m2.merge(&b2);
-        m2.merge(&a2);
-        let r1 = m1.finish(t(60)).unwrap();
-        let r2 = m2.finish(t(60)).unwrap();
+        // The second order also interns "odd" before "even".
+        let r1 = finish(&[0, 2, 4, 1, 3, 5]);
+        let r2 = finish(&[5, 3, 1, 4, 2, 0]);
         assert_eq!(r1.to_json(), r2.to_json());
+        assert_eq!(r1.names, r2.names);
+        assert_eq!(r1.log, r2.log);
+        assert_eq!(r1.path, r2.path);
         assert_eq!(r1.path_total_ns(), 60);
         assert!(!r1.truncated);
-    }
-
-    #[test]
-    fn merging_into_a_disabled_recorder_adopts_the_log() {
-        let mut src = rec();
-        src.node(0, "x", 0, t(0), t(5), None);
-        let mut dst = CriticalRecorder::disabled();
-        dst.merge(&src);
-        let rep = dst.finish(t(5)).unwrap();
-        assert_eq!(rep.logged_nodes, 1);
-        assert_eq!(rep.total_ns, 5);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! against the median cohort.
 //!
 //! Determinism contract: sampling is a pure function of (seed, walk id);
-//! recorders merge order-independently (like [`crate::span::Tracer`])
+//! the report does not depend on the order events were recorded in,
 //! because [`JourneyRecorder::finish`] canonicalizes every walk's event
 //! list by sorting; and the whole layer is zero-cost when disabled — a
 //! disabled recorder rejects every event before touching any state.
@@ -135,9 +135,9 @@ pub struct JourneyEvent {
 ///
 /// Mirrors the [`crate::span::Tracer`] life-cycle: construct
 /// [`disabled`](JourneyRecorder::disabled) (every call is a cheap no-op)
-/// or [`enabled`](JourneyRecorder::enabled), record during the run,
-/// [`merge`](JourneyRecorder::merge) shard recorders into the root, and
-/// [`finish`](JourneyRecorder::finish) into the canonical report.
+/// or [`enabled`](JourneyRecorder::enabled), record during the run, and
+/// [`finish`](JourneyRecorder::finish) into the canonical report. An
+/// engine run holds one.
 #[derive(Debug, Clone)]
 pub struct JourneyRecorder {
     on: bool,
@@ -202,21 +202,9 @@ impl JourneyRecorder {
         });
     }
 
-    /// Fold another recorder's events into this one. Order-independent
-    /// up to [`finish`](JourneyRecorder::finish)'s canonical sort, like
-    /// `Tracer::merge`.
-    pub fn merge(&mut self, other: &JourneyRecorder) {
-        for (id, evs) in &other.walks {
-            self.walks
-                .entry(*id)
-                .or_default()
-                .extend(evs.iter().copied());
-        }
-    }
-
     /// Canonicalize and distill into a [`JourneyReport`]; `None` when
     /// disabled. Each walk's events are sorted by `(start, end, kind,
-    /// lane)` so merge order never leaks into the output, then the
+    /// lane)` so recording order never leaks into the output, then the
     /// bottom-`max_walks` ids by `(hash, id)` survive.
     pub fn finish(self) -> Option<JourneyReport> {
         if !self.on {
@@ -656,36 +644,35 @@ mod tests {
     }
 
     #[test]
-    fn merge_order_does_not_change_the_finished_report() {
+    fn recording_order_does_not_change_the_finished_report() {
         let cfg = JourneyConfig {
             seed: 3,
             sample_period: 1,
             max_walks: 64,
         };
-        let mk = |evs: &[(u32, JourneyEventKind, u64, u64)]| {
+        let finish = |evs: &[(u32, JourneyEventKind, u32, u64, u64)]| {
             let mut r = JourneyRecorder::enabled(cfg);
-            for &(id, k, a, b) in evs {
-                r.event(id, k, 0, t(a), t(b));
+            for &(id, k, lane, a, b) in evs {
+                r.event(id, k, lane, t(a), t(b));
             }
-            r
+            r.finish().unwrap()
         };
-        let a = mk(&[
-            (1, JourneyEventKind::SubgraphLoad, 0, 50),
-            (2, JourneyEventKind::NandRead, 10, 30),
-        ]);
-        let b = mk(&[
-            (1, JourneyEventKind::SampleStep, 50, 80),
-            (2, JourneyEventKind::SampleStep, 30, 44),
-        ]);
-        let mut ab = JourneyRecorder::enabled(cfg);
-        ab.merge(&a);
-        ab.merge(&b);
-        let mut ba = JourneyRecorder::enabled(cfg);
-        ba.merge(&b);
-        ba.merge(&a);
-        let ja = ab.finish().unwrap().to_json();
-        let jb = ba.finish().unwrap().to_json();
-        assert_eq!(ja, jb);
+        let evs = [
+            (1, JourneyEventKind::SubgraphLoad, 0, 0, 50),
+            (2, JourneyEventKind::NandRead, 0, 10, 30),
+            (1, JourneyEventKind::SampleStep, 3, 50, 80),
+            (2, JourneyEventKind::SampleStep, 1, 30, 44),
+            // Same interval, different kind and lane: the sort's
+            // (kind, lane) tie-break fixes their order.
+            (2, JourneyEventKind::Hop, 2, 44, 60),
+            (2, JourneyEventKind::Hop, 1, 44, 60),
+            (2, JourneyEventKind::Enqueue, 2, 44, 60),
+        ];
+        let mut reversed = evs;
+        reversed.reverse();
+        let (a, b) = (finish(&evs), finish(&reversed));
+        assert_eq!(a.to_json(), b.to_json());
+        assert_eq!(a.journeys_csv(), b.journeys_csv());
     }
 
     #[test]

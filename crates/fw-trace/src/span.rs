@@ -294,10 +294,11 @@ impl Tracer {
     ///
     /// The report is *canonical*: name ids are remapped to sorted-name
     /// order and retained spans are sorted by `(name, lane, start, end,
-    /// bytes)` before derivation. Intern order depends on which tracer
-    /// saw a name first — under per-shard tracing that is a function of
-    /// merge order — so canonicalizing here makes the report (and every
-    /// exporter downstream) independent of worker completion order.
+    /// bytes)` before derivation. Intern order depends on which site
+    /// recorded a name first, and [`Tracer::merge`] appends the folded-in
+    /// tracer's names and spans after this one's, so canonicalizing here
+    /// makes the report (and every exporter downstream) independent of
+    /// recording and merge order.
     pub fn finish(self, horizon: SimTime) -> Option<TraceReport> {
         if !self.on {
             return None;
@@ -487,16 +488,16 @@ mod tests {
         assert!((util - 0.25).abs() < 1e-9);
     }
 
-    /// Satellite for the parallel core: per-shard tracers merge at run
-    /// end, and worker completion order must not leak into the report.
-    /// Build shard tracers with overlapping and disjoint names, merge
+    /// Engines fold their SSD and DRAM tracers into the run's tracer at
+    /// run end, and the order of those merges must not leak into the
+    /// report. Build tracers with overlapping and disjoint names, merge
     /// them in several shuffled orders, and assert the finished reports —
     /// including both byte-level exporters — are identical.
     #[test]
     fn merge_order_does_not_change_the_finished_report() {
         use crate::export::{chrome_trace_json, trace_summary_json};
 
-        let make_shards = || {
+        let make_tracers = || {
             let mut s0 = Tracer::enabled(TraceConfig::default());
             s0.span_bytes("chip.read", 0, t(0), t(100), 4096);
             s0.span("chan.bus", 0, t(100), t(130));
@@ -515,10 +516,10 @@ mod tests {
         };
 
         let finish_in_order = |order: &[usize]| {
-            let shards = make_shards();
+            let tracers = make_tracers();
             let mut root = Tracer::enabled(TraceConfig::default());
             for &i in order {
-                root.merge(&shards[i]);
+                root.merge(&tracers[i]);
             }
             root.finish(t(1_000)).unwrap()
         };

@@ -494,12 +494,13 @@ mod tests {
 
     #[test]
     fn timeseries_sharded_merge_matches_single_series() {
-        // threads=1 vs threads=4: samples partitioned across 4 shard
-        // series (shard = lane % 4, like the engines' event shards) must
-        // merge to the exact windows of the single series — including
-        // spread samples landing exactly on window boundaries, which is
-        // where the half-open bucketing could diverge between the two
-        // paths. Merge must also be order-independent.
+        // `TimeSeries::merge` of disjoint sample sets must give the
+        // exact windows of one series holding them all, as
+        // `Tracer::merge` needs when it folds the SSD/DRAM gauge series
+        // in — including spread samples landing exactly on window
+        // boundaries, which is where the half-open bucketing could
+        // diverge between the two paths. Merge must also be
+        // order-independent.
         let window = 100u64;
         let mut whole = TimeSeries::new(window);
         let mut shards: Vec<TimeSeries> = (0..4).map(|_| TimeSeries::new(window)).collect();

@@ -124,7 +124,7 @@ impl GraphWalkerSim<'_> {
             }
         }
         let start_now = run.now;
-        self.stream_tracer.span_bytes(
+        self.tracer.span_bytes(
             "gw.load",
             block,
             start_now,
@@ -224,7 +224,7 @@ impl GraphWalkerSim<'_> {
             self.pools[block as usize].walks.extend(walks);
         }
         let start = run.now;
-        self.stream_tracer.span("gw.walk_io", block, start, done);
+        self.tracer.span("gw.walk_io", block, start, done);
         // Spill read-back is walk I/O over the host path; attributed to
         // the PCIe leg in the journey decomposition.
         for &id in &j_ids {

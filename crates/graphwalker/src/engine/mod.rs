@@ -173,10 +173,10 @@ pub struct GraphWalkerSim<'g> {
     next_lpn: Lpn,
     trace_window_ns: u64,
     walk_log: Option<Vec<Walk>>,
+    /// The run's span tracer: block-level spans (loads, walk I/O,
+    /// updates, spills), the queue gauge and walk-step latency. The SSD
+    /// tracer is folded in at run end.
     pub(super) tracer: Tracer,
-    /// Tracer for the block-level spans (loads, walk I/O, updates),
-    /// merged into the root tracer at run end.
-    pub(super) stream_tracer: Tracer,
     /// Sampled per-walk lifecycle recorder.
     pub(super) journeys: JourneyRecorder,
     /// Dependency recorder for the critical-path profile. The serial
@@ -249,7 +249,6 @@ impl<'g> GraphWalkerSim<'g> {
             trace_window_ns: 1_000_000,
             walk_log: None,
             tracer: Tracer::disabled(),
-            stream_tracer: Tracer::disabled(),
             journeys: JourneyRecorder::disabled(),
             critical: CriticalRecorder::disabled(),
             crit_prev: None,
@@ -335,7 +334,6 @@ impl<'g> GraphWalkerSim<'g> {
     /// derived views land in [`GwReport::trace`].
     pub fn with_span_trace(mut self, cfg: TraceConfig) -> Self {
         self.tracer = Tracer::enabled(cfg);
-        self.stream_tracer = Tracer::enabled(cfg);
         self.ssd.enable_span_trace(cfg);
         self
     }
@@ -403,8 +401,6 @@ impl<'g> GraphWalkerSim<'g> {
             self.crit_phase("gw.spill", block, t4, run.now);
         }
 
-        let stream_tracer = std::mem::replace(&mut self.stream_tracer, Tracer::disabled());
-        self.tracer.merge(&stream_tracer);
         let ssd_tracer = self.ssd.take_tracer();
         self.tracer.merge(&ssd_tracer);
         let span_trace = self.tracer.finish(run.now);

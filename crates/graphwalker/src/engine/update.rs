@@ -71,7 +71,7 @@ impl GraphWalkerSim<'_> {
         run.hops += batch_hops;
         let cpu = Duration::nanos(batch_hops * self.cfg.cpu_ns_per_hop);
         let now = run.now;
-        self.stream_tracer.span("gw.update", block, now, now + cpu);
+        self.tracer.span("gw.update", block, now, now + cpu);
         for &id in &j_ids {
             self.journeys
                 .event(id, JourneyEventKind::SampleStep, block, now, now + cpu);
@@ -85,7 +85,7 @@ impl GraphWalkerSim<'_> {
                 .event(id, JourneyEventKind::Enqueue, dest, now + cpu, now + cpu);
         }
         if let Some(per_hop) = cpu.as_nanos().checked_div(batch_hops) {
-            self.stream_tracer.record("walk.step_ns", per_hop);
+            self.tracer.record("walk.step_ns", per_hop);
         }
         run.breakdown.update_walks += cpu;
         run.now += cpu;
