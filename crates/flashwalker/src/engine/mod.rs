@@ -70,6 +70,7 @@ mod tests;
 pub use events::{FwReport, FwStats};
 pub use image::FlashImage;
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use fw_dram::{Dram, DramConfig};
@@ -201,7 +202,7 @@ impl<'g> FlashWalkerSim<'g> {
         let chip_slots = cfg.chip_slots(pg.config.subgraph_bytes);
         let channels = (0..geometry.channels)
             .map(|_| ChannelState {
-                inbox: Vec::new(),
+                inbox: VecDeque::new(),
                 busy: false,
             })
             .collect();
@@ -225,7 +226,7 @@ impl<'g> FlashWalkerSim<'g> {
             slots: ChipSlots::new(geometry.num_chips(), chip_slots),
             channels,
             board: state::BoardState {
-                inbox: Vec::new(),
+                inbox: VecDeque::new(),
                 busy: false,
                 foreigner_buf: Vec::new(),
                 completed_buf: 0,
@@ -400,7 +401,7 @@ impl<'g> FlashWalkerSim<'g> {
             Ev::ChipLoaded { chip, sg } => self.on_chip_loaded(chip, sg, now),
             Ev::ChipBatchDone { chip, outbox } => self.on_chip_batch_done(chip, outbox, now),
             Ev::ChanArrive { ch, mut walks } => {
-                self.channels[ch as usize].inbox.append(&mut walks);
+                self.channels[ch as usize].inbox.extend(walks.drain(..));
                 self.pools.put_walks(walks);
                 self.try_start_channel(ch, now);
             }
@@ -424,12 +425,16 @@ impl<'g> FlashWalkerSim<'g> {
         }
         if self.pwb.total_walks() > 0 {
             // Straggler tail: relax the load threshold and free any idle
-            // slots so the scheduler can make progress, then refill.
+            // slots (their queues go back to the pool) so the scheduler
+            // can make progress, then refill.
             self.relaxed_pick = true;
             for chip in 0..self.num_chips() {
                 for slot in self.slots.of_mut(chip) {
-                    if matches!(slot, Slot::Loaded { queue, .. } if queue.is_empty()) {
-                        *slot = Slot::Empty;
+                    if let Slot::Loaded { queue, .. } = slot {
+                        if queue.is_empty() {
+                            self.pools.put_walks(std::mem::take(queue));
+                            *slot = Slot::Empty;
+                        }
                     }
                 }
                 self.maybe_fill_chip(chip, now);

@@ -45,10 +45,11 @@ impl FlashWalkerSim<'_> {
         WALK_BYTES
     }
 
-    /// Spill an overflowing PWB entry to flash walk pages.
+    /// Spill an overflowing PWB entry to flash walk pages. The entry
+    /// keeps its emptied vector for the walks that arrive next.
     pub(super) fn spill_entry(&mut self, idx: usize, now: SimTime, charge: bool) {
         let pw = page_walks(&self.ssd) as usize;
-        let walks = std::mem::take(&mut self.pwb.entries[idx].walks);
+        let mut walks = std::mem::take(&mut self.pwb.entries[idx].walks);
         for chunk in walks.chunks(pw) {
             let lpn = self.alloc_lpn();
             if charge {
@@ -62,6 +63,8 @@ impl FlashWalkerSim<'_> {
                 walks: chunk.to_vec(),
             });
         }
+        walks.clear();
+        self.pwb.entries[idx].walks = walks;
         self.refresh_score(idx);
     }
 

@@ -369,7 +369,7 @@ impl FlashWalkerSim<'_> {
         // roving walks from channel accelerators over the controller
         // interconnect, not the ONFI bus).
         let any = !to_board.is_empty();
-        self.board.inbox.append(&mut to_board);
+        self.board.inbox.extend(to_board.drain(..));
         self.pools.put_walks(to_board);
         if any {
             self.try_start_board(now);
@@ -755,6 +755,49 @@ mod tests {
         let ids: Vec<u32> = queue.iter().map(|tw| tw.walk.id).collect();
         let want: Vec<u32> = (0..fetched).chain(parked).collect();
         assert_eq!(ids, want);
+    }
+
+    #[test]
+    fn board_batches_take_walks_in_arrival_order() {
+        // 2.5 batches' worth of walks for one subgraph, queued with known
+        // ids: each batch routes the oldest walks first, so the PWB entry
+        // (spill pages, then DRAM) holds them in arrival order.
+        let (csr, pg) = multi_partition_setup();
+        let mut cfg = AccelConfig::scaled();
+        cfg.opts = crate::OptToggles::none();
+        let mut sim = FlashWalkerSim::new(&csr, &pg, cfg, SsdConfig::tiny(), 1);
+        sim.setup_partition(0, SimTime::ZERO, false);
+        let sg = pg
+            .partition_range(0)
+            .find(|&sg| pg.find_dense(pg.subgraphs[sg as usize].low).is_none())
+            .expect("a regular subgraph in partition 0");
+        let cap = sim.cfg.board_batch_cap;
+        let n = cap as u32 * 5 / 2;
+        for id in 0..n {
+            let mut w = bound_for(&pg, sg, id);
+            w.dest = None;
+            sim.board.inbox.push_back(w);
+        }
+        let mut batches = 0;
+        while !sim.board.inbox.is_empty() {
+            let left = sim.board.inbox.len();
+            let front = sim.board.inbox.front().unwrap().walk.id;
+            assert_eq!(front as usize, n as usize - left, "batch {batches}");
+            sim.board.busy = false;
+            sim.try_start_board(SimTime::ZERO);
+            assert_eq!(sim.board.inbox.len(), left - left.min(cap));
+            batches += 1;
+        }
+        assert_eq!(batches, 3);
+        let entry = &sim.pwb.entries[sim.pwb.index_of(sg).unwrap()];
+        let ids: Vec<u32> = entry
+            .spilled
+            .iter()
+            .flat_map(|p| &p.walks)
+            .chain(&entry.walks)
+            .map(|tw| tw.walk.id)
+            .collect();
+        assert_eq!(ids, (0..n).collect::<Vec<_>>());
     }
 
     #[test]

@@ -109,8 +109,11 @@ impl FlashWalkerSim<'_> {
         }
         let mut done = array_done;
         // Walks from the PWB: DRAM read + board→chip channel transfer.
+        // The entry's vector becomes the slot's queue (and goes back to
+        // the pool on eviction); the entry refills from the pool.
         let idx = self.pwb.index_of(sg).expect("loading outside partition");
-        let mut walks = std::mem::take(&mut self.pwb.entries[idx].walks);
+        let mut walks =
+            std::mem::replace(&mut self.pwb.entries[idx].walks, self.pools.take_walks());
         let spilled = std::mem::take(&mut self.pwb.entries[idx].spilled);
         let ch = self.channel_of_chip(chip);
         let mut fetch_done = now;

@@ -2,9 +2,8 @@
 //! channel and board mailboxes, the partition walk buffer, spill stores,
 //! and the subgraph scheduler's scoreboard.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
-use fw_graph::VertexId;
 use fw_walk::Walk;
 
 /// Subgraph (graph block) identifier.
@@ -136,8 +135,9 @@ impl ChipSlots {
 /// Channel-level accelerator state.
 #[derive(Debug, Clone)]
 pub struct ChannelState {
-    /// Walks that arrived from chip-level accelerators, pending a batch.
-    pub inbox: Vec<TWalk>,
+    /// Walks that arrived from chip-level accelerators, pending a batch
+    /// (FIFO: batches take from the front).
+    pub inbox: VecDeque<TWalk>,
     /// A batch is running.
     pub busy: bool,
 }
@@ -146,8 +146,8 @@ pub struct ChannelState {
 /// [`super::FlashImage`]).
 #[derive(Debug, Clone)]
 pub struct BoardState {
-    /// Walks pending a board batch.
-    pub inbox: Vec<TWalk>,
+    /// Walks pending a board batch (FIFO: batches take from the front).
+    pub inbox: VecDeque<TWalk>,
     /// A batch is running.
     pub busy: bool,
     /// Foreigner walks buffered before a page flush.
@@ -285,14 +285,6 @@ pub struct DeliveryBuckets {
 }
 
 impl DeliveryBuckets {
-    /// Append a walk to its chip's bucket.
-    pub fn push(&mut self, chip: u32, w: TWalk) {
-        match self.buckets.iter_mut().find(|(c, _)| *c == chip) {
-            Some((_, v)) => v.push(w),
-            None => self.buckets.push((chip, vec![w])),
-        }
-    }
-
     /// Append a walk to its chip's bucket, drawing fresh buckets from the
     /// pool instead of allocating.
     pub fn push_pooled(&mut self, chip: u32, w: TWalk, pool: &mut Pools) {
@@ -308,12 +300,13 @@ impl DeliveryBuckets {
 }
 
 /// Free lists for the `Vec` payloads that flow through the event queue
-/// (walk batches, delivery fan-outs, dirty-chip lists). Each vector is
-/// returned here when its event is consumed and handed out again on the
-/// next batch, so a warmed-up run routes walks without allocating.
+/// and the chip slots (walk batches, delivery fan-outs, dirty-chip
+/// lists, PWB entries and slot queues). Each vector is returned here
+/// when its event is consumed or its slot is freed, and handed out again
+/// on the next batch or load, so takes and puts stay balanced.
 /// Ownership rule: a vector taken from a pool is either moved into a
-/// scheduled event (whose handler puts it back) or put back directly —
-/// never dropped on the hot path.
+/// scheduled event or a slot (whose handler or eviction puts it back) or
+/// put back directly — never dropped on the hot path.
 #[derive(Debug, Default)]
 pub struct Pools {
     walks: Vec<Vec<TWalk>>,
@@ -355,13 +348,6 @@ impl Pools {
         v.clear();
         self.chip_ids.push(v);
     }
-}
-
-/// Convenience: does this vertex fall inside `[low, high]`? (The chip
-/// guider's comparison against a loaded subgraph's end vertices.)
-#[inline]
-pub fn in_range(v: VertexId, low: VertexId, high: VertexId) -> bool {
-    low <= v && v <= high
 }
 
 #[cfg(test)]
@@ -434,12 +420,17 @@ mod tests {
 
     #[test]
     fn delivery_buckets_group_by_chip() {
+        let mut pools = Pools::default();
+        pools.put_walks(Vec::with_capacity(8));
         let mut d = DeliveryBuckets::default();
-        d.push(3, TWalk::undirected(Walk::new(0, 6)));
-        d.push(1, TWalk::undirected(Walk::new(1, 6)));
-        d.push(3, TWalk::undirected(Walk::new(2, 6)));
+        d.push_pooled(3, TWalk::undirected(Walk::new(0, 6)), &mut pools);
+        d.push_pooled(1, TWalk::undirected(Walk::new(1, 6)), &mut pools);
+        d.push_pooled(3, TWalk::undirected(Walk::new(2, 6)), &mut pools);
         assert_eq!(d.buckets.len(), 2);
         assert_eq!(d.buckets[0].0, 3);
         assert_eq!(d.buckets[0].1.len(), 2);
+        // The first bucket drew the pooled vector; the second a fresh one.
+        assert!(d.buckets[0].1.capacity() >= 8);
+        assert_eq!(pools.take_walks().capacity(), 0, "pool drained");
     }
 }

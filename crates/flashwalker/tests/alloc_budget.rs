@@ -85,4 +85,23 @@ fn allocation_budgets() {
     // Before the image split, `FlashWalkerSim::new` + this run made 5,633
     // allocations (4,298 of them in `new`). Budget: 35% of that.
     assert!(n <= 5_633 * 35 / 100, "{n} allocations for a 25-walk run");
+
+    // A run long enough that thousands of subgraph loads dominate: each
+    // load swaps a PWB entry's walk vector into a chip slot, so the count
+    // shows whether those vectors recycle through the pools or regrow.
+    let (n, report) = allocs(|| {
+        FlashWalkerSim::from_image(&ds.csr, &pg, Arc::clone(&image), 42)
+            .run_detailed(Workload::deepwalk(20_000, 6))
+    });
+    assert_eq!(report.walks, 20_000);
+    println!(
+        "one 20,000-walk run {n} ({} subgraph loads)",
+        report.stats.sg_loads
+    );
+    // With PWB entries regrowing from empty after every load the run
+    // made 21,980 allocations for 5,729 loads. Budget: 60% of that.
+    assert!(
+        n <= 21_980 * 60 / 100,
+        "{n} allocations for a 20,000-walk run"
+    );
 }

@@ -1,7 +1,8 @@
 //! Microbenches for the hot structures of the reproduction: mapping-table
 //! binary search (full vs range-narrowed), the walk query cache, the
 //! dense-vertex bloom filter, unbiased vs ITS sampling, RMAT edge
-//! generation, the event queue, DRAM access timing, and FTL writes.
+//! generation, the event queue, DRAM access timing, reservations on a
+//! deep resource timeline, and FTL writes.
 //!
 //! These are host-performance benches (how fast the *simulator* runs),
 //! complementing the `fig*` binaries that measure *simulated* time. The
@@ -20,7 +21,7 @@ use fw_graph::partition::PartitionConfig;
 use fw_graph::rmat::{generate_csr, RmatParams};
 use fw_graph::{PartitionedGraph, RangeTable, SubgraphMappingTable};
 use fw_nand::{Ftl, SsdConfig};
-use fw_sim::{EventQueue, HeapEventQueue, SimTime, Xoshiro256pp};
+use fw_sim::{Duration, EventQueue, HeapEventQueue, SimTime, Timeline, Xoshiro256pp};
 use fw_walk::{sample_biased, sample_unbiased};
 
 /// Batch size scaled for the mode: full by default, ~50× smaller under
@@ -243,6 +244,30 @@ fn bench_dram() {
     });
 }
 
+fn bench_timeline() {
+    // FlashWalker's busiest timelines hold ~7,000 disjoint intervals:
+    // runs shorter than the 8 ms prune slack never prune. One interval
+    // every 1,150 ns keeps this one at that depth once pruning starts.
+    // Seven in eight requests land at the tail; the eighth backfills the
+    // gap two intervals back.
+    const STEP: u64 = 1_150;
+    let mut tl = Timeline::new();
+    for i in 0..7_000u64 {
+        tl.reserve(SimTime(i * STEP), Duration::nanos(600));
+    }
+    let mut t = 7_000 * STEP;
+    let mut i = 0u64;
+    bench("timeline_reserve_deep", iters(500_000), || {
+        i += 1;
+        if i.is_multiple_of(8) {
+            tl.reserve(SimTime(t - 2 * STEP), Duration::nanos(100))
+        } else {
+            t += STEP;
+            tl.reserve(SimTime(t), Duration::nanos(600))
+        }
+    });
+}
+
 fn bench_ftl() {
     let cfg = SsdConfig::tiny();
     let mut ftl = Ftl::new(cfg.geometry, 0, cfg.gc_threshold_blocks);
@@ -261,5 +286,6 @@ fn main() {
     bench_rmat();
     bench_event_queue();
     bench_dram();
+    bench_timeline();
     bench_ftl();
 }

@@ -26,7 +26,7 @@ pub struct Timeline {
     intervals: std::collections::VecDeque<(u64, u64)>,
     /// High-water mark of request times; intervals far behind it are
     /// pruned to keep the deque small.
-    low_water: u64,
+    high_water: u64,
     busy: Duration,
     served: u64,
 }
@@ -70,16 +70,58 @@ impl Timeline {
     /// Reserve the resource for `dur`, starting no earlier than `at`,
     /// taking the earliest gap that fits.
     pub fn reserve(&mut self, at: SimTime, dur: Duration) -> Reservation {
-        self.low_water = self.low_water.max(at.0);
-        self.prune();
+        self.prune(at.0);
+        let first = self.first_ending_after(at.0);
+        self.book(first, at.0, dur)
+    }
+
+    /// [`Self::reserve`] with the plain binary search over the whole
+    /// deque: the reference the tail-first search is tested against.
+    #[cfg(test)]
+    fn reserve_reference(&mut self, at: SimTime, dur: Duration) -> Reservation {
+        self.prune(at.0);
+        let first = self.intervals.partition_point(|&(_, e)| e <= at.0);
+        self.book(first, at.0, dur)
+    }
+
+    /// Index of the first interval ending after `t`. Intervals are sorted
+    /// and disjoint, so their ends are sorted too. Runs shorter than
+    /// `PRUNE_SLACK_NS` never prune, so the deque can hold thousands of
+    /// intervals while nearly every request lands at its tail: gallop
+    /// back from the tail to bracket the answer, then binary-search the
+    /// bracket.
+    fn first_ending_after(&self, t: u64) -> usize {
+        let ends_after = |i: usize| self.intervals[i].1 > t;
+        // Invariant: every interval at or past `hi` ends after `t`.
+        let mut hi = self.intervals.len();
+        let mut step = 1;
+        let mut lo = loop {
+            if hi == 0 {
+                break 0;
+            }
+            let probe = hi.saturating_sub(step);
+            if !ends_after(probe) {
+                break probe + 1;
+            }
+            hi = probe;
+            step *= 2;
+        };
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if ends_after(mid) {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        lo
+    }
+
+    /// Book `[start, start + dur)` in the earliest gap at or after `t`,
+    /// scanning from interval `first` (the first ending after `t`).
+    fn book(&mut self, first: usize, t: u64, dur: Duration) -> Reservation {
         let d = dur.as_nanos();
-        let t = at.0;
-        // Find the earliest gap of length >= d starting at or after `t`.
-        // Intervals are sorted and disjoint, so both starts and ends are
-        // sorted: binary-search past everything that ends at or before
-        // `t`, then scan.
         let mut start = t;
-        let first = self.intervals.partition_point(|&(_, e)| e <= t);
         let mut insert_at = self.intervals.len();
         for i in first..self.intervals.len() {
             let (s, e) = self.intervals[i];
@@ -119,8 +161,11 @@ impl Timeline {
         }
     }
 
-    fn prune(&mut self) {
-        let cutoff = self.low_water.saturating_sub(PRUNE_SLACK_NS);
+    /// Raise the request high-water mark to `t` and prune the intervals
+    /// that end more than `PRUNE_SLACK_NS` behind it.
+    fn prune(&mut self, t: u64) {
+        self.high_water = self.high_water.max(t);
+        let cutoff = self.high_water.saturating_sub(PRUNE_SLACK_NS);
         while let Some(&(_, e)) = self.intervals.front() {
             if e < cutoff && self.intervals.len() > 1 {
                 self.intervals.pop_front();
@@ -440,6 +485,55 @@ mod tests {
         // Busy time equals the sum of granted durations.
         let total: u64 = granted.iter().map(|(s, e)| e - s).sum();
         assert_eq!(t.busy_time().as_nanos(), total);
+    }
+
+    #[test]
+    fn tail_first_search_matches_reference_search() {
+        // Drive the tail-first search and the reference binary search
+        // through the same random mix — requests now, behind now and far
+        // ahead, zero durations, exact-fit gaps — over a horizon past
+        // PRUNE_SLACK_NS so pruning runs, and compare every grant.
+        for seed in 0..4u64 {
+            let mut rng = crate::rng::Xoshiro256pp::new(0x7A11 + seed);
+            let mut fast = Timeline::new();
+            let mut reference = Timeline::new();
+            let mut clock = 0u64;
+            for step in 0..20_000 {
+                clock += rng.next_below(1_500);
+                let (at, dur) = match rng.next_below(8) {
+                    // Lookahead booking.
+                    0 | 1 => (clock + rng.next_below(200_000), rng.next_below(3_000)),
+                    // A request behind the clock, backfilling old gaps.
+                    2 => (
+                        clock.saturating_sub(rng.next_below(50_000)),
+                        1 + rng.next_below(500),
+                    ),
+                    3 => (clock + rng.next_below(20_000), 0),
+                    // Exactly the gap between two booked intervals.
+                    4 if reference.intervals.len() > 1 => {
+                        let i = rng.next_below(reference.intervals.len() as u64 - 1) as usize;
+                        let gap_start = reference.intervals[i].1;
+                        (gap_start, reference.intervals[i + 1].0 - gap_start)
+                    }
+                    _ => (clock, rng.next_below(3_000)),
+                };
+                assert_eq!(
+                    fast.first_ending_after(at),
+                    fast.intervals.partition_point(|&(_, e)| e <= at),
+                    "seed {seed} step {step}: search at {at}"
+                );
+                let got = fast.reserve(SimTime(at), Duration(dur));
+                let want = reference.reserve_reference(SimTime(at), Duration(dur));
+                assert_eq!(got, want, "seed {seed} step {step}: reserve({at}, {dur})");
+            }
+            assert_eq!(fast.intervals, reference.intervals);
+            assert_eq!(fast.busy_time(), reference.busy_time());
+            let front_end = fast.intervals.front().expect("booked").1;
+            assert!(
+                front_end >= clock - PRUNE_SLACK_NS,
+                "seed {seed}: pruning never ran (front ends at {front_end}, clock {clock})"
+            );
+        }
     }
 
     #[test]
