@@ -5,12 +5,13 @@
 //! deep resource timeline, and FTL writes.
 //!
 //! These are host-performance benches (how fast the *simulator* runs),
-//! complementing the `fig*` binaries that measure *simulated* time. The
+//! complementing the `fwbench` figures that measure *simulated* time. The
 //! harness is a plain `std::time::Instant` loop (no external deps): each
 //! bench warms up briefly, then times a fixed batch and reports ns/op.
 //!
-//! `FW_MICRO_QUICK=1` shrinks every batch ~50× — a CI smoke mode that
-//! checks the benches run, not their numbers.
+//! `cargo bench -p fw-bench --bench micro -- --quick` shrinks every
+//! batch ~50× — a CI smoke mode that checks the benches run, not their
+//! numbers.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -25,9 +26,9 @@ use fw_sim::{Duration, EventQueue, HeapEventQueue, SimTime, Timeline, Xoshiro256
 use fw_walk::{sample_biased, sample_unbiased};
 
 /// Batch size scaled for the mode: full by default, ~50× smaller under
-/// `FW_MICRO_QUICK` (CI smoke).
+/// `--quick` (CI smoke).
 fn iters(n: u64) -> u64 {
-    if std::env::var("FW_MICRO_QUICK").is_ok() {
+    if std::env::args().any(|a| a == "--quick") {
         (n / 50).max(10)
     } else {
         n

@@ -1,30 +1,25 @@
-//! `fwbench` — the structured benchmark driver: run a declarative suite
-//! into a schema-versioned `BENCH_<label>.json` record, and gate
-//! regressions against a prior record with seed-noise-aware bounds and
-//! paper-fidelity verdicts.
+//! `fwbench` — the one experiment driver: run a declarative suite into a
+//! schema-versioned `BENCH_<label>.json` record, gate regressions against
+//! a prior record with seed-noise-aware bounds and paper-fidelity
+//! verdicts, and regenerate each table and figure of the paper.
 //!
-//! ```text
-//! fwbench run [--suite ci|paper] [--seeds N] [--label L] [--out PATH]
-//!             [--no-trace] [--journeys] [--critical] [--threads N]
-//!             [--faults none|light|heavy]
-//! fwbench compare [BASELINE] [CURRENT] [--noise-floor F]
-//! fwbench why BASELINE CURRENT
-//! fwbench tail RECORD
-//! fwbench serve [--suite ci] [--seed S] [--queries N] [--label L]
-//!               [--out PATH] [--csv PATH]
-//! ```
+//! The subcommands and their flags are listed in the `USAGE` text, which
+//! `fwbench` prints when run without arguments.
 //!
-//! Each subcommand takes exactly the flags listed; any other `--flag`
-//! exits 2 naming it, and a removed flag also says why it went.
+//! Each subcommand takes exactly the arguments listed; any other `--flag`
+//! or a surplus positional exits 2 naming it, and a removed flag also
+//! says why it went. DATASET is one of TT, FS, CW, R2B, R8B (default TT);
+//! LIST is a comma-separated list of them (default all five).
 //!
-//! `run` defaults: the `ci` suite, 3 seeds (or `FW_SEEDS`), label = suite
-//! name, output `BENCH_<label>.json` in the working directory. Every
-//! field is simulated or a run stamp, so output is byte-identical across
+//! `run` defaults: the `ci` suite, 3 seeds, label = suite name, output
+//! `BENCH_<label>.json` in the working directory. Every field is
+//! simulated or a run stamp, so output is byte-identical across
 //! same-seed runs; host time is measured by the `bench/` package, not
-//! here. `--threads N` (or `FW_THREADS`) fans scenario×seed cells over N
-//! workers; each cell is one sequential engine run, so the simulated
-//! record is identical at any thread count and a non-default count is
-//! stamped into the env fingerprint.
+//! here. `--threads N` fans scenario×seed cells over N workers; each cell
+//! is one sequential engine run, so the simulated record is identical at
+//! any thread count and a non-default count is stamped into the env
+//! fingerprint. `run` takes no dataset filter: a record's suite name
+//! says which grid ran.
 //!
 //! `compare` with one path compares it against the newest *other*
 //! `BENCH_*.json` in its directory; with two paths the first is the
@@ -68,40 +63,96 @@
 //! The `SERVE_` prefix keeps these records out of `compare`'s `BENCH_*`
 //! auto-baseline discovery.
 //!
-//! Exit codes, all subcommands: 0 ok, 1 gate failed, 2 usage, 3 record
-//! unreadable/malformed, 4 record parsed but an accounting invariant is
-//! violated (see EXPERIMENTS.md "Exit codes").
+//! `fig`, `table`, `energy`, `three-way`, `ablation` and `smoke` print a
+//! TSV report to stdout (EXPERIMENTS.md lists what each reproduces).
+//! Figures 5, 6, 7 and 9 and `three-way` run the suite of the same name
+//! (`fig5`, …) at one seed unless `--seeds` says otherwise; `--datasets`
+//! restricts its grid. `smoke` runs fw against gw on one cell (default
+//! walks: a quarter of the dataset's default).
+//!
+//! `trace` runs one engine (default `fw TT`, an eighth of the default
+//! walks) with span tracing on, prints the utilization / latency /
+//! queue-depth views, and writes a Chrome `trace_event` JSON (default
+//! `fwtrace.json`, loadable in Perfetto) plus a `.csv` sibling with the
+//! utilization table. `--journeys` records sampled walk journeys (fw/gw
+//! only): the tail attribution table is printed, per-walk tracks join the
+//! JSON and a `<out>.journeys.csv` sibling carries the raw rows.
+//! `--critical` records the dependency log (fw/gw only) and prints the
+//! critical-path share table; `--heatmap` (implies `--critical`) also
+//! writes a `<out>.heatmap.csv` contention heatmap and a Perfetto counter
+//! track. Every output file is created before the run.
+//!
+//! `diag` (default TT, half the default walks) dumps FlashWalker's engine
+//! statistics under each optimization configuration, then the three
+//! engines' utilization and queue-depth rows side by side. `--json`
+//! skips the dump and prints the comparison as one `fwdiag/v1` document.
+//!
+//! Exit codes, all subcommands: 0 ok, 1 gate failed or a run could not
+//! write its output, 2 usage, 3 record unreadable/malformed, 4 record
+//! parsed but an accounting invariant is violated (see EXPERIMENTS.md
+//! "Exit codes").
 
 use std::ops::RangeInclusive;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 
+use flashwalker::AccelConfig;
 use fw_bench::bench_json::{newest_bench_file, BenchReport};
 use fw_bench::cli::Args;
 use fw_bench::compare::{compare_reports, CompareConfig};
+use fw_bench::diag::{
+    diag_json, engine_scenario, stats_row, trace_rows, DIAG_ALPHA, DIAG_CONFIGS, ENGINES,
+};
+use fw_bench::figures;
 use fw_bench::record::{load_bench_report, load_serve_record};
-use fw_bench::runner::DEFAULT_SEED;
+use fw_bench::runner::{prepared, run_flashwalker, DEFAULT_SEED};
 use fw_bench::serve::{build_serve_record, render_serve_table, run_ci_serve_suite, serve_csv};
-use fw_bench::suite::{build_bench_report, env_seeds, env_threads, run_suite, Suite};
+use fw_bench::suite::{
+    build_bench_report, default_gw_memory, parse_datasets, run_one, run_suite, seed_list, Probes,
+    Suite, SuiteResult, SUITE_NAMES,
+};
 use fw_bench::why::why_reports;
 use fw_fault::FaultProfile;
-use fw_sim::Json;
+use fw_graph::DatasetId;
+use fw_sim::{chrome_trace_json, export, HeatmapReport, Json};
+
+const USAGE: &str = "usage:
+  fwbench run [--suite ci|paper|fig5|fig6|fig7|fig9|three-way] [--seeds N] [--label L] [--out PATH] [--no-trace] [--journeys] [--critical] [--faults none|light|heavy] [--threads N]
+  fwbench compare [BASELINE] [CURRENT] [--noise-floor F]
+  fwbench why BASELINE CURRENT
+  fwbench tail RECORD
+  fwbench serve [--suite ci] [--seed S] [--queries N] [--label L] [--out PATH] [--csv PATH]
+  fwbench fig 1
+  fwbench fig 5|6|7|9 [--seeds N] [--threads N] [--datasets LIST]
+  fwbench fig 8 [--threads N]
+  fwbench table configs|area|datasets
+  fwbench energy [--threads N]
+  fwbench three-way [--seeds N] [--threads N] [--datasets LIST]
+  fwbench ablation [DATASET]
+  fwbench smoke [DATASET] [WALKS] [--seeds N]
+  fwbench trace [fw|gw|iter] [DATASET] [WALKS] [OUT.json] [--journeys] [--critical] [--heatmap]
+  fwbench diag [DATASET] [WALKS] [--json]
+DATASET is one of TT, FS, CW, R2B, R8B; LIST is a comma-separated list of them.";
 
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage:\n  fwbench run [--suite ci|paper] [--seeds N] [--label L] [--out PATH] [--no-trace] [--journeys] [--critical] [--faults none|light|heavy] [--threads N]\n  fwbench compare [BASELINE] [CURRENT] [--noise-floor F]\n  fwbench why BASELINE CURRENT\n  fwbench tail RECORD\n  fwbench serve [--suite ci] [--seed S] [--queries N] [--label L] [--out PATH] [--csv PATH]"
-    );
+    eprintln!("{USAGE}");
     ExitCode::from(2)
 }
+
+/// Print a usage error and the usage text (exit 2).
+fn usage_error(cmd: &str, msg: &str) -> ExitCode {
+    eprintln!("fwbench {cmd}: {msg}");
+    usage()
+}
+
+/// Why `--rng` and `--threads` went from `run` and `trace`.
+const ONE_LOOP: &str = "every engine run is one sequential event loop with one walk RNG";
 
 /// Removed flags, each with the reason it went: `(subcommand, flag,
 /// reason)`. The removed `hostperf` subcommand is refused in `main`.
 const REMOVED: &[(&str, &str, &str)] = &[
-    (
-        "run",
-        "--rng",
-        "every engine run is one sequential event loop with one walk RNG",
-    ),
+    ("run", "--rng", ONE_LOOP),
     (
         "run",
         "--wall",
@@ -117,17 +168,41 @@ const REMOVED: &[(&str, &str, &str)] = &[
         "--threads",
         "each serving scenario is one sequential simulation with no worker threads to set",
     ),
+    ("trace", "--threads", ONE_LOOP),
+    ("trace", "--rng", ONE_LOOP),
 ];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("run") => cmd_run(&args[1..]),
-        Some("compare") => cmd_compare(&args[1..]),
-        Some("why") => cmd_why(&args[1..]),
-        Some("tail") => cmd_tail(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("hostperf") => {
+    let Some((cmd, args)) = args.split_first() else {
+        return usage();
+    };
+    match cmd.as_str() {
+        "run" => cmd_run(args),
+        "compare" => cmd_compare(args),
+        "why" => cmd_why(args),
+        "tail" => cmd_tail(args),
+        "serve" => cmd_serve(args),
+        "fig" => print_report(fig(args)),
+        "table" => print_report(table(args)),
+        "energy" => {
+            print_report(grid("energy", args, POOL_FLAGS).map(|g| figures::energy(g.threads)))
+        }
+        "three-way" => print_report(suite_report(
+            "three-way",
+            args,
+            "three-way",
+            figures::three_way,
+        )),
+        "ablation" => print_report(
+            parse_args("ablation", args, 0..=1, &[], &[])
+                .and_then(|a| dataset_arg("ablation", &a, 0))
+                .map(figures::ablation),
+        ),
+        "smoke" => print_report(smoke(args)),
+        "trace" => print_report(trace(args)),
+        "diag" => print_report(diag(args)),
+        "hostperf" => {
             eprintln!(
                 "fwbench: hostperf was removed: host time is measured by the bench/ package \
                  (EXPERIMENTS.md \"Host performance\")"
@@ -161,10 +236,46 @@ fn parse_args<'a>(
         .filter(|(c, _, _)| *c == cmd)
         .map(|&(_, f, why)| (f, why))
         .collect();
-    Args::parse(args, positionals, valued, switches, &removed).map_err(|e| {
-        eprintln!("fwbench {cmd}: {e}");
-        usage()
-    })
+    Args::parse(args, positionals, valued, switches, &removed).map_err(|e| usage_error(cmd, &e))
+}
+
+/// The value of flag `flag`, which must be a positive integer, or
+/// `default` when it is absent.
+fn positive<T: FromStr + Default + PartialOrd>(
+    cmd: &str,
+    args: &Args,
+    flag: &str,
+    default: T,
+) -> Result<T, ExitCode> {
+    match args.value(flag).map(str::parse) {
+        None => Ok(default),
+        Some(Ok(n)) if n > T::default() => Ok(n),
+        Some(_) => Err(usage_error(
+            cmd,
+            &format!("{flag} wants a positive integer"),
+        )),
+    }
+}
+
+/// Positional `i` as a dataset abbreviation (default TT).
+fn dataset_arg(cmd: &str, args: &Args, i: usize) -> Result<DatasetId, ExitCode> {
+    match args.positional.get(i) {
+        None => Ok(DatasetId::Twitter),
+        Some(s) => DatasetId::from_abbrev(s)
+            .ok_or_else(|| usage_error(cmd, &format!("unknown dataset '{s}'"))),
+    }
+}
+
+/// Positional `i` as a positive walk count, or `default`.
+fn walks_arg(cmd: &str, args: &Args, i: usize, default: u64) -> Result<u64, ExitCode> {
+    match args.positional.get(i).map(|s| (s, s.parse::<u64>())) {
+        None => Ok(default),
+        Some((_, Ok(n))) if n > 0 => Ok(n),
+        Some((s, _)) => Err(usage_error(
+            cmd,
+            &format!("walk count '{s}' is not a positive integer"),
+        )),
+    }
 }
 
 fn cmd_run(args: &[String]) -> ExitCode {
@@ -186,29 +297,20 @@ fn cmd_run(args: &[String]) -> ExitCode {
         Err(c) => return c,
     };
     let suite_name = args.value("--suite").unwrap_or("ci");
-    let seeds = match args.value("--seeds") {
-        Some(n) => {
-            let n: u64 = match n.parse() {
-                Ok(n) if n >= 1 => n,
-                _ => {
-                    eprintln!("--seeds wants a positive integer");
-                    return ExitCode::from(2);
-                }
-            };
-            (0..n).map(|i| DEFAULT_SEED + i).collect()
-        }
-        // FW_SEEDS is the figure binaries' knob; honor it here too, but
-        // default to 3 so the record always carries a noise band.
-        None if std::env::var("FW_SEEDS").is_ok() => env_seeds(),
-        None => (0..3).map(|i| DEFAULT_SEED + i).collect(),
+    // Three seeds by default, so the record always carries a noise band.
+    let (seeds, threads) = match (
+        positive("run", &args, "--seeds", 3u64),
+        positive("run", &args, "--threads", 1u32),
+    ) {
+        (Ok(s), Ok(t)) => (s, t),
+        (Err(c), _) | (_, Err(c)) => return c,
     };
-    let mut suite = match suite_name {
-        "ci" => Suite::ci_small(seeds),
-        "paper" => Suite::paper(seeds),
-        other => {
-            eprintln!("unknown suite '{other}' (known: ci, paper)");
-            return ExitCode::from(2);
-        }
+    let Some(mut suite) = Suite::named(suite_name, seed_list(seeds)) else {
+        let known = SUITE_NAMES.join(", ");
+        return usage_error(
+            "run",
+            &format!("unknown suite '{suite_name}' (known: {known})"),
+        );
     };
     if args.has("--no-trace") {
         suite.trace = false;
@@ -228,17 +330,6 @@ fn cmd_run(args: &[String]) -> ExitCode {
             }
         }
     }
-    let threads: u32 = match args.value("--threads") {
-        Some(t) => match t.parse() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("--threads wants a positive integer");
-                return ExitCode::from(2);
-            }
-        },
-        // FW_THREADS is the figure binaries' knob; honor it here too.
-        None => env_threads(),
-    };
     suite = suite.with_threads(threads);
     // Fault and journey runs default to a suffixed label so they never
     // clobber the plain BENCH_<suite>.json byte-identity
@@ -605,15 +696,9 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         },
         None => DEFAULT_SEED,
     };
-    let queries: u64 = match args.value("--queries") {
-        Some(q) => match q.parse() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("--queries wants a positive integer");
-                return ExitCode::from(2);
-            }
-        },
-        None => 96,
+    let queries = match positive("serve", &args, "--queries", 96u64) {
+        Ok(q) => q,
+        Err(c) => return c,
     };
     let label = args.value("--label").unwrap_or(suite_name).to_string();
     let out: PathBuf = args
@@ -644,4 +729,275 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     print!("{}", render_serve_table(&doc));
     eprintln!("fwbench serve: wrote {}", out.display());
     ExitCode::SUCCESS
+}
+
+/// Print a report's stdout, or pass its exit code through.
+fn print_report(report: Result<String, ExitCode>) -> ExitCode {
+    match report {
+        Ok(out) => {
+            print!("{out}");
+            ExitCode::SUCCESS
+        }
+        Err(c) => c,
+    }
+}
+
+/// The grid flags of the figure subcommands: `--seeds N` (default 1),
+/// `--threads N` (default 1) and `--datasets LIST` (default all five).
+struct Grid {
+    seeds: u64,
+    threads: u32,
+    datasets: Vec<DatasetId>,
+}
+
+/// The grid flags of a suite-backed report, and of a report that runs
+/// one engine-native job per dataset of `DatasetId::ALL`.
+const SUITE_FLAGS: &[&str] = &["--seeds", "--threads", "--datasets"];
+const POOL_FLAGS: &[&str] = &["--threads"];
+
+/// Parse a subcommand that takes only the grid flags in `valued`.
+fn grid(cmd: &str, args: &[String], valued: &[&str]) -> Result<Grid, ExitCode> {
+    let args = parse_args(cmd, args, 0..=0, valued, &[])?;
+    let datasets = match args.value("--datasets") {
+        Some(list) => parse_datasets(list).map_err(|e| usage_error(cmd, &e))?,
+        None => DatasetId::ALL.to_vec(),
+    };
+    Ok(Grid {
+        seeds: positive(cmd, &args, "--seeds", 1)?,
+        threads: positive(cmd, &args, "--threads", 1)?,
+        datasets,
+    })
+}
+
+/// Run `suite`, or exit 1 saying why it cannot run.
+fn run(cmd: &str, suite: &Suite) -> Result<SuiteResult, ExitCode> {
+    run_suite(suite).map_err(|e| {
+        eprintln!("fwbench {cmd}: {e}");
+        ExitCode::FAILURE
+    })
+}
+
+/// Run the named suite on a subcommand's grid flags and render its
+/// report.
+fn suite_report(
+    cmd: &str,
+    args: &[String],
+    name: &str,
+    render: fn(&SuiteResult) -> String,
+) -> Result<String, ExitCode> {
+    let g = grid(cmd, args, SUITE_FLAGS)?;
+    let suite = Suite::named(name, seed_list(g.seeds)).expect("figure suites are in the table");
+    let res = run(cmd, &suite.on_datasets(&g.datasets).with_threads(g.threads))?;
+    Ok(render(&res))
+}
+
+fn fig(args: &[String]) -> Result<String, ExitCode> {
+    let Some((which, args)) = args.split_first() else {
+        return Err(usage_error(
+            "fig",
+            "wants a figure number (1, 5, 6, 7, 8 or 9)",
+        ));
+    };
+    match which.as_str() {
+        "1" => parse_args("fig", args, 0..=0, &[], &[]).map(|_| figures::fig1()),
+        "5" => suite_report("fig", args, "fig5", figures::fig5),
+        "6" => suite_report("fig", args, "fig6", figures::fig6),
+        "7" => suite_report("fig", args, "fig7", figures::fig7),
+        "8" => grid("fig", args, POOL_FLAGS).map(|g| figures::fig8(g.threads)),
+        "9" => suite_report("fig", args, "fig9", figures::fig9),
+        other => Err(usage_error(
+            "fig",
+            &format!("unknown figure {other} (known: 1, 5, 6, 7, 8, 9)"),
+        )),
+    }
+}
+
+fn table(args: &[String]) -> Result<String, ExitCode> {
+    match parse_args("table", args, 1..=1, &[], &[])?.positional[0] {
+        "configs" => Ok(figures::table_configs()),
+        "area" => Ok(figures::table_area()),
+        "datasets" => Ok(figures::table_datasets()),
+        other => Err(usage_error(
+            "table",
+            &format!("unknown table {other} (known: configs, area, datasets)"),
+        )),
+    }
+}
+
+fn smoke(args: &[String]) -> Result<String, ExitCode> {
+    let args = parse_args("smoke", args, 0..=2, &["--seeds"], &[])?;
+    let id = dataset_arg("smoke", &args, 0)?;
+    let walks = walks_arg("smoke", &args, 1, id.default_walks() / 4)?;
+    let seeds = seed_list(positive("smoke", &args, "--seeds", 1)?);
+    let suite = Suite::single(id, walks, default_gw_memory(), seeds);
+    Ok(figures::smoke(&run("smoke", &suite)?))
+}
+
+/// Write `contents` to `path`, or exit 1 naming it.
+fn write_file(path: &str, contents: &str) -> Result<(), ExitCode> {
+    std::fs::write(path, contents).map_err(|e| {
+        eprintln!("fwbench trace: cannot write {path}: {e}");
+        ExitCode::FAILURE
+    })
+}
+
+fn trace(args: &[String]) -> Result<String, ExitCode> {
+    let args = parse_args(
+        "trace",
+        args,
+        0..=4,
+        &[],
+        &["--journeys", "--critical", "--heatmap"],
+    )?;
+    let journeys = args.has("--journeys");
+    let heatmap = args.has("--heatmap");
+    // The heatmap is derived from the dependency log, so asking for one
+    // turns critical recording on.
+    let critical = heatmap || args.has("--critical");
+    let engine = args.positional.first().copied().unwrap_or("fw");
+    let id = dataset_arg("trace", &args, 1)?;
+    let walks = walks_arg("trace", &args, 2, id.default_walks() / 8)?;
+    let Some(scenario) = engine_scenario(engine, id, walks) else {
+        let known = ENGINES.join(", ");
+        let msg = format!("unknown engine '{engine}' (known: {known})");
+        return Err(usage_error("trace", &msg));
+    };
+    let out = args.positional.get(3).copied().unwrap_or("fwtrace.json");
+    let stem = out.trim_end_matches(".json");
+    let csv_path = format!("{stem}.csv");
+    // The iterative baseline has no per-walk event stream to journal and
+    // no dependency log, so it writes neither sibling CSV.
+    let per_walk = engine != "iter";
+    if !per_walk {
+        for flag in ["--journeys", "--critical", "--heatmap"] {
+            if args.has(flag) {
+                eprintln!("fwbench trace: {flag} is a no-op on the iterative baseline");
+            }
+        }
+    }
+    let journeys_path = (journeys && per_walk).then(|| format!("{stem}.journeys.csv"));
+    let heatmap_path = (heatmap && per_walk).then(|| format!("{stem}.heatmap.csv"));
+    // Create every output before the run, so an unwritable path fails in
+    // milliseconds instead of after the simulation.
+    let sibling_csvs = [journeys_path.as_deref(), heatmap_path.as_deref()];
+    for path in [out, &csv_path]
+        .into_iter()
+        .chain(sibling_csvs.into_iter().flatten())
+    {
+        write_file(path, "")?;
+    }
+
+    let p = prepared(id, DEFAULT_SEED);
+    eprintln!(
+        "fwbench trace: engine={engine} dataset={} walks={walks}",
+        id.abbrev()
+    );
+    let probes = Probes {
+        trace: true,
+        journeys,
+        critical,
+    };
+    let r = run_one(&p, &scenario, DEFAULT_SEED, probes, FaultProfile::none());
+    let (journey_report, critical_report) = (r.journeys, r.critical);
+    let trace = r.trace.expect("span tracing was enabled");
+
+    let mut report = format!("{trace}\n");
+    // Utilization ranks who was *busiest* — a correlation signal that
+    // often, but not always, coincides with the causal bottleneck the
+    // critical-path shares identify.
+    let candidates = trace.bottleneck_candidates(3);
+    if !candidates.is_empty() {
+        report.push_str("busiest components (highest mean utilization — not causal):\n");
+        for (name, util) in &candidates {
+            report.push_str(&format!(
+                "  {name} at {:.1}% mean utilization\n",
+                util * 100.0
+            ));
+        }
+    }
+    if let Some(c) = &critical_report {
+        report.push_str(&c.render_table());
+    }
+
+    let hm = critical_report
+        .as_ref()
+        .filter(|_| heatmap)
+        .map(|c| HeatmapReport::from_critical(c, c.window_ns));
+    if let (Some(path), Some(hm)) = (&heatmap_path, &hm) {
+        write_file(path, &hm.csv())?;
+        eprintln!(
+            "fwbench trace: wrote {path} ({} lanes x {} windows)",
+            hm.lanes.len(),
+            hm.windows
+        );
+    }
+    write_file(
+        out,
+        &chrome_trace_json(&trace, journey_report.as_ref(), hm.as_ref()),
+    )?;
+    write_file(&csv_path, &export::utilization_csv(&trace))?;
+    eprintln!(
+        "fwbench trace: wrote {out} ({} spans, {} dropped) and {csv_path}",
+        trace.spans.len(),
+        trace.dropped_spans,
+    );
+    if let Some(j) = &journey_report {
+        report.push_str(&j.render_table());
+        if let Some(path) = &journeys_path {
+            write_file(path, &j.journeys_csv())?;
+            eprintln!(
+                "fwbench trace: wrote {path} ({} sampled walks)",
+                j.sampled_walks
+            );
+        }
+    }
+    Ok(report)
+}
+
+fn diag(args: &[String]) -> Result<String, ExitCode> {
+    let args = parse_args("diag", args, 0..=2, &[], &["--json"])?;
+    let id = dataset_arg("diag", &args, 0)?;
+    let walks = walks_arg("diag", &args, 1, id.default_walks() / 2)?;
+    let p = prepared(id, DEFAULT_SEED);
+    eprintln!(
+        "{}: subgraphs={} dense={} partitions={}",
+        id.abbrev(),
+        p.pg.num_subgraphs(),
+        p.pg.dense.len(),
+        p.pg.num_partitions()
+    );
+
+    // Span-traced three-engine comparison: component utilization and
+    // queue depths from the fw-trace layer, side by side.
+    let probes = Probes {
+        trace: true,
+        ..Probes::default()
+    };
+    let traces: Vec<_> = ENGINES
+        .into_iter()
+        .filter_map(|tag| engine_scenario(tag, id, walks).map(|sc| (tag, sc)))
+        .map(|(tag, sc)| {
+            let r = run_one(&p, &sc, DEFAULT_SEED, probes, FaultProfile::none());
+            (tag, r.trace.expect("span tracing was enabled"))
+        })
+        .collect();
+    if args.has("--json") {
+        return Ok(diag_json(id, walks, &traces).render());
+    }
+
+    let mut out = String::new();
+    for (name, opts) in DIAG_CONFIGS {
+        let cfg = AccelConfig {
+            opts,
+            alpha: DIAG_ALPHA,
+            ..AccelConfig::scaled()
+        };
+        let r = run_flashwalker(&p, walks, cfg, DEFAULT_SEED);
+        out.push_str(&stats_row(name, &r));
+    }
+    out.push_str("\nengine\tcomponent\tutilization / queue depth\n");
+    for (tag, t) in &traces {
+        out.push_str(&trace_rows(tag, t));
+    }
+    Ok(out)
 }

@@ -20,6 +20,7 @@ use std::process::exit;
 
 use flashwalker::energy::{flashwalker_energy, graphwalker_energy, graphwalker_report::GwLike};
 use flashwalker::{AccelConfig, FlashWalkerSim, OptToggles};
+use fw_bench::suite::default_gw_memory;
 use fw_graph::partition::PartitionConfig;
 use fw_graph::rmat::{generate_csr, RmatParams};
 use fw_graph::{Csr, Dataset, DatasetId, PartitionedGraph};
@@ -139,7 +140,7 @@ fn main() {
             let engine = opt_val(&args, "--engine").unwrap_or_else(|| "both".into());
             let gw_mem: u64 = opt_val(&args, "--gw-mem")
                 .and_then(|s| s.parse().ok())
-                .unwrap_or((8u64 << 30) / fw_graph::datasets::GRAPH_SCALE);
+                .unwrap_or_else(default_gw_memory);
             let mut accel = AccelConfig::scaled();
             accel.opts = OptToggles {
                 walk_query: !flag(&args, "--no-wq"),

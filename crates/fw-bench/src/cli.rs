@@ -1,4 +1,4 @@
-//! The one command-line splitter behind `fwbench`, `fwtrace` and `diag`.
+//! The one command-line splitter behind every `fwbench` subcommand.
 //!
 //! A command declares the positional count it takes, its valued flags
 //! and its switches. Anything else is a usage error naming the argument:

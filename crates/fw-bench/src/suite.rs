@@ -5,10 +5,11 @@
 //! [`WorkerPool`], speedups paired against the suite's own GraphWalker
 //! cells.
 //!
-//! This is the one code path behind the `fwbench` binary, the figure
-//! binaries' seed repetition, and `smoke`/`baseline_compare`; the result
-//! feeds [`build_bench_report`] to produce the `BENCH_*.json` record
-//! (see [`crate::bench_json`]).
+//! [`Suite::named`] is the one suite table: `fwbench run`, the figure
+//! subcommands, `three-way` and `smoke` all run their grid through
+//! [`run_suite`]; the result feeds [`build_bench_report`] to produce the
+//! `BENCH_*.json` record (see [`crate::bench_json`]) or a figure's TSV
+//! (see [`crate::figures`]).
 
 use std::collections::HashMap;
 
@@ -31,48 +32,22 @@ pub fn default_gw_memory() -> u64 {
     (8u64 << 30) / GRAPH_SCALE
 }
 
-/// `FW_SEEDS=N` → `[DEFAULT_SEED, …, DEFAULT_SEED+N-1]`; default one
-/// seed. Shared by every figure binary (it used to live in
-/// `fig5_speedup` only).
-pub fn env_seeds() -> Vec<u64> {
-    let n: u64 = std::env::var("FW_SEEDS")
-        .ok()
-        .and_then(|x| x.parse().ok())
-        .unwrap_or(1)
-        .max(1);
+/// `n` consecutive seeds from [`DEFAULT_SEED`]: the seed list of every
+/// `--seeds N` flag.
+pub fn seed_list(n: u64) -> Vec<u64> {
     (0..n).map(|i| DEFAULT_SEED + i).collect()
 }
 
-/// Worker-thread count for a binary's cell sweep: `--threads N` on the
-/// command line, else `FW_THREADS=N`, else 1 (every cell inline, in
-/// order). Shared by the figure binaries; `fwbench run` parses its own
-/// `--threads` flag through the same precedence.
-pub fn env_threads() -> u32 {
-    let args: Vec<String> = std::env::args().collect();
-    let from_flag = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok());
-    from_flag
-        .or_else(|| {
-            std::env::var("FW_THREADS")
-                .ok()
-                .and_then(|s| s.parse().ok())
+/// Parse a comma-separated dataset list (`TT,R2B`); an unknown
+/// abbreviation is an error naming it, not a silently smaller grid.
+pub fn parse_datasets(list: &str) -> Result<Vec<DatasetId>, String> {
+    list.split(',')
+        .map(str::trim)
+        .map(|x| {
+            DatasetId::from_abbrev(x)
+                .ok_or_else(|| format!("unknown dataset '{x}' (known: TT, FS, CW, R2B, R8B)"))
         })
-        .unwrap_or(1)
-        .max(1)
-}
-
-/// `FW_DATASETS=TT,FS` restricts the dataset grid; default all five.
-pub fn selected_datasets() -> Vec<DatasetId> {
-    match std::env::var("FW_DATASETS") {
-        Ok(s) => DatasetId::ALL
-            .into_iter()
-            .filter(|d| s.split(',').any(|x| x.trim() == d.abbrev()))
-            .collect(),
-        Err(_) => DatasetId::ALL.to_vec(),
-    }
+        .collect()
 }
 
 /// Which simulator a scenario runs.
@@ -114,8 +89,6 @@ pub struct Scenario {
     pub gw_memory: u64,
     /// FlashWalker optimization toggles (ignored by the baselines).
     pub opts: OptToggles,
-    /// FlashWalker Eq. 1 α (ignored by the baselines).
-    pub alpha: f64,
     /// Extra name suffix distinguishing same-cell variants (e.g. a
     /// memory sweep point: "/m4GB"). Speedups pair scenarios with equal
     /// (dataset, walks, variant).
@@ -123,7 +96,7 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// FlashWalker with all optimizations at paper-default α.
+    /// FlashWalker with all optimizations.
     pub fn fw(dataset: DatasetId, walks: u64) -> Scenario {
         Scenario {
             tag: "fw".into(),
@@ -132,24 +105,16 @@ impl Scenario {
             walks,
             gw_memory: default_gw_memory(),
             opts: OptToggles::all(),
-            alpha: AccelConfig::scaled().alpha,
             variant: String::new(),
         }
     }
 
-    /// FlashWalker with explicit toggles/α under a custom tag (ablation
+    /// FlashWalker with explicit toggles under a custom tag (ablation
     /// cells; `fwbench`'s "fw-base" fidelity anchor).
-    pub fn fw_opts(
-        tag: &str,
-        dataset: DatasetId,
-        walks: u64,
-        opts: OptToggles,
-        alpha: f64,
-    ) -> Scenario {
+    pub fn fw_opts(tag: &str, dataset: DatasetId, walks: u64, opts: OptToggles) -> Scenario {
         Scenario {
             tag: tag.into(),
             opts,
-            alpha,
             ..Scenario::fw(dataset, walks)
         }
     }
@@ -229,31 +194,85 @@ pub struct Suite {
     pub critical: bool,
 }
 
-impl Suite {
-    /// The CI suite: small cells on TT and the 2-billion-edge RMAT
-    /// stand-in — fast enough to gate every PR, rich enough to exercise
-    /// the speedup, ablation and fidelity paths.
-    pub fn ci_small(seeds: Vec<u64>) -> Suite {
-        let mem = default_gw_memory();
-        let mut scenarios = Vec::new();
-        for id in [DatasetId::Twitter, DatasetId::Rmat2B] {
-            let walks = id.default_walks() / 16;
-            scenarios.push(Scenario::gw(id, walks, mem));
-            scenarios.push(Scenario::fw(id, walks));
+/// The names [`Suite::named`] knows, in the order usage text lists them.
+pub const SUITE_NAMES: [&str; 7] = ["ci", "paper", "fig5", "fig6", "fig7", "fig9", "three-way"];
+
+/// FlashWalker's optimization toggles: WQ (approximate walk search +
+/// query caches), HS (hot subgraphs) and SS (Eq. 1 subgraph scheduling).
+pub const fn toggles(wq: bool, hs: bool, ss: bool) -> OptToggles {
+    OptToggles {
+        walk_query: wq,
+        hot_subgraphs: hs,
+        subgraph_scheduling: ss,
+    }
+}
+
+/// The incremental §IV-E configurations of Figure 9: the
+/// no-optimization baseline, then WQ, HS and SS enabled in turn.
+pub const FIG9_CONFIGS: [(&str, OptToggles); 4] = [
+    ("base", toggles(false, false, false)),
+    ("+WQ", toggles(true, false, false)),
+    ("+WQ+HS", toggles(true, true, false)),
+    ("+WQ+HS+SS", toggles(true, true, true)),
+];
+
+/// Suite `name`'s scenarios on dataset `id`, in suite order (see
+/// [`Suite::named`]); `None` for an unknown suite.
+fn cells(name: &str, id: DatasetId) -> Option<Vec<Scenario>> {
+    let mem = default_gw_memory();
+    let max = id.default_walks();
+    let vs_gw = |walks| vec![Scenario::gw(id, walks, mem), Scenario::fw(id, walks)];
+    let base = |walks| Scenario::fw_opts("fw-base", id, walks, OptToggles::none());
+    Some(match (name, id) {
+        ("ci", DatasetId::Twitter) => vs_gw(max / 16),
+        ("ci", DatasetId::Rmat2B) => [vs_gw(max / 16), vec![base(max / 16)]].concat(),
+        ("ci", _) => Vec::new(),
+        ("paper", _) => [vs_gw(max), vec![base(max)]].concat(),
+        ("fig5", _) => walk_sweep(id).into_iter().flat_map(vs_gw).collect(),
+        ("fig6", _) => vs_gw(max),
+        ("fig7", _) => [4u64, 8, 16]
+            .into_iter()
+            .flat_map(|gb| {
+                let variant = format!("/m{gb}GB");
+                vec![
+                    Scenario::gw(id, max, (gb << 30) / GRAPH_SCALE).with_variant(&variant),
+                    Scenario::fw(id, max).with_variant(&variant),
+                ]
+            })
+            .collect(),
+        ("fig9", _) => FIG9_CONFIGS
+            .into_iter()
+            .map(|(tag, opts)| Scenario::fw_opts(tag, id, max, opts))
+            .collect(),
+        ("three-way", _) => {
+            let walks = max / 2;
+            vec![
+                Scenario::iter(id, walks, mem),
+                Scenario::gw(id, walks, mem),
+                Scenario::fw(id, walks),
+            ]
         }
-        let r2b_walks = DatasetId::Rmat2B.default_walks() / 16;
-        scenarios.push(Scenario::fw_opts(
-            "fw-base",
-            DatasetId::Rmat2B,
-            r2b_walks,
-            OptToggles::none(),
-            AccelConfig::scaled().alpha,
-        ));
+        _ => return None,
+    })
+}
+
+/// The Figure 5 walk-count sweep for a dataset: the paper's maximum is
+/// 10⁹ walks for CW and 4×10⁸ for the rest; the sweep halves downward
+/// (scaled by 1/500).
+pub fn walk_sweep(id: DatasetId) -> Vec<u64> {
+    let max = id.default_walks();
+    vec![max / 8, max / 4, max / 2, max]
+}
+
+impl Suite {
+    /// A suite over `scenarios` with every recorder off, no faults and
+    /// one worker.
+    fn new(name: &str, seeds: Vec<u64>, scenarios: Vec<Scenario>) -> Suite {
         Suite {
-            name: "ci".into(),
+            name: name.into(),
             seeds,
             scenarios,
-            trace: true,
+            trace: false,
             faults: FaultProfile::none(),
             threads: 1,
             journeys: false,
@@ -261,76 +280,51 @@ impl Suite {
         }
     }
 
-    /// The full paper grid: every (selected) Table IV dataset at its
-    /// maximum Figure 5 walk count, FlashWalker + GraphWalker + the
-    /// no-optimization FlashWalker baseline. Slow — minutes per seed.
-    pub fn paper(seeds: Vec<u64>) -> Suite {
-        let mem = default_gw_memory();
-        let mut scenarios = Vec::new();
-        for id in selected_datasets() {
-            let walks = id.default_walks();
-            scenarios.push(Scenario::gw(id, walks, mem));
-            scenarios.push(Scenario::fw(id, walks));
-            scenarios.push(Scenario::fw_opts(
-                "fw-base",
-                id,
-                walks,
-                OptToggles::none(),
-                AccelConfig::scaled().alpha,
-            ));
-        }
-        Suite {
-            name: "paper".into(),
-            seeds,
-            scenarios,
-            trace: true,
-            faults: FaultProfile::none(),
-            threads: 1,
-            journeys: false,
-            critical: false,
-        }
+    /// The suite called `name` (one of [`SUITE_NAMES`]), or `None`. This
+    /// is the one suite table: `fwbench run --suite` and the figure
+    /// subcommands both look their grid up here, so any figure grid can
+    /// also be written as a `BENCH_*` record. Every grid spans all five
+    /// Table IV datasets except `ci`'s.
+    ///
+    /// * `ci` — small cells on TT and the 2-billion-edge RMAT stand-in
+    ///   (fw, gw, and fw-base on R2B): fast enough to gate every change,
+    ///   rich enough to exercise the speedup, ablation and fidelity paths.
+    /// * `paper` — every dataset at its maximum Figure 5 walk count: fw,
+    ///   gw and fw-base. Slow — minutes per seed.
+    /// * `fig5` — fw vs gw over each dataset's [`walk_sweep`].
+    /// * `fig6` — fw vs gw at the maximum walk count.
+    /// * `fig7` — fw vs gw at the maximum walk count with the baseline's
+    ///   memory at the paper's 4, 8 and 16 GB, graph-scaled (variants
+    ///   `/m4GB`, `/m8GB`, `/m16GB`).
+    /// * `fig9` — the [`FIG9_CONFIGS`] ablation at the maximum walk count.
+    /// * `three-way` — the §II hierarchy (iterative < GraphWalker <
+    ///   FlashWalker) at half the default walk count.
+    ///
+    /// `ci` and `paper` trace their seed-0 runs.
+    pub fn named(name: &str, seeds: Vec<u64>) -> Option<Suite> {
+        let grid: Option<Vec<Vec<Scenario>>> = DatasetId::ALL
+            .into_iter()
+            .map(|id| cells(name, id))
+            .collect();
+        let mut suite = Suite::new(name, seeds, grid?.concat());
+        suite.trace = matches!(name, "ci" | "paper");
+        Some(suite)
     }
 
     /// One dataset, one walk count, FlashWalker vs GraphWalker (the
-    /// `smoke` binary's cell).
+    /// `fwbench smoke` cell).
     pub fn single(dataset: DatasetId, walks: u64, gw_memory: u64, seeds: Vec<u64>) -> Suite {
-        Suite {
-            name: "smoke".into(),
-            seeds,
-            scenarios: vec![
-                Scenario::gw(dataset, walks, gw_memory),
-                Scenario::fw(dataset, walks),
-            ],
-            trace: false,
-            faults: FaultProfile::none(),
-            threads: 1,
-            journeys: false,
-            critical: false,
-        }
+        let scenarios = vec![
+            Scenario::gw(dataset, walks, gw_memory),
+            Scenario::fw(dataset, walks),
+        ];
+        Suite::new("smoke", seeds, scenarios)
     }
 
-    /// The §II three-way hierarchy (iterative < GraphWalker <
-    /// FlashWalker) on every selected dataset at half the default walk
-    /// count (the `baseline_compare` binary's grid).
-    pub fn three_way(seeds: Vec<u64>) -> Suite {
-        let mem = default_gw_memory();
-        let mut scenarios = Vec::new();
-        for id in selected_datasets() {
-            let walks = id.default_walks() / 2;
-            scenarios.push(Scenario::iter(id, walks, mem));
-            scenarios.push(Scenario::gw(id, walks, mem));
-            scenarios.push(Scenario::fw(id, walks));
-        }
-        Suite {
-            name: "three-way".into(),
-            seeds,
-            scenarios,
-            trace: false,
-            faults: FaultProfile::none(),
-            threads: 1,
-            journeys: false,
-            critical: false,
-        }
+    /// Keep only the scenarios on `datasets` (returns self for chaining).
+    pub fn on_datasets(mut self, datasets: &[DatasetId]) -> Suite {
+        self.scenarios.retain(|sc| datasets.contains(&sc.dataset));
+        self
     }
 
     /// Attach a fault profile (returns self for chaining).
@@ -464,7 +458,8 @@ pub struct Probes {
 
 /// Run one scenario at `seed` with the given recorders and fault
 /// profile. This is the one place that builds an engine and switches its
-/// recorders on: the suite runner, `fwtrace` and `diag` all call it. The
+/// recorders on: the suite runner, `fwbench trace` and `fwbench diag` all
+/// call it. The
 /// iterative baseline has no per-walk event stream and no dependency
 /// log, so it ignores `journeys` and `critical`.
 pub fn run_one(
@@ -485,7 +480,9 @@ pub fn run_one(
     let ccfg = CriticalConfig::default();
     match sc.engine {
         EngineKind::Flashwalker => {
-            let mut e = flashwalker_engine(p, sc.opts, sc.alpha, seed);
+            let mut cfg = AccelConfig::scaled();
+            cfg.opts = sc.opts;
+            let mut e = flashwalker_engine(p, cfg, seed);
             if probes.trace {
                 e = e.with_span_trace(tcfg);
             }
@@ -749,7 +746,7 @@ mod tests {
 
     #[test]
     fn ci_suite_contains_the_fidelity_anchors() {
-        let s = Suite::ci_small(vec![42]);
+        let s = Suite::named("ci", vec![42]).unwrap();
         let names: Vec<String> = s.scenarios.iter().map(Scenario::name).collect();
         assert!(names.iter().any(|n| n.starts_with("fw/TT/")));
         assert!(names.iter().any(|n| n.starts_with("fw/R2B/")));
@@ -759,11 +756,49 @@ mod tests {
     }
 
     #[test]
-    fn env_seed_list_defaults_to_one_canonical_seed() {
-        // Do not set FW_SEEDS here (tests run in parallel; the env is
-        // process-global) — just check the default path's shape.
-        let seeds = env_seeds();
-        assert!(!seeds.is_empty());
-        assert_eq!(seeds[0], DEFAULT_SEED);
+    fn every_listed_suite_is_named_and_nothing_else_is() {
+        for name in SUITE_NAMES {
+            let s = Suite::named(name, seed_list(2)).expect(name);
+            assert_eq!(s.name, name);
+            assert_eq!(s.seeds, vec![DEFAULT_SEED, DEFAULT_SEED + 1]);
+            assert!(!s.scenarios.is_empty(), "{name}");
+        }
+        assert!(Suite::named("fig8", vec![42]).is_none());
+        let names = |s: Suite| s.scenarios.iter().map(Scenario::name).collect::<Vec<_>>();
+        let fig7 = Suite::named("fig7", vec![42])
+            .unwrap()
+            .on_datasets(&[DatasetId::Twitter]);
+        assert_eq!(
+            names(fig7)[..2],
+            [
+                "gw/TT/w800000/m4GB".to_string(),
+                "fw/TT/w800000/m4GB".to_string()
+            ]
+        );
+        let ci = Suite::named("ci", vec![42]).unwrap();
+        assert_eq!(ci.scenarios.last().unwrap().name(), "fw-base/R2B/w50000");
+        assert!(ci
+            .scenarios
+            .iter()
+            .all(|sc| sc.gw_memory == default_gw_memory()));
+    }
+
+    #[test]
+    fn dataset_lists_parse_strictly() {
+        assert_eq!(
+            parse_datasets("TT, R2B"),
+            Ok(vec![DatasetId::Twitter, DatasetId::Rmat2B])
+        );
+        assert!(parse_datasets("TT,XYZ").unwrap_err().contains("'XYZ'"));
+        assert!(parse_datasets("").is_err());
+    }
+
+    #[test]
+    fn walk_sweep_is_increasing_and_capped() {
+        let s = walk_sweep(DatasetId::Twitter);
+        assert_eq!(s.len(), 4);
+        assert!(s.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(*s.last().unwrap(), 800_000);
+        assert_eq!(*walk_sweep(DatasetId::ClueWeb).last().unwrap(), 2_000_000);
     }
 }

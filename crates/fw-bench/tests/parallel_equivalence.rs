@@ -11,7 +11,7 @@
 //! under a heavy fault profile is completed exactly once, with cross-chip
 //! traffic demonstrably present).
 
-use flashwalker::{AccelConfig, OptToggles};
+use flashwalker::AccelConfig;
 use fw_bench::runner::{flashwalker_engine, prepared, DEFAULT_SEED};
 use fw_bench::suite::{build_bench_report, default_gw_memory, run_suite, Suite};
 use fw_fault::FaultProfile;
@@ -42,15 +42,10 @@ fn unstamp(record: &str) -> String {
 #[test]
 fn heavy_fault_run_conserves_walks_across_chips() {
     let p = prepared(DatasetId::Twitter, DEFAULT_SEED);
-    let r = flashwalker_engine(
-        &p,
-        OptToggles::all(),
-        AccelConfig::scaled().alpha,
-        DEFAULT_SEED,
-    )
-    .with_faults(FaultProfile::heavy())
-    .with_walk_log()
-    .run_detailed(Workload::paper_default(WALKS));
+    let r = flashwalker_engine(&p, AccelConfig::scaled(), DEFAULT_SEED)
+        .with_faults(FaultProfile::heavy())
+        .with_walk_log()
+        .run_detailed(Workload::paper_default(WALKS));
 
     assert_eq!(r.walks, WALKS, "every injected walk completed");
     assert_eq!(r.walk_log.len() as u64, WALKS, "one log entry per walk");
@@ -79,13 +74,13 @@ fn heavy_fault_run_conserves_walks_across_chips() {
 /// threads=4. Each cell records its journeys into the one recorder of
 /// its engine run, and cells finish in pool order, so this pins the
 /// canonical event sort and the determinism of the seeded sampling — at
-/// the record level where CI consumes it. The grid is `ci_small`'s
+/// the record level where CI consumes it. The grid is the `ci` suite's
 /// (fw/gw/fw-base on TT and R2B) with walk counts shrunk to
 /// debug-profile size.
 #[test]
 fn journey_sections_are_byte_identical_across_thread_counts() {
     let suite = |threads: u32| {
-        let mut s = Suite::ci_small(vec![DEFAULT_SEED]);
+        let mut s = Suite::named("ci", vec![DEFAULT_SEED]).unwrap();
         for sc in &mut s.scenarios {
             sc.walks = WALKS;
         }
