@@ -198,6 +198,7 @@ impl<'g> FlashWalkerSim<'g> {
         );
         let cfg = image.cfg;
         let ssd = Ssd::new(image.ssd_cfg, image.static_blocks);
+        let pools = Pools::new(page_walks(&ssd) as usize);
         let geometry = image.ssd_cfg.geometry;
         let chip_slots = cfg.chip_slots(pg.config.subgraph_bytes);
         let channels = (0..geometry.channels)
@@ -238,7 +239,7 @@ impl<'g> FlashWalkerSim<'g> {
             relaxed_pick: false,
             scratch: Vec::new(),
             loaded_scratch: Vec::new(),
-            pools: Pools::default(),
+            pools,
             total_walks: 0,
             completed: 0,
             next_lpn: 0,
@@ -340,6 +341,17 @@ impl<'g> FlashWalkerSim<'g> {
 
     fn channel_of_chip(&self, chip: u32) -> u32 {
         chip / self.ssd.config().geometry.chips_per_channel
+    }
+
+    /// Whether `tw`'s tag names a subgraph holding its current vertex:
+    /// what every container that keeps a destination in the tag requires
+    /// (see [`TWalk`]).
+    fn tag_holds_walk(&self, tw: &TWalk) -> bool {
+        let v = tw.walk.cur;
+        self.pg
+            .subgraphs
+            .get(tw.tag as usize)
+            .is_some_and(|s| s.low <= v && v <= s.high)
     }
 
     /// Schedule `ev` at `at` and record the happens-before edge: a

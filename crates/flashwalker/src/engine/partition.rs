@@ -21,7 +21,13 @@ impl FlashWalkerSim<'_> {
     /// partition). Returns DRAM bytes written; spill pages are charged
     /// immediately when `charge` is set.
     pub(super) fn pwb_insert(&mut self, tw: TWalk, now: SimTime, charge: bool) -> u64 {
-        let sg = tw.dest.expect("pwb_insert without destination");
+        let sg = tw.tag;
+        debug_assert!(
+            self.tag_holds_walk(&tw) && self.pg.partition_of(sg) == self.current_partition,
+            "walk {} inserted into partition {}'s PWB with tag {sg}",
+            tw.walk.id,
+            self.current_partition
+        );
         let idx = self
             .pwb
             .index_of(sg)
@@ -79,9 +85,13 @@ impl FlashWalkerSim<'_> {
         // Group by destination partition: one page per partition group.
         let mut groups: std::collections::BTreeMap<u32, Vec<TWalk>> = Default::default();
         for tw in walks {
-            let p = self
-                .pg
-                .partition_of(tw.dest.expect("foreigner without dest"));
+            debug_assert!(
+                self.tag_holds_walk(&tw),
+                "foreigner walk {} tagged {}",
+                tw.walk.id,
+                tw.tag
+            );
+            let p = self.pg.partition_of(tw.tag);
             groups.entry(p).or_default().push(tw);
         }
         for (p, g) in groups {
@@ -177,13 +187,11 @@ impl FlashWalkerSim<'_> {
         let walks = self.wl.init_walks(self.csr, self.rng.next_u64());
         let mut foreign_buf: Vec<TWalk> = Vec::new();
         for w in walks {
-            let sg = self.true_dest(w.cur);
             let tw = TWalk {
                 walk: w,
-                dest: Some(sg),
-                range: None,
+                tag: self.true_dest(w.cur),
             };
-            if self.pg.partition_of(sg) == self.current_partition {
+            if self.pg.partition_of(tw.tag) == self.current_partition {
                 self.pwb_insert(tw, SimTime::ZERO, false);
             } else {
                 foreign_buf.push(tw);

@@ -9,7 +9,7 @@ use fw_sim::{Duration, JourneyEventKind, SimTime};
 use fw_walk::WALK_BYTES;
 
 use super::events::Ev;
-use super::state::{DeliveryBuckets, SgId, Slot, TWalk};
+use super::state::{DeliveryBuckets, SgId, Slot, TWalk, NO_TAG};
 use super::step::{guide_local, hop_dense_slice, hop_regular, prewalk_slice, HopResult};
 use super::{page_walks, FlashWalkerSim};
 
@@ -69,7 +69,7 @@ impl FlashWalkerSim<'_> {
                 j_ids.push(tw.walk.id);
             }
             loop {
-                let sg = tw.dest.expect("queued walk without destination");
+                let sg = tw.tag;
                 let is_dense = self.pg.subgraphs[sg as usize].is_dense();
                 let (res, ops) = if is_dense {
                     hop_dense_slice(&self.wl, self.csr, self.pg, sg, tw.walk, &mut wrng)
@@ -94,12 +94,11 @@ impl FlashWalkerSim<'_> {
                         tw.walk = w;
                         match local {
                             Some(next_sg) => {
-                                tw.dest = Some(next_sg);
+                                tw.tag = next_sg;
                                 // Asynchronous updating: keep hopping.
                             }
                             None => {
-                                tw.dest = None;
-                                tw.range = None;
+                                tw.tag = NO_TAG;
                                 outbox.push(tw);
                                 break;
                             }
@@ -169,8 +168,7 @@ impl FlashWalkerSim<'_> {
             if let Slot::Loaded { queue, fresh, .. } = slot {
                 if !*fresh && queue.len() < self.cfg.evict_below as usize {
                     for mut tw in queue.drain(..) {
-                        tw.dest = None;
-                        tw.range = None;
+                        tw.tag = NO_TAG;
                         outbox.push(tw);
                     }
                     if let Slot::Loaded { queue, .. } = std::mem::replace(slot, Slot::Empty) {
@@ -228,7 +226,12 @@ impl FlashWalkerSim<'_> {
 
     pub(super) fn on_chip_deliver(&mut self, chip: u32, mut walks: Vec<TWalk>, now: SimTime) {
         for tw in walks.drain(..) {
-            let sg = tw.dest.expect("delivery without destination");
+            let sg = tw.tag;
+            debug_assert!(
+                self.tag_holds_walk(&tw) && self.chip_of_sg(sg) == chip,
+                "walk {} delivered to chip {chip} with tag {sg}",
+                tw.walk.id
+            );
             // A walk for a still-loading subgraph waits in that slot and
             // joins its queue when the load lands.
             let slot_queue = self.slots.of_mut(chip).iter_mut().find_map(|s| match s {
@@ -324,7 +327,7 @@ impl FlashWalkerSim<'_> {
             if self.cfg.opts.walk_query {
                 let rl = image.ranges.lookup(tw.walk.cur);
                 guid_ops += rl.steps as u64;
-                tw.range = rl.range_id;
+                tw.tag = rl.range_id.unwrap_or(NO_TAG);
             } else {
                 guid_ops += 1;
             }
@@ -424,12 +427,11 @@ impl FlashWalkerSim<'_> {
             }
             self.stats.cache_misses += 1;
             // Narrowed search: range window ∩ partition window.
-            let (s, e) = match tw.range {
-                Some(rid) => {
-                    let (rs, re) = image.ranges.entry_window(rid);
-                    (rs.max(pstart), re.min(pend))
-                }
-                None => (pstart, pend),
+            let (s, e) = if tw.tag == NO_TAG {
+                (pstart, pend)
+            } else {
+                let (rs, re) = image.ranges.entry_window(tw.tag);
+                (rs.max(pstart), re.min(pend))
             };
             let l = image.table.lookup_in(v, s, e.max(s));
             // "A binary search always touches common nodes in the upper
@@ -516,7 +518,7 @@ impl FlashWalkerSim<'_> {
                                 }
                                 HopResult::Moved(w) => {
                                     tw.walk = w;
-                                    tw.range = None;
+                                    tw.tag = NO_TAG;
                                     continue; // re-resolve
                                 }
                             }
@@ -528,8 +530,7 @@ impl FlashWalkerSim<'_> {
             match route {
                 Some(None) => {} // completed in board-hot loop
                 Some(Some(sg)) => {
-                    tw.dest = Some(sg);
-                    tw.range = None;
+                    tw.tag = sg;
                     let chip = self.chip_of_sg(sg);
                     if self.slots.slot_of(chip, sg).is_some() {
                         // Deliver straight to the loaded slot.
@@ -543,8 +544,7 @@ impl FlashWalkerSim<'_> {
                 None => {
                     // Foreigner: resolve the true destination for storage
                     // (untimed — the walk is simply parked) and buffer it.
-                    let sg = Self::true_dest_in(self.pg, tw.walk.cur, &mut wrng);
-                    tw.dest = Some(sg);
+                    tw.tag = Self::true_dest_in(self.pg, tw.walk.cur, &mut wrng);
                     self.board.foreigner_buf.push(tw);
                 }
             }
@@ -672,7 +672,7 @@ pub(super) fn mark_dirty(dirty_mask: &mut u128, dirty_chips: &mut Vec<u32>, chip
 
 #[cfg(test)]
 mod tests {
-    use super::super::state::{Slot, TWalk};
+    use super::super::state::{Slot, TWalk, NO_TAG};
     use super::super::FlashWalkerSim;
     use crate::config::AccelConfig;
     use fw_graph::partition::PartitionConfig;
@@ -696,22 +696,14 @@ mod tests {
     }
 
     fn tw(v: u32) -> TWalk {
-        TWalk {
-            walk: Walk::new(v, 6),
-            dest: None,
-            range: None,
-        }
+        TWalk::undirected(Walk::new(v, 6))
     }
 
     /// A walk bound for `sg`, tagged with `id` so queue order is visible.
     fn bound_for(pg: &PartitionedGraph, sg: u32, id: u32) -> TWalk {
         let mut walk = Walk::new(pg.subgraphs[sg as usize].low, 6);
         walk.id = id;
-        TWalk {
-            walk,
-            dest: Some(sg),
-            range: None,
-        }
+        TWalk { walk, tag: sg }
     }
 
     #[test]
@@ -719,10 +711,12 @@ mod tests {
         let (csr, pg) = multi_partition_setup();
         let mut sim = FlashWalkerSim::new(&csr, &pg, AccelConfig::scaled(), SsdConfig::tiny(), 1);
         sim.setup_partition(0, SimTime::ZERO, false);
-        let mut part = pg.partition_range(0);
-        let sg = part.next().unwrap();
-        let other = part.next().unwrap();
+        let sg = pg.partition_range(0).next().unwrap();
         let chip = sim.chip_of_sg(sg);
+        let other = pg
+            .partition_range(0)
+            .find(|&o| o != sg && sim.chip_of_sg(o) == chip)
+            .expect("a second subgraph of partition 0 on the same chip");
         let fetched = sim.cfg.min_load_walks as u32;
         for id in 0..fetched {
             sim.pwb_insert(bound_for(&pg, sg, id), SimTime::ZERO, false);
@@ -775,7 +769,7 @@ mod tests {
         let n = cap as u32 * 5 / 2;
         for id in 0..n {
             let mut w = bound_for(&pg, sg, id);
-            w.dest = None;
+            w.tag = NO_TAG;
             sim.board.inbox.push_back(w);
         }
         let mut batches = 0;

@@ -115,6 +115,13 @@ impl FlashWalkerSim<'_> {
         let mut walks =
             std::mem::replace(&mut self.pwb.entries[idx].walks, self.pools.take_walks());
         let spilled = std::mem::take(&mut self.pwb.entries[idx].spilled);
+        debug_assert!(
+            walks
+                .iter()
+                .chain(spilled.iter().flat_map(|p| &p.walks))
+                .all(|tw| tw.tag == sg && self.tag_holds_walk(tw)),
+            "PWB entry of subgraph {sg} holds a walk tagged for another"
+        );
         let ch = self.channel_of_chip(chip);
         let mut fetch_done = now;
         if !walks.is_empty() {
@@ -240,8 +247,7 @@ mod tests {
         for _ in 0..n {
             let tw = TWalk {
                 walk: Walk::new(v, 6),
-                dest: Some(sg),
-                range: None,
+                tag: sg,
             };
             sim.pwb_insert(tw, SimTime::ZERO, false);
         }

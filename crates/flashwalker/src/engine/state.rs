@@ -9,26 +9,36 @@ use fw_walk::Walk;
 /// Subgraph (graph block) identifier.
 pub type SgId = u32;
 
-/// A walk in flight through the hierarchy, tagged with routing state.
+/// [`TWalk::tag`] of a walk that carries no routing tag.
+pub const NO_TAG: u32 = u32::MAX;
+
+/// A walk in flight through the hierarchy with one routing tag: 20 bytes
+/// (the 16-byte [`Walk`] plus the tag).
+///
+/// The container a walk sits in fixes what its tag means:
+///
+/// | where the walk is | what `tag` holds |
+/// |---|---|
+/// | chip slot queues, PWB entries, spill pages, delivery buckets, foreigner pages | destination subgraph |
+/// | between the channel batch and the board's `resolve_dest` | range id (or [`NO_TAG`] when the lookup missed) |
+/// | roving from a chip to its channel | [`NO_TAG`] |
+///
+/// A destination is the subgraph that holds the walk's current vertex
+/// (for a dense vertex, the pre-walked slice). The chip batch clears the
+/// tag when a walk roves; the channel batch's approximate walk search
+/// (WQ) sets the range id; the board replaces it with the destination.
 #[derive(Debug, Clone, Copy)]
 pub struct TWalk {
     /// The walk itself.
     pub walk: Walk,
-    /// Destination subgraph, once a guider has determined it. For dense
-    /// walks this is the pre-walked slice block.
-    pub dest: Option<SgId>,
-    /// Range tag attached by the channel-level approximate walk search.
-    pub range: Option<u32>,
+    /// Destination subgraph or range id, by container (see the table).
+    pub tag: u32,
 }
 
 impl TWalk {
     /// A freshly updated walk whose destination is not yet known.
     pub fn undirected(walk: Walk) -> TWalk {
-        TWalk {
-            walk,
-            dest: None,
-            range: None,
-        }
+        TWalk { walk, tag: NO_TAG }
     }
 }
 
@@ -307,22 +317,40 @@ impl DeliveryBuckets {
 /// Ownership rule: a vector taken from a pool is either moved into a
 /// scheduled event or a slot (whose handler or eviction puts it back) or
 /// put back directly — never dropped on the hot path.
-#[derive(Debug, Default)]
+///
+/// A returned walk vector keeps at most one flash page of walks of
+/// capacity, so a queue that once grew large does not pin its peak for
+/// the rest of the run.
+#[derive(Debug)]
 pub struct Pools {
+    /// Walks per flash page: the capacity a returned walk vector keeps.
+    page_walks: usize,
     walks: Vec<Vec<TWalk>>,
     deliveries: Vec<Vec<(u32, Vec<TWalk>)>>,
     chip_ids: Vec<Vec<u32>>,
 }
 
 impl Pools {
+    /// Empty pools whose walk vectors keep at most `page_walks` of
+    /// capacity.
+    pub fn new(page_walks: usize) -> Self {
+        Pools {
+            page_walks,
+            walks: Vec::new(),
+            deliveries: Vec::new(),
+            chip_ids: Vec::new(),
+        }
+    }
+
     /// An empty walk vector, recycled when available.
     pub fn take_walks(&mut self) -> Vec<TWalk> {
         self.walks.pop().unwrap_or_default()
     }
 
-    /// Return a walk vector to the pool.
+    /// Return a walk vector to the pool, cut to one page of capacity.
     pub fn put_walks(&mut self, mut v: Vec<TWalk>) {
         v.clear();
+        v.shrink_to(self.page_walks);
         self.walks.push(v);
     }
 
@@ -420,7 +448,7 @@ mod tests {
 
     #[test]
     fn delivery_buckets_group_by_chip() {
-        let mut pools = Pools::default();
+        let mut pools = Pools::new(256);
         pools.put_walks(Vec::with_capacity(8));
         let mut d = DeliveryBuckets::default();
         d.push_pooled(3, TWalk::undirected(Walk::new(0, 6)), &mut pools);
@@ -432,5 +460,20 @@ mod tests {
         // The first bucket drew the pooled vector; the second a fresh one.
         assert!(d.buckets[0].1.capacity() >= 8);
         assert_eq!(pools.take_walks().capacity(), 0, "pool drained");
+    }
+
+    #[test]
+    fn pooled_walk_vectors_keep_at_most_one_page() {
+        let mut pools = Pools::new(256);
+        pools.put_walks(Vec::with_capacity(1_000));
+        let big = pools.take_walks();
+        assert!(big.capacity() <= 256, "kept {}", big.capacity());
+        pools.put_walks(Vec::with_capacity(64));
+        assert_eq!(pools.take_walks().capacity(), 64);
+    }
+
+    #[test]
+    fn in_flight_walk_is_20_bytes() {
+        assert_eq!(std::mem::size_of::<TWalk>(), 20);
     }
 }

@@ -31,13 +31,13 @@ pub const DIAG_CONFIGS: [(&str, OptToggles); 5] = [
 pub const ENGINES: [&str; 3] = ["fw", "gw", "iter"];
 
 /// The scenario `fwbench trace` and `fwbench diag` run for an engine tag
-/// of [`ENGINES`], or `None` for any other tag. The baselines get the
-/// host memory every suite gives them, [`default_gw_memory`].
+/// of [`ENGINES`], or `None` for any other tag. GraphWalker gets the
+/// host memory every suite gives it, [`default_gw_memory`].
 pub fn engine_scenario(engine: &str, id: DatasetId, walks: u64) -> Option<Scenario> {
     match engine {
         "fw" => Some(Scenario::fw(id, walks)),
         "gw" => Some(Scenario::gw(id, walks, default_gw_memory())),
-        "iter" => Some(Scenario::iter(id, walks, default_gw_memory())),
+        "iter" => Some(Scenario::iter(id, walks)),
         _ => None,
     }
 }
@@ -140,7 +140,7 @@ mod tests {
             let sc = engine_scenario(tag, DatasetId::Rmat2B, 2000).expect(tag);
             assert_eq!(sc.tag, tag);
             assert_eq!(sc.name(), format!("{tag}/R2B/w2000"));
-            if sc.engine != EngineKind::Flashwalker {
+            if sc.engine == EngineKind::Graphwalker {
                 assert_eq!(sc.gw_memory, default_gw_memory(), "{tag}");
                 assert_eq!(sc.gw_memory, (8u64 << 30) / fw_graph::datasets::GRAPH_SCALE);
             }

@@ -62,13 +62,12 @@ pub fn graphwalker_engine(p: &Prepared, memory_bytes: u64, seed: u64) -> GraphWa
 }
 
 /// A configured iteration-synchronous baseline (GraphChi/DrunkardMob
-/// style) with a given host memory capacity.
-pub fn iterative_engine(p: &Prepared, memory_bytes: u64, seed: u64) -> IterativeSim<'_> {
-    let cfg = GwConfig::scaled().with_memory(memory_bytes);
+/// style). It takes no memory capacity: the engine reads none.
+pub fn iterative_engine(p: &Prepared, seed: u64) -> IterativeSim<'_> {
     IterativeSim::new(
         &p.dataset.csr,
         p.id.id_bytes(),
-        cfg,
+        GwConfig::scaled(),
         SsdConfig::scaled(),
         seed,
     )

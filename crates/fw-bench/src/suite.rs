@@ -85,7 +85,8 @@ pub struct Scenario {
     pub dataset: DatasetId,
     /// Number of walks.
     pub walks: u64,
-    /// Host memory for the baseline engines (ignored by FlashWalker).
+    /// Host memory for the GraphWalker baseline (ignored by FlashWalker
+    /// and the iteration-synchronous baseline).
     pub gw_memory: u64,
     /// FlashWalker optimization toggles (ignored by the baselines).
     pub opts: OptToggles,
@@ -129,12 +130,12 @@ impl Scenario {
         }
     }
 
-    /// The iteration-synchronous baseline at a host memory capacity.
-    pub fn iter(dataset: DatasetId, walks: u64, gw_memory: u64) -> Scenario {
+    /// The iteration-synchronous baseline (it reads no host memory
+    /// capacity; see [`graphwalker::IterativeSim::new`]).
+    pub fn iter(dataset: DatasetId, walks: u64) -> Scenario {
         Scenario {
             tag: "iter".into(),
             engine: EngineKind::Iterative,
-            gw_memory,
             ..Scenario::fw(dataset, walks)
         }
     }
@@ -247,7 +248,7 @@ fn cells(name: &str, id: DatasetId) -> Option<Vec<Scenario>> {
         ("three-way", _) => {
             let walks = max / 2;
             vec![
-                Scenario::iter(id, walks, mem),
+                Scenario::iter(id, walks),
                 Scenario::gw(id, walks, mem),
                 Scenario::fw(id, walks),
             ]
@@ -514,7 +515,7 @@ pub fn run_one(
             e.run(wl)
         }
         EngineKind::Iterative => {
-            let mut e = iterative_engine(p, sc.gw_memory, seed);
+            let mut e = iterative_engine(p, seed);
             if probes.trace {
                 e = e.with_span_trace(tcfg);
             }

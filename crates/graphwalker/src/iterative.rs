@@ -107,7 +107,9 @@ pub struct IterativeSim<'g> {
 impl<'g> IterativeSim<'g> {
     /// Build the engine over the same block structure GraphWalker uses.
     /// The workload is supplied at run time ([`Self::run_detailed`] /
-    /// [`WalkEngine::run`]).
+    /// [`WalkEngine::run`]). `cfg` supplies the block size and the per-hop
+    /// CPU cost; its `memory_bytes` is not read, since every iteration
+    /// streams each block that holds walks whatever memory holds.
     pub fn new(csr: &'g Csr, id_bytes: u32, cfg: GwConfig, ssd_cfg: SsdConfig, seed: u64) -> Self {
         let blocks = PartitionedGraph::build(
             csr,
