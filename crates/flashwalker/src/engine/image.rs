@@ -5,19 +5,19 @@
 //! every walk batch then runs against that resident layout. A
 //! [`FlashImage`] is that layout plus the tables and per-partition
 //! selections derived from it: graph block placements, the subgraph
-//! mapping, range and dense tables, each partition's mapping-table window,
-//! per-chip scheduler candidates and hot sets. It is a pure function of
+//! mapping and range tables with their precomputed search step counts,
+//! each partition's mapping-table window, per-chip scheduler candidates
+//! and hot sets. It is a pure function of
 //! `(pg, AccelConfig, SsdConfig)` and is never mutated by a run, so one
 //! image can back any number of [`super::FlashWalkerSim`] runs (the
 //! serving loop builds one per service) while each run owns only its
 //! mutable device state.
 
-use fw_graph::{PartitionedGraph, RangeTable, SubgraphMappingTable};
+use fw_graph::{PartitionedGraph, RangeTable, SubgraphMappingTable, VertexId, DENSE_BIT};
 use fw_nand::layout::GraphBlockPlacement;
 use fw_nand::{GraphLayout, SsdConfig};
 
 use crate::config::AccelConfig;
-use crate::tables::DenseTable;
 
 use super::state::SgId;
 
@@ -33,9 +33,9 @@ pub struct FlashImage {
     pub(super) placements: Vec<GraphBlockPlacement>,
     pub(super) table: SubgraphMappingTable,
     pub(super) ranges: RangeTable,
-    pub(super) dense: DenseTable,
     /// Mapping-table entry window per partition.
     pub(super) part_windows: Vec<(usize, usize)>,
+    search: SearchSteps,
     /// Per-partition scheduler candidates and hot sets.
     pub(super) parts: Vec<PartitionImage>,
 }
@@ -113,7 +113,6 @@ impl FlashImage {
 
         let table = SubgraphMappingTable::build(pg);
         let ranges = RangeTable::build(&table, cfg.range_size);
-        let dense = DenseTable::build(pg);
 
         // Per-partition entry windows.
         let mut part_windows = vec![(usize::MAX, 0usize); pg.num_partitions() as usize];
@@ -129,6 +128,7 @@ impl FlashImage {
             }
         }
 
+        let search = SearchSteps::new(pg, &table, &ranges, &part_windows);
         let parts = (0..pg.num_partitions())
             .map(|p| PartitionImage::new(pg, &cfg, &ssd_cfg, &placements, p))
             .collect();
@@ -139,10 +139,114 @@ impl FlashImage {
             placements,
             table,
             ranges,
-            dense,
             part_windows,
+            search,
             parts,
         }
+    }
+
+    /// Range-table steps of the channel's approximate walk search for a
+    /// vertex with location code `code` ([`PartitionedGraph::vloc`]).
+    pub(super) fn range_steps(&self, pg: &PartitionedGraph, code: u32) -> u32 {
+        let k = self.search.entry_of_code(pg, code);
+        self.search.range[k / self.ranges.range_size() as usize] as u32
+    }
+
+    /// The board's mapping-table search for regular vertex `v`, whose
+    /// location code is subgraph `sg`, while partition `part` is set up:
+    /// whether it hits, and its binary-search steps. A `narrowed` search
+    /// covers the walk's range ∩ the partition's entry window, otherwise
+    /// the partition's window. A hit's steps are precomputed; a vertex of
+    /// another partition takes the plain search, which misses.
+    pub(super) fn map_search(
+        &self,
+        v: VertexId,
+        sg: SgId,
+        part: u32,
+        narrowed: bool,
+    ) -> (bool, u32) {
+        let (pstart, pend) = self.part_windows[part as usize];
+        let k = self.search.entry_of[sg as usize] as usize;
+        if (pstart..pend).contains(&k) {
+            let [in_range, in_part] = self.search.entry[k];
+            return (true, if narrowed { in_range } else { in_part } as u32);
+        }
+        let (s, e) = if narrowed {
+            let (rs, re) = self
+                .ranges
+                .entry_window(k as u32 / self.ranges.range_size());
+            (rs.max(pstart), re.min(pend))
+        } else {
+            (pstart, pend)
+        };
+        let l = self.table.lookup_in(v, s, e.max(s));
+        debug_assert!(l.sg_id.is_none(), "vertex {v} found outside its partition");
+        (false, l.steps)
+    }
+}
+
+/// The step counts of the channel's and board's timed binary searches,
+/// precomputed. A search's probe path depends only on which entry holds
+/// the probed vertex, so every vertex of one entry costs the same steps.
+#[derive(Debug)]
+struct SearchSteps {
+    /// Mapping-table entry index per subgraph (`u32::MAX` for the dense
+    /// slices after the first, which the table leaves out).
+    entry_of: Vec<u32>,
+    /// Range-table steps per range.
+    range: Vec<u8>,
+    /// Mapping-table steps per entry: within its range ∩ its partition's
+    /// window, and within its partition's window.
+    entry: Vec<[u8; 2]>,
+}
+
+impl SearchSteps {
+    fn new(
+        pg: &PartitionedGraph,
+        table: &SubgraphMappingTable,
+        ranges: &RangeTable,
+        part_windows: &[(usize, usize)],
+    ) -> Self {
+        let entries = table.entries();
+        let mut entry_of = vec![u32::MAX; pg.num_subgraphs() as usize];
+        for (k, e) in entries.iter().enumerate() {
+            entry_of[e.sg_id as usize] = k as u32;
+        }
+        // Binary searches over u32-indexed tables take at most 33 steps.
+        let range = ranges
+            .ranges()
+            .iter()
+            .map(|r| ranges.lookup(r.low).steps as u8)
+            .collect();
+        let entry = entries
+            .iter()
+            .enumerate()
+            .map(|(k, e)| {
+                let (ps, pe) = part_windows[pg.partition_of(e.sg_id) as usize];
+                let (rs, re) = ranges.entry_window(k as u32 / ranges.range_size());
+                let (s, end) = (rs.max(ps), re.min(pe));
+                [
+                    table.lookup_in(e.low, s, end.max(s)).steps as u8,
+                    table.lookup_in(e.low, ps, pe).steps as u8,
+                ]
+            })
+            .collect();
+        SearchSteps {
+            entry_of,
+            range,
+            entry,
+        }
+    }
+
+    /// The mapping-table entry that resolves location code `code`: the
+    /// owning subgraph's, or a dense vertex's first slice's.
+    fn entry_of_code(&self, pg: &PartitionedGraph, code: u32) -> usize {
+        let sg = if code & DENSE_BIT != 0 {
+            pg.dense[(code & !DENSE_BIT) as usize].first_subgraph
+        } else {
+            code
+        };
+        self.entry_of[sg as usize] as usize
     }
 }
 
@@ -205,6 +309,71 @@ impl PartitionImage {
             board_hot,
             chan_hot_start,
             chan_hot: per_chan.concat(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fw_graph::partition::PartitionConfig;
+    use fw_graph::rmat::{generate_csr, RmatParams};
+
+    /// The precomputed steps equal the searches they stand for — the
+    /// range table's and the mapping table's `lookup_in` over the range ∩
+    /// partition window or the partition window — for every vertex of a
+    /// multi-partition RMAT graph with dense vertices, with every
+    /// partition set up (so vertices of other partitions take the plain
+    /// search), for ranges that fit inside partitions and ranges that
+    /// straddle them.
+    #[test]
+    fn precomputed_search_steps_match_the_reference_searches() {
+        let csr = generate_csr(RmatParams::graph500(), 2000, 20_000, 11);
+        let pg = PartitionedGraph::build(
+            &csr,
+            PartitionConfig {
+                subgraph_bytes: 1 << 10,
+                id_bytes: 4,
+                subgraphs_per_partition: 16,
+            },
+        );
+        assert!(pg.num_partitions() > 2 && !pg.dense.is_empty());
+        for range_size in [1, 3, 16, 1000] {
+            let mut cfg = AccelConfig::scaled();
+            cfg.range_size = range_size;
+            let image = FlashImage::new(&pg, cfg, SsdConfig::tiny());
+            let (table, ranges) = (&image.table, &image.ranges);
+            let (mut hits, mut misses) = (0, 0);
+            for v in 0..csr.num_vertices() {
+                let code = pg.vloc(v);
+                let rl = ranges.lookup(v);
+                let range_id = rl.range_id.expect("ranges cover every vertex");
+                assert_eq!(image.range_steps(&pg, code), rl.steps, "vertex {v}");
+                if code & DENSE_BIT != 0 {
+                    continue; // the board never searches for a dense vertex
+                }
+                for part in 0..pg.num_partitions() {
+                    let (ps, pe) = image.part_windows[part as usize];
+                    let (rs, re) = ranges.entry_window(range_id);
+                    let (s, e) = (rs.max(ps), re.min(pe));
+                    for (narrowed, (s, e)) in [(true, (s, e.max(s))), (false, (ps, pe))] {
+                        let l = table.lookup_in(v, s, e);
+                        let want = (l.sg_id.is_some(), l.steps);
+                        assert_eq!(
+                            image.map_search(v, code, part, narrowed),
+                            want,
+                            "range size {range_size}, vertex {v}, partition {part}, narrowed {narrowed}"
+                        );
+                        assert!(l.sg_id.is_none_or(|sg| sg == code));
+                        if want.0 {
+                            hits += 1;
+                        } else {
+                            misses += 1;
+                        }
+                    }
+                }
+            }
+            assert!(hits > 0 && misses > hits, "{hits} hits, {misses} misses");
         }
     }
 }

@@ -46,8 +46,8 @@
 //! 3. The **chip batch** updates walks until they leave the chip's loaded
 //!    subgraphs; leavers cross the channel bus as roving walks.
 //! 4. The **channel batch** updates walks landing in its hot subgraphs
-//!    (HS) and tags the rest with a range via approximate walk search
-//!    (WQ), then forwards them to the board.
+//!    (HS) and charges the rest an approximate walk search for their
+//!    range (WQ), then forwards them to the board.
 //! 5. The **board batch** resolves destinations (dense table → pre-walk;
 //!    query cache → mapping-table binary search), updates walks landing in
 //!    board-hot subgraphs, and routes the rest: delivery to a chip that
@@ -75,7 +75,7 @@ use std::sync::Arc;
 
 use fw_dram::{Dram, DramConfig};
 use fw_fault::{derive_stream_seed, FaultProfile, FAULT_STREAM};
-use fw_graph::{Csr, PartitionedGraph};
+use fw_graph::{Csr, PartitionedGraph, DENSE_BIT};
 use fw_nand::{Lpn, Ssd, SsdConfig};
 use fw_sim::{
     CriticalConfig, CriticalRecorder, EventQueue, JourneyConfig, JourneyRecorder, SimTime,
@@ -369,25 +369,22 @@ impl<'g> FlashWalkerSim<'g> {
         self.next_lpn
     }
 
-    /// Ground-truth destination of a walk (data correctness; timing for
-    /// the lookup is charged separately by the timed structures), drawing
-    /// any dense-slice pre-walk from the supplied generator (the walk RNG,
+    /// Ground-truth destination of a walk whose vertex has location code
+    /// `code` ([`PartitionedGraph::vloc`]; timing for the lookup is
+    /// charged separately by the timed structures): the owning subgraph,
+    /// or for a dense vertex a slice pre-walked on `rng` (the walk RNG,
     /// taken out of `self` by batch handlers).
-    fn true_dest_in(pg: &PartitionedGraph, v: fw_graph::VertexId, rng: &mut Xoshiro256pp) -> SgId {
-        if let Some(meta) = pg.find_dense(v) {
-            let meta = *meta;
-            let cap = pg.config.dense_slice_edges();
-            let (sg, _) = prewalk_slice(&meta, cap, rng);
-            sg
-        } else {
-            pg.subgraph_of(v)
-                .expect("every vertex belongs to a subgraph")
+    fn dest_of(pg: &PartitionedGraph, code: u32, rng: &mut Xoshiro256pp) -> SgId {
+        if code & DENSE_BIT == 0 {
+            return code;
         }
+        let meta = &pg.dense[(code & !DENSE_BIT) as usize];
+        prewalk_slice(meta, pg.config.dense_slice_edges(), rng).0
     }
 
-    /// [`Self::true_dest_in`] on the walk RNG — the init/partition path.
+    /// [`Self::dest_of`] for vertex `v` on the walk RNG — the init path.
     fn true_dest(&mut self, v: fw_graph::VertexId) -> SgId {
-        Self::true_dest_in(self.pg, v, &mut self.rng)
+        Self::dest_of(self.pg, self.pg.vloc(v), &mut self.rng)
     }
 
     /// Move the walk RNG out so batch helpers can draw from it alongside

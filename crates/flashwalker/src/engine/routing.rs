@@ -5,11 +5,12 @@
 use std::sync::Arc;
 
 use fw_dram::DramOp;
+use fw_graph::DENSE_BIT;
 use fw_sim::{Duration, JourneyEventKind, SimTime};
 use fw_walk::WALK_BYTES;
 
 use super::events::Ev;
-use super::state::{DeliveryBuckets, SgId, Slot, TWalk, NO_TAG};
+use super::state::{DeliveryBuckets, SgId, Slot, TWalk};
 use super::step::{guide_local, hop_dense_slice, hop_regular, prewalk_slice, HopResult};
 use super::{page_walks, FlashWalkerSim};
 
@@ -89,19 +90,18 @@ impl FlashWalkerSim<'_> {
                         break;
                     }
                     HopResult::Moved(w) => {
-                        let (local, gops) = guide_local(self.pg, &loaded, w.cur);
+                        // The hop's one location lookup: the code is the
+                        // next subgraph when the walk stays on the chip
+                        // (asynchronous updating: keep hopping), and rides
+                        // along to the channel and board when it roves.
+                        let code = self.pg.vloc(w.cur);
+                        let (local, gops) = guide_local(&loaded, code);
                         guid_ops += gops as u64;
                         tw.walk = w;
-                        match local {
-                            Some(next_sg) => {
-                                tw.tag = next_sg;
-                                // Asynchronous updating: keep hopping.
-                            }
-                            None => {
-                                tw.tag = NO_TAG;
-                                outbox.push(tw);
-                                break;
-                            }
+                        tw.tag = code;
+                        if !local {
+                            outbox.push(tw);
+                            break;
                         }
                     }
                 }
@@ -168,7 +168,7 @@ impl FlashWalkerSim<'_> {
             if let Slot::Loaded { queue, fresh, .. } = slot {
                 if !*fresh && queue.len() < self.cfg.evict_below as usize {
                     for mut tw in queue.drain(..) {
-                        tw.tag = NO_TAG;
+                        tw.tag = self.pg.vloc(tw.walk.cur);
                         outbox.push(tw);
                     }
                     if let Slot::Loaded { queue, .. } = std::mem::replace(slot, Slot::Empty) {
@@ -291,6 +291,7 @@ impl FlashWalkerSim<'_> {
         let mut j_done: Vec<u32> = Vec::new();
 
         for mut tw in inbox.drain(..) {
+            debug_assert_eq!(tw.tag, self.pg.vloc(tw.walk.cur), "walk {}", tw.walk.id);
             let jw = j_on && self.journeys.wants(tw.walk.id);
             if jw {
                 j_ids.push(tw.walk.id);
@@ -299,9 +300,11 @@ impl FlashWalkerSim<'_> {
             let mut done = false;
             if self.cfg.opts.hot_subgraphs {
                 loop {
-                    let (hit, gops) = guide_local(self.pg, hot, tw.walk.cur);
+                    let (hit, gops) = guide_local(hot, tw.tag);
                     guid_ops += gops as u64;
-                    let Some(_sg) = hit else { break };
+                    if !hit {
+                        break;
+                    }
                     let (res, ops) = hop_regular(&self.wl, self.csr, tw.walk, &mut wrng);
                     upd_ops += ops as u64;
                     self.stats.hops += 1;
@@ -316,18 +319,20 @@ impl FlashWalkerSim<'_> {
                             done = true;
                             break;
                         }
-                        HopResult::Moved(w) => tw.walk = w,
+                        HopResult::Moved(w) => {
+                            tw.walk = w;
+                            tw.tag = self.pg.vloc(w.cur);
+                        }
                     }
                 }
             }
             if done {
                 continue;
             }
-            // Approximate walk search (WQ): tag the walk with its range.
+            // Approximate walk search (WQ): charge the range-table search;
+            // the board derives the walk's range from its code.
             if self.cfg.opts.walk_query {
-                let rl = image.ranges.lookup(tw.walk.cur);
-                guid_ops += rl.steps as u64;
-                tw.tag = rl.range_id.unwrap_or(NO_TAG);
+                guid_ops += image.range_steps(self.pg, tw.tag) as u64;
             } else {
                 guid_ops += 1;
             }
@@ -393,68 +398,58 @@ impl FlashWalkerSim<'_> {
     }
 
     /// Resolve a walk's destination with the timed structures, drawing
-    /// any dense-slice pre-walk from `rng` (the caller's walk RNG).
-    /// Returns `(dest, guider_ops, map_probes)`; `None` dest means
-    /// foreigner.
+    /// any dense-slice pre-walk from `rng` (the caller's walk RNG). The
+    /// walk's tag holds its location code. A `narrowed` mapping-table
+    /// search covers the range the channel's approximate walk search
+    /// found; otherwise the current partition's window. Returns
+    /// `(dest, guider_ops, map_probes)`; `None` dest means foreigner.
     pub(super) fn resolve_dest(
         &mut self,
         tw: &TWalk,
+        narrowed: bool,
         cache_idx: usize,
         rng: &mut fw_sim::Xoshiro256pp,
     ) -> (Option<SgId>, u64, u64) {
-        let v = tw.walk.cur;
-        let mut gops: u64 = 1; // dense-table bloom probe
-        let mut probes: u64 = 0;
-        // Dense vertices mapping table first (§III-D).
-        let image = &*self.image;
-        if let Some(meta) = image.dense.lookup(v) {
-            let cap = self.pg.config.dense_slice_edges();
-            let (sg, ops) = prewalk_slice(&meta, cap, rng);
+        let code = tw.tag;
+        // Dense vertices mapping table first (§III-D): one guider op for
+        // its probe, which the code's dense bit answers.
+        let mut gops: u64 = 1;
+        if code & DENSE_BIT != 0 {
+            let meta = &self.pg.dense[(code & !DENSE_BIT) as usize];
+            let (sg, ops) = prewalk_slice(meta, self.pg.config.dense_slice_edges(), rng);
             gops += ops as u64;
             let dest = (self.pg.partition_of(sg) == self.current_partition).then_some(sg);
-            return (dest, gops, probes);
+            return (dest, gops, 0);
         }
-        let (pstart, pend) = image.part_windows[self.current_partition as usize];
-        if self.cfg.opts.walk_query {
-            // Walk query cache probe. A hit may name a subgraph of another
-            // partition (cached entries are graph-wide) — such walks are
-            // foreigners.
-            gops += 1;
-            if let Some(sg) = self.caches[cache_idx].probe(v) {
-                self.stats.cache_hits += 1;
-                let dest = (self.pg.partition_of(sg) == self.current_partition).then_some(sg);
-                return (dest, gops, probes);
-            }
-            self.stats.cache_misses += 1;
-            // Narrowed search: range window ∩ partition window.
-            let (s, e) = if tw.tag == NO_TAG {
-                (pstart, pend)
-            } else {
-                let (rs, re) = image.ranges.entry_window(tw.tag);
-                (rs.max(pstart), re.min(pend))
-            };
-            let l = image.table.lookup_in(v, s, e.max(s));
-            // "A binary search always touches common nodes in the upper
-            // level of the binary search tree, and therefore these nodes
-            // exhibit strong temporal locality" (§III-D): the top
-            // ~log2(cache entries) tree levels stay cached, so only the
-            // deeper probes hit the mapping-table SRAM.
-            let tree_levels = (self.cfg.query_cache_entries() as u64 + 1).ilog2() as u64;
-            let charged = (l.steps as u64).saturating_sub(tree_levels).max(1);
-            gops += charged;
-            probes += charged;
-            if let Some(sg) = l.sg_id {
-                let entry = image.table.entries()[l.entry_idx.expect("entry for hit") as usize];
-                self.caches[cache_idx].install(entry.low, entry.high, sg);
-                return (Some(sg), gops, probes);
-            }
-            (None, gops, probes)
-        } else {
-            let l = image.table.lookup_in(v, pstart, pend);
-            gops += l.steps as u64;
-            probes += l.steps as u64;
-            (l.sg_id, gops, probes)
+        let sg = code;
+        let image = &*self.image;
+        if !self.cfg.opts.walk_query {
+            let (hit, steps) = image.map_search(tw.walk.cur, sg, self.current_partition, false);
+            let steps = steps as u64;
+            return (hit.then_some(sg), gops + steps, steps);
         }
+        // Walk query cache probe. A hit may name a subgraph of another
+        // partition (cached entries are graph-wide) — such walks are
+        // foreigners.
+        gops += 1;
+        if self.caches[cache_idx].probe(sg) {
+            self.stats.cache_hits += 1;
+            let dest = (self.pg.partition_of(sg) == self.current_partition).then_some(sg);
+            return (dest, gops, 0);
+        }
+        self.stats.cache_misses += 1;
+        let (hit, steps) = image.map_search(tw.walk.cur, sg, self.current_partition, narrowed);
+        // "A binary search always touches common nodes in the upper
+        // level of the binary search tree, and therefore these nodes
+        // exhibit strong temporal locality" (§III-D): the top
+        // ~log2(cache entries) tree levels stay cached, so only the
+        // deeper probes hit the mapping-table SRAM.
+        let tree_levels = (self.cfg.query_cache_entries() as u64 + 1).ilog2() as u64;
+        let charged = (steps as u64).saturating_sub(tree_levels).max(1);
+        if hit {
+            self.caches[cache_idx].install(sg);
+        }
+        (hit.then_some(sg), gops + charged, charged)
     }
 
     fn run_board_batch(&mut self, now: SimTime) {
@@ -483,6 +478,7 @@ impl FlashWalkerSim<'_> {
         let mut j_done: Vec<u32> = Vec::new();
 
         for (walk_i, mut tw) in inbox.drain(..).enumerate() {
+            debug_assert_eq!(tw.tag, self.pg.vloc(tw.walk.cur), "walk {}", tw.walk.id);
             let jw = j_on && self.journeys.wants(tw.walk.id);
             if jw {
                 j_ids.push(tw.walk.id);
@@ -490,8 +486,10 @@ impl FlashWalkerSim<'_> {
             // Walk query caches are shared: each group of four guiders
             // owns one; batches stripe walks across groups.
             let cache_idx = walk_i % self.caches.len();
+            // With WQ on, every walk arrives with its range searched.
+            let mut narrowed = self.cfg.opts.walk_query;
             let route = loop {
-                let (dest, gops, probes) = self.resolve_dest(&tw, cache_idx, &mut wrng);
+                let (dest, gops, probes) = self.resolve_dest(&tw, narrowed, cache_idx, &mut wrng);
                 guid_ops += gops;
                 map_probes += probes;
                 self.stats.map_probes += probes;
@@ -518,7 +516,8 @@ impl FlashWalkerSim<'_> {
                                 }
                                 HopResult::Moved(w) => {
                                     tw.walk = w;
-                                    tw.tag = NO_TAG;
+                                    tw.tag = self.pg.vloc(w.cur);
+                                    narrowed = false;
                                     continue; // re-resolve
                                 }
                             }
@@ -544,7 +543,7 @@ impl FlashWalkerSim<'_> {
                 None => {
                     // Foreigner: resolve the true destination for storage
                     // (untimed — the walk is simply parked) and buffer it.
-                    tw.tag = Self::true_dest_in(self.pg, tw.walk.cur, &mut wrng);
+                    tw.tag = Self::dest_of(self.pg, tw.tag, &mut wrng);
                     self.board.foreigner_buf.push(tw);
                 }
             }
@@ -672,7 +671,8 @@ pub(super) fn mark_dirty(dirty_mask: &mut u128, dirty_chips: &mut Vec<u32>, chip
 
 #[cfg(test)]
 mod tests {
-    use super::super::state::{Slot, TWalk, NO_TAG};
+    use super::super::state::{Slot, TWalk};
+    use super::super::step::prewalk_slice;
     use super::super::FlashWalkerSim;
     use crate::config::AccelConfig;
     use fw_graph::partition::PartitionConfig;
@@ -695,8 +695,22 @@ mod tests {
         (csr, pg)
     }
 
-    fn tw(v: u32) -> TWalk {
-        TWalk::undirected(Walk::new(v, 6))
+    /// A roving walk at `v`, tagged with its location code.
+    fn roving(pg: &PartitionedGraph, v: u32) -> TWalk {
+        TWalk {
+            walk: Walk::new(v, 6),
+            tag: pg.vloc(v),
+        }
+    }
+
+    /// A regular (non-dense) vertex whose subgraph is in partition `p`.
+    fn regular_vertex_in(csr: &Csr, pg: &PartitionedGraph, p: u32) -> u32 {
+        (0..csr.num_vertices())
+            .find(|&v| {
+                pg.regular_owner(v)
+                    .is_some_and(|sg| pg.partition_of(sg) == p)
+            })
+            .unwrap_or_else(|| panic!("a regular vertex in partition {p}"))
     }
 
     /// A walk bound for `sg`, tagged with `id` so queue order is visible.
@@ -768,9 +782,8 @@ mod tests {
         let cap = sim.cfg.board_batch_cap;
         let n = cap as u32 * 5 / 2;
         for id in 0..n {
-            let mut w = bound_for(&pg, sg, id);
-            w.tag = NO_TAG;
-            sim.board.inbox.push_back(w);
+            // A regular subgraph's id is its vertices' location code.
+            sim.board.inbox.push_back(bound_for(&pg, sg, id));
         }
         let mut batches = 0;
         while !sim.board.inbox.is_empty() {
@@ -799,13 +812,15 @@ mod tests {
         let (csr, pg) = multi_partition_setup();
         let mut sim = FlashWalkerSim::new(&csr, &pg, AccelConfig::scaled(), SsdConfig::tiny(), 1);
         sim.setup_partition(0, SimTime::ZERO, false);
-        // A vertex owned by partition 0 and not dense resolves to Some.
-        let sg0 = pg.partition_range(0).next().unwrap();
-        let v = pg.subgraphs[sg0 as usize].low;
-        if pg.find_dense(v).is_none() {
-            let (dest, gops, _probes) = sim.resolve_dest(&tw(v), 0, &mut Xoshiro256pp::new(1));
-            assert_eq!(dest, Some(pg.subgraph_of(v).unwrap()));
-            assert!(gops >= 2, "bloom probe + lookup work");
+        let v = regular_vertex_in(&csr, &pg, 0);
+        let sg = pg.subgraph_of(v).unwrap();
+        for narrowed in [true, false] {
+            sim.caches[0] = crate::WalkQueryCache::new(sim.cfg.query_cache_entries());
+            let (dest, gops, probes) =
+                sim.resolve_dest(&roving(&pg, v), narrowed, 0, &mut Xoshiro256pp::new(1));
+            assert_eq!(dest, Some(sg), "narrowed {narrowed}");
+            assert!(probes >= 1, "a cache miss searches the mapping table");
+            assert_eq!(gops, 2 + probes, "dense probe + cache probe + search");
         }
     }
 
@@ -815,18 +830,16 @@ mod tests {
         assert!(pg.num_partitions() > 1);
         let mut sim = FlashWalkerSim::new(&csr, &pg, AccelConfig::scaled(), SsdConfig::tiny(), 1);
         sim.setup_partition(0, SimTime::ZERO, false);
-        // A non-dense vertex owned by partition 1 must resolve to None.
-        let v = (0..csr.num_vertices()).find(|&v| {
-            pg.find_dense(v).is_none()
-                && pg
-                    .subgraph_of(v)
-                    .map(|sg| pg.partition_of(sg) == 1)
-                    .unwrap_or(false)
-        });
-        if let Some(v) = v {
-            let (dest, _gops, _probes) = sim.resolve_dest(&tw(v), 0, &mut Xoshiro256pp::new(1));
-            assert_eq!(dest, None, "foreigner for vertex {v}");
+        let v = regular_vertex_in(&csr, &pg, 1);
+        for narrowed in [true, false] {
+            let (dest, _gops, _probes) =
+                sim.resolve_dest(&roving(&pg, v), narrowed, 0, &mut Xoshiro256pp::new(1));
+            assert_eq!(dest, None, "foreigner for vertex {v}, narrowed {narrowed}");
         }
+        assert_eq!(
+            sim.stats.cache_hits, 0,
+            "a foreigner's miss installs nothing"
+        );
     }
 
     #[test]
@@ -834,18 +847,50 @@ mod tests {
         let (csr, pg) = multi_partition_setup();
         let mut sim = FlashWalkerSim::new(&csr, &pg, AccelConfig::scaled(), SsdConfig::tiny(), 1);
         sim.setup_partition(0, SimTime::ZERO, false);
-        let sg0 = pg.partition_range(0).next().unwrap();
-        let v = pg.subgraphs[sg0 as usize].low;
-        if pg.find_dense(v).is_none() {
-            let mut rng = Xoshiro256pp::new(1);
-            let (_, _, probes_miss) = sim.resolve_dest(&tw(v), 0, &mut rng);
-            let misses = sim.stats.cache_misses;
-            let (dest, _, probes_hit) = sim.resolve_dest(&tw(v), 0, &mut rng);
-            assert_eq!(dest, Some(pg.subgraph_of(v).unwrap()));
-            assert_eq!(sim.stats.cache_misses, misses, "second probe hits");
-            assert!(sim.stats.cache_hits >= 1);
-            assert!(probes_hit < probes_miss.max(1), "hit avoids the search");
+        let v = regular_vertex_in(&csr, &pg, 0);
+        let mut rng = Xoshiro256pp::new(1);
+        let (_, _, probes_miss) = sim.resolve_dest(&roving(&pg, v), true, 0, &mut rng);
+        assert_eq!((sim.stats.cache_hits, sim.stats.cache_misses), (0, 1));
+        let (dest, gops, probes_hit) = sim.resolve_dest(&roving(&pg, v), true, 0, &mut rng);
+        assert_eq!(dest, Some(pg.subgraph_of(v).unwrap()));
+        assert_eq!((sim.stats.cache_hits, sim.stats.cache_misses), (1, 1));
+        assert!(probes_miss >= 1);
+        assert_eq!((gops, probes_hit), (2, 0), "a hit skips the search");
+    }
+
+    #[test]
+    fn resolve_dest_prewalks_dense_vertices() {
+        // 1-KiB subgraphs give the RMAT hubs dense slice lists.
+        let csr = generate_csr(RmatParams::graph500(), 2000, 20_000, 11);
+        let pg = PartitionedGraph::build(
+            &csr,
+            PartitionConfig {
+                subgraph_bytes: 1 << 10,
+                id_bytes: 4,
+                subgraphs_per_partition: 16,
+            },
+        );
+        let mut sim = FlashWalkerSim::new(&csr, &pg, AccelConfig::scaled(), SsdConfig::tiny(), 1);
+        sim.setup_partition(0, SimTime::ZERO, false);
+        let meta = *pg
+            .dense
+            .iter()
+            .find(|m| pg.partition_of(m.first_subgraph) == 0 && m.num_blocks > 1)
+            .expect("a multi-slice dense vertex in partition 0");
+        let cap = pg.config.dense_slice_edges();
+        for seed in 0..32 {
+            let (want, _) = prewalk_slice(&meta, cap, &mut Xoshiro256pp::new(seed));
+            let (dest, gops, probes) = sim.resolve_dest(
+                &roving(&pg, meta.vertex),
+                true,
+                0,
+                &mut Xoshiro256pp::new(seed),
+            );
+            let here = pg.partition_of(want) == 0;
+            assert_eq!(dest, here.then_some(want), "seed {seed}");
+            assert_eq!((gops, probes), (3, 0), "dense probe + pre-walk, no search");
         }
+        assert_eq!((sim.stats.cache_hits, sim.stats.cache_misses), (0, 0));
     }
 
     #[test]

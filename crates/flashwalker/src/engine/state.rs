@@ -9,9 +9,6 @@ use fw_walk::Walk;
 /// Subgraph (graph block) identifier.
 pub type SgId = u32;
 
-/// [`TWalk::tag`] of a walk that carries no routing tag.
-pub const NO_TAG: u32 = u32::MAX;
-
 /// A walk in flight through the hierarchy with one routing tag: 20 bytes
 /// (the 16-byte [`Walk`] plus the tag).
 ///
@@ -20,26 +17,23 @@ pub const NO_TAG: u32 = u32::MAX;
 /// | where the walk is | what `tag` holds |
 /// |---|---|
 /// | chip slot queues, PWB entries, spill pages, delivery buckets, foreigner pages | destination subgraph |
-/// | between the channel batch and the board's `resolve_dest` | range id (or [`NO_TAG`] when the lookup missed) |
-/// | roving from a chip to its channel | [`NO_TAG`] |
+/// | roving: chip → channel → board, until the board resolves it | location code of `walk.cur` ([`fw_graph::PartitionedGraph::vloc`]) |
 ///
 /// A destination is the subgraph that holds the walk's current vertex
-/// (for a dense vertex, the pre-walked slice). The chip batch clears the
-/// tag when a walk roves; the channel batch's approximate walk search
-/// (WQ) sets the range id; the board replaces it with the destination.
+/// (for a dense vertex, the pre-walked slice). A location code is the
+/// owning subgraph, or the dense bit plus a dense index. The hop that
+/// moves a walk reads the code once: the chip guider, the channel's hot
+/// subgraphs, the range search's cost and the board's dense check, query
+/// cache and mapping-table search all answer from it. For a regular
+/// vertex the code is also its destination; the board replaces a dense
+/// vertex's code with the pre-walked slice.
 #[derive(Debug, Clone, Copy)]
 pub struct TWalk {
     /// The walk itself.
     pub walk: Walk,
-    /// Destination subgraph or range id, by container (see the table).
+    /// Destination subgraph or location code, by container (see the
+    /// table).
     pub tag: u32,
-}
-
-impl TWalk {
-    /// A freshly updated walk whose destination is not yet known.
-    pub fn undirected(walk: Walk) -> TWalk {
-        TWalk { walk, tag: NO_TAG }
-    }
 }
 
 /// One chip-level subgraph buffer slot.
@@ -382,17 +376,25 @@ impl Pools {
 mod tests {
     use super::*;
 
+    /// A walk at `v`; these containers never read its tag.
+    fn tw(v: u32) -> TWalk {
+        TWalk {
+            walk: Walk::new(v, 6),
+            tag: 0,
+        }
+    }
+
     #[test]
     fn chip_slot_bookkeeping() {
         let mut c = ChipSlots::new(3, 2);
         assert_eq!(c.free_slot(1), Some(0));
         c.of_mut(1)[0] = Slot::Loading {
             sg: 7,
-            walks: vec![TWalk::undirected(Walk::new(0, 6))],
+            walks: vec![tw(0)],
         };
         c.of_mut(1)[1] = Slot::Loaded {
             sg: 9,
-            queue: vec![TWalk::undirected(Walk::new(1, 6))],
+            queue: vec![tw(1)],
             fresh: true,
         };
         assert_eq!(c.free_slot(1), None);
@@ -413,10 +415,10 @@ mod tests {
         assert_eq!(p.index_of(13), Some(3));
         assert_eq!(p.index_of(14), None);
         assert_eq!(p.index_of(9), None);
-        p.entries[0].walks.push(TWalk::undirected(Walk::new(0, 6)));
+        p.entries[0].walks.push(tw(0));
         p.entries[1].spilled.push(SpillPage {
             lpn: 1,
-            walks: vec![TWalk::undirected(Walk::new(1, 6)); 3],
+            walks: vec![tw(1); 3],
         });
         assert_eq!(p.total_walks(), 4);
         assert_eq!(p.entries[1].total_walks(), 3);
@@ -439,7 +441,7 @@ mod tests {
         let mut f = ForeignStore::default();
         f.pages.entry(2).or_default().push(SpillPage {
             lpn: 5,
-            walks: vec![TWalk::undirected(Walk::new(3, 6)); 7],
+            walks: vec![tw(3); 7],
         });
         assert_eq!(f.walks_for(2), 7);
         assert_eq!(f.walks_for(1), 0);
@@ -451,9 +453,9 @@ mod tests {
         let mut pools = Pools::new(256);
         pools.put_walks(Vec::with_capacity(8));
         let mut d = DeliveryBuckets::default();
-        d.push_pooled(3, TWalk::undirected(Walk::new(0, 6)), &mut pools);
-        d.push_pooled(1, TWalk::undirected(Walk::new(1, 6)), &mut pools);
-        d.push_pooled(3, TWalk::undirected(Walk::new(2, 6)), &mut pools);
+        d.push_pooled(3, tw(0), &mut pools);
+        d.push_pooled(1, tw(1), &mut pools);
+        d.push_pooled(3, tw(2), &mut pools);
         assert_eq!(d.buckets.len(), 2);
         assert_eq!(d.buckets[0].0, 3);
         assert_eq!(d.buckets[0].1.len(), 2);

@@ -1,7 +1,7 @@
 //! Walk stepping inside accelerators: normal subgraph updates, dense-slice
 //! sampling, and the pre-walking slice choice.
 
-use fw_graph::{Csr, DenseVertexMeta, PartitionedGraph, VertexId};
+use fw_graph::{Csr, DenseVertexMeta, PartitionedGraph};
 use fw_sim::Xoshiro256pp;
 use fw_walk::{Walk, Workload};
 
@@ -104,27 +104,19 @@ pub fn prewalk_slice(
     (meta.first_subgraph + idx, 2)
 }
 
-/// The chip guider's membership test: is `v` inside any subgraph loaded on
-/// this chip? Returns the matching subgraph and the comparison-op count
-/// (one per resident subgraph probed, as the guider "compar[es] w.cur with
-/// two end vertices of each loaded subgraph").
-pub fn guide_local(pg: &PartitionedGraph, loaded: &[SgId], v: VertexId) -> (Option<SgId>, u32) {
-    // Dense slices never accept local traffic: choosing among a dense
-    // vertex's blocks needs the dense table, which chips don't have — so
-    // the only possible hit is v's unique regular owner block (O(1)
-    // lookup). The simulated op count stays one comparison per loaded
-    // subgraph probed, exactly as the range-scan reference: the guider
-    // hardware still "compar[es] w.cur with two end vertices of each
-    // loaded subgraph".
-    let target = pg.regular_owner(v);
-    let mut ops = 0;
-    for &sg in loaded {
-        ops += 1;
-        if Some(sg) == target {
-            return (Some(sg), ops);
-        }
+/// A guider's membership test: is the vertex with location code `code`
+/// ([`PartitionedGraph::vloc`]) inside any of the `loaded` subgraphs?
+/// Returns the answer and the comparison-op count: one per subgraph
+/// probed, as the guider "compar[es] w.cur with two end vertices of each
+/// loaded subgraph". A regular vertex lies in exactly the subgraph its
+/// code names. A dense vertex's code never equals a subgraph id, so it
+/// never hits: choosing among its slices needs the dense table, which
+/// chips and channels don't have.
+pub fn guide_local(loaded: &[SgId], code: u32) -> (bool, u32) {
+    match loaded.iter().position(|&sg| sg == code) {
+        Some(i) => (true, i as u32 + 1),
+        None => (false, (loaded.len() as u32).max(1)),
     }
-    (None, ops.max(1))
 }
 
 #[cfg(test)]
@@ -239,16 +231,15 @@ mod tests {
         // Loaded: the dense first slice and one regular subgraph.
         let regular = pg.subgraph_of(50).unwrap();
         let loaded = vec![meta.first_subgraph, regular];
-        let (hit, ops) = guide_local(&pg, &loaded, 50);
-        assert_eq!(hit, Some(regular));
-        assert!(ops >= 1);
-        // The dense vertex itself is NOT guided locally.
-        let (dense_hit, _) = guide_local(&pg, &loaded, 0);
-        assert_eq!(dense_hit, None);
+        assert_eq!(guide_local(&loaded, pg.vloc(50)), (true, 2));
+        // The dense vertex itself is NOT guided locally, even with its
+        // first slice loaded.
+        assert_eq!(guide_local(&loaded, pg.vloc(0)), (false, 2));
         // A vertex in no loaded subgraph roves.
-        let far = pg.subgraphs[pg.subgraph_of(199).unwrap() as usize].low;
-        if pg.subgraph_of(far) != Some(regular) {
-            assert_eq!(guide_local(&pg, &loaded, far).0, None);
-        }
+        let far = (1..200)
+            .find(|&v| pg.subgraph_of(v) != Some(regular))
+            .unwrap();
+        assert_eq!(guide_local(&loaded, pg.vloc(far)), (false, 2));
+        assert_eq!(guide_local(&[], pg.vloc(far)), (false, 1));
     }
 }

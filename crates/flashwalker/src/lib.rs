@@ -32,4 +32,4 @@ pub mod tables;
 
 pub use config::{AccelConfig, OptToggles};
 pub use engine::{FlashImage, FlashWalkerSim, FwReport};
-pub use tables::{BloomFilter, DenseTable, WalkQueryCache};
+pub use tables::WalkQueryCache;

@@ -1,6 +1,6 @@
 //! Microbenches for the hot structures of the reproduction: mapping-table
-//! binary search (full vs range-narrowed), the walk query cache, the
-//! dense-vertex bloom filter, unbiased vs ITS sampling, RMAT edge
+//! binary search (full vs range-narrowed), the walk query cache,
+//! unbiased vs ITS sampling, RMAT edge
 //! generation, the event queue, DRAM access timing, reservations on a
 //! deep resource timeline, and FTL writes.
 //!
@@ -16,7 +16,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use flashwalker::tables::{BloomFilter, DenseTable, WalkQueryCache};
+use flashwalker::tables::WalkQueryCache;
 use fw_dram::{Dram, DramConfig, DramOp};
 use fw_graph::partition::PartitionConfig;
 use fw_graph::rmat::{generate_csr, RmatParams};
@@ -99,47 +99,13 @@ fn bench_mapping() {
 
 fn bench_query_cache() {
     let mut cache = WalkQueryCache::new(170);
-    for i in 0..170u32 {
-        cache.install(i * 10, i * 10 + 9, i);
+    for sg in 0..170u32 {
+        cache.install(sg);
     }
     let mut rng = Xoshiro256pp::new(3);
     bench("walk_query_cache_probe", iters(500_000), || {
-        let v = rng.next_below(2_000) as u32;
-        cache.probe(black_box(v))
-    });
-}
-
-fn bench_bloom_and_dense() {
-    let mut bloom = BloomFilter::new(16 * 4096, 4);
-    for v in (0..4096u32).map(|x| x * 97) {
-        bloom.insert(v);
-    }
-    let mut rng = Xoshiro256pp::new(4);
-    bench("bloom_filter_probe", iters(500_000), || {
-        let v = rng.next_below(400_000) as u32;
-        bloom.contains(black_box(v))
-    });
-
-    // Dense-table end-to-end probe on a star graph.
-    let mut edges = vec![];
-    for v in 1..5_000u32 {
-        edges.push((0, v));
-        edges.push((v, 0));
-    }
-    let csr = fw_graph::Csr::from_edges(5_000, &edges);
-    let pg = PartitionedGraph::build(
-        &csr,
-        PartitionConfig {
-            subgraph_bytes: 1 << 10,
-            id_bytes: 4,
-            subgraphs_per_partition: 10_000,
-        },
-    );
-    let dense = DenseTable::build(&pg);
-    let mut rng2 = Xoshiro256pp::new(5);
-    bench("dense_table_lookup", iters(500_000), || {
-        let v = rng2.next_below(5_000) as u32;
-        dense.lookup(black_box(v))
+        let sg = rng.next_below(200) as u32;
+        cache.probe(black_box(sg))
     });
 }
 
@@ -282,7 +248,6 @@ fn bench_ftl() {
 fn main() {
     bench_mapping();
     bench_query_cache();
-    bench_bloom_and_dense();
     bench_samplers();
     bench_rmat();
     bench_event_queue();

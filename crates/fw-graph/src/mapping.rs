@@ -43,10 +43,6 @@ pub struct SubgraphMappingTable {
 pub struct Lookup {
     /// The matching subgraph, if the vertex is covered.
     pub sg_id: Option<u32>,
-    /// Index of the matching entry in [`SubgraphMappingTable::entries`]
-    /// (set iff `sg_id` is) — callers that need the entry avoid a second
-    /// table search.
-    pub entry_idx: Option<u32>,
     /// Number of table entries probed by the binary search.
     pub steps: u32,
 }
@@ -108,7 +104,6 @@ impl SubgraphMappingTable {
         let mut hi = end;
         let mut steps = 0;
         let mut hit = None;
-        let mut hit_idx = None;
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
             steps += 1;
@@ -119,23 +114,10 @@ impl SubgraphMappingTable {
                 lo = mid + 1;
             } else {
                 hit = Some(e.sg_id);
-                hit_idx = Some(mid as u32);
                 break;
             }
         }
-        Lookup {
-            sg_id: hit,
-            entry_idx: hit_idx,
-            steps,
-        }
-    }
-
-    /// Index of the entry for a given subgraph id, if present. Entries
-    /// are sorted by `low` but not by `sg_id` (dense slices are skipped),
-    /// so this is a linear scan — prefer [`Lookup::entry_idx`] on the
-    /// lookup path.
-    pub fn entry_index_of(&self, sg_id: u32) -> Option<usize> {
-        self.entries.iter().position(|e| e.sg_id == sg_id)
+        Lookup { sg_id: hit, steps }
     }
 }
 

@@ -109,9 +109,9 @@ pub struct DenseVertexMeta {
     pub total_degree: u64,
 }
 
-/// Tag bit in a [`PartitionedGraph`] `vloc` entry marking a dense vertex;
+/// Tag bit in a [`PartitionedGraph::vloc`] code marking a dense vertex;
 /// the low bits then index `dense` instead of `subgraphs`.
-const DENSE_BIT: u32 = 1 << 31;
+pub const DENSE_BIT: u32 = 1 << 31;
 
 /// The partitioned graph: subgraphs in vertex order plus dense metadata.
 #[derive(Debug, Clone)]
@@ -240,7 +240,8 @@ impl PartitionedGraph {
 
         // Flat vertex→location table. Every vertex 0..num_vertices lands
         // in exactly one regular block or dense meta entry, so the table
-        // is total.
+        // is total. Subgraph ids must stay clear of the dense tag bit.
+        assert!(subgraphs.len() < DENSE_BIT as usize, "too many subgraphs");
         let mut vloc = vec![u32::MAX; csr.num_vertices() as usize];
         for (i, d) in dense.iter().enumerate() {
             vloc[d.vertex as usize] = DENSE_BIT | i as u32;
@@ -283,6 +284,16 @@ impl PartitionedGraph {
         let start = p * k;
         let end = ((p + 1) * k).min(self.num_subgraphs());
         start..end
+    }
+
+    /// `v`'s location code: its owning subgraph id, or [`DENSE_BIT`]` | i`
+    /// when `v` is `dense[i]`. Subgraph ids stay below [`DENSE_BIT`], so a
+    /// dense code never equals a subgraph id.
+    ///
+    /// # Panics
+    /// Panics if `v` is not a vertex of the graph.
+    pub fn vloc(&self, v: VertexId) -> u32 {
+        self.vloc[v as usize]
     }
 
     /// Dense metadata for `v`, if dense. O(1) via the flat `vloc` table.
