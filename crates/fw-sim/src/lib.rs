@@ -12,7 +12,8 @@
 //! * [`Timeline`] — a busy-until resource model used for flash planes,
 //!   dies, channel buses, the PCIe link and DRAM banks,
 //! * [`rng`] — self-contained deterministic PRNGs (SplitMix64 and
-//!   xoshiro256++) so whole experiments replay from a single `u64` seed,
+//!   xoshiro256++, with exact jump-ahead and SIMD lanes) so whole
+//!   experiments replay from a single `u64` seed,
 //! * [`stats`] — counters, histograms and the windowed time-series sampler
 //!   that produces the Figure 8 resource-consumption curves (re-exported
 //!   from [`fw_trace`], the observability crate, together with the
@@ -38,5 +39,5 @@ pub use fw_trace::{
     StatSet, TailRow, TimeSeries, TraceConfig, TraceReport, Tracer, WalkJourney,
 };
 pub use pool::WorkerPool;
-pub use rng::{derive_stream_seed, SplitMix64, Xoshiro256pp};
+pub use rng::{derive_stream_seed, SplitMix64, Xoshiro256pp, XoshiroJump, XoshiroLanes};
 pub use timeline::{BandwidthLink, ServerBank, Timeline};
