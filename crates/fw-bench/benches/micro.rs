@@ -130,6 +130,12 @@ fn bench_rmat() {
         seed += 1;
         fw_graph::rmat::generate_edges(RmatParams::graph500(), 4_096, 10_000, seed)
     });
+    // Above the lane kernel's threshold: the AVX-512 instance where the
+    // CPU has it.
+    bench("rmat_generate_1m_edges", iters(50), || {
+        seed += 1;
+        fw_graph::rmat::generate_edges(RmatParams::graph500(), 1 << 17, 1_000_000, seed)
+    });
 }
 
 fn bench_event_queue() {

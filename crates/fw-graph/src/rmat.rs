@@ -70,18 +70,24 @@ impl RmatParams {
     }
 }
 
-/// Candidates per lane per round of the lane kernel: eight lanes buffer
-/// 64 KiB of edges, and the per-round jumps cost well under 1% of a
+/// Candidates per lane per round of the lane kernel: sixteen lanes buffer
+/// 128 KiB of edges, and the per-round jumps cost well under 1% of a
 /// round's draws.
 const CHUNK: usize = 1024;
 
-/// Lanes of the AVX-512 instance: eight `u64` states per 512-bit register.
-const AVX512_LANES: usize = 8;
+/// Lanes of the AVX-512 instance: each xoshiro state word fills two
+/// 512-bit registers of eight `u64`s, two dependency chains with nothing
+/// between them, so one chain's latency hides the other's. On the TT and
+/// CW stand-ins 8 lanes took twice as long, and 24 or 32 lanes longer
+/// than 8 (DESIGN.md §9).
+const AVX512_LANES: usize = 16;
 
 /// Smallest graph the AVX-512 instance generates. Its jump matrices take
-/// about 1 ms to build, longer than eight lanes save on a smaller graph:
-/// at 10,000 edges it measured 2.3–2.5 ms against the serial 1.8–2.1 ms.
-const AVX512_MIN_EDGES: u64 = 1 << 16;
+/// about 1 ms to build, as long as sixteen lanes save near 8,192 edges.
+/// Over 41 paired runs each at 4,096 and 2^17 vertices, the lanes won
+/// 2–39 of 41 at 8,192 edges and 40–41 at 16,384, where they took
+/// 1.1–1.7 ms against the serial 2.0–4.3 ms.
+const AVX512_MIN_EDGES: u64 = 1 << 14;
 
 /// Generate `num_edges` RMAT edges over `[0, num_vertices)`.
 ///
@@ -89,8 +95,9 @@ const AVX512_MIN_EDGES: u64 = 1 << 16;
 /// edges are kept, like PaRMAT's default non-deduplicating mode.
 ///
 /// The edge list is a pure function of the arguments. On a CPU with
-/// AVX-512 a graph of at least [`AVX512_MIN_EDGES`] runs eight lanes of
-/// the seed stream at once ([`lane_kernel`]); the output is the same.
+/// AVX-512 a graph of at least [`AVX512_MIN_EDGES`] runs [`AVX512_LANES`]
+/// lanes of the seed stream at once ([`lane_kernel`]); the output is the
+/// same.
 pub fn generate_edges(
     params: RmatParams,
     num_vertices: u32,
@@ -107,8 +114,8 @@ pub fn generate_edges(
     lane_kernel::<1>(&params, num_vertices, num_edges, seed)
 }
 
-/// [`lane_kernel`] at eight lanes compiled for AVX-512, or `None` where
-/// the CPU lacks it.
+/// [`lane_kernel`] at [`AVX512_LANES`] lanes compiled for AVX-512, or
+/// `None` where the CPU lacks it.
 fn avx512_edges(
     p: &RmatParams,
     num_vertices: u32,
@@ -273,21 +280,22 @@ mod tests {
     }
 
     /// Every instance of the lane kernel this CPU can run, by name, on
-    /// one argument set: the generic ones at L = 1, 2 and 8, compiled
+    /// one argument set: the generic ones at L = 1, 2, 8 and 16, compiled
     /// without target features, and the AVX-512 one where detected.
     fn instances(
         p: &RmatParams,
         nv: u32,
         m: u64,
         seed: u64,
-    ) -> Vec<(&'static str, Vec<(VertexId, VertexId)>)> {
+    ) -> Vec<(String, Vec<(VertexId, VertexId)>)> {
         let mut runs = vec![
-            ("L=1", lane_kernel::<1>(p, nv, m, seed)),
-            ("L=2", lane_kernel::<2>(p, nv, m, seed)),
-            ("L=8", lane_kernel::<8>(p, nv, m, seed)),
+            ("L=1".to_string(), lane_kernel::<1>(p, nv, m, seed)),
+            ("L=2".to_string(), lane_kernel::<2>(p, nv, m, seed)),
+            ("L=8".to_string(), lane_kernel::<8>(p, nv, m, seed)),
+            ("L=16".to_string(), lane_kernel::<16>(p, nv, m, seed)),
         ];
         if let Some(edges) = avx512_edges(p, nv, m, seed) {
-            runs.push(("avx512 L=8", edges));
+            runs.push((format!("avx512 L={AVX512_LANES}"), edges));
         }
         runs
     }
@@ -314,10 +322,16 @@ mod tests {
             }
         }
         // With no rejections (n a power of two) edges are candidates, so
-        // these counts end mid-chunk, on a chunk boundary, mid-round and on
-        // a round boundary of the 2- and 8-lane instances.
+        // these counts end mid-chunk, on a chunk boundary, mid-round, and
+        // on and just past a round boundary of every multi-lane instance.
         let c = CHUNK as u64;
-        for m in [c / 2, c, c + 3, 2 * c, 2 * c + c / 2, 8 * c, 8 * c + 1] {
+        let mut counts = vec![c / 2, c, c + 3, 2 * c + c / 2];
+        for lanes in [2, 8, 16, AVX512_LANES as u64] {
+            counts.extend([lanes * c, lanes * c + 1]);
+        }
+        counts.sort_unstable();
+        counts.dedup();
+        for m in counts {
             check(2, m, rng.next_u64());
         }
         println!("lane kernel instances checked: {}", ran.join(", "));

@@ -387,7 +387,13 @@ mod tests {
 
     #[test]
     fn every_lane_matches_its_scalar_stream() {
-        const L: usize = 8;
+        lanes_match_their_scalar_streams::<8>();
+        lanes_match_their_scalar_streams::<16>();
+    }
+
+    /// `L` lanes a fixed stride apart draw, bit for bit, what their
+    /// scalar generators draw, before and after a jump.
+    fn lanes_match_their_scalar_streams<const L: usize>() {
         let stride = 1_000;
         let base = Xoshiro256pp::new(13);
         let mut scalars: Vec<Xoshiro256pp> = (0..L as u64)
@@ -404,7 +410,7 @@ mod tests {
                 assert_eq!(
                     got[l].to_bits(),
                     g.next_f64().to_bits(),
-                    "lane {l}, draw {i}"
+                    "L={L}: lane {l}, draw {i}"
                 );
             }
         }
@@ -415,7 +421,7 @@ mod tests {
         }
         let got = lanes.next_u64();
         for (l, g) in scalars.iter_mut().enumerate() {
-            assert_eq!(got[l], g.next_u64(), "lane {l} after a jump");
+            assert_eq!(got[l], g.next_u64(), "L={L}: lane {l} after a jump");
         }
     }
 
