@@ -78,8 +78,8 @@ use fw_fault::{derive_stream_seed, FaultProfile, FAULT_STREAM};
 use fw_graph::{Csr, PartitionedGraph, DENSE_BIT};
 use fw_nand::{Lpn, Ssd, SsdConfig};
 use fw_sim::{
-    CriticalConfig, CriticalRecorder, EventQueue, JourneyConfig, JourneyRecorder, SimTime,
-    TimeSeries, TraceConfig, Tracer, Xoshiro256pp,
+    CriticalConfig, EventQueue, JourneyConfig, Probe, SimTime, TimeSeries, TraceConfig,
+    Xoshiro256pp,
 };
 use fw_walk::{FaultSummary, RunReport, WalkEngine, Workload, WALK_BYTES};
 
@@ -138,20 +138,13 @@ pub struct FlashWalkerSim<'g> {
     progress: TimeSeries,
     trace_window_ns: u64,
     walk_log: Option<Vec<fw_walk::Walk>>,
-    /// The run's span tracer: accelerator batch spans (`chip.batch`,
-    /// `chan.batch`, `board.batch`, `sg.load`), queue gauges and walk-step
-    /// latency. The SSD and DRAM tracers are folded in at run end.
-    pub(super) tracer: Tracer,
-    /// The run's journey recorder: every chip, channel, board, load and
-    /// PWB event of a sampled walk.
-    pub(super) journeys: JourneyRecorder,
-    /// The run's critical-path recorder. Dependency nodes are recorded by
-    /// [`Self::sched_ev`] at every `schedule_at` site; node ids are the
-    /// queue's sequence numbers.
-    pub(super) critical: CriticalRecorder,
-    /// Causal anchor: the seq of the event currently being dispatched.
-    /// Everything a handler schedules happens-after this event.
-    crit_cause: Option<u64>,
+    /// The run's recorders. Every `schedule_at` site records its
+    /// interval once: accelerator batch spans (`chip.batch`, `chan.batch`,
+    /// `board.batch`, `sg.load`), a dependency node whose id is the
+    /// queue's sequence number and whose cause is the event being
+    /// dispatched, and the interval of each sampled walk it serves. The
+    /// SSD and DRAM tracers are folded in at run end.
+    probe: Probe,
 }
 
 /// Walks per flash page (4 KB / 16 B).
@@ -247,10 +240,7 @@ impl<'g> FlashWalkerSim<'g> {
             progress: TimeSeries::new(1_000_000), // placeholder; set in run
             trace_window_ns: 1_000_000,
             walk_log: None,
-            tracer: Tracer::disabled(),
-            journeys: JourneyRecorder::disabled(),
-            critical: CriticalRecorder::disabled(),
-            crit_cause: None,
+            probe: Probe::default(),
         }
     }
 
@@ -260,7 +250,7 @@ impl<'g> FlashWalkerSim<'g> {
     /// queue-depth gauges and walk-step latency. The derived
     /// [`fw_sim::TraceReport`] lands in [`FwReport::trace`].
     pub fn with_span_trace(mut self, cfg: TraceConfig) -> Self {
-        self.tracer = Tracer::enabled(cfg);
+        self.probe.enable_trace(cfg);
         self.ssd.enable_span_trace(cfg);
         self.dram.enable_span_trace(cfg);
         self
@@ -287,7 +277,7 @@ impl<'g> FlashWalkerSim<'g> {
     /// Zero-cost when not called; byte-deterministic (the finish sort is
     /// canonical).
     pub fn with_journeys(mut self, cfg: JourneyConfig) -> Self {
-        self.journeys = JourneyRecorder::enabled(cfg);
+        self.probe.enable_journeys(cfg);
         self
     }
 
@@ -300,7 +290,7 @@ impl<'g> FlashWalkerSim<'g> {
     /// unchanged, and node ids are the queue's sequence numbers, so the
     /// report is byte-deterministic.
     pub fn with_critical(mut self, cfg: CriticalConfig) -> Self {
-        self.critical = CriticalRecorder::enabled(cfg);
+        self.probe.enable_critical(cfg);
         self
     }
 
@@ -352,16 +342,6 @@ impl<'g> FlashWalkerSim<'g> {
             .subgraphs
             .get(tw.tag as usize)
             .is_some_and(|s| s.low <= v && v <= s.high)
-    }
-
-    /// Schedule `ev` at `at` and record the happens-before edge: a
-    /// dependency-log node spanning `[start, at]` on the `(comp, lane)`
-    /// resource, caused by the event being dispatched (`crit_cause`). The
-    /// node id is the queue's sequence number.
-    fn sched_ev(&mut self, at: SimTime, ev: Ev, comp: &str, lane: u32, start: SimTime) {
-        let cause = self.crit_cause;
-        let id = self.events.schedule_at(at, ev);
-        self.critical.node(id, comp, lane, start, at, cause);
     }
 
     fn alloc_lpn(&mut self) -> Lpn {
@@ -479,7 +459,7 @@ impl<'g> FlashWalkerSim<'g> {
                     // handler schedules. Quiesce keeps the last anchor:
                     // refills happen-after the event that drained the
                     // queue, keeping the dependency chain unbroken.
-                    self.crit_cause = self.events.last_popped_seq();
+                    self.probe.caused_by(self.events.last_popped_seq());
                     self.dispatch(now, ev);
                 }
                 None => self.on_quiesce(),
@@ -512,14 +492,8 @@ impl<'g> FlashWalkerSim<'g> {
         let horizon = SimTime::ZERO.max(end);
         let cfgp = *self.ssd.config();
         let s = *self.ssd.stats();
-        let ssd_tracer = self.ssd.take_tracer();
-        let dram_tracer = self.dram.take_tracer();
-        self.tracer.merge(&ssd_tracer);
-        self.tracer.merge(&dram_tracer);
-        let span_trace = self.tracer.finish(horizon);
-        let journeys = std::mem::replace(&mut self.journeys, JourneyRecorder::disabled()).finish();
-        let critical =
-            std::mem::replace(&mut self.critical, CriticalRecorder::disabled()).finish(horizon);
+        let devices = [self.ssd.take_tracer(), self.dram.take_tracer()];
+        let (span_trace, journeys, critical) = self.probe.finish(horizon, &devices);
         let faults = self.faults.is_on().then(|| {
             let f = self.ssd.fault_stats();
             FaultSummary {

@@ -17,7 +17,8 @@
 //! * [`stats`] — counters, histograms and the windowed time-series sampler
 //!   that produces the Figure 8 resource-consumption curves (re-exported
 //!   from [`fw_trace`], the observability crate, together with the
-//!   span-based [`Tracer`] and the [`MetricsRegistry`]).
+//!   span-based [`Tracer`], the per-run [`Probe`] and the
+//!   [`MetricsRegistry`]).
 //!
 //! Everything here is engine-agnostic: both the FlashWalker in-storage
 //! hierarchy and the GraphWalker host baseline are built on it, which keeps
@@ -28,15 +29,17 @@ pub mod pool;
 pub mod rng;
 pub mod timeline;
 
-pub use fw_trace::{critical, export, heatmap, journey, json, metrics, report, span, stats, time};
+pub use fw_trace::{
+    critical, export, heatmap, journey, json, metrics, probe, report, span, stats, time,
+};
 
 pub use event::{EventQueue, HeapEventQueue};
 pub use fw_trace::{
     chrome_trace_json, spans_csv, ComponentUtil, Counter, CritNode, CritSegment, CritShare,
-    CriticalConfig, CriticalRecorder, CriticalReport, Duration, HeatmapLane, HeatmapReport,
-    Histogram, JourneyConfig, JourneyEvent, JourneyEventKind, JourneyLatency, JourneyRecorder,
-    JourneyReport, Json, LatencySummary, MetricsRegistry, QueueDepthSeries, SimTime, SpanRecord,
-    StatSet, TailRow, TimeSeries, TraceConfig, TraceReport, Tracer, WalkJourney,
+    CriticalConfig, CriticalReport, Duration, HeatmapLane, HeatmapReport, Histogram, JourneyConfig,
+    JourneyEvent, JourneyEventKind, JourneyLatency, JourneyReport, Json, LatencySummary,
+    MetricsRegistry, Probe, QueueDepthSeries, SimTime, SpanRecord, StatSet, TailRow, TimeSeries,
+    TraceConfig, TraceReport, Tracer, WalkJourney,
 };
 pub use pool::WorkerPool;
 pub use rng::{derive_stream_seed, SplitMix64, Xoshiro256pp, XoshiroJump, XoshiroLanes};

@@ -29,6 +29,9 @@
 //! * [`critical`] — causal critical-path profiling: the happens-before
 //!   [`CriticalRecorder`] and the derived [`CriticalReport`] whose path
 //!   segments sum exactly to end-to-end sim time,
+//! * [`probe`] — the [`Probe`]: an engine run's one recording handle,
+//!   which owns its tracer, journey recorder and critical-path recorder
+//!   and records each event site's interval into all of them,
 //! * [`heatmap`] — windowed contention heatmaps (per-lane busy fraction
 //!   and queue-depth occupancy) derived from the same dependency log,
 //! * [`export`] — Chrome `trace_event` JSON (loadable in
@@ -51,6 +54,7 @@ pub mod heatmap;
 pub mod journey;
 pub mod json;
 pub mod metrics;
+pub mod probe;
 pub mod report;
 pub mod span;
 pub mod stats;
@@ -67,6 +71,7 @@ pub use journey::{
 };
 pub use json::Json;
 pub use metrics::MetricsRegistry;
+pub use probe::Probe;
 pub use report::{ComponentUtil, LatencySummary, QueueDepthSeries, TraceReport};
 pub use span::{SpanRecord, TraceConfig, Tracer};
 pub use stats::{Counter, Histogram, StatSet, TimeSeries};

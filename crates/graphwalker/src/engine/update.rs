@@ -2,7 +2,8 @@
 //! pool, and the walk-buffer spill policy that bounds host memory.
 
 use fw_nand::Lpn;
-use fw_sim::{Duration, JourneyEventKind};
+use fw_sim::Duration;
+use fw_sim::JourneyEventKind::{Complete, Enqueue, PcieTransfer, SampleStep};
 use fw_walk::workload::WalkEvent;
 use fw_walk::WALK_BYTES;
 
@@ -23,17 +24,8 @@ impl GraphWalkerSim<'_> {
         // order).
         let mut wrng = self.take_walk_rng();
         let mut batch_hops: u64 = 0;
-        // Journey bookkeeping: the batch duration is only known after the
-        // drain, so sampled ids are collected and stamped below.
-        let j_on = self.journeys.is_enabled();
-        let mut j_ids: Vec<u32> = Vec::new();
-        let mut j_done: Vec<u32> = Vec::new();
-        let mut j_moved: Vec<(u32, u32)> = Vec::new();
         for mut w in work.drain(..) {
-            let jw = j_on && self.journeys.wants(w.id);
-            if jw {
-                j_ids.push(w.id);
-            }
+            self.probe.walk(w.id, SampleStep, block);
             loop {
                 let (ev, _ops) = self.wl.step(self.csr, w, &mut wrng);
                 batch_hops += 1;
@@ -41,9 +33,7 @@ impl GraphWalkerSim<'_> {
                     WalkEvent::Completed(done) => {
                         run.completed += 1;
                         run.progress.add(run.now, 1.0);
-                        if jw {
-                            j_done.push(done.id);
-                        }
+                        self.probe.mark(done.id, Complete, block);
                         if let Some(log) = &mut self.walk_log {
                             log.push(done);
                         }
@@ -57,9 +47,7 @@ impl GraphWalkerSim<'_> {
                             // account the walk to its block if we stop.
                             continue;
                         }
-                        if jw {
-                            j_moved.push((w.id, b));
-                        }
+                        self.probe.mark(w.id, Enqueue, b);
                         self.pools[b as usize].walks.push(w);
                         break;
                     }
@@ -71,21 +59,9 @@ impl GraphWalkerSim<'_> {
         run.hops += batch_hops;
         let cpu = Duration::nanos(batch_hops * self.cfg.cpu_ns_per_hop);
         let now = run.now;
-        self.tracer.span("gw.update", block, now, now + cpu);
-        for &id in &j_ids {
-            self.journeys
-                .event(id, JourneyEventKind::SampleStep, block, now, now + cpu);
-        }
-        for &id in &j_done {
-            self.journeys
-                .event(id, JourneyEventKind::Complete, block, now + cpu, now + cpu);
-        }
-        for &(id, dest) in &j_moved {
-            self.journeys
-                .event(id, JourneyEventKind::Enqueue, dest, now + cpu, now + cpu);
-        }
+        self.probe.phase("gw.update", block, now, now + cpu, 0);
         if let Some(per_hop) = cpu.as_nanos().checked_div(batch_hops) {
-            self.tracer.record("walk.step_ns", per_hop);
+            self.probe.record("walk.step_ns", per_hop);
         }
         run.breakdown.update_walks += cpu;
         run.now += cpu;
@@ -103,8 +79,6 @@ impl GraphWalkerSim<'_> {
             return;
         }
         let mut batch_lpns: Vec<Lpn> = Vec::new();
-        let j_on = self.journeys.is_enabled();
-        let mut j_spilled: Vec<(u32, u32)> = Vec::new();
         let mut order: Vec<usize> = (0..self.pools.len())
             .filter(|&b| !self.pools[b].walks.is_empty())
             .collect();
@@ -116,14 +90,8 @@ impl GraphWalkerSim<'_> {
             let walks = std::mem::take(&mut self.pools[victim].walks);
             ram_walks -= walks.len() as u64;
             run.walk_spills += 1;
-            if j_on {
-                j_spilled.extend(
-                    walks
-                        .iter()
-                        .map(|w| (w.id, victim as u32))
-                        .filter(|&(id, _)| self.journeys.wants(id)),
-                );
-            }
+            self.probe
+                .walks(walks.iter().map(|w| w.id), PcieTransfer, victim as u32);
             for chunk in walks.chunks(walks_per_page) {
                 self.next_lpn += 1;
                 let lpn = self.next_lpn;
@@ -133,17 +101,9 @@ impl GraphWalkerSim<'_> {
         }
         if !batch_lpns.is_empty() {
             let end = self.ssd.host_write_lpns(run.now, &batch_lpns);
-            self.tracer.span_bytes(
-                "gw.walk_io",
-                u32::MAX, // spills are not block-directed; one shared lane
-                run.now,
-                end,
-                batch_lpns.len() as u64 * self.ssd.config().geometry.page_bytes,
-            );
-            for &(id, victim) in &j_spilled {
-                self.journeys
-                    .event(id, JourneyEventKind::PcieTransfer, victim, run.now, end);
-            }
+            let bytes = batch_lpns.len() as u64 * self.ssd.config().geometry.page_bytes;
+            // Spills are not block-directed: one shared lane.
+            self.probe.span("gw.walk_io", u32::MAX, run.now, end, bytes);
             run.breakdown.walk_io += end - run.now;
             run.now = end;
         }

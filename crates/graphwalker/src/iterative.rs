@@ -22,7 +22,7 @@ use fw_graph::partition::PartitionConfig;
 use fw_graph::{Csr, PartitionedGraph, VertexId};
 use fw_nand::layout::GraphBlockPlacement;
 use fw_nand::{GraphLayout, Lpn, Ssd, SsdConfig};
-use fw_sim::{Duration, SimTime, TraceConfig, TraceReport, Tracer, Xoshiro256pp};
+use fw_sim::{Duration, Probe, SimTime, TraceConfig, TraceReport, Xoshiro256pp};
 use fw_walk::{
     EngineBreakdown, RunReport, RunStats, Traffic, Walk, WalkEngine, Workload, WALK_BYTES,
 };
@@ -101,7 +101,8 @@ pub struct IterativeSim<'g> {
     wl: Workload,
     ssd: Ssd,
     rng: Xoshiro256pp,
-    tracer: Tracer,
+    /// The run's recorders; only spans are ever enabled here.
+    probe: Probe,
 }
 
 impl<'g> IterativeSim<'g> {
@@ -147,14 +148,14 @@ impl<'g> IterativeSim<'g> {
             wl: Workload::paper_default(0),
             ssd: Ssd::new(ssd_cfg, static_blocks),
             rng: Xoshiro256pp::new(seed),
-            tracer: Tracer::disabled(),
+            probe: Probe::default(),
         }
     }
 
     /// Enable span tracing on the iteration loop and the underlying SSD;
     /// derived views land in [`IterReport::trace`].
     pub fn with_span_trace(mut self, cfg: TraceConfig) -> Self {
-        self.tracer = Tracer::enabled(cfg);
+        self.probe.enable_trace(cfg);
         self.ssd.enable_span_trace(cfg);
         self
     }
@@ -218,8 +219,8 @@ impl<'g> IterativeSim<'g> {
                 let pages = &self.placements[b].pages;
                 let num_pages = pages.len() as u64;
                 let done = self.ssd.host_read_pages(now, pages);
-                self.tracer
-                    .span_bytes("iter.load", b as u32, now, done, num_pages * page_bytes);
+                let bytes = num_pages * page_bytes;
+                self.probe.span("iter.load", b as u32, now, done, bytes);
                 breakdown.load_graph += done - now;
                 now = done;
 
@@ -239,7 +240,7 @@ impl<'g> IterativeSim<'g> {
                 }
                 hops += batch_hops;
                 let cpu = Duration::nanos(batch_hops * self.cfg.cpu_ns_per_hop);
-                self.tracer.span("iter.update", b as u32, now, now + cpu);
+                self.probe.span("iter.update", b as u32, now, now + cpu, 0);
                 breakdown.update_walks += cpu;
                 now += cpu;
             }
@@ -257,13 +258,8 @@ impl<'g> IterativeSim<'g> {
             }
             if !batch_lpns.is_empty() {
                 let end = self.ssd.host_write_lpns(now, &batch_lpns);
-                self.tracer.span_bytes(
-                    "iter.walk_io",
-                    iterations,
-                    now,
-                    end,
-                    batch_lpns.len() as u64 * page_bytes,
-                );
+                let bytes = batch_lpns.len() as u64 * page_bytes;
+                self.probe.span("iter.walk_io", iterations, now, end, bytes);
                 breakdown.walk_io += end - now;
                 now = end;
             }
@@ -273,9 +269,7 @@ impl<'g> IterativeSim<'g> {
             );
         }
 
-        let ssd_tracer = self.ssd.take_tracer();
-        self.tracer.merge(&ssd_tracer);
-        let span_trace = self.tracer.finish(now);
+        let (span_trace, _, _) = self.probe.finish(now, &[self.ssd.take_tracer()]);
 
         let s = *self.ssd.stats();
         let cfgp = *self.ssd.config();
