@@ -441,6 +441,48 @@ fn heavy_fault_journeys_surface_retry_and_stall_segments() {
     );
 }
 
+#[test]
+fn recovery_rereads_show_their_retry_time_in_journeys() {
+    // Every read fails its ladder, so every graph-page read stalls in
+    // recovery, and the one re-issued read also runs its ladder dry. That
+    // re-read's retry time lies inside the stall and must be recorded as
+    // an ECC retry, as GraphWalker's host recovery records it.
+    let (csr, pg) = small_setup(1000, 8_000, 5_000);
+    let profile = fw_fault::FaultProfile {
+        read_error_ppm: 1_000_000,
+        retry_success_pct: 0,
+        max_read_retries: 2,
+        max_load_attempts: 2,
+        retry_backoff: Duration::micros(1),
+        load_timeout: Duration::secs(1),
+        ..fw_fault::FaultProfile::none()
+    };
+    let r = FlashWalkerSim::new(&csr, &pg, AccelConfig::scaled(), SsdConfig::tiny(), 99)
+        .with_faults(profile)
+        .with_journeys(fw_sim::JourneyConfig {
+            seed: 7,
+            sample_period: 1,
+            max_walks: usize::MAX,
+        })
+        .run_detailed(Workload::paper_default(1_000));
+    assert!(r.faults.unwrap().hard_read_fails > 0);
+    let j = r.journeys.expect("journeys on");
+    let (mut stalls, mut covered) = (0, 0);
+    for w in &j.walks {
+        let of = |k| w.events.iter().filter(move |e| e.kind == k);
+        for s in of(fw_sim::JourneyEventKind::Stall) {
+            stalls += 1;
+            let inside = |e: &&fw_sim::JourneyEvent| s.start < e.start && e.end <= s.end;
+            covered += usize::from(of(fw_sim::JourneyEventKind::EccRetry).any(|e| inside(&e)));
+        }
+    }
+    assert!(stalls > 0, "every graph-page read hard-fails");
+    assert_eq!(
+        covered, stalls,
+        "a recovery stall without its re-read's retry time"
+    );
+}
+
 /// Field-by-field equality of two reports.
 fn assert_same_report(a: &FwReport, b: &FwReport, ctx: &str) {
     assert_eq!(a.time, b.time, "{ctx}: time");
