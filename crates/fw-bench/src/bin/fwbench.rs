@@ -6,9 +6,8 @@
 //! The subcommands and their flags are listed in the `USAGE` text, which
 //! `fwbench` prints when run without arguments.
 //!
-//! Each subcommand takes exactly the arguments listed; any other `--flag`
-//! or a surplus positional exits 2 naming it, and a removed flag also
-//! says why it went. DATASET is one of TT, FS, CW, R2B, R8B (default TT);
+//! Each subcommand takes exactly the arguments listed; any other `--flag`,
+//! a surplus positional or an unknown subcommand exits 2 naming it. DATASET is one of TT, FS, CW, R2B, R8B (default TT);
 //! LIST is a comma-separated list of them (default all five).
 //!
 //! `run` defaults: the `ci` suite, 3 seeds, label = suite name, output
@@ -146,32 +145,6 @@ fn usage_error(cmd: &str, msg: &str) -> ExitCode {
     usage()
 }
 
-/// Why `--rng` and `--threads` went from `run` and `trace`.
-const ONE_LOOP: &str = "every engine run is one sequential event loop with one walk RNG";
-
-/// Removed flags, each with the reason it went: `(subcommand, flag,
-/// reason)`. The removed `hostperf` subcommand is refused in `main`.
-const REMOVED: &[(&str, &str, &str)] = &[
-    ("run", "--rng", ONE_LOOP),
-    (
-        "run",
-        "--wall",
-        "records hold only simulated numbers; host time is measured by the bench/ package",
-    ),
-    (
-        "compare",
-        "--allow-journey-mismatch",
-        "journeys are an observer key: a journey/plain mismatch is printed and never refuses",
-    ),
-    (
-        "serve",
-        "--threads",
-        "each serving scenario is one sequential simulation with no worker threads to set",
-    ),
-    ("trace", "--threads", ONE_LOOP),
-    ("trace", "--rng", ONE_LOOP),
-];
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, args)) = args.split_first() else {
@@ -202,14 +175,7 @@ fn main() -> ExitCode {
         "smoke" => print_report(smoke(args)),
         "trace" => print_report(trace(args)),
         "diag" => print_report(diag(args)),
-        "hostperf" => {
-            eprintln!(
-                "fwbench: hostperf was removed: host time is measured by the bench/ package \
-                 (EXPERIMENTS.md \"Host performance\")"
-            );
-            usage()
-        }
-        _ => usage(),
+        _ => usage_error(cmd, "unknown subcommand"),
     }
 }
 
@@ -231,12 +197,7 @@ fn parse_args<'a>(
     valued: &[&str],
     switches: &[&str],
 ) -> Result<Args<'a>, ExitCode> {
-    let removed: Vec<(&str, &str)> = REMOVED
-        .iter()
-        .filter(|(c, _, _)| *c == cmd)
-        .map(|&(_, f, why)| (f, why))
-        .collect();
-    Args::parse(args, positionals, valued, switches, &removed).map_err(|e| usage_error(cmd, &e))
+    Args::parse(args, positionals, valued, switches).map_err(|e| usage_error(cmd, &e))
 }
 
 /// The value of flag `flag`, which must be a positive integer, or

@@ -3,7 +3,7 @@
 //! A command declares the positional count it takes, its valued flags
 //! and its switches. Anything else is a usage error naming the argument:
 //! ignoring it would run a different experiment than the command line
-//! asks for. A removed flag also says why it went.
+//! asks for.
 
 use std::ops::RangeInclusive;
 
@@ -19,15 +19,13 @@ pub struct Args<'a> {
 impl<'a> Args<'a> {
     /// Split `args` into positionals (their count must lie in
     /// `positionals`), `valued` flags with their values and `switches`.
-    /// `removed` pairs a flag that is gone with the reason it went. The
-    /// error is a one-line message for the caller to print before its
+    /// The error is a one-line message for the caller to print before its
     /// usage text (exit 2).
     pub fn parse(
         args: &'a [String],
         positionals: RangeInclusive<usize>,
         valued: &[&str],
         switches: &[&str],
-        removed: &[(&str, &str)],
     ) -> Result<Args<'a>, String> {
         let mut out = Args {
             positional: Vec::new(),
@@ -44,10 +42,7 @@ impl<'a> Args<'a> {
             } else if switches.contains(&a) {
                 out.switches.push(a);
             } else {
-                return Err(match removed.iter().find(|(f, _)| *f == a) {
-                    Some((_, why)) => format!("{a} was removed: {why}"),
-                    None => format!("unknown flag {a}"),
-                });
+                return Err(format!("unknown flag {a}"));
             }
         }
         let (n, min) = (out.positional.len(), *positionals.start());
