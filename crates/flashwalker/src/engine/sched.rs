@@ -88,12 +88,8 @@ impl FlashWalkerSim<'_> {
         let image = Arc::clone(&self.image);
         let mut array_done = now;
         for &ppa in &image.placements[sg as usize].pages {
-            let (r, fault) = self.ssd.array_read_checked(now, ppa);
-            let mut end = r.end;
-            if fault.extra.as_nanos() > 0 {
-                self.probe.segment(EccRetry, chip, end - fault.extra, end);
-            }
-            if fault.hard_fail {
+            let (mut end, hard_fail) = self.array_read_recorded(now, ppa, chip);
+            if hard_fail {
                 let recovered = self.recover_page_read(ppa, end, chip);
                 self.probe.segment(Stall, chip, end, recovered);
                 end = recovered;
@@ -166,29 +162,43 @@ impl FlashWalkerSim<'_> {
         walks
     }
 
+    /// One array read of `ppa` from `at`. Its retry-ladder time goes to
+    /// the probe as an ECC-retry segment on `chip`. Returns the read's
+    /// end and whether the ladder ran dry.
+    fn array_read_recorded(&mut self, at: SimTime, ppa: Ppa, chip: u32) -> (SimTime, bool) {
+        let (r, fault) = self.ssd.array_read_checked(at, ppa);
+        if fault.extra.as_nanos() > 0 {
+            self.probe
+                .segment(EccRetry, chip, r.end - fault.extra, r.end);
+        }
+        (r.end, fault.hard_fail)
+    }
+
     /// Recovery path for a chip-private page read whose ECC ladder was
     /// exhausted: re-issue the read from the mapping table with
     /// exponential backoff up to the profile's attempt budget, then
-    /// degrade to the conventional controller-path read, whose stronger
-    /// soft decode always recovers. Returns when the page is resident.
-    /// Retry-ladder time spent by the re-issued reads goes to the probe
+    /// degrade to the conventional controller-path read (array read,
+    /// then channel transfer), whose stronger soft decode always
+    /// recovers. Returns when the page is resident. Every re-read's
+    /// retry-ladder time, the degraded read's included, goes to the probe
     /// as segments on `chip`, as the first read's does.
     pub(super) fn recover_page_read(&mut self, ppa: Ppa, failed_at: SimTime, chip: u32) -> SimTime {
         let mut end = failed_at;
         for attempt in 0..self.faults.max_load_attempts.saturating_sub(1) {
             self.stats.load_requeues += 1;
             let backoff = Duration::nanos(self.faults.retry_backoff.as_nanos() << attempt);
-            let (r, fault) = self.ssd.array_read_checked(end + backoff, ppa);
-            end = r.end;
-            if fault.extra.as_nanos() > 0 {
-                self.probe.segment(EccRetry, chip, end - fault.extra, end);
-            }
-            if !fault.hard_fail {
+            let (read_end, hard_fail) = self.array_read_recorded(end + backoff, ppa, chip);
+            end = read_end;
+            if !hard_fail {
                 return end;
             }
         }
         self.stats.degraded_loads += 1;
-        self.ssd.read_page_to_controller(end, ppa).end
+        let (read_end, _) = self.array_read_recorded(end, ppa, chip);
+        let page_bytes = self.ssd.config().geometry.page_bytes;
+        self.ssd
+            .channel_transfer(read_end, ppa.channel, page_bytes)
+            .end
     }
 }
 
