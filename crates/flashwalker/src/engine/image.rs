@@ -289,7 +289,7 @@ impl PartitionImage {
             let mut by_indeg: Vec<SgId> = range
                 .filter(|&sg| !pg.subgraphs[sg as usize].is_dense())
                 .collect();
-            by_indeg.sort_by_key(|&sg| std::cmp::Reverse(pg.subgraphs[sg as usize].in_degree));
+            by_indeg.sort_by_key(|&sg| std::cmp::Reverse(pg.in_degree(sg)));
             board_hot = by_indeg.iter().copied().take(board_k).collect();
             for &sg in &by_indeg {
                 let hot = &mut per_chan[placements[sg as usize].channel as usize];

@@ -4,6 +4,7 @@
 //! drain/switch sequence that moves the device to the next partition with
 //! work.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use fw_sim::JourneyEventKind::Enqueue;
@@ -82,19 +83,29 @@ impl FlashWalkerSim<'_> {
     /// partition group.
     pub(super) fn flush_foreign_page(&mut self, walks: Vec<TWalk>, now: SimTime, charge: bool) {
         debug_assert!(!walks.is_empty());
-        // Group by destination partition: one page per partition group.
-        let mut groups: std::collections::BTreeMap<u32, Vec<TWalk>> = Default::default();
+        let mut groups: BTreeMap<u32, Vec<TWalk>> = BTreeMap::new();
         for tw in walks {
-            debug_assert!(
-                self.tag_holds_walk(&tw),
-                "foreigner walk {} tagged {}",
-                tw.walk.id,
-                tw.tag
-            );
-            let p = self.pg.partition_of(tw.tag);
-            groups.entry(p).or_default().push(tw);
+            groups
+                .entry(self.pg.partition_of(tw.tag))
+                .or_default()
+                .push(tw);
         }
+        self.write_foreign_groups(groups, now, charge);
+    }
+
+    /// Write foreigner walks grouped by destination partition to flash,
+    /// one page per group, in partition order.
+    fn write_foreign_groups(
+        &mut self,
+        groups: BTreeMap<u32, Vec<TWalk>>,
+        now: SimTime,
+        charge: bool,
+    ) {
         for (p, g) in groups {
+            debug_assert!(
+                g.iter().all(|tw| self.tag_holds_walk(tw)),
+                "foreigner walk for partition {p} with a stale tag"
+            );
             let lpn = self.alloc_lpn();
             if charge {
                 self.ssd.ftl_write_page(now, lpn);
@@ -178,25 +189,25 @@ impl FlashWalkerSim<'_> {
     }
 
     /// Distribute the initial walk population (uncharged, like the
-    /// paper's excluded preprocessing): current-partition walks into the
-    /// PWB, the rest into foreigner pages.
+    /// paper's excluded preprocessing) as it is drawn: current-partition
+    /// walks into the PWB, the rest straight into their destination
+    /// partition's foreigner group, so no walk is held twice.
     pub(super) fn distribute_initial_walks(&mut self) {
         let walks = self.wl.init_walks(self.csr, self.rng.next_u64());
-        let mut foreign_buf: Vec<TWalk> = Vec::new();
+        let mut foreign: BTreeMap<u32, Vec<TWalk>> = BTreeMap::new();
         for w in walks {
             let tw = TWalk {
                 walk: w,
                 tag: self.true_dest(w.cur),
             };
-            if self.pg.partition_of(tw.tag) == self.current_partition {
+            let p = self.pg.partition_of(tw.tag);
+            if p == self.current_partition {
                 self.pwb_insert(tw, SimTime::ZERO, false);
             } else {
-                foreign_buf.push(tw);
+                foreign.entry(p).or_default().push(tw);
             }
         }
-        if !foreign_buf.is_empty() {
-            self.flush_foreign_page(foreign_buf, SimTime::ZERO, false);
-        }
+        self.write_foreign_groups(foreign, SimTime::ZERO, false);
         self.refresh_filled_scores();
     }
 }

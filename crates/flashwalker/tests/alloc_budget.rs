@@ -1,8 +1,10 @@
-//! Heap budgets of one FlashWalker run on a prebuilt [`FlashImage`]:
-//! allocation counts and peak live heap bytes. Both are deterministic, so
-//! this gates the host cost of a run's device state with no wall-clock
-//! noise. The test binary installs a global allocator that counts per
-//! thread, so the test harness's own threads do not disturb the counts.
+//! Heap budgets: allocation counts and peak live heap bytes of one
+//! FlashWalker run on a prebuilt [`FlashImage`], and the bytes the graph,
+//! its partitioning, GraphWalker's engines and a run's initial walk
+//! distribution hold per vertex, edge and walk. All are deterministic, so
+//! this gates host memory with no wall-clock or RSS noise. The test binary
+//! installs a global allocator that counts per thread, so the test
+//! harness's own threads do not disturb the counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -10,8 +12,10 @@ use std::sync::Arc;
 
 use flashwalker::{AccelConfig, FlashImage, FlashWalkerSim};
 use fw_graph::datasets::{Dataset, DatasetId};
+use fw_graph::{DenseVertexMeta, GraphBlocks, PartitionConfig, Subgraph};
 use fw_nand::{Ssd, SsdConfig};
-use fw_walk::{WalkEngine, Workload};
+use fw_walk::{Walk, WalkEngine, Workload};
+use graphwalker::{GraphWalkerSim, GwConfig, IterativeSim};
 
 /// Counts every allocation and reallocation made by the current thread,
 /// and tracks the thread's live and peak requested bytes.
@@ -79,10 +83,17 @@ fn allocs<T>(f: impl FnOnce() -> T) -> (u64, T) {
 /// Peak live heap bytes this thread held while running `f`, above what it
 /// held when `f` started.
 fn peak_heap<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    peak_and_kept(f).0
+}
+
+/// [`peak_heap`], plus the live heap bytes `f` left allocated (what its
+/// result holds).
+fn peak_and_kept<T>(f: impl FnOnce() -> T) -> ((u64, T), u64) {
     let base = LIVE.with(Cell::get);
     PEAK.with(|p| p.set(base));
     let out = f();
-    ((PEAK.with(Cell::get) - base) as u64, out)
+    let kept = LIVE.with(Cell::get) - base;
+    (((PEAK.with(Cell::get) - base) as u64, out), kept as u64)
 }
 
 #[test]
@@ -153,4 +164,127 @@ fn allocation_budgets() {
         peak <= 16_767_344 * 70 / 100,
         "{peak} B peak heap for a {walks}-walk run"
     );
+}
+
+/// Peak heap bytes per walk that `run` holds beyond its fixed cost: the
+/// difference of its peaks at `2n` and `n` walks, over `n`.
+fn heap_per_walk(n: u64, run: impl Fn(u64) -> u64) -> f64 {
+    (run(2 * n) as f64 - run(n) as f64) / n as f64
+}
+
+/// Host memory of one graph on an R2B stand-in: the CSR holds 4 B per
+/// vertex and per edge, FlashWalker's partitioning adds one `u32` per
+/// vertex and no temporary, GraphWalker's engines add nothing per vertex,
+/// and a run's initial distribution never holds the walk population
+/// twice.
+#[test]
+fn host_memory_per_vertex_and_walk() {
+    let ((peak, ds), kept) = peak_and_kept(|| Dataset::generate(DatasetId::Rmat2B, 42));
+    let g = &ds.csr;
+    let (nv, ne) = (g.num_vertices() as u64, g.num_edges());
+    println!("R2B: {nv} vertices, {ne} edges; generation peak {peak} B, CSR {kept} B");
+    assert_eq!(
+        kept,
+        4 * (nv + 1) + 4 * ne,
+        "CSR bytes: u32 offsets and ids"
+    );
+
+    // Partitioning: the location table is its only per-vertex array, and
+    // it builds nothing per vertex it does not keep.
+    let ((peak, pg), kept) =
+        peak_and_kept(|| ds.partition(AccelConfig::scaled().mapping_table_entries()));
+    // Per-subgraph lists: a subgraph and its in-degree, a dense vertex's
+    // metadata, each with room for vector growth.
+    let per_subgraph = std::mem::size_of::<Subgraph>() as u64 + 8;
+    let lists = 2 * per_subgraph * pg.num_subgraphs() as u64
+        + 2 * std::mem::size_of::<DenseVertexMeta>() as u64 * pg.dense.len() as u64;
+    println!(
+        "PartitionedGraph::build: peak {peak} B, keeps {kept} B ({} subgraphs)",
+        pg.num_subgraphs()
+    );
+    assert!(
+        kept <= 4 * nv + lists,
+        "partitioned graph keeps {kept} B: more than one u32 per vertex"
+    );
+    assert!(
+        peak - kept < nv,
+        "PartitionedGraph::build peaks {} B above what it keeps",
+        peak - kept
+    );
+
+    // GraphWalker's block packing and both host engines hold nothing per
+    // vertex: what they hold beyond the SSD model is per block and per
+    // flash page (the blocks' page lists, about 99 KB here), under one
+    // byte per vertex on this graph. A location table alone is 4 B per
+    // vertex.
+    let gw = GwConfig::scaled();
+    let (peak, blocks) = peak_heap(|| {
+        GraphBlocks::pack(
+            g,
+            PartitionConfig {
+                subgraph_bytes: gw.block_bytes,
+                id_bytes: 4,
+                subgraphs_per_partition: u32::MAX,
+            },
+        )
+    });
+    println!(
+        "GraphBlocks::pack: peak {peak} B, {} blocks",
+        blocks.num_subgraphs()
+    );
+    assert!(peak < nv, "GraphBlocks::pack peaks at {peak} B");
+    let ssd = SsdConfig::scaled();
+    let (ssd_peak, _) = peak_heap(|| Ssd::new(ssd, 4));
+    let (gw_peak, _) = peak_heap(|| GraphWalkerSim::new(g, 4, gw, ssd, 42));
+    let (iter_peak, _) = peak_heap(|| IterativeSim::new(g, 4, gw, ssd, 42));
+    println!("Ssd::new peak {ssd_peak} B, GraphWalkerSim::new {gw_peak} B, IterativeSim::new {iter_peak} B");
+    for (engine, peak) in [("GraphWalkerSim", gw_peak), ("IterativeSim", iter_peak)] {
+        assert!(
+            peak.saturating_sub(ssd_peak) < nv,
+            "{engine}::new peaks {peak} B, {ssd_peak} B of it the SSD model"
+        );
+    }
+
+    // Initial distribution: every walk starts at one regular vertex of the
+    // first partition and stops at its first step. A `Walk` is 16 B, so
+    // holding the population twice costs 32 B a walk. GraphWalker's
+    // engines peak at the distribution, one walk record a walk.
+    // FlashWalker peaks at the one subgraph load that gathers every walk,
+    // as 20-byte tagged walks, while the last growth of the gathering
+    // vector overlaps the spill pages not yet read (about 30 B a walk).
+    let walk = std::mem::size_of::<Walk>() as f64;
+    let src = (0..g.num_vertices())
+        .find(|&v| pg.find_dense(v).is_none() && pg.partition_of(pg.subgraph_of(v).unwrap()) == 0)
+        .expect("a regular vertex in partition 0");
+    let wl = |n| Workload::ppr(n, src, 1.0, 1);
+    let image = Arc::new(FlashImage::new(&pg, AccelConfig::scaled(), ssd));
+    let n = 1 << 16;
+    let per_walk = [
+        (
+            "FlashWalker",
+            heap_per_walk(n, |n| {
+                peak_heap(|| FlashWalkerSim::from_image(g, &pg, Arc::clone(&image), 42).run(wl(n)))
+                    .0
+            }),
+        ),
+        (
+            "GraphWalker",
+            heap_per_walk(n, |n| {
+                peak_heap(|| GraphWalkerSim::new(g, 4, gw, ssd, 42).run(wl(n))).0
+            }),
+        ),
+        (
+            "iterative",
+            heap_per_walk(n, |n| {
+                peak_heap(|| IterativeSim::new(g, 4, gw, ssd, 42).run(wl(n))).0
+            }),
+        ),
+    ];
+    println!("initial distribution, peak heap per walk: {per_walk:?}");
+    for (engine, bytes) in per_walk {
+        assert!(
+            bytes < 2.0 * walk,
+            "{engine}: {bytes:.1} B per walk at peak, the population held twice"
+        );
+    }
 }

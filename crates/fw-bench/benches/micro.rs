@@ -20,7 +20,7 @@ use flashwalker::tables::WalkQueryCache;
 use fw_dram::{Dram, DramConfig, DramOp};
 use fw_graph::partition::PartitionConfig;
 use fw_graph::rmat::{generate_csr, RmatParams};
-use fw_graph::{PartitionedGraph, RangeTable, SubgraphMappingTable};
+use fw_graph::{GraphBlocks, PartitionedGraph, RangeTable, SubgraphMappingTable};
 use fw_nand::{Ftl, SsdConfig};
 use fw_sim::{Duration, EventQueue, HeapEventQueue, SimTime, Timeline, Xoshiro256pp};
 use fw_walk::{sample_biased, sample_unbiased};
@@ -49,34 +49,39 @@ fn bench<R>(name: &str, iters: u64, mut f: impl FnMut() -> R) {
     println!("{name:<32} {ns:>12.1} ns/op   ({iters} iters)");
 }
 
-fn setup_tables() -> (PartitionedGraph, SubgraphMappingTable, RangeTable) {
+fn setup_tables() -> (
+    PartitionedGraph,
+    GraphBlocks,
+    SubgraphMappingTable,
+    RangeTable,
+) {
     let csr = generate_csr(RmatParams::graph500(), 50_000, 1_000_000, 3);
-    let pg = PartitionedGraph::build(
-        &csr,
-        PartitionConfig {
-            subgraph_bytes: 16 << 10,
-            id_bytes: 4,
-            subgraphs_per_partition: 10_000,
-        },
-    );
+    let config = PartitionConfig {
+        subgraph_bytes: 16 << 10,
+        id_bytes: 4,
+        subgraphs_per_partition: 10_000,
+    };
+    let pg = PartitionedGraph::build(&csr, config);
+    let blocks = GraphBlocks::pack(&csr, config);
     let table = SubgraphMappingTable::build(&pg);
     let ranges = RangeTable::build(&table, 16);
-    (pg, table, ranges)
+    (pg, blocks, table, ranges)
 }
 
 fn bench_mapping() {
-    let (pg, table, ranges) = setup_tables();
-    // O(1) flat vertex→subgraph table vs the binary-search reference it
-    // replaced on the host hot path (same answers; see partition.rs).
+    let (pg, blocks, table, ranges) = setup_tables();
+    // FlashWalker's O(1) flat vertex→location table vs the binary search
+    // over block low vertices that GraphWalker's engines use (same
+    // answers; see partition.rs).
     let mut rngf = Xoshiro256pp::new(1);
     bench("vertex_lookup_flat", iters(200_000), || {
         let v = rngf.next_below(50_000) as u32;
-        pg.subgraph_of(black_box(v))
+        pg.vloc(black_box(v))
     });
     let mut rngs = Xoshiro256pp::new(1);
     bench("vertex_lookup_search", iters(200_000), || {
         let v = rngs.next_below(50_000) as u32;
-        pg.subgraph_of_search(black_box(v))
+        blocks.loc(black_box(v))
     });
     let mut rng = Xoshiro256pp::new(1);
     bench("mapping_table_full_lookup", iters(200_000), || {

@@ -10,14 +10,15 @@ use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-use crate::csr::{Csr, VertexId};
+use crate::csr::{Csr, VertexId, MAX_EDGES};
 
 /// Magic bytes of the binary CSR container.
 const MAGIC: &[u8; 8] = b"FWCSR\x01\0\0";
 
 /// Parse a whitespace-separated edge list from a reader. Vertex IDs may
 /// be any `u32`; the vertex count is `max id + 1` unless `num_vertices`
-/// forces a larger space.
+/// forces a larger space. More than [`MAX_EDGES`] edges is
+/// `InvalidData`.
 pub fn read_edge_list<R: BufRead>(reader: R, num_vertices: Option<u32>) -> io::Result<Csr> {
     let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
     let mut max_v: u32 = 0;
@@ -36,12 +37,35 @@ pub fn read_edge_list<R: BufRead>(reader: R, num_vertices: Option<u32>) -> io::R
         let u = parse(it.next())?;
         let v = parse(it.next())?;
         max_v = max_v.max(u).max(v);
+        check_edge_count(edges.len() as u64 + 1)?;
         edges.push((u, v));
     }
     let n = num_vertices
         .unwrap_or(max_v.saturating_add(1))
         .max(max_v.saturating_add(1));
     Ok(Csr::from_edges(n, &edges))
+}
+
+/// `InvalidData` unless `edges` fit a [`Csr`]'s `u32` offsets.
+fn check_edge_count(edges: u64) -> io::Result<()> {
+    if edges > MAX_EDGES {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("{edges} edges do not fit u32 offsets (at most {MAX_EDGES})"),
+        ));
+    }
+    Ok(())
+}
+
+/// Make room in `v` for the next of `total` entries read from a header
+/// count. Capacity at most doubles and never passes `total`, so a header
+/// that claims more entries than the input holds fails at the read, not
+/// at a huge allocation.
+fn reserve_next<T>(v: &mut Vec<T>, total: u64) {
+    if v.len() == v.capacity() {
+        let step = (v.len() as u64).max(1 << 16).min(total - v.len() as u64);
+        v.reserve_exact(step as usize);
+    }
 }
 
 fn bad_line(lineno: usize) -> io::Error {
@@ -94,7 +118,9 @@ pub fn write_csr<W: Write>(csr: &Csr, mut w: W) -> io::Result<()> {
     Ok(())
 }
 
-/// Deserialize a CSR written by [`write_csr`].
+/// Deserialize a CSR written by [`write_csr`]. A header claiming more
+/// than [`MAX_EDGES`] edges is `InvalidData`, before anything is
+/// allocated.
 pub fn read_csr<R: Read>(mut r: R) -> io::Result<Csr> {
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
@@ -110,26 +136,32 @@ pub fn read_csr<R: Read>(mut r: R) -> io::Result<Csr> {
     let nv = u32::from_le_bytes(b4);
     r.read_exact(&mut b8)?;
     let ne = u64::from_le_bytes(b8);
-    let mut offsets = Vec::with_capacity(nv as usize + 1);
+    check_edge_count(ne)?;
+    let corrupt = || io::Error::new(io::ErrorKind::InvalidData, "corrupt FWCSR payload");
+    let mut offsets: Vec<u32> = Vec::new();
     for _ in 0..=nv {
+        reserve_next(&mut offsets, nv as u64 + 1);
         r.read_exact(&mut b8)?;
-        offsets.push(u64::from_le_bytes(b8));
+        // At most `ne`, so it fits `u32`.
+        let off = u64::from_le_bytes(b8);
+        if off > ne {
+            return Err(corrupt());
+        }
+        offsets.push(off as u32);
     }
-    let mut edges = Vec::with_capacity(ne as usize);
+    let mut edges = Vec::new();
     for _ in 0..ne {
+        reserve_next(&mut edges, ne);
         r.read_exact(&mut b4)?;
         edges.push(u32::from_le_bytes(b4));
     }
     // Validate the offsets invariant before constructing.
     if offsets.first() != Some(&0)
-        || offsets.last() != Some(&ne)
+        || offsets.last().map(|&o| o as u64) != Some(ne)
         || offsets.windows(2).any(|w| w[0] > w[1])
         || edges.iter().any(|&e| e >= nv)
     {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "corrupt FWCSR payload",
-        ));
+        return Err(corrupt());
     }
     Ok(Csr::from_parts(offsets, edges))
 }
@@ -207,5 +239,46 @@ mod tests {
         let n = oob.len();
         oob[n - 4..].copy_from_slice(&10_000u32.to_le_bytes());
         assert!(read_csr(Cursor::new(&oob)).is_err());
+    }
+
+    /// FWCSR header: magic, |V|, |E|.
+    fn header(nv: u32, ne: u64) -> Vec<u8> {
+        let mut b = MAGIC.to_vec();
+        b.extend(nv.to_le_bytes());
+        b.extend(ne.to_le_bytes());
+        b
+    }
+
+    #[test]
+    fn binary_reader_rejects_edge_counts_past_u32_offsets() {
+        // |V| = 10 and 11 zero offsets, then a claim of 2^40 edges: refused
+        // as data before any allocation is sized from it.
+        let mut buf = header(10, 1 << 40);
+        buf.extend([0u8; 11 * 8]);
+        let err = read_csr(Cursor::new(&buf)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        // The largest count that fits still parses the header, and a file
+        // that does not hold that many edges ends in a short read.
+        let mut buf = header(10, MAX_EDGES);
+        buf.extend([0u8; 11 * 8]);
+        let err = read_csr(Cursor::new(&buf)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+        // An offset past |E| is corrupt.
+        let mut buf = header(1, 0);
+        buf.extend(0u64.to_le_bytes());
+        buf.extend(1u64.to_le_bytes());
+        let err = read_csr(Cursor::new(&buf)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
+
+    /// A text list of 2^32 edges is too large to feed a test, so this
+    /// checks the guard `read_edge_list` applies before every edge it
+    /// keeps, at the boundary.
+    #[test]
+    fn text_reader_refuses_edges_past_u32_offsets() {
+        assert!(check_edge_count(MAX_EDGES).is_ok());
+        let err = check_edge_count(MAX_EDGES + 1).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("4294967296 edges"), "{err}");
     }
 }

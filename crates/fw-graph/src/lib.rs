@@ -28,5 +28,7 @@ pub mod rmat;
 pub use csr::{Csr, VertexId};
 pub use datasets::{Dataset, DatasetId};
 pub use mapping::{RangeTable, SubgraphMappingTable};
-pub use partition::{DenseVertexMeta, PartitionConfig, PartitionedGraph, Subgraph, DENSE_BIT};
+pub use partition::{
+    DenseVertexMeta, GraphBlocks, PartitionConfig, PartitionedGraph, Subgraph, DENSE_BIT,
+};
 pub use rmat::RmatParams;

@@ -12,6 +12,11 @@
 //!
 //! Subgraph IDs are dense and ordered by vertex range, so *graph
 //! partitions* are simply consecutive runs of subgraph IDs.
+//!
+//! [`GraphBlocks`] is the packing alone, with nothing per vertex; it
+//! locates a vertex by binary search. [`PartitionedGraph`], FlashWalker's
+//! view, adds each subgraph's in-degree and a per-vertex location table
+//! for O(1) lookups.
 
 use crate::csr::{Csr, VertexId};
 
@@ -69,9 +74,6 @@ pub struct Subgraph {
     pub edge_start: u64,
     /// Edges stored in the block.
     pub num_edges: u64,
-    /// Sum of in-degrees of the block's vertices — the hot-subgraph
-    /// ranking key ("subgraphs whose in-degree are top K").
-    pub in_degree: u64,
     /// Present iff this block is a slice of a dense vertex.
     pub dense: Option<DenseSlice>,
 }
@@ -109,38 +111,34 @@ pub struct DenseVertexMeta {
     pub total_degree: u64,
 }
 
-/// Tag bit in a [`PartitionedGraph::vloc`] code marking a dense vertex;
-/// the low bits then index `dense` instead of `subgraphs`.
+/// Tag bit in a location code ([`PartitionedGraph::vloc`],
+/// [`GraphBlocks::loc`]) marking a dense vertex; the low bits then index
+/// `dense` instead of `subgraphs`.
 pub const DENSE_BIT: u32 = 1 << 31;
 
-/// The partitioned graph: subgraphs in vertex order plus dense metadata.
+/// A graph packed into graph blocks: subgraphs in vertex order plus dense
+/// metadata, and nothing per vertex. GraphWalker's host engines use it as
+/// is; [`PartitionedGraph`] adds FlashWalker's per-subgraph in-degrees and
+/// per-vertex location table.
 #[derive(Debug, Clone)]
-pub struct PartitionedGraph {
+pub struct GraphBlocks {
     /// All subgraphs, ID order == vertex order.
     pub subgraphs: Vec<Subgraph>,
     /// Dense vertices, sorted by vertex ID.
     pub dense: Vec<DenseVertexMeta>,
     /// Partitioning parameters used.
     pub config: PartitionConfig,
-    /// Flat per-vertex location table: `vloc[v]` is the owning subgraph
-    /// ID, or `DENSE_BIT | i` when `v` is `dense[i]`. Built once here so
-    /// the per-hop lookups ([`Self::subgraph_of`], [`Self::find_dense`],
-    /// [`Self::regular_owner`]) are O(1) instead of binary searches —
-    /// this is untimed host bookkeeping, the *timed* lookup hardware
-    /// stays in [`crate::mapping`].
-    vloc: Vec<u32>,
 }
 
-impl PartitionedGraph {
-    /// Partition a CSR graph into graph blocks.
+impl GraphBlocks {
+    /// Pack a CSR graph into graph blocks in vertex order.
     ///
     /// # Panics
     /// Panics if the block capacity is smaller than two entries.
-    pub fn build(csr: &Csr, config: PartitionConfig) -> PartitionedGraph {
+    pub fn pack(csr: &Csr, config: PartitionConfig) -> GraphBlocks {
         assert!(config.capacity_entries() >= 2, "graph block too small");
         assert!(config.subgraphs_per_partition >= 1);
         let cap = config.capacity_entries();
-        let indeg = csr.in_degrees();
 
         let mut subgraphs: Vec<Subgraph> = Vec::new();
         let mut dense: Vec<DenseVertexMeta> = Vec::new();
@@ -171,9 +169,6 @@ impl PartitionedGraph {
                         high: v,
                         edge_start: csr.edge_start(v) + first_edge_in_vertex,
                         num_edges: take,
-                        // Attribute the vertex's popularity to its first
-                        // slice so hot-subgraph ranking sees it once.
-                        in_degree: if s == 0 { indeg[v as usize] as u64 } else { 0 },
                         dense: Some(DenseSlice {
                             vertex: v,
                             slice_index: s,
@@ -203,7 +198,6 @@ impl PartitionedGraph {
                 Some(sg) => {
                     sg.high = v;
                     sg.num_edges += deg;
-                    sg.in_degree += indeg[v as usize] as u64;
                     open_entries += cost;
                 }
                 None => {
@@ -213,7 +207,6 @@ impl PartitionedGraph {
                         high: v,
                         edge_start: csr.edge_start(v),
                         num_edges: deg,
-                        in_degree: indeg[v as usize] as u64,
                         dense: None,
                     });
                     open_entries = cost;
@@ -237,28 +230,116 @@ impl PartitionedGraph {
             .all(
                 |d| subgraphs[d.first_subgraph as usize].dense.map(|s| s.vertex) == Some(d.vertex)
             ));
-
-        // Flat vertex→location table. Every vertex 0..num_vertices lands
-        // in exactly one regular block or dense meta entry, so the table
-        // is total. Subgraph ids must stay clear of the dense tag bit.
+        // Location codes must keep subgraph ids clear of the dense tag bit.
         assert!(subgraphs.len() < DENSE_BIT as usize, "too many subgraphs");
-        let mut vloc = vec![u32::MAX; csr.num_vertices() as usize];
-        for (i, d) in dense.iter().enumerate() {
-            vloc[d.vertex as usize] = DENSE_BIT | i as u32;
+        GraphBlocks {
+            subgraphs,
+            dense,
+            config,
         }
+    }
+
+    /// Number of subgraphs (graph blocks).
+    pub fn num_subgraphs(&self) -> u32 {
+        self.subgraphs.len() as u32
+    }
+
+    /// `v`'s location code, as [`PartitionedGraph::vloc`] gives it, found
+    /// by binary search over the blocks' low vertices and, for a dense
+    /// vertex, over `dense`. `None` if `v` is not a vertex of the graph.
+    pub fn loc(&self, v: VertexId) -> Option<u32> {
+        let i = self.subgraphs.partition_point(|sg| sg.low <= v);
+        let sg = &self.subgraphs[i.checked_sub(1)?];
+        if v > sg.high {
+            return None;
+        }
+        if sg.dense.is_none() {
+            return Some(sg.id);
+        }
+        let d = self
+            .dense
+            .binary_search_by_key(&v, |d| d.vertex)
+            .expect("a dense slice's vertex has dense metadata");
+        Some(DENSE_BIT | d as u32)
+    }
+}
+
+/// The partitioned graph FlashWalker runs on: subgraphs in vertex order
+/// plus dense metadata, each subgraph's in-degree, and a per-vertex
+/// location table.
+#[derive(Debug, Clone)]
+pub struct PartitionedGraph {
+    /// All subgraphs, ID order == vertex order.
+    pub subgraphs: Vec<Subgraph>,
+    /// Dense vertices, sorted by vertex ID.
+    pub dense: Vec<DenseVertexMeta>,
+    /// Partitioning parameters used.
+    pub config: PartitionConfig,
+    /// `in_degree[sg]`: sum of in-degrees of subgraph `sg`'s vertices,
+    /// the hot-subgraph ranking key ("subgraphs whose in-degree are top
+    /// K"). A dense vertex's in-degree counts once, on its first slice.
+    in_degree: Vec<u64>,
+    /// Flat per-vertex location table: `vloc[v]` is the owning subgraph
+    /// ID, or `DENSE_BIT | i` when `v` is `dense[i]`. Built once here so
+    /// the per-hop lookups ([`Self::subgraph_of`], [`Self::find_dense`],
+    /// [`Self::regular_owner`]) are O(1) instead of binary searches —
+    /// this is untimed host bookkeeping, the *timed* lookup hardware
+    /// stays in [`crate::mapping`].
+    vloc: Vec<u32>,
+}
+
+impl PartitionedGraph {
+    /// Partition a CSR graph into graph blocks ([`GraphBlocks::pack`]),
+    /// then count in-degrees and build the location table in one
+    /// per-vertex buffer. Holds no per-vertex array beyond the table.
+    ///
+    /// # Panics
+    /// Panics if the block capacity is smaller than two entries.
+    pub fn build(csr: &Csr, config: PartitionConfig) -> PartitionedGraph {
+        let GraphBlocks {
+            subgraphs,
+            dense,
+            config,
+        } = GraphBlocks::pack(csr, config);
+
+        // The location table's buffer first counts each vertex's
+        // in-degree in one pass over the edge array (a count is at most
+        // |E|, so it fits a `u32`). Counting through location codes
+        // instead makes every increment wait on a random table read,
+        // about 40% slower on CW. Blocks cover 0..num_vertices in order,
+        // each regular vertex in one block and each dense vertex in a run
+        // of slices, so one pass over the blocks then sums each block's
+        // counts and overwrites them with its location codes.
+        let mut vloc = vec![0u32; csr.num_vertices() as usize];
+        for &dst in csr.edge_slice() {
+            vloc[dst as usize] += 1;
+        }
+        let mut in_degree = Vec::with_capacity(subgraphs.len());
+        let (mut next_vertex, mut next_dense) = (0, 0);
         for sg in &subgraphs {
-            if sg.dense.is_none() {
-                for v in sg.low..=sg.high {
-                    vloc[v as usize] = sg.id;
-                }
+            let first_slice = sg.dense.is_none_or(|slice| slice.slice_index == 0);
+            if !first_slice {
+                in_degree.push(0);
+                continue;
             }
+            debug_assert_eq!(sg.low, next_vertex, "blocks leave a gap");
+            let span = &mut vloc[sg.low as usize..=sg.high as usize];
+            in_degree.push(span.iter().map(|&d| d as u64).sum());
+            if sg.is_dense() {
+                span[0] = DENSE_BIT | next_dense;
+                next_dense += 1;
+            } else {
+                span.fill(sg.id);
+            }
+            next_vertex = sg.high + 1;
         }
-        debug_assert!(vloc.iter().all(|&c| c != u32::MAX), "unplaced vertex");
+        assert_eq!(next_vertex, csr.num_vertices(), "unplaced vertex");
 
         PartitionedGraph {
             subgraphs,
             dense,
             config,
+            in_degree,
             vloc,
         }
     }
@@ -286,6 +367,16 @@ impl PartitionedGraph {
         start..end
     }
 
+    /// Sum of in-degrees of subgraph `sg`'s vertices — the hot-subgraph
+    /// ranking key. A dense vertex's in-degree counts on its first slice
+    /// only, so ranking sees it once.
+    ///
+    /// # Panics
+    /// Panics if `sg` is not a subgraph id.
+    pub fn in_degree(&self, sg: u32) -> u64 {
+        self.in_degree[sg as usize]
+    }
+
     /// `v`'s location code: its owning subgraph id, or [`DENSE_BIT`]` | i`
     /// when `v` is `dense[i]`. Subgraph ids stay below [`DENSE_BIT`], so a
     /// dense code never equals a subgraph id.
@@ -309,7 +400,7 @@ impl PartitionedGraph {
     /// Locate the subgraph containing `v` (data-level ground truth; the
     /// timed binary search lives in [`crate::mapping`]). For dense
     /// vertices this returns the first slice. O(1) via the flat `vloc`
-    /// table; [`Self::subgraph_of_search`] is the reference search.
+    /// table; [`GraphBlocks::loc`] is the reference search.
     pub fn subgraph_of(&self, v: VertexId) -> Option<u32> {
         let &code = self.vloc.get(v as usize)?;
         if code & DENSE_BIT != 0 {
@@ -324,24 +415,6 @@ impl PartitionedGraph {
     pub fn regular_owner(&self, v: VertexId) -> Option<u32> {
         let &code = self.vloc.get(v as usize)?;
         (code & DENSE_BIT == 0).then_some(code)
-    }
-
-    /// Reference binary-search implementation of [`Self::subgraph_of`];
-    /// kept for the equivalence tests and the host microbenches.
-    pub fn subgraph_of_search(&self, v: VertexId) -> Option<u32> {
-        let sgs = &self.subgraphs;
-        // partition_point: first subgraph with low > v.
-        let idx = sgs.partition_point(|sg| sg.low <= v);
-        if idx == 0 {
-            return None;
-        }
-        // Walk back over dense slices sharing the same `low` to the first.
-        let mut i = idx - 1;
-        while i > 0 && sgs[i - 1].low == sgs[i].low {
-            i -= 1;
-        }
-        let sg = &sgs[i];
-        (sg.low <= v && v <= sg.high).then_some(sg.id)
     }
 }
 
@@ -460,50 +533,90 @@ mod tests {
     fn in_degree_totals_match_edge_count() {
         let g = generate_csr(RmatParams::graph500(), 1000, 20_000, 4);
         let p = PartitionedGraph::build(&g, cfg(512));
-        let total: u64 = p.subgraphs.iter().map(|s| s.in_degree).sum();
+        let total: u64 = (0..p.num_subgraphs()).map(|sg| p.in_degree(sg)).sum();
         assert_eq!(total, g.num_edges());
     }
 
-    /// The flat `vloc` table must answer exactly like the reference
-    /// binary search for every vertex (and out-of-range queries), on
-    /// graphs with and without dense vertices.
+    /// Star graphs and small RMAT graphs, several with dense vertices.
+    fn graphs_with_dense_vertices() -> Vec<Csr> {
+        let mut rng = Xoshiro256pp::new(0x1A7);
+        (0..16)
+            .map(|case| {
+                if case % 4 == 0 {
+                    star(50 + case as u32 * 20) // guaranteed dense vertex 0
+                } else {
+                    let nv = 10 + rng.next_below(290) as u32;
+                    let ne = 1 + rng.next_below(2999);
+                    generate_csr(RmatParams::graph500(), nv, ne, rng.next_below(1000))
+                }
+            })
+            .collect()
+    }
+
+    /// Block sizes from 64 B (15-edge dense slices) to 4 KB.
+    const BLOCK_BYTES: [u64; 4] = [64, 256, 1024, 4096];
+
+    /// Each subgraph's in-degree, counted from the location table, equals
+    /// the sum of `Csr::in_degrees` over its vertices; a dense vertex's
+    /// goes to its first slice only.
+    #[test]
+    fn in_degree_equals_csr_in_degrees_over_each_subgraph() {
+        let mut dense_seen = 0;
+        for (case, g) in graphs_with_dense_vertices().iter().enumerate() {
+            let indeg = g.in_degrees();
+            for bytes in BLOCK_BYTES {
+                let p = PartitionedGraph::build(g, cfg(bytes));
+                dense_seen += p.dense.len();
+                for sg in &p.subgraphs {
+                    let expect: u64 = match sg.dense {
+                        Some(slice) if slice.slice_index > 0 => 0,
+                        _ => (sg.low..=sg.high).map(|v| indeg[v as usize] as u64).sum(),
+                    };
+                    assert_eq!(
+                        p.in_degree(sg.id),
+                        expect,
+                        "case {case}, {bytes} B blocks, subgraph {}",
+                        sg.id
+                    );
+                }
+            }
+        }
+        assert!(dense_seen > 0, "no graph had a dense vertex");
+    }
+
+    /// The flat `vloc` table must answer exactly like the binary search
+    /// of [`GraphBlocks::loc`] for every vertex (and out-of-range
+    /// queries), on graphs with and without dense vertices.
     #[test]
     fn flat_lookup_matches_reference_search() {
-        let mut rng = Xoshiro256pp::new(0x1A7);
-        for case in 0..16 {
-            let g = if case % 4 == 0 {
-                star(50 + case as u32 * 20) // guaranteed dense vertex 0
-            } else {
-                let nv = 10 + rng.next_below(290) as u32;
-                let ne = 1 + rng.next_below(2999);
-                generate_csr(RmatParams::graph500(), nv, ne, rng.next_below(1000))
-            };
-            let p = PartitionedGraph::build(&g, cfg(128));
-            for v in 0..g.num_vertices() + 3 {
-                assert_eq!(
-                    p.subgraph_of(v),
-                    p.subgraph_of_search(v),
-                    "case {case} vertex {v}"
-                );
-                let dense_ref = p
-                    .dense
-                    .binary_search_by_key(&v, |d| d.vertex)
-                    .ok()
-                    .map(|i| p.dense[i]);
-                assert_eq!(
-                    p.find_dense(v).copied(),
-                    dense_ref,
-                    "case {case} vertex {v}"
-                );
-                // regular_owner: Some iff non-dense and in range, and then
-                // it is the owning block.
-                match p.regular_owner(v) {
-                    Some(sg) => {
-                        assert!(dense_ref.is_none());
-                        assert_eq!(p.subgraph_of(v), Some(sg));
-                        assert!(!p.subgraphs[sg as usize].is_dense());
+        for (case, g) in graphs_with_dense_vertices().iter().enumerate() {
+            for bytes in BLOCK_BYTES {
+                let p = PartitionedGraph::build(g, cfg(bytes));
+                let blocks = GraphBlocks::pack(g, cfg(bytes));
+                assert_eq!(blocks.dense, p.dense);
+                for v in 0..g.num_vertices() + 3 {
+                    let code = (v < g.num_vertices()).then(|| p.vloc(v));
+                    assert_eq!(blocks.loc(v), code, "case {case} vertex {v}");
+                    let dense_ref = p
+                        .dense
+                        .binary_search_by_key(&v, |d| d.vertex)
+                        .ok()
+                        .map(|i| p.dense[i]);
+                    assert_eq!(
+                        p.find_dense(v).copied(),
+                        dense_ref,
+                        "case {case} vertex {v}"
+                    );
+                    // regular_owner: Some iff non-dense and in range, and then
+                    // it is the owning block.
+                    match p.regular_owner(v) {
+                        Some(sg) => {
+                            assert!(dense_ref.is_none());
+                            assert_eq!(p.subgraph_of(v), Some(sg));
+                            assert!(!p.subgraphs[sg as usize].is_dense());
+                        }
+                        None => assert!(dense_ref.is_some() || v >= g.num_vertices()),
                     }
-                    None => assert!(dense_ref.is_some() || v >= g.num_vertices()),
                 }
             }
         }

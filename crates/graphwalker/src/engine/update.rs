@@ -8,6 +8,7 @@ use fw_walk::workload::WalkEvent;
 use fw_walk::WALK_BYTES;
 
 use super::{GraphWalkerSim, GwRun};
+use crate::blocks::block_of;
 
 impl GraphWalkerSim<'_> {
     /// Asynchronously update every waiting walk of `block` until it
@@ -41,7 +42,7 @@ impl GraphWalkerSim<'_> {
                     }
                     WalkEvent::Moved(next) => {
                         w = next;
-                        let b = Self::block_of_in(&self.blocks, w.cur, &mut wrng);
+                        let b = block_of(&self.blocks, w.cur, &mut wrng);
                         if self.cache.contains(&b) {
                             // Keep updating inside cached blocks, but
                             // account the walk to its block if we stop.

@@ -18,15 +18,15 @@
 //! GraphWalker paper's own result (asynchronous updating wins), and
 //! against FlashWalker the full hierarchy of §II.
 
-use fw_graph::partition::PartitionConfig;
-use fw_graph::{Csr, PartitionedGraph, VertexId};
+use fw_graph::{Csr, GraphBlocks};
 use fw_nand::layout::GraphBlockPlacement;
-use fw_nand::{GraphLayout, Lpn, Ssd, SsdConfig};
+use fw_nand::{Lpn, Ssd, SsdConfig};
 use fw_sim::{Duration, Probe, SimTime, TraceConfig, TraceReport, Xoshiro256pp};
 use fw_walk::{
     EngineBreakdown, RunReport, RunStats, Traffic, Walk, WalkEngine, Workload, WALK_BYTES,
 };
 
+use crate::blocks::{block_of, lay_out};
 use crate::breakdown::TimeBreakdown;
 use crate::config::GwConfig;
 
@@ -95,7 +95,7 @@ impl From<IterReport> for RunReport {
 /// The iteration-synchronous engine.
 pub struct IterativeSim<'g> {
     csr: &'g Csr,
-    blocks: PartitionedGraph,
+    blocks: GraphBlocks,
     placements: Vec<GraphBlockPlacement>,
     cfg: GwConfig,
     wl: Workload,
@@ -112,34 +112,7 @@ impl<'g> IterativeSim<'g> {
     /// CPU cost; its `memory_bytes` is not read, since every iteration
     /// streams each block that holds walks whatever memory holds.
     pub fn new(csr: &'g Csr, id_bytes: u32, cfg: GwConfig, ssd_cfg: SsdConfig, seed: u64) -> Self {
-        let blocks = PartitionedGraph::build(
-            csr,
-            PartitionConfig {
-                subgraph_bytes: cfg.block_bytes,
-                id_bytes,
-                subgraphs_per_partition: u32::MAX,
-            },
-        );
-        let pages_per_block = (cfg.block_bytes / ssd_cfg.geometry.page_bytes).max(1) as u32;
-        let total_pages = blocks.num_subgraphs() as u64 * pages_per_block as u64;
-        let per_plane = total_pages.div_ceil(ssd_cfg.geometry.num_planes() as u64);
-        let static_blocks = (per_plane.div_ceil(ssd_cfg.geometry.pages_per_block as u64) as u32
-            + 1)
-        .min(ssd_cfg.geometry.blocks_per_plane - 4);
-        let mut layout = GraphLayout::new(ssd_cfg.geometry, static_blocks);
-        let placements = blocks
-            .subgraphs
-            .iter()
-            .map(|sg| {
-                let bytes = sg.bytes(id_bytes).max(ssd_cfg.geometry.page_bytes);
-                let pages = bytes.div_ceil(ssd_cfg.geometry.page_bytes) as u32;
-                let mut placement = layout.place_block(0);
-                for _ in 0..pages {
-                    placement.pages.extend(layout.place_block(1).pages);
-                }
-                placement
-            })
-            .collect();
+        let (blocks, placements, static_blocks) = lay_out(csr, id_bytes, &cfg, &ssd_cfg);
         IterativeSim {
             csr,
             blocks,
@@ -158,19 +131,6 @@ impl<'g> IterativeSim<'g> {
         self.probe.enable_trace(cfg);
         self.ssd.enable_span_trace(cfg);
         self
-    }
-
-    fn block_of(&mut self, v: VertexId) -> u32 {
-        match self.blocks.find_dense(v) {
-            Some(meta) => {
-                let meta = *meta;
-                let cap = self.blocks.config.dense_slice_edges();
-                let rnd = self.rng.next_below(meta.total_degree);
-                let idx = ((rnd / cap) as u32).min(meta.num_blocks - 1);
-                meta.first_subgraph + idx
-            }
-            None => self.blocks.subgraph_of(v).expect("vertex outside blocks"),
-        }
     }
 
     /// Run `wl` to completion and return the engine-specific report. The
@@ -192,7 +152,7 @@ impl<'g> IterativeSim<'g> {
         let mut spilled: Vec<Vec<(Lpn, Vec<Walk>)>> = vec![Vec::new(); nblocks];
         let mut next_lpn: Lpn = 0;
         for w in self.wl.init_walks(self.csr, self.rng.next_u64()) {
-            let b = self.block_of(w.cur);
+            let b = block_of(&self.blocks, w.cur, &mut self.rng);
             buckets[b as usize].push(w);
         }
 
@@ -233,7 +193,7 @@ impl<'g> IterativeSim<'g> {
                     match ev {
                         fw_walk::workload::WalkEvent::Completed(_) => completed += 1,
                         fw_walk::workload::WalkEvent::Moved(next) => {
-                            let nb = self.block_of(next.cur);
+                            let nb = block_of(&self.blocks, next.cur, &mut self.rng);
                             next_buckets[nb as usize].push(next);
                         }
                     }

@@ -27,6 +27,7 @@
 //! default 20 ns/hop (50 M hops/s) is in the middle of the range the
 //! GraphWalker paper reports for in-memory blocks.
 
+mod blocks;
 pub mod breakdown;
 pub mod config;
 pub mod engine;

@@ -79,7 +79,7 @@ fn walk_sources_are_conserved() {
         .run_detailed(wl);
     assert_eq!(fw.walk_log.len(), 8_000);
     let mut got: Vec<u32> = fw.walk_log.iter().map(|w| w.src).collect();
-    let mut expect: Vec<u32> = wl.init_walks(&csr, 0).iter().map(|w| w.src).collect();
+    let mut expect: Vec<u32> = wl.init_walks(&csr, 0).map(|w| w.src).collect();
     got.sort_unstable();
     expect.sort_unstable();
     assert_eq!(got, expect, "source multiset preserved");
