@@ -53,11 +53,6 @@ impl DramConfig {
         }
     }
 
-    /// Fraction of time the device is unavailable due to refresh.
-    pub fn refresh_overhead(&self) -> f64 {
-        self.trfc_ns as f64 / self.trefi_ns as f64
-    }
-
     /// One DRAM clock, in nanoseconds (floored; 1600 MHz → 0.625 ns ≈ 0).
     /// We therefore convert multi-clock latencies directly instead of
     /// multiplying a rounded tCK.
@@ -132,8 +127,8 @@ mod tests {
         assert_eq!(c.bus_width_bits, 64);
         assert_eq!(c.burst_length, 8);
         assert_eq!((c.tcl, c.trcd, c.trp, c.tras), (22, 22, 22, 52));
-        // JEDEC refresh: ~4.5% of device time.
-        assert!((c.refresh_overhead() - 0.0448).abs() < 0.001);
+        // JEDEC refresh: tRFC every tREFI, ~4.5% of device time.
+        assert_eq!((c.trefi_ns, c.trfc_ns), (7_800, 350));
     }
 
     #[test]

@@ -68,8 +68,6 @@ pub struct Dram {
     writes: u64,
     read_bytes: u64,
     write_bytes: u64,
-    hits: u64,
-    misses: u64,
     refreshes: u64,
     tracer: Tracer,
 }
@@ -87,8 +85,6 @@ impl Dram {
             writes: 0,
             read_bytes: 0,
             write_bytes: 0,
-            hits: 0,
-            misses: 0,
             refreshes: 0,
             tracer: Tracer::disabled(),
         }
@@ -166,10 +162,8 @@ impl Dram {
                 None => (self.cfg.t_rcd() + self.cfg.t_ccd(), false),
             };
             if hit {
-                self.hits += 1;
                 row_hits += 1;
             } else {
-                self.misses += 1;
                 row_misses += 1;
             }
 
@@ -211,21 +205,6 @@ impl Dram {
         self.write_bytes
     }
 
-    /// Row-buffer hit rate across all bursts so far.
-    pub fn row_hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// Data bus busy time.
-    pub fn bus_busy(&self) -> Duration {
-        self.bus.busy_time()
-    }
-
     /// Number of read and write requests served.
     pub fn requests(&self) -> (u64, u64) {
         (self.reads, self.writes)
@@ -265,7 +244,6 @@ mod tests {
         let b = d.access(a.done, 64, 64, DramOp::Read);
         assert_eq!(b.row_hits, 1);
         assert!(b.done > a.done);
-        assert!(d.row_hit_rate() > 0.0 && d.row_hit_rate() < 1.0);
     }
 
     #[test]

@@ -74,21 +74,6 @@ impl Csr {
         }
     }
 
-    /// Assemble a CSR from raw parts (used by the binary loader). The
-    /// caller must guarantee the invariants: `offsets` is monotone with
-    /// `offsets[0] == 0` and `offsets[last] == edges.len()`, and every
-    /// edge target is `< offsets.len() - 1`.
-    pub(crate) fn from_parts(offsets: Vec<u32>, edges: Vec<VertexId>) -> Csr {
-        debug_assert!(offsets.first() == Some(&0));
-        debug_assert_eq!(*offsets.last().unwrap() as usize, edges.len());
-        Csr {
-            offsets,
-            edges,
-            weights: None,
-            cum_weights: None,
-        }
-    }
-
     /// Number of vertices.
     pub fn num_vertices(&self) -> u32 {
         (self.offsets.len() - 1) as u32
@@ -161,13 +146,6 @@ impl Csr {
         let s = self.offsets[v as usize] as usize;
         let e = self.offsets[v as usize + 1] as usize;
         &cum[s..e]
-    }
-
-    /// Total out-weight of `v` (the `sumWeight` of §III-B).
-    #[inline]
-    pub fn sum_weight(&self, v: VertexId) -> f32 {
-        let c = self.cumulative(v);
-        c.last().copied().unwrap_or(0.0)
     }
 
     /// The transposed graph (every edge reversed). SimRank-style
@@ -250,9 +228,6 @@ mod tests {
             let c = g.cumulative(v);
             for w in c.windows(2) {
                 assert!(w[1] > w[0], "strictly increasing: {c:?}");
-            }
-            if !c.is_empty() {
-                assert!((g.sum_weight(v) - c[c.len() - 1]).abs() < 1e-9);
             }
         }
     }

@@ -359,11 +359,6 @@ impl Ssd {
         sum / self.channels.len() as f64
     }
 
-    /// PCIe utilization over `[0, horizon]`.
-    pub fn pcie_utilization(&self, horizon: SimTime) -> f64 {
-        self.pcie.utilization(horizon)
-    }
-
     fn array_op(
         &mut self,
         at: SimTime,

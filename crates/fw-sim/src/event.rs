@@ -53,7 +53,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::time::{Duration, SimTime};
+use crate::{Duration, SimTime};
 
 /// Buckets in the calendar wheel (one window of near-future time).
 const NUM_BUCKETS: usize = 256;

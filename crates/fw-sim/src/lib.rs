@@ -14,11 +14,13 @@
 //! * [`rng`] — self-contained deterministic PRNGs (SplitMix64 and
 //!   xoshiro256++, with exact jump-ahead and SIMD lanes) so whole
 //!   experiments replay from a single `u64` seed,
-//! * [`stats`] — counters, histograms and the windowed time-series sampler
-//!   that produces the Figure 8 resource-consumption curves (re-exported
-//!   from [`fw_trace`], the observability crate, together with the
-//!   span-based [`Tracer`], the per-run [`Probe`] and the
-//!   [`MetricsRegistry`]).
+//! * [`WorkerPool`] — a deterministic pool for fan-out phases such as a
+//!   suite's scenario × seed cells.
+//!
+//! It also re-exports the [`fw_trace`] names the engines reach through it:
+//! simulated time, the windowed [`TimeSeries`] sampler behind the Figure 8
+//! resource-consumption curves, the span-based [`Tracer`], the per-run
+//! [`Probe`], the report types and the [`export`] and [`json`] modules.
 //!
 //! Everything here is engine-agnostic: both the FlashWalker in-storage
 //! hierarchy and the GraphWalker host baseline are built on it, which keeps
@@ -29,18 +31,13 @@ pub mod pool;
 pub mod rng;
 pub mod timeline;
 
-pub use fw_trace::{
-    critical, export, heatmap, journey, json, metrics, probe, report, span, stats, time,
-};
-
 pub use event::{EventQueue, HeapEventQueue};
 pub use fw_trace::{
-    chrome_trace_json, spans_csv, ComponentUtil, Counter, CritNode, CritSegment, CritShare,
-    CriticalConfig, CriticalReport, Duration, HeatmapLane, HeatmapReport, Histogram, JourneyConfig,
-    JourneyEvent, JourneyEventKind, JourneyLatency, JourneyReport, Json, LatencySummary,
-    MetricsRegistry, Probe, QueueDepthSeries, SimTime, SpanRecord, StatSet, TailRow, TimeSeries,
-    TraceConfig, TraceReport, Tracer, WalkJourney,
+    chrome_trace_json, spans_csv, CriticalConfig, CriticalReport, Duration, HeatmapReport,
+    JourneyConfig, JourneyEvent, JourneyEventKind, JourneyReport, Json, Probe, SimTime, TimeSeries,
+    TraceConfig, TraceReport, Tracer,
 };
+pub use fw_trace::{export, json};
 pub use pool::WorkerPool;
 pub use rng::{derive_stream_seed, SplitMix64, Xoshiro256pp, XoshiroJump, XoshiroLanes};
 pub use timeline::{BandwidthLink, ServerBank, Timeline};

@@ -39,12 +39,6 @@ impl WorkerPool {
         self.threads
     }
 
-    /// True when this pool is the sequential reference (one worker).
-    #[inline]
-    pub fn is_sequential(&self) -> bool {
-        self.threads == 1
-    }
-
     /// Run `f(index, item)` over every item and return the results in
     /// input order.
     ///
@@ -98,7 +92,7 @@ mod tests {
     #[test]
     fn sequential_pool_runs_inline_in_order() {
         let pool = WorkerPool::new(1);
-        assert!(pool.is_sequential());
+        assert_eq!(pool.threads(), 1);
         let caller = std::thread::current().id();
         let order = Mutex::new(Vec::new());
         let out = pool.map_ordered(vec![10, 20, 30], |i, x| {

@@ -108,12 +108,6 @@ impl Xoshiro256pp {
     pub fn advance(&mut self, steps: u64) {
         XoshiroJump::new(steps).apply(self);
     }
-
-    /// Derive an independent child stream (used to give every chip-level
-    /// accelerator its own generator).
-    pub fn fork(&mut self) -> Xoshiro256pp {
-        Xoshiro256pp::new(self.next_u64())
-    }
 }
 
 /// The top 53 bits of `x` as a uniform `f64` in `[0, 1)`. Both the
@@ -423,15 +417,5 @@ mod tests {
         for (l, g) in scalars.iter_mut().enumerate() {
             assert_eq!(got[l], g.next_u64(), "L={L}: lane {l} after a jump");
         }
-    }
-
-    #[test]
-    fn forked_streams_differ() {
-        let mut g = Xoshiro256pp::new(5);
-        let mut f1 = g.fork();
-        let mut f2 = g.fork();
-        let a: Vec<u64> = (0..4).map(|_| f1.next_u64()).collect();
-        let b: Vec<u64> = (0..4).map(|_| f2.next_u64()).collect();
-        assert_ne!(a, b);
     }
 }

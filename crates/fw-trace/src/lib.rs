@@ -11,11 +11,8 @@
 //!
 //! * [`time`] — nanosecond-resolution simulated time ([`SimTime`] /
 //!   [`Duration`]), the clock domain every span lives in,
-//! * [`stats`] — counters, power-of-two histograms and the windowed
+//! * [`stats`] — power-of-two [`Histogram`]s and the windowed
 //!   [`TimeSeries`] sampler,
-//! * [`metrics`] — a [`MetricsRegistry`] of dynamically named counters,
-//!   gauges and histograms (for per-channel / per-chip names such as
-//!   `channel.bus.3.busy_ns` that a `&'static str`-keyed bag cannot hold),
 //! * [`span`] — the [`Tracer`]: span-based busy-interval recording for
 //!   channels, chips, planes, DRAM banks and the accelerator PEs, with
 //!   exact per-track aggregates and bounded-memory deterministic sampling
@@ -45,15 +42,14 @@
 //! (never wall-clock or randomness), so two runs with the same seed emit
 //! byte-identical traces.
 //!
-//! `fw-sim` re-exports this entire crate, so downstream code may use
-//! either `fw_trace::Tracer` or `fw_sim::Tracer`.
+//! `fw-sim` re-exports the names the engines reach through it, so engine
+//! code may use either `fw_trace::Tracer` or `fw_sim::Tracer`.
 
 pub mod critical;
 pub mod export;
 pub mod heatmap;
 pub mod journey;
 pub mod json;
-pub mod metrics;
 pub mod probe;
 pub mod report;
 pub mod span;
@@ -70,9 +66,8 @@ pub use journey::{
     TailRow, WalkJourney,
 };
 pub use json::Json;
-pub use metrics::MetricsRegistry;
 pub use probe::Probe;
 pub use report::{ComponentUtil, LatencySummary, QueueDepthSeries, TraceReport};
 pub use span::{SpanRecord, TraceConfig, Tracer};
-pub use stats::{Counter, Histogram, StatSet, TimeSeries};
+pub use stats::{Histogram, TimeSeries};
 pub use time::{Duration, SimTime};

@@ -6,7 +6,6 @@ use std::fmt;
 
 use crate::span::SpanRecord;
 use crate::stats::Histogram;
-use crate::MetricsRegistry;
 
 /// Busy-time summary for one component instance (`(name, lane)` track).
 #[derive(Debug, Clone, PartialEq)]
@@ -111,9 +110,6 @@ pub struct TraceReport {
     pub name_bytes: BTreeMap<String, u64>,
     /// Exact total busy nanoseconds per span name (all lanes summed).
     pub name_busy: BTreeMap<String, u64>,
-    /// Flat registry of every derived number under dynamic names like
-    /// `channel.bus.3.busy_ns`.
-    pub metrics: MetricsRegistry,
 }
 
 impl TraceReport {

@@ -24,7 +24,6 @@ use std::collections::BTreeMap;
 use crate::report::{ComponentUtil, LatencySummary, QueueDepthSeries, TraceReport};
 use crate::stats::{Histogram, TimeSeries};
 use crate::time::SimTime;
-use crate::MetricsRegistry;
 
 /// Knobs bounding a [`Tracer`]'s memory.
 #[derive(Debug, Clone, Copy)]
@@ -329,11 +328,9 @@ impl Tracer {
         let mut per_name: BTreeMap<u32, Histogram> = BTreeMap::new();
         let mut per_name_bytes: BTreeMap<u32, u64> = BTreeMap::new();
         let mut per_name_busy: BTreeMap<u32, u64> = BTreeMap::new();
-        let mut metrics = MetricsRegistry::new();
         for (&(id, lane), track) in &tracks {
-            let name = &names[id as usize];
             components.push(ComponentUtil {
-                name: name.clone(),
+                name: names[id as usize].clone(),
                 lane,
                 busy_ns: track.busy_ns,
                 count: track.count,
@@ -343,15 +340,6 @@ impl Tracer {
             per_name.entry(id).or_default().merge(&track.durations);
             *per_name_bytes.entry(id).or_insert(0) += track.bytes;
             *per_name_busy.entry(id).or_insert(0) += track.busy_ns;
-            metrics.add(format!("{name}.{lane}.busy_ns"), track.busy_ns);
-            metrics.add(format!("{name}.{lane}.count"), track.count);
-            if track.bytes > 0 {
-                metrics.add(format!("{name}.{lane}.bytes"), track.bytes);
-            }
-            metrics.set_gauge(
-                format!("{name}.{lane}.util"),
-                track.busy_ns as f64 / horizon_ns as f64,
-            );
         }
         let mut latencies = Vec::new();
         for (id, hist) in &per_name {
@@ -401,7 +389,6 @@ impl Tracer {
             queue_depths,
             name_bytes,
             name_busy,
-            metrics,
         })
     }
 }
@@ -463,14 +450,19 @@ mod tests {
     }
 
     #[test]
-    fn finish_populates_dynamic_metric_names() {
+    fn finish_populates_per_lane_components() {
         let mut tr = Tracer::enabled(TraceConfig::default());
         tr.span_bytes("channel.bus", 3, t(0), t(250), 512);
         let rep = tr.finish(t(1000)).unwrap();
-        assert_eq!(rep.metrics.counter("channel.bus.3.busy_ns"), 250);
-        assert_eq!(rep.metrics.counter("channel.bus.3.bytes"), 512);
-        let util = rep.metrics.gauge("channel.bus.3.util").unwrap();
-        assert!((util - 0.25).abs() < 1e-9);
+        let c = rep
+            .components
+            .iter()
+            .find(|c| c.name == "channel.bus" && c.lane == 3)
+            .unwrap();
+        assert_eq!(c.busy_ns, 250);
+        assert_eq!(c.count, 1);
+        assert_eq!(c.bytes, 512);
+        assert!((c.utilization - 0.25).abs() < 1e-9);
     }
 
     /// Engines fold their SSD and DRAM tracers into the run's tracer at

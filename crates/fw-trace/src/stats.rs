@@ -1,81 +1,7 @@
-//! Measurement plumbing: counters, histograms and the windowed time-series
-//! sampler behind the Figure 8 resource-consumption curves.
-
-use std::collections::BTreeMap;
-use std::fmt;
+//! Measurement plumbing: power-of-two histograms and the windowed
+//! time-series sampler behind the Figure 8 resource-consumption curves.
 
 use crate::time::SimTime;
-
-/// A monotonically increasing event/byte counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(pub u64);
-
-impl Counter {
-    /// Add `n` to the counter.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Add one to the counter.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(self) -> u64 {
-        self.0
-    }
-}
-
-/// A named bag of counters, used by the harness to dump engine statistics
-/// without each engine exposing dozens of accessor methods.
-///
-/// Keys are `&'static str`, which rules out per-instance names like
-/// `channel.bus.3.busy_ns`; call sites that need dynamically composed
-/// names should use [`crate::MetricsRegistry`] instead.
-#[derive(Debug, Clone, Default)]
-pub struct StatSet {
-    counters: BTreeMap<&'static str, u64>,
-}
-
-impl StatSet {
-    /// An empty set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add `n` to the named counter, creating it at zero if absent.
-    pub fn add(&mut self, name: &'static str, n: u64) {
-        *self.counters.entry(name).or_insert(0) += n;
-    }
-
-    /// Set the named counter to an absolute value.
-    pub fn set(&mut self, name: &'static str, v: u64) {
-        self.counters.insert(name, v);
-    }
-
-    /// Read a counter (zero if never touched).
-    pub fn get(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Iterate counters in name order (deterministic output).
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(k, v)| (*k, *v))
-    }
-}
-
-impl fmt::Display for StatSet {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (k, v) in self.iter() {
-            writeln!(f, "{k}: {v}")?;
-        }
-        Ok(())
-    }
-}
 
 /// A power-of-two-bucketed latency/size histogram. Bucket `i` holds values
 /// in `[2^i, 2^(i+1))`, with bucket 0 holding `{0, 1}`.
@@ -136,19 +62,9 @@ impl Histogram {
         self.max
     }
 
-    /// Sum of all recorded values (the OpenMetrics `_sum` series).
+    /// Sum of all recorded values.
     pub fn sum(&self) -> u64 {
         self.sum
-    }
-
-    /// Iterate non-empty buckets as `(upper_bound, count)` pairs in
-    /// ascending bound order — the exposition format's `le` buckets.
-    pub fn bucket_counts(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (u64::MAX >> (63 - i), c))
     }
 
     /// Approximate quantile: the upper bound of the bucket containing
@@ -220,11 +136,6 @@ impl TimeSeries {
         }
     }
 
-    /// Window width in nanoseconds.
-    pub fn window_ns(&self) -> u64 {
-        self.window_ns
-    }
-
     /// Accumulate `value` into the window containing `at`.
     pub fn add(&mut self, at: SimTime, value: f64) {
         let idx = (at.as_nanos() / self.window_ns) as usize;
@@ -271,25 +182,6 @@ impl TimeSeries {
         &self.windows
     }
 
-    /// Per-window rate (sum / window length in seconds) — i.e. if values
-    /// are bytes, this yields bytes/s per window.
-    pub fn rates_per_sec(&self) -> Vec<f64> {
-        let w = self.window_ns as f64 / 1e9;
-        self.windows.iter().map(|&v| v / w).collect()
-    }
-
-    /// Running cumulative sum per window (for "% walks finished" curves).
-    pub fn cumulative(&self) -> Vec<f64> {
-        let mut acc = 0.0;
-        self.windows
-            .iter()
-            .map(|&v| {
-                acc += v;
-                acc
-            })
-            .collect()
-    }
-
     /// Total of all samples.
     pub fn total(&self) -> f64 {
         self.windows.iter().sum()
@@ -316,27 +208,6 @@ impl TimeSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::default();
-        c.inc();
-        c.add(9);
-        assert_eq!(c.get(), 10);
-    }
-
-    #[test]
-    fn statset_accumulates_and_iterates_sorted() {
-        let mut s = StatSet::new();
-        s.add("zeta", 1);
-        s.add("alpha", 2);
-        s.add("alpha", 3);
-        s.set("mid", 7);
-        assert_eq!(s.get("alpha"), 5);
-        assert_eq!(s.get("missing"), 0);
-        let names: Vec<_> = s.iter().map(|(k, _)| k).collect();
-        assert_eq!(names, vec!["alpha", "mid", "zeta"]);
-    }
 
     #[test]
     fn histogram_mean_max_quantile() {
@@ -391,17 +262,18 @@ mod tests {
     }
 
     #[test]
-    fn histogram_sum_and_bucket_counts_expose_internals() {
+    fn histogram_sum_and_quantiles_follow_buckets() {
         let mut h = Histogram::new();
         for v in [1u64, 2, 3, 1000] {
             h.record(v);
         }
         assert_eq!(h.sum(), 1006);
-        let buckets: Vec<(u64, u64)> = h.bucket_counts().collect();
-        // 1 → bucket 0 (≤1), 2 and 3 → bucket 1 (≤3), 1000 → bucket 9 (≤1023).
-        assert_eq!(buckets, vec![(1, 1), (3, 2), (1023, 1)]);
-        let total: u64 = buckets.iter().map(|&(_, c)| c).sum();
-        assert_eq!(total, h.count());
+        assert_eq!(h.count(), 4);
+        // 1 → bucket 0, 2 and 3 → bucket 1, 1000 → bucket 9; a quantile
+        // reports its bucket's power-of-two bound, clamped to max.
+        assert_eq!(h.quantile(0.25), 2);
+        assert_eq!(h.quantile(0.75), 4);
+        assert_eq!(h.quantile(1.0), 1000);
     }
 
     #[test]
@@ -428,16 +300,7 @@ mod tests {
         ts.add(SimTime(100), 5.0);
         ts.add(SimTime(350), 2.0);
         assert_eq!(ts.windows(), &[2.0, 5.0, 0.0, 2.0]);
-        assert_eq!(ts.cumulative(), vec![2.0, 7.0, 7.0, 9.0]);
         assert_eq!(ts.total(), 9.0);
-    }
-
-    #[test]
-    fn timeseries_rates() {
-        let mut ts = TimeSeries::new(1_000_000_000); // 1 s windows
-        ts.add(SimTime(0), 333_000_000.0); // 333 MB in second 0
-        let r = ts.rates_per_sec();
-        assert!((r[0] - 333e6).abs() < 1.0);
     }
 
     #[test]

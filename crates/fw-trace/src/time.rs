@@ -36,12 +36,6 @@ impl SimTime {
         self.0 as f64 / 1e9
     }
 
-    /// Microseconds since simulation start (lossy, for reporting).
-    #[inline]
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
     /// The later of two instants.
     #[inline]
     pub fn max(self, other: SimTime) -> SimTime {
@@ -113,12 +107,6 @@ impl Duration {
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
-    }
-
-    /// True if the span is empty.
-    #[inline]
-    pub fn is_zero(self) -> bool {
-        self.0 == 0
     }
 
     /// The longer of two spans.
