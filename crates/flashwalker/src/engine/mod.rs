@@ -106,9 +106,6 @@ pub struct FlashWalkerSim<'g> {
     /// Construction seed, kept so [`Self::with_faults`] can derive the
     /// injector's independent stream.
     seed: u64,
-    /// Fault profile; [`FaultProfile::none`] (the default) injects
-    /// nothing and skips every recovery branch.
-    faults: FaultProfile,
 
     chips: Vec<ChipState>,
     slots: ChipSlots,
@@ -215,7 +212,6 @@ impl<'g> FlashWalkerSim<'g> {
             events: EventQueue::new(),
             rng: Xoshiro256pp::new(seed),
             seed,
-            faults: FaultProfile::none(),
             chips: vec![ChipState::default(); geometry.num_chips() as usize],
             slots: ChipSlots::new(geometry.num_chips(), chip_slots),
             channels,
@@ -263,7 +259,6 @@ impl<'g> FlashWalkerSim<'g> {
     /// recovery schedule change. Enabling [`FaultProfile::none`] is a
     /// no-op.
     pub fn with_faults(mut self, profile: FaultProfile) -> Self {
-        self.faults = profile;
         self.ssd
             .enable_faults(profile, derive_stream_seed(self.seed, FAULT_STREAM));
         self
@@ -494,7 +489,7 @@ impl<'g> FlashWalkerSim<'g> {
         let s = *self.ssd.stats();
         let devices = [self.ssd.take_tracer(), self.dram.take_tracer()];
         let (span_trace, journeys, critical) = self.probe.finish(horizon, &devices);
-        let faults = self.faults.is_on().then(|| {
+        let faults = self.ssd.fault_profile().is_on().then(|| {
             let f = self.ssd.fault_stats();
             FaultSummary {
                 read_retries: f.read_retries,

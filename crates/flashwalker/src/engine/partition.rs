@@ -145,7 +145,8 @@ impl FlashWalkerSim<'_> {
             let image = Arc::clone(&self.image);
             for sg in image.parts[p as usize].hot_loads() {
                 for &ppa in &image.placements[sg as usize].pages {
-                    self.ssd.read_page_to_controller(now, ppa);
+                    // No walk waits on a hot load in the model: fault unrecorded.
+                    let _ = self.ssd.read_page_to_controller(now, ppa);
                     self.stats.hot_load_pages += 1;
                 }
             }
@@ -155,7 +156,9 @@ impl FlashWalkerSim<'_> {
         if let Some(pages) = self.foreign.pages.remove(&p) {
             for page in pages {
                 if charge {
-                    if let Some(_r) = self.ssd.ftl_read_page(now, page.lpn) {}
+                    // No walk waits on the read-back in the model: its
+                    // walks enter the PWB at `now`. Fault unrecorded.
+                    let _ = self.ssd.ftl_read_page(now, page.lpn);
                     self.ssd.ftl_mut().trim(page.lpn);
                 }
                 for tw in page.walks {

@@ -4,9 +4,8 @@
 use std::sync::Arc;
 
 use fw_dram::DramOp;
-use fw_nand::Ppa;
-use fw_sim::JourneyEventKind::{EccRetry, NandRead, Stall, SubgraphLoad};
-use fw_sim::{Duration, SimTime};
+use fw_sim::JourneyEventKind::{NandRead, Stall, SubgraphLoad};
+use fw_sim::SimTime;
 use fw_walk::WALK_BYTES;
 
 use super::events::Ev;
@@ -86,12 +85,26 @@ impl FlashWalkerSim<'_> {
         // segments go to the probe, which stamps them onto every sampled
         // walk the load fetches.
         let image = Arc::clone(&self.image);
+        let page_bytes = self.ssd.config().geometry.page_bytes;
         let mut array_done = now;
         for &ppa in &image.placements[sg as usize].pages {
-            let (mut end, hard_fail) = self.array_read_recorded(now, ppa, chip);
-            if hard_fail {
-                let recovered = self.recover_page_read(ppa, end, chip);
-                self.probe.segment(Stall, chip, end, recovered);
+            let (r, fault) = self.ssd.read_page_recorded(now, ppa, &mut self.probe);
+            let mut end = r.end;
+            if fault.hard_fail {
+                // Re-read from the mapping table; a degraded read is the
+                // controller path, so the page then crosses the channel.
+                let (mut recovered, rereads, degraded) =
+                    self.ssd.recover_read(ppa, end, &mut self.probe);
+                self.stats.load_requeues += u64::from(rereads);
+                if degraded {
+                    self.stats.degraded_loads += 1;
+                    let ch = self
+                        .ssd
+                        .channel_transfer(recovered, ppa.channel, page_bytes);
+                    recovered = ch.end;
+                }
+                let lane = ppa.plane_index(&self.ssd.config().geometry) as u32;
+                self.probe.segment(Stall, lane, end, recovered);
                 end = recovered;
             }
             array_done = array_done.max(end);
@@ -121,13 +134,14 @@ impl FlashWalkerSim<'_> {
             fetch_done = fetch_done.max(t.end);
         }
         done = done.max(fetch_done);
-        // Spilled walk pages: flash read → controller → chip.
+        // Spilled walk pages: flash read → controller → chip. A spill
+        // page's hard fail is charged its ladder but not re-read.
         let mut spill_done = now;
         for page in spilled {
-            if let Some(r) = self.ssd.ftl_read_page(now, page.lpn) {
-                let t = self
-                    .ssd
-                    .channel_transfer(r.end, ch, self.ssd.config().geometry.page_bytes);
+            if let Some(ppa) = self.ssd.ftl_mut().translate(page.lpn) {
+                let (r, _) = self.ssd.read_page_recorded(now, ppa, &mut self.probe);
+                let c = self.ssd.channel_transfer(r.end, ppa.channel, page_bytes);
+                let t = self.ssd.channel_transfer(c.end, ch, page_bytes);
                 spill_done = spill_done.max(t.end);
             }
             self.ssd.ftl_mut().trim(page.lpn);
@@ -139,12 +153,12 @@ impl FlashWalkerSim<'_> {
         // command (re-sent over the channel after a backoff), which is
         // what delays the slot opening; the data itself is already in
         // flight and completes with the requeued command.
-        if self.faults.is_on() && done - now > self.faults.load_timeout {
+        let faults = self.ssd.fault_profile();
+        if faults.is_on() && done - now > faults.load_timeout {
+            let resend = done + faults.retry_backoff;
             self.stats.stalled_loads += 1;
             self.stats.load_requeues += 1;
-            let t = self
-                .ssd
-                .channel_transfer(done + self.faults.retry_backoff, ch, WALK_BYTES);
+            let t = self.ssd.channel_transfer(resend, ch, WALK_BYTES);
             self.probe.segment(Stall, chip, done, t.end);
             done = t.end;
         }
@@ -160,45 +174,6 @@ impl FlashWalkerSim<'_> {
         let id = self.events.schedule_at(done, Ev::ChipLoaded { chip, sg });
         self.probe.work(id, "sg.load", chip, now, done);
         walks
-    }
-
-    /// One array read of `ppa` from `at`. Its retry-ladder time goes to
-    /// the probe as an ECC-retry segment on `chip`. Returns the read's
-    /// end and whether the ladder ran dry.
-    fn array_read_recorded(&mut self, at: SimTime, ppa: Ppa, chip: u32) -> (SimTime, bool) {
-        let (r, fault) = self.ssd.array_read_checked(at, ppa);
-        if fault.extra.as_nanos() > 0 {
-            self.probe
-                .segment(EccRetry, chip, r.end - fault.extra, r.end);
-        }
-        (r.end, fault.hard_fail)
-    }
-
-    /// Recovery path for a chip-private page read whose ECC ladder was
-    /// exhausted: re-issue the read from the mapping table with
-    /// exponential backoff up to the profile's attempt budget, then
-    /// degrade to the conventional controller-path read (array read,
-    /// then channel transfer), whose stronger soft decode always
-    /// recovers. Returns when the page is resident. Every re-read's
-    /// retry-ladder time, the degraded read's included, goes to the probe
-    /// as segments on `chip`, as the first read's does.
-    pub(super) fn recover_page_read(&mut self, ppa: Ppa, failed_at: SimTime, chip: u32) -> SimTime {
-        let mut end = failed_at;
-        for attempt in 0..self.faults.max_load_attempts.saturating_sub(1) {
-            self.stats.load_requeues += 1;
-            let backoff = Duration::nanos(self.faults.retry_backoff.as_nanos() << attempt);
-            let (read_end, hard_fail) = self.array_read_recorded(end + backoff, ppa, chip);
-            end = read_end;
-            if !hard_fail {
-                return end;
-            }
-        }
-        self.stats.degraded_loads += 1;
-        let (read_end, _) = self.array_read_recorded(end, ppa, chip);
-        let page_bytes = self.ssd.config().geometry.page_bytes;
-        self.ssd
-            .channel_transfer(read_end, ppa.channel, page_bytes)
-            .end
     }
 }
 

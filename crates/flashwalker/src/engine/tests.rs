@@ -443,17 +443,15 @@ fn heavy_fault_journeys_surface_retry_and_stall_segments() {
 
 #[test]
 fn recovery_rereads_show_their_retry_time_in_journeys() {
-    // Every read fails its ladder, so every graph-page read stalls in
-    // recovery, and the one re-issued read also runs its ladder dry. That
-    // re-read's retry time lies inside the stall and must be recorded as
-    // an ECC retry, as GraphWalker's host recovery records it. Hot
-    // subgraphs are off and the graph is one partition, so subgraph loads
-    // make every read of the run. One subgraph slot per chip keeps two
-    // loads' reads on one chip from sharing an interval.
-    let (csr, pg) = small_setup(1000, 8_000, 5_000);
-    let mut cfg = AccelConfig::scaled();
-    cfg.opts.hot_subgraphs = false;
-    cfg.chip_subgraph_buf = pg.config.subgraph_bytes;
+    // Every read runs its two-step ladder dry, so every graph-page read
+    // stalls in recovery, and the one re-issued read and the degraded
+    // read run theirs dry too. The re-reads' retry time lies inside the
+    // stall. Journeys hold the retry time of every read a walk waits on:
+    // graph pages, re-reads and PWB spill read-backs, each on its plane's
+    // lane, so two same-timed reads of one chip stay distinct. A partition
+    // switch's hot-subgraph loads and foreigner read-backs reach no walk:
+    // each of their pages is one ladder the journeys leave out.
+    const LADDER_NS: u64 = 35_000 + 45_500;
     let profile = fw_fault::FaultProfile {
         read_error_ppm: 1_000_000,
         retry_success_pct: 0,
@@ -463,39 +461,56 @@ fn recovery_rereads_show_their_retry_time_in_journeys() {
         load_timeout: Duration::secs(1),
         ..fw_fault::FaultProfile::none()
     };
-    let r = FlashWalkerSim::new(&csr, &pg, cfg, SsdConfig::tiny(), 99)
-        .with_faults(profile)
-        .with_journeys(fw_sim::JourneyConfig {
-            seed: 7,
-            sample_period: 1,
-            max_walks: usize::MAX,
-        })
-        .run_detailed(Workload::paper_default(1_000));
-    let f = r.faults.unwrap();
-    assert!(f.hard_read_fails > 0);
-    let j = r.journeys.expect("journeys on");
-    let (mut stalls, mut covered) = (0, 0);
-    for w in &j.walks {
-        let of = |k| w.events.iter().filter(move |e| e.kind == k);
-        for s in of(fw_sim::JourneyEventKind::Stall) {
-            stalls += 1;
-            let inside = |e: &&fw_sim::JourneyEvent| s.start < e.start && e.end <= s.end;
-            covered += usize::from(of(fw_sim::JourneyEventKind::EccRetry).any(|e| inside(&e)));
+    // (row, partitions, slots per chip, hot subgraphs, PWB bytes, walks)
+    let rows = [
+        ("1 slot per chip", 1, 1, false, None, 1_000),
+        ("2 slots per chip", 1, 2, false, None, 1_000),
+        ("2 slots, hot subgraphs", 1, 2, true, None, 1_000),
+        ("2 slots, PWB spills", 1, 2, false, Some(16 << 10), 4_000),
+        ("3 partitions, hot", 3, 2, true, None, 2_000),
+    ];
+    for (row, partitions, slots, hot, pwb_bytes, walks) in rows {
+        // The graph packs into 9 subgraphs.
+        let (csr, pg) = small_setup(1000, 8_000, 9 / partitions);
+        assert_eq!(pg.num_partitions(), partitions, "{row}");
+        let mut cfg = AccelConfig::scaled();
+        cfg.opts.hot_subgraphs = hot;
+        cfg.chip_subgraph_buf = slots * pg.config.subgraph_bytes;
+        cfg.dram_pwb_bytes = pwb_bytes.unwrap_or(cfg.dram_pwb_bytes);
+        let r = FlashWalkerSim::new(&csr, &pg, cfg, SsdConfig::tiny(), 99)
+            .with_faults(profile)
+            .with_journeys(fw_sim::JourneyConfig {
+                seed: 7,
+                sample_period: 1,
+                max_walks: usize::MAX,
+            })
+            .run_detailed(Workload::paper_default(walks));
+        let f = r.faults.unwrap();
+        assert!(f.hard_read_fails > 0, "{row}");
+        assert_eq!(pwb_bytes.is_some(), r.stats.pwb_spill_pages > 0, "{row}");
+        let unrecorded = r.stats.foreign_pages + r.stats.hot_load_pages;
+        assert_eq!(partitions > 1, unrecorded > 0, "{row}");
+        let j = r.journeys.expect("journeys on");
+        let (mut stalls, mut covered) = (0, 0);
+        for w in &j.walks {
+            let of = |k| w.events.iter().filter(move |e| e.kind == k);
+            for s in of(fw_sim::JourneyEventKind::Stall) {
+                stalls += 1;
+                let inside = |e: &&fw_sim::JourneyEvent| s.start < e.start && e.end <= s.end;
+                covered += usize::from(of(fw_sim::JourneyEventKind::EccRetry).any(|e| inside(&e)));
+            }
         }
+        assert!(stalls > 0, "{row}: every graph-page read hard-fails");
+        assert_eq!(
+            covered, stalls,
+            "{row}: a stall without its re-read's retry time"
+        );
+        assert_eq!(
+            distinct_retry_ns(&j) + unrecorded * LADDER_NS,
+            f.retry_ns,
+            "{row}: journeys must hold the retry time of every read a walk waits on"
+        );
     }
-    assert!(stalls > 0, "every graph-page read hard-fails");
-    assert_eq!(
-        covered, stalls,
-        "a recovery stall without its re-read's retry time"
-    );
-    // The sampled walks' retry segments, each counted once, add up to the
-    // injector's total: the first read's, the re-read's and the degraded
-    // read's ladders.
-    assert_eq!(
-        distinct_retry_ns(&j),
-        f.retry_ns,
-        "journeys must hold every load read's retry time"
-    );
 }
 
 /// Total time of the distinct ECC-retry segments in `j`: a load stamps

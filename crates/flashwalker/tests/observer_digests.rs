@@ -93,7 +93,7 @@ fn observer_outputs_match_the_pinned_digests() {
             FaultProfile::light(),
             [
                 0x0139_c7fc_77c8_d4a7,
-                0x9e04_f471_7b9d_4160,
+                0x61cf_d501_c42b_4f92,
                 0x0e8f_b9c7_0c75_7452,
             ],
         ),
@@ -122,7 +122,7 @@ fn observer_outputs_match_the_pinned_digests() {
         digests(&r.trace, &r.journeys, &r.critical),
         [
             0xe023_e24d_5e8b_268b,
-            0x44a1_7810_2638_da1b,
+            0x9e98_69a3_0f28_58aa,
             0x5e02_293b_b61c_3dc0,
         ],
     ));

@@ -23,14 +23,19 @@
 //! is why they saturate long before the array does — the observation that
 //! motivates FlashWalker.
 //!
-//! ## Two access paths
+//! ## One page read, two access paths
 //!
-//! [`Ssd::read_page_to_controller`] moves a page register across the
-//! channel bus (what a conventional SSD, the board-level accelerator, and
-//! the GraphWalker host path do), while [`Ssd::array_read`] only occupies
-//! the plane/chip array resources — this is the chip-level accelerator's
-//! private path that never touches the channel bus, the core of the
-//! FlashWalker design.
+//! Every flash page reaches a walk through one NAND sense,
+//! [`Ssd::read_page`], which returns the read's reservation and its
+//! [`ReadFault`]. On its own it occupies only the plane/chip array
+//! resources — the chip-level accelerator's private path that never
+//! touches the channel bus, the core of the FlashWalker design.
+//! [`Ssd::read_page_to_controller`] adds the channel transfer of the page
+//! register to the controller (what a conventional SSD, the board-level
+//! accelerator, and the GraphWalker host path do). Reads a walk waits on
+//! go through [`Ssd::read_page_recorded`], which puts the read's ECC
+//! retry time on the run's probe, and a read whose ladder ran dry goes
+//! through [`Ssd::recover_read`], the one recovery loop of both engines.
 
 pub mod address;
 pub mod config;

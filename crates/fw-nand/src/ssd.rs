@@ -10,7 +10,8 @@
 
 use fw_fault::{FaultInjector, FaultProfile, FaultStats, ReadFault};
 use fw_sim::timeline::Reservation;
-use fw_sim::{BandwidthLink, Duration, ServerBank, SimTime, Timeline, TraceConfig, Tracer};
+use fw_sim::JourneyEventKind::EccRetry;
+use fw_sim::{BandwidthLink, Duration, Probe, ServerBank, SimTime, Timeline, TraceConfig, Tracer};
 
 use crate::address::Ppa;
 use crate::config::SsdConfig;
@@ -157,23 +158,18 @@ impl Ssd {
         &mut self.ftl
     }
 
-    /// Read one page from the array into its plane's page register.
+    /// Read one page from the array into its plane's page register: the
+    /// one NAND sense behind every read path of both engines.
     ///
     /// This occupies only the plane and a chip array port — **not** the
     /// channel bus. It is the chip-level accelerator's private access path.
     ///
-    /// Under fault injection, a read that enters the ECC retry ladder and
-    /// recovers is absorbed here (the escalating sense latencies are
-    /// charged into the reservation); a hard-failed read is charged its
-    /// full ladder time too, with the failure silently swallowed —
-    /// callers that implement recovery use [`Ssd::array_read_checked`].
-    pub fn array_read(&mut self, at: SimTime, ppa: Ppa) -> Reservation {
-        self.array_read_checked(at, ppa).0
-    }
-
-    /// Like [`Ssd::array_read`], but also reports the injector's verdict
-    /// so the caller can re-issue or degrade on a hard ECC failure.
-    pub fn array_read_checked(&mut self, at: SimTime, ppa: Ppa) -> (Reservation, ReadFault) {
+    /// Under fault injection the ECC retry ladder's escalating sense
+    /// latencies are charged into the reservation, and the injector's
+    /// verdict comes back with it: a read that ran its ladder dry is the
+    /// caller's to re-issue or degrade ([`Ssd::recover_read`]).
+    #[must_use]
+    pub fn read_page(&mut self, at: SimTime, ppa: Ppa) -> (Reservation, ReadFault) {
         let fault = self.fault.on_read(
             ppa.chip_index(&self.cfg.geometry) as u32,
             ppa.block_index(&self.cfg.geometry),
@@ -190,6 +186,54 @@ impl Ssd {
                 .record("fault.read_retries", fault.retries as u64);
         }
         (res, fault)
+    }
+
+    /// [`Ssd::read_page`] for a read a walk waits on: the read's
+    /// retry-ladder time also goes to `probe` as an ECC-retry segment on
+    /// the page's plane lane ([`Ppa::plane_index`]), so two same-timed
+    /// reads on different planes stay distinct segments.
+    #[must_use]
+    pub fn read_page_recorded(
+        &mut self,
+        at: SimTime,
+        ppa: Ppa,
+        probe: &mut Probe,
+    ) -> (Reservation, ReadFault) {
+        let (r, fault) = self.read_page(at, ppa);
+        if fault.extra > Duration::ZERO {
+            let lane = ppa.plane_index(&self.cfg.geometry) as u32;
+            probe.segment(EccRetry, lane, r.end - fault.extra, r.end);
+        }
+        (r, fault)
+    }
+
+    /// The recovery loop for a walk's page read whose ECC ladder ran dry
+    /// at `failed_at`: re-read with backoff `retry_backoff << attempt` up
+    /// to the fault profile's `max_load_attempts`, then take one degraded
+    /// read whose stronger decode always recovers. Every read is recorded
+    /// as [`Ssd::read_page_recorded`] records it. Returns when the last
+    /// read ended, the re-reads issued and whether the page degraded.
+    #[must_use]
+    pub fn recover_read(
+        &mut self,
+        ppa: Ppa,
+        failed_at: SimTime,
+        probe: &mut Probe,
+    ) -> (SimTime, u32, bool) {
+        let profile = *self.fault.profile();
+        let budget = profile.max_load_attempts.saturating_sub(1);
+        let mut end = failed_at;
+        for attempt in 0..budget {
+            let backoff = Duration::nanos(profile.retry_backoff.as_nanos() << attempt);
+            let (r, fault) = self.read_page_recorded(end + backoff, ppa, probe);
+            end = r.end;
+            if !fault.hard_fail {
+                return (end, attempt + 1, false);
+            }
+        }
+        // The degraded read's verdict is absorbed by its stronger decode.
+        let (r, _) = self.read_page_recorded(end, ppa, probe);
+        (r.end, budget, true)
     }
 
     /// Program one page from its plane's register into the array.
@@ -250,14 +294,12 @@ impl Ssd {
 
     /// Full conventional read path for one page: array read, then channel
     /// transfer of the page to the controller. Returns when the page is in
-    /// controller DRAM.
-    pub fn read_page_to_controller(&mut self, at: SimTime, ppa: Ppa) -> Reservation {
-        let rd = self.array_read(at, ppa);
+    /// controller DRAM, and the array read's fault.
+    #[must_use]
+    pub fn read_page_to_controller(&mut self, at: SimTime, ppa: Ppa) -> (Reservation, ReadFault) {
+        let (rd, fault) = self.read_page(at, ppa);
         let ch = self.channel_transfer(rd.end, ppa.channel, self.cfg.geometry.page_bytes);
-        Reservation {
-            start: rd.start,
-            end: ch.end,
-        }
+        (Reservation { end: ch.end, ..rd }, fault)
     }
 
     /// Full conventional write path for one page: channel transfer of the
@@ -265,26 +307,29 @@ impl Ssd {
     pub fn write_page_from_controller(&mut self, at: SimTime, ppa: Ppa) -> Reservation {
         let ch = self.channel_transfer(at, ppa.channel, self.cfg.geometry.page_bytes);
         let pg = self.array_program(ch.end, ppa);
-        Reservation {
-            start: ch.start,
-            end: pg.end,
-        }
+        Reservation { end: pg.end, ..ch }
     }
 
     /// Host read of `pages` physical pages (NVMe command → array reads →
     /// channel transfers → PCIe DMA). Pages proceed in parallel across
     /// their planes/channels; the PCIe DMA of each page is issued as soon
     /// as that page reaches the controller. Returns when the last byte
-    /// lands in host memory.
-    pub fn host_read_pages(&mut self, at: SimTime, pages: &[Ppa]) -> SimTime {
+    /// lands in host memory, and the pages' faults summed: every ladder
+    /// step and its sense time, hard-failed if any page's ladder ran dry.
+    #[must_use]
+    pub fn host_read_pages(&mut self, at: SimTime, pages: &[Ppa]) -> (SimTime, ReadFault) {
         let start = at + self.cfg.nvme_cmd_overhead;
         let mut done = start;
+        let mut sum = ReadFault::default();
         for &ppa in pages {
-            let in_controller = self.read_page_to_controller(start, ppa);
+            let (in_controller, fault) = self.read_page_to_controller(start, ppa);
             let dma = self.pcie_transfer(in_controller.end, self.cfg.geometry.page_bytes);
             done = done.max(dma.end);
+            sum.retries += fault.retries;
+            sum.hard_fail |= fault.hard_fail;
+            sum.extra += fault.extra;
         }
-        done
+        (done, sum)
     }
 
     /// Host write of `lpns` logical pages through the FTL (NVMe command →
@@ -329,9 +374,10 @@ impl Ssd {
         done
     }
 
-    /// Controller-side read of one logical page (no PCIe). Returns `None`
-    /// if the page was never written.
-    pub fn ftl_read_page(&mut self, at: SimTime, lpn: Lpn) -> Option<Reservation> {
+    /// Controller-side read of one logical page (no PCIe), with its
+    /// fault. Returns `None` if the page was never written.
+    #[must_use]
+    pub fn ftl_read_page(&mut self, at: SimTime, lpn: Lpn) -> Option<(Reservation, ReadFault)> {
         let ppa = self.ftl.translate(lpn)?;
         Some(self.read_page_to_controller(at, ppa))
     }
@@ -341,7 +387,9 @@ impl Ssd {
     fn execute_gc(&mut self, at: SimTime, op: GcOp) -> SimTime {
         match op {
             GcOp::Migrate { from, to } => {
-                let rd = self.array_read(at, from);
+                // No walk waits on a migration: its fault is charged
+                // into the copy's time and goes no further.
+                let (rd, _) = self.read_page(at, from);
                 self.array_program(rd.end, to).end
             }
             GcOp::Erase { block } => self.array_erase(at, block).end,
@@ -456,17 +504,18 @@ mod tests {
     #[test]
     fn array_read_takes_read_latency() {
         let mut s = ssd();
-        let r = s.array_read(SimTime::ZERO, ppa(0, 0, 0, 0, 0, 0));
+        let (r, fault) = s.read_page(SimTime::ZERO, ppa(0, 0, 0, 0, 0, 0));
         assert_eq!(r.end - r.start, Duration::micros(35));
+        assert_eq!(fault.retries, 0);
         assert_eq!(s.stats().array_reads, 1);
     }
 
     #[test]
     fn same_plane_reads_serialize_different_planes_overlap() {
         let mut s = ssd();
-        let a = s.array_read(SimTime::ZERO, ppa(0, 0, 0, 0, 0, 0));
-        let b = s.array_read(SimTime::ZERO, ppa(0, 0, 0, 0, 0, 1)); // same plane
-        let c = s.array_read(SimTime::ZERO, ppa(0, 0, 1, 0, 0, 0)); // other die
+        let (a, _) = s.read_page(SimTime::ZERO, ppa(0, 0, 0, 0, 0, 0));
+        let (b, _) = s.read_page(SimTime::ZERO, ppa(0, 0, 0, 0, 0, 1)); // same plane
+        let (c, _) = s.read_page(SimTime::ZERO, ppa(0, 0, 1, 0, 0, 0)); // other die
         assert_eq!(b.start, a.end, "same plane serializes");
         assert_eq!(c.start, SimTime::ZERO, "other plane starts immediately");
     }
@@ -474,7 +523,7 @@ mod tests {
     #[test]
     fn read_to_controller_adds_channel_time() {
         let mut s = ssd();
-        let r = s.read_page_to_controller(SimTime::ZERO, ppa(0, 0, 0, 0, 0, 0));
+        let (r, _) = s.read_page_to_controller(SimTime::ZERO, ppa(0, 0, 0, 0, 0, 0));
         let read_only = Duration::micros(35);
         assert!(r.end - r.start > read_only, "channel transfer adds time");
         assert_eq!(s.stats().channel_bytes, 4096);
@@ -485,22 +534,22 @@ mod tests {
         let mut s = ssd();
         // Two chips on channel 0 finish their array reads simultaneously;
         // their page transfers must serialize on the single channel bus.
-        let a = s.read_page_to_controller(SimTime::ZERO, ppa(0, 0, 0, 0, 0, 0));
-        let b = s.read_page_to_controller(SimTime::ZERO, ppa(0, 1, 0, 0, 0, 0));
+        let (a, _) = s.read_page_to_controller(SimTime::ZERO, ppa(0, 0, 0, 0, 0, 0));
+        let (b, _) = s.read_page_to_controller(SimTime::ZERO, ppa(0, 1, 0, 0, 0, 0));
         let xfer = Duration::for_bytes(4096, 333_000_000);
         assert!(
             b.end >= a.end + xfer || a.end >= b.end + xfer,
             "bus serialization"
         );
         // Different channel: no interference.
-        let c = s.read_page_to_controller(SimTime::ZERO, ppa(1, 0, 0, 0, 0, 0));
+        let (c, _) = s.read_page_to_controller(SimTime::ZERO, ppa(1, 0, 0, 0, 0, 0));
         assert!(c.end < a.end.max(b.end));
     }
 
     #[test]
     fn host_read_pays_pcie_and_nvme() {
         let mut s = ssd();
-        let t = s.host_read_pages(SimTime::ZERO, &[ppa(0, 0, 0, 0, 0, 0)]);
+        let (t, _) = s.host_read_pages(SimTime::ZERO, &[ppa(0, 0, 0, 0, 0, 0)]);
         let floor = Duration::micros(35) + Duration::micros(2);
         assert!(t > SimTime::ZERO + floor);
         assert_eq!(s.stats().pcie_bytes, 4096);
@@ -511,13 +560,13 @@ mod tests {
         let mut s = ssd();
         // 8 pages all on one plane vs 8 pages spread over 8 planes.
         let serial: Vec<Ppa> = (0..8).map(|p| ppa(0, 0, 0, 0, 0, p)).collect();
-        let t_serial = s.host_read_pages(SimTime::ZERO, &serial);
+        let (t_serial, _) = s.host_read_pages(SimTime::ZERO, &serial);
 
         let mut s2 = ssd();
         let parallel: Vec<Ppa> = (0..8)
             .map(|i| ppa(i % 2, (i / 2) % 2, (i / 4) % 2, 0, 0, 0))
             .collect();
-        let t_parallel = s2.host_read_pages(SimTime::ZERO, &parallel);
+        let (t_parallel, _) = s2.host_read_pages(SimTime::ZERO, &parallel);
         assert!(
             t_parallel.as_nanos() * 3 < t_serial.as_nanos(),
             "parallel {t_parallel:?} vs serial {t_serial:?}"
@@ -529,8 +578,8 @@ mod tests {
         let mut s = ssd();
         let done = s.host_write_lpns(SimTime::ZERO, &[5, 6]);
         assert!(done > SimTime::ZERO + Duration::micros(350));
-        let r = s.ftl_read_page(done, 5);
-        assert!(r.is_some());
+        let (r, fault) = s.ftl_read_page(done, 5).expect("page 5 was written");
+        assert!(r.start >= done && fault.retries == 0);
         assert!(s.ftl_read_page(done, 99).is_none());
         assert_eq!(s.stats().array_programs, 2);
     }
@@ -561,7 +610,11 @@ mod tests {
         let mut ends = vec![];
         for die in 0..2 {
             for plane in 0..4 {
-                ends.push(s.array_read(SimTime::ZERO, ppa(0, 0, die, plane, 0, 0)).end);
+                ends.push(
+                    s.read_page(SimTime::ZERO, ppa(0, 0, die, plane, 0, 0))
+                        .0
+                        .end,
+                );
             }
         }
         let first_wave = ends.iter().filter(|e| e.as_nanos() == 35_000).count();
@@ -577,7 +630,7 @@ mod tests {
         let pages: Vec<Ppa> = (0..8)
             .map(|p| ppa(p % 2, (p / 2) % 2, 0, 0, 0, p))
             .collect();
-        let done = s.host_read_pages(SimTime::ZERO, &pages);
+        let (done, _) = s.host_read_pages(SimTime::ZERO, &pages);
         let tracer = s.take_tracer();
         // Span byte totals equal the counter-derived totals exactly.
         assert_eq!(
@@ -607,8 +660,8 @@ mod tests {
         for i in 0..32u32 {
             let p = ppa(i % 2, (i / 2) % 2, 0, 0, i % 8, i % 8);
             assert_eq!(
-                plain.read_page_to_controller(SimTime::ZERO, p),
-                faulted.read_page_to_controller(SimTime::ZERO, p)
+                plain.read_page_to_controller(SimTime::ZERO, p).0,
+                faulted.read_page_to_controller(SimTime::ZERO, p).0
             );
         }
         let a = plain.host_write_lpns(SimTime::ZERO, &[1, 2, 3]);
@@ -625,7 +678,7 @@ mod tests {
             let mut total = 0u64;
             for i in 0..400u32 {
                 let p = ppa(i % 2, (i / 2) % 2, (i / 4) % 2, (i / 8) % 2, i % 8, i % 8);
-                let r = s.array_read(SimTime(i as u64 * 1_000_000), p);
+                let (r, _) = s.read_page(SimTime(i as u64 * 1_000_000), p);
                 total += (r.end - r.start).as_nanos();
             }
             (total, s.fault_stats())
@@ -640,7 +693,7 @@ mod tests {
         let mut clean_total = 0u64;
         for i in 0..400u32 {
             let p = ppa(i % 2, (i / 2) % 2, (i / 4) % 2, (i / 8) % 2, i % 8, i % 8);
-            let r = clean.array_read(SimTime(i as u64 * 1_000_000), p);
+            let (r, _) = clean.read_page(SimTime(i as u64 * 1_000_000), p);
             clean_total += (r.end - r.start).as_nanos();
         }
         assert!(
@@ -659,19 +712,24 @@ mod tests {
                 read_error_ppm: 1_000_000,
                 retry_success_pct: 0,
                 max_read_retries: 2,
+                max_load_attempts: 2,
+                retry_backoff: Duration::micros(1),
                 ..FaultProfile::none()
             },
             1,
         );
-        let (r, fault) = s.array_read_checked(SimTime::ZERO, ppa(0, 0, 0, 0, 0, 0));
+        let (r, fault) = s.read_page(SimTime::ZERO, ppa(0, 0, 0, 0, 0, 0));
         assert!(fault.hard_fail);
         assert_eq!(fault.retries, 2);
         // Base 35 µs + ladder steps at 100% and 130%.
-        assert_eq!(
-            (r.end - r.start).as_nanos(),
-            35_000 + 35_000 + 35_000 * 130 / 100
-        );
+        let read_ns = 35_000 + 35_000 + 35_000 * 130 / 100;
+        assert_eq!((r.end - r.start).as_nanos(), read_ns);
         assert_eq!(s.fault_stats().hard_read_fails, 1);
+        // One re-read after a 1 µs backoff fails too; the degraded read
+        // follows it at once.
+        let rec = s.recover_read(ppa(0, 0, 0, 0, 0, 0), r.end, &mut Probe::default());
+        assert_eq!(rec, (r.end + Duration::nanos(1_000 + 2 * read_ns), 1, true));
+        assert_eq!(s.fault_stats().retry_ns, 3 * (read_ns - 35_000));
     }
 
     #[test]
@@ -691,7 +749,7 @@ mod tests {
             s.array_erase(SimTime::ZERO, worn);
         }
         for i in 0..200u32 {
-            s.array_read(SimTime(i as u64 * 10_000_000), worn);
+            let _ = s.read_page(SimTime(i as u64 * 10_000_000), worn);
         }
         let retries_worn = s.fault_stats().read_retries;
         assert!(
@@ -715,7 +773,7 @@ mod tests {
             },
             2,
         );
-        let r = s.array_read(SimTime::ZERO, ppa(0, 0, 0, 0, 0, 0));
+        let (r, _) = s.read_page(SimTime::ZERO, ppa(0, 0, 0, 0, 0, 0));
         assert_eq!(r.start, SimTime::ZERO + Duration::micros(200));
         let c = s.channel_transfer(SimTime::ZERO, 0, 4096);
         assert!(c.start >= SimTime::ZERO + Duration::micros(50));

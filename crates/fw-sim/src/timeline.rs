@@ -248,13 +248,11 @@ impl ServerBank {
 }
 
 /// A bandwidth-limited link (channel bus, PCIe, DRAM data bus): a
-/// [`Timeline`] plus a byte rate, with byte accounting for the Figure 6 /
-/// Figure 8 traffic and bandwidth reports.
+/// [`Timeline`] plus a byte rate. Its callers count the bytes they move.
 #[derive(Debug, Clone)]
 pub struct BandwidthLink {
     timeline: Timeline,
     bytes_per_sec: u64,
-    bytes_moved: u64,
 }
 
 impl BandwidthLink {
@@ -267,28 +265,14 @@ impl BandwidthLink {
         BandwidthLink {
             timeline: Timeline::new(),
             bytes_per_sec,
-            bytes_moved: 0,
         }
     }
 
     /// Transfer `bytes` starting no earlier than `at`; returns when the
     /// transfer completes.
     pub fn transfer(&mut self, at: SimTime, bytes: u64) -> Reservation {
-        self.bytes_moved += bytes;
         let dur = Duration::for_bytes(bytes, self.bytes_per_sec);
         self.timeline.reserve(at, dur)
-    }
-
-    /// Link rate in bytes per second.
-    #[inline]
-    pub fn rate(&self) -> u64 {
-        self.bytes_per_sec
-    }
-
-    /// Total bytes moved over the link.
-    #[inline]
-    pub fn bytes_moved(&self) -> u64 {
-        self.bytes_moved
     }
 
     /// Time the link has spent transferring.
@@ -380,14 +364,13 @@ mod tests {
     }
 
     #[test]
-    fn bandwidth_link_times_and_accounts_bytes() {
+    fn bandwidth_link_queues_transfers_at_its_rate() {
         // The paper's channel bus: 333 MB/s.
         let mut link = BandwidthLink::new(333_000_000);
         let r = link.transfer(SimTime(0), 4096);
         assert!(r.end.as_nanos() > 12_000 && r.end.as_nanos() < 12_500);
         let r2 = link.transfer(SimTime(0), 4096);
         assert_eq!(r2.start, r.end, "second page queues behind the first");
-        assert_eq!(link.bytes_moved(), 8192);
         // Back-to-back transfers keep the link busy over its whole window.
         assert_eq!(link.utilization(link.next_free()), 1.0);
     }

@@ -123,7 +123,7 @@ impl JourneyEventKind {
 pub struct JourneyEvent {
     /// What happened.
     pub kind: JourneyEventKind,
-    /// Component lane (chip, channel, block…; `u32::MAX` = board/host).
+    /// Component lane (chip, plane, channel, block…; `u32::MAX` = board/host).
     pub lane: u32,
     /// Interval start.
     pub start: SimTime,

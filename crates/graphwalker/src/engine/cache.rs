@@ -1,9 +1,8 @@
 //! Block residency: state-aware block picking, the LRU host block cache
 //! and the read-back of spilled walk pages.
 
-use fw_nand::Ppa;
-use fw_sim::JourneyEventKind::{EccRetry, NandRead, PcieTransfer, Stall, SubgraphLoad};
-use fw_sim::{Duration, SimTime};
+use fw_sim::JourneyEventKind::{NandRead, PcieTransfer, Stall, SubgraphLoad};
+use fw_sim::SimTime;
 
 use super::{GraphWalkerSim, GwRun};
 
@@ -38,24 +37,27 @@ impl GraphWalkerSim<'_> {
         run.block_loads += 1;
         // The host path page by page (NVMe command → array read → channel
         // → PCIe DMA), unrolled from `Ssd::host_read_pages` so each page's
-        // ECC verdict is visible: a hard-failed page goes through the host
-        // recovery path before its channel/PCIe leg. With faults off this
-        // is timing-identical to `host_read_pages`.
-        let num_pages = self.placements[block as usize].pages.len();
+        // ECC verdict is visible: a hard-failed page goes through the
+        // recovery loop, whose degraded read stands for host-side
+        // reconstruction, before its channel/PCIe leg. With faults off
+        // this is timing-identical to `host_read_pages`.
         let page_bytes = self.ssd.config().geometry.page_bytes;
         let start = run.now + self.ssd.config().nvme_cmd_overhead;
         let mut done = start;
         // Fault segments go to the probe, which stamps them onto every
-        // sampled walk pooled on the block. Their lane is the page index,
-        // so same-timed retries on different pages stay distinct events.
+        // sampled walk of the block.
         let mut array_done = start;
         let mut pcie_start: Option<SimTime> = None;
-        for i in 0..num_pages {
-            let ppa = self.placements[block as usize].pages[i];
-            let (mut end, hard_fail) = self.array_read_recorded(start, ppa, i as u32);
-            if hard_fail {
-                let recovered = self.recover_host_read(ppa, end, run, i as u32);
-                self.probe.segment(Stall, i as u32, end, recovered);
+        for &ppa in &self.placements[block as usize].pages {
+            let (r, fault) = self.ssd.read_page_recorded(start, ppa, &mut self.probe);
+            let mut end = r.end;
+            if fault.hard_fail {
+                let (recovered, rereads, degraded) =
+                    self.ssd.recover_read(ppa, end, &mut self.probe);
+                run.requeues += u64::from(rereads);
+                run.degraded += u64::from(degraded);
+                let lane = ppa.plane_index(&self.ssd.config().geometry) as u32;
+                self.probe.segment(Stall, lane, end, recovered);
                 end = recovered;
             }
             array_done = array_done.max(end);
@@ -71,11 +73,12 @@ impl GraphWalkerSim<'_> {
         // treated as stalled — the host abandons the wait and requeues the
         // NVMe command after a backoff; the requeued command completes
         // against data already staged in the controller.
-        if self.faults.is_on() && done - run.now > self.faults.load_timeout {
+        let faults = self.ssd.fault_profile();
+        if faults.is_on() && done - run.now > faults.load_timeout {
             run.stalled_loads += 1;
             run.requeues += 1;
             let stalled_at = done;
-            done = done + self.faults.retry_backoff + self.ssd.config().nvme_cmd_overhead;
+            done = done + faults.retry_backoff + self.ssd.config().nvme_cmd_overhead;
             self.probe.segment(Stall, u32::MAX, stalled_at, done);
         }
         // Every walk pooled on this block waited out the whole load; the
@@ -85,53 +88,15 @@ impl GraphWalkerSim<'_> {
         if let Some(ps) = pcie_start {
             self.probe.segment(PcieTransfer, block, ps, done);
         }
-        let ids = self.pools[block as usize].walks.iter().map(|w| w.id);
+        // Spilled walks waited on the load too.
+        let pool = &self.pools[block as usize];
+        let spilled = pool.spilled.iter().flat_map(|(_, walks)| walks);
+        let ids = pool.walks.iter().chain(spilled).map(|w| w.id);
         self.probe.walks(ids, SubgraphLoad, block);
-        let bytes = num_pages as u64 * page_bytes;
+        let bytes = self.placements[block as usize].pages.len() as u64 * page_bytes;
         self.probe.phase("gw.load", block, run.now, done, bytes);
         run.breakdown.load_graph += done - run.now;
         run.now = done;
-    }
-
-    /// One array read of `ppa` from `at`. Its retry-ladder time goes to
-    /// the probe as an ECC-retry segment on `lane`. Returns the read's end
-    /// and whether the ladder ran dry.
-    fn array_read_recorded(&mut self, at: SimTime, ppa: Ppa, lane: u32) -> (SimTime, bool) {
-        let (r, fault) = self.ssd.array_read_checked(at, ppa);
-        if fault.extra.as_nanos() > 0 {
-            self.probe
-                .segment(EccRetry, lane, r.end - fault.extra, r.end);
-        }
-        (r.end, fault.hard_fail)
-    }
-
-    /// Host recovery for a page whose ECC ladder was exhausted: re-issue
-    /// the read with exponential backoff up to the profile's attempt
-    /// budget, then fall back to host-side reconstruction, charged as one
-    /// final full-array pass (any residual errors on that pass are
-    /// absorbed by the reconstruction). Returns when the page is in the
-    /// controller. Retry-ladder time spent by every re-read, the final
-    /// pass included, goes to the probe as segments on `lane`, so
-    /// journeys reconcile with the injector's aggregate retry counters.
-    fn recover_host_read(
-        &mut self,
-        ppa: Ppa,
-        failed_at: SimTime,
-        run: &mut GwRun,
-        lane: u32,
-    ) -> SimTime {
-        let mut end = failed_at;
-        for attempt in 0..self.faults.max_load_attempts.saturating_sub(1) {
-            run.requeues += 1;
-            let backoff = Duration::nanos(self.faults.retry_backoff.as_nanos() << attempt);
-            let (read_end, hard_fail) = self.array_read_recorded(end + backoff, ppa, lane);
-            end = read_end;
-            if !hard_fail {
-                return end;
-            }
-        }
-        run.degraded += 1;
-        self.array_read_recorded(end, ppa, lane).0
     }
 
     /// Read back spilled walk pages for `block` (walk I/O). Pages are
@@ -144,8 +109,11 @@ impl GraphWalkerSim<'_> {
         let page_bytes = self.ssd.config().geometry.page_bytes;
         let mut done = run.now;
         for (lpn, walks) in spilled {
-            if let Some(r) = self.ssd.ftl_read_page(run.now, lpn) {
-                let dma = self.ssd.pcie_transfer(r.end, page_bytes);
+            // A spill page's hard fail is charged its ladder but not re-read.
+            if let Some(ppa) = self.ssd.ftl_mut().translate(lpn) {
+                let (r, _) = self.ssd.read_page_recorded(run.now, ppa, &mut self.probe);
+                let ch = self.ssd.channel_transfer(r.end, ppa.channel, page_bytes);
+                let dma = self.ssd.pcie_transfer(ch.end, page_bytes);
                 done = done.max(dma.end);
             }
             self.ssd.ftl_mut().trim(lpn);

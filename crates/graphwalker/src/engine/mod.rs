@@ -164,9 +164,6 @@ pub struct GraphWalkerSim<'g> {
     /// Construction seed, kept so [`Self::with_faults`] can derive the
     /// injector's independent stream.
     seed: u64,
-    /// Fault profile; [`FaultProfile::none`] (the default) injects
-    /// nothing and skips every recovery branch.
-    pub(super) faults: FaultProfile,
     /// Block ids currently cached in host memory, LRU order (front = MRU).
     cache: Vec<u32>,
     pools: Vec<BlockPool>,
@@ -202,7 +199,6 @@ impl<'g> GraphWalkerSim<'g> {
             ssd: Ssd::new(ssd_cfg, static_blocks),
             rng: Xoshiro256pp::new(seed),
             seed,
-            faults: FaultProfile::none(),
             cache: Vec::new(),
             pools,
             next_lpn: 0,
@@ -247,7 +243,6 @@ impl<'g> GraphWalkerSim<'g> {
     /// retry/requeue metrics change. Enabling [`FaultProfile::none`] is a
     /// no-op.
     pub fn with_faults(mut self, profile: FaultProfile) -> Self {
-        self.faults = profile;
         self.ssd
             .enable_faults(profile, derive_stream_seed(self.seed, FAULT_STREAM));
         self
@@ -336,7 +331,7 @@ impl<'g> GraphWalkerSim<'g> {
 
         let s = *self.ssd.stats();
         let cfgp = *self.ssd.config();
-        let faults = self.faults.is_on().then(|| {
+        let faults = self.ssd.fault_profile().is_on().then(|| {
             let f = self.ssd.fault_stats();
             FaultSummary {
                 read_retries: f.read_retries,
@@ -710,8 +705,9 @@ mod tests {
     fn recovery_rereads_show_their_retry_time_in_journeys() {
         // Every read runs its ladder dry: the first read, the re-issued
         // read and the final reconstruction pass each spend retry time,
-        // and journeys must hold all of it. A huge walk buffer keeps
-        // spill read-backs out, so block loads make every read.
+        // and so does every spill read-back, which is not re-read.
+        // Journeys must hold all of it, each read on its plane's lane,
+        // including the loads of blocks whose walks are all spilled.
         let g = graph(800, 8_000);
         let profile = fw_fault::FaultProfile {
             read_error_ppm: 1_000_000,
@@ -722,35 +718,38 @@ mod tests {
             load_timeout: Duration::secs(1),
             ..fw_fault::FaultProfile::none()
         };
-        let cfg = GwConfig {
-            walk_buffer_bytes: 1 << 30,
-            ..small_cfg(64 << 10)
-        };
-        let r = GraphWalkerSim::new(&g, 4, cfg, SsdConfig::tiny(), 5)
-            .with_faults(profile)
-            .with_journeys(JourneyConfig {
-                seed: 7,
-                sample_period: 1,
-                max_walks: usize::MAX,
-            })
-            .run_detailed(Workload::paper_default(1_000));
-        assert_eq!(r.walk_spills, 0, "precondition: no spilled pools");
-        let f = r.faults.expect("faulted run reports a summary");
-        assert!(f.degraded_ops > 0, "precondition: reconstruction passes");
-        let j = r.journeys.expect("journeys on");
-        let mut seen: std::collections::BTreeSet<(u32, u64, u64)> = Default::default();
-        let mut retry_ns: u64 = 0;
-        for e in j.walks.iter().flat_map(|w| &w.events) {
-            if e.kind == JourneyEventKind::EccRetry
-                && seen.insert((e.lane, e.start.as_nanos(), e.end.as_nanos()))
-            {
-                retry_ns += e.end.as_nanos() - e.start.as_nanos();
+        // (row, walk buffer bytes)
+        for (row, walk_buffer_bytes) in [("no spills", 1 << 30), ("walk spills", 4 << 10)] {
+            let cfg = GwConfig {
+                walk_buffer_bytes,
+                ..small_cfg(64 << 10)
+            };
+            let r = GraphWalkerSim::new(&g, 4, cfg, SsdConfig::tiny(), 5)
+                .with_faults(profile)
+                .with_journeys(JourneyConfig {
+                    seed: 7,
+                    sample_period: 1,
+                    max_walks: usize::MAX,
+                })
+                .run_detailed(Workload::paper_default(1_000));
+            assert_eq!(r.walk_spills > 0, walk_buffer_bytes < 1 << 30, "{row}");
+            let f = r.faults.expect("faulted run reports a summary");
+            assert!(f.degraded_ops > 0, "{row}: reconstruction passes");
+            let j = r.journeys.expect("journeys on");
+            let mut seen: std::collections::BTreeSet<(u32, u64, u64)> = Default::default();
+            let mut retry_ns: u64 = 0;
+            for e in j.walks.iter().flat_map(|w| &w.events) {
+                if e.kind == JourneyEventKind::EccRetry
+                    && seen.insert((e.lane, e.start.as_nanos(), e.end.as_nanos()))
+                {
+                    retry_ns += e.end.as_nanos() - e.start.as_nanos();
+                }
             }
+            assert_eq!(
+                retry_ns, f.retry_ns,
+                "{row}: journeys must hold every read's retry time"
+            );
         }
-        assert_eq!(
-            retry_ns, f.retry_ns,
-            "journeys must hold every load read's retry time"
-        );
     }
 
     #[test]

@@ -162,7 +162,8 @@ impl<'g> IterativeSim<'g> {
             for b in 0..nblocks {
                 // Read back spilled walks for this block.
                 for (lpn, walks) in std::mem::take(&mut spilled[b]) {
-                    if let Some(r) = self.ssd.ftl_read_page(now, lpn) {
+                    // The iterative baseline never enables faults.
+                    if let Some((r, _)) = self.ssd.ftl_read_page(now, lpn) {
                         let dma = self.ssd.pcie_transfer(r.end, page_bytes);
                         breakdown.walk_io += dma.end - now;
                         now = dma.end;
@@ -178,7 +179,8 @@ impl<'g> IterativeSim<'g> {
                 block_loads += 1;
                 let pages = &self.placements[b].pages;
                 let num_pages = pages.len() as u64;
-                let done = self.ssd.host_read_pages(now, pages);
+                // Fault-free, as the read-backs above are.
+                let (done, _) = self.ssd.host_read_pages(now, pages);
                 let bytes = num_pages * page_bytes;
                 self.probe.span("iter.load", b as u32, now, done, bytes);
                 breakdown.load_graph += done - now;
