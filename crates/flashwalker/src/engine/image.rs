@@ -51,6 +51,10 @@ pub(super) struct PartitionImage {
     chip_pwb: Vec<u32>,
     /// Global top in-degree subgraphs (board-resident).
     board_hot: Vec<SgId>,
+    /// The partition's first subgraph, and one bit per subgraph of the
+    /// partition from it: set for the board-hot ones.
+    first_sg: SgId,
+    board_hot_bits: Vec<u64>,
     /// Channel `ch`'s hot subgraphs are
     /// `chan_hot[chan_hot_start[ch]..chan_hot_start[ch + 1]]`.
     chan_hot_start: Vec<u32>,
@@ -65,9 +69,11 @@ impl PartitionImage {
         &self.chip_pwb[self.chip_pwb_start[c] as usize..self.chip_pwb_start[c + 1] as usize]
     }
 
-    /// The board-level accelerator's hot subgraphs.
-    pub(super) fn board_hot(&self) -> &[SgId] {
-        &self.board_hot
+    /// Whether `sg`, a subgraph of this partition, is one of the board's
+    /// hot subgraphs (never a dense slice).
+    pub(super) fn is_board_hot(&self, sg: SgId) -> bool {
+        let i = (sg - self.first_sg) as usize;
+        self.board_hot_bits[i / 64] >> (i % 64) & 1 != 0
     }
 
     /// Channel `ch`'s hot subgraphs.
@@ -260,6 +266,7 @@ impl PartitionImage {
     ) -> Self {
         let g = ssd_cfg.geometry;
         let range = pg.partition_range(p);
+        let first_sg = range.start;
         // Group the partition's PWB entries by their (static) chip,
         // ascending within each chip: a counting sort over chips.
         let mut chip_pwb_start = vec![0u32; g.num_chips() as usize + 1];
@@ -298,6 +305,12 @@ impl PartitionImage {
                 }
             }
         }
+        // One PWB entry per subgraph of the partition.
+        let mut board_hot_bits = vec![0u64; chip_pwb.len().div_ceil(64)];
+        for &sg in &board_hot {
+            let i = (sg - first_sg) as usize;
+            board_hot_bits[i / 64] |= 1 << (i % 64);
+        }
         let mut chan_hot_start = Vec::with_capacity(per_chan.len() + 1);
         chan_hot_start.push(0);
         for hot in &per_chan {
@@ -307,6 +320,8 @@ impl PartitionImage {
             chip_pwb_start,
             chip_pwb,
             board_hot,
+            first_sg,
+            board_hot_bits,
             chan_hot_start,
             chan_hot: per_chan.concat(),
         }
@@ -318,6 +333,42 @@ mod tests {
     use super::*;
     use fw_graph::partition::PartitionConfig;
     use fw_graph::rmat::{generate_csr, RmatParams};
+
+    #[test]
+    fn board_hot_bits_match_the_hot_list() {
+        let csr = generate_csr(RmatParams::graph500(), 4000, 60_000, 5);
+        let pg = PartitionedGraph::build(
+            &csr,
+            PartitionConfig {
+                subgraph_bytes: 1 << 10,
+                id_bytes: 4,
+                subgraphs_per_partition: 150,
+            },
+        );
+        // 40 board slots of 1-KiB subgraphs: partitions of 150 subgraphs
+        // (three bit words) hold hot and cold ones.
+        let mut cfg = AccelConfig::scaled();
+        cfg.board_subgraph_buf = 40 << 10;
+        let image = FlashImage::new(&pg, cfg, SsdConfig::tiny());
+        assert!(pg.num_partitions() > 1 && !pg.dense.is_empty());
+        let mut hot = 0;
+        for p in 0..pg.num_partitions() {
+            let part = &image.parts[p as usize];
+            assert!(!part.board_hot.is_empty() && part.board_hot.len() <= 40);
+            for sg in pg.partition_range(p) {
+                assert_eq!(
+                    part.is_board_hot(sg),
+                    part.board_hot.contains(&sg),
+                    "subgraph {sg}"
+                );
+                hot += part.is_board_hot(sg) as u32;
+            }
+        }
+        assert_eq!(
+            hot as usize,
+            image.parts.iter().map(|p| p.board_hot.len()).sum::<usize>()
+        );
+    }
 
     /// The precomputed steps equal the searches they stand for — the
     /// range table's and the mapping table's `lookup_in` over the range ∩

@@ -125,6 +125,8 @@ pub struct FlashWalkerSim<'g> {
     scratch: Vec<TWalk>,
     /// Reusable loaded-subgraph snapshot for chip batches.
     loaded_scratch: Vec<SgId>,
+    /// Reusable stage buffer for chip batches.
+    chip_stages: Vec<routing::StagedHop>,
     /// Free lists for event-payload vectors (see [`state::Pools`]).
     pools: Pools,
 
@@ -228,6 +230,7 @@ impl<'g> FlashWalkerSim<'g> {
             relaxed_pick: false,
             scratch: Vec::new(),
             loaded_scratch: Vec::new(),
+            chip_stages: Vec::new(),
             pools,
             total_walks: 0,
             completed: 0,
@@ -381,6 +384,10 @@ impl<'g> FlashWalkerSim<'g> {
 
     /// Deliver one committed event to its handler.
     fn dispatch(&mut self, now: SimTime, ev: Ev) {
+        // Events pop in time order and every handler issues its device
+        // requests at `now` or later: nothing can name an earlier time.
+        self.ssd.set_floor(now);
+        self.dram.set_floor(now);
         match ev {
             Ev::ChipLoaded { chip, sg } => self.on_chip_loaded(chip, sg, now),
             Ev::ChipBatchDone { chip, outbox } => self.on_chip_batch_done(chip, outbox, now),

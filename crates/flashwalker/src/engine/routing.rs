@@ -7,12 +7,14 @@ use std::sync::Arc;
 use fw_dram::DramOp;
 use fw_graph::DENSE_BIT;
 use fw_sim::JourneyEventKind::{Complete, Hop, SampleStep};
-use fw_sim::{Duration, SimTime};
-use fw_walk::WALK_BYTES;
+use fw_sim::{Duration, SimTime, Xoshiro256pp};
+use fw_walk::{WalkEvent, WALK_BYTES};
 
 use super::events::Ev;
 use super::state::{DeliveryBuckets, SgId, Slot, TWalk};
-use super::step::{guide_local, hop_dense_slice, hop_regular, prewalk_slice, HopResult};
+#[cfg(test)]
+use super::step::hop_dense_slice;
+use super::step::{guide_local, prewalk_slice};
 use super::{page_walks, FlashWalkerSim};
 
 impl FlashWalkerSim<'_> {
@@ -52,53 +54,27 @@ impl FlashWalkerSim<'_> {
                 }
             }
         }
-        let mut upd_ops: u64 = 0;
-        let mut guid_ops: u64 = 0;
-        let mut outbox = self.pools.take_walks();
-        let mut completed_now: u64 = 0;
+        let mut batch = ChipBatch {
+            chip,
+            loaded,
+            outbox: self.pools.take_walks(),
+            upd_ops: 0,
+            guid_ops: 0,
+            completed: 0,
+        };
         // The walk RNG for the whole batch (moved out of `self`; same
         // object, same draw order).
         let mut wrng = self.take_walk_rng();
-
-        for mut tw in work.drain(..) {
-            self.probe.walk(tw.walk.id, SampleStep, chip);
-            loop {
-                let sg = tw.tag;
-                let is_dense = self.pg.subgraphs[sg as usize].is_dense();
-                let (res, ops) = if is_dense {
-                    hop_dense_slice(&self.wl, self.csr, self.pg, sg, tw.walk, &mut wrng)
-                } else {
-                    hop_regular(&self.wl, self.csr, tw.walk, &mut wrng)
-                };
-                upd_ops += ops as u64;
-                self.stats.hops += 1;
-                self.stats.chip_hops += 1;
-                match res {
-                    HopResult::Completed(w) => {
-                        completed_now += 1;
-                        self.probe.mark(w.id, Complete, chip);
-                        self.log_completed(w);
-                        break;
-                    }
-                    HopResult::Moved(w) => {
-                        // The hop's one location lookup: the code is the
-                        // next subgraph when the walk stays on the chip
-                        // (asynchronous updating: keep hopping), and rides
-                        // along to the channel and board when it roves.
-                        let code = self.pg.vloc(w.cur);
-                        let (local, gops) = guide_local(&loaded, code);
-                        guid_ops += gops as u64;
-                        tw.walk = w;
-                        tw.tag = code;
-                        if !local {
-                            outbox.push(tw);
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-
+        self.update_chip_walks(&mut batch, &work, &mut wrng);
+        let ChipBatch {
+            mut loaded,
+            outbox,
+            upd_ops,
+            guid_ops,
+            completed: completed_now,
+            ..
+        } = batch;
+        work.clear();
         self.put_walk_rng(wrng);
         self.scratch = work;
         loaded.clear();
@@ -132,6 +108,177 @@ impl FlashWalkerSim<'_> {
             .events
             .schedule_at(now + busy, Ev::ChipBatchDone { chip, outbox });
         self.probe.work(id, "chip.batch", chip, now, now + busy);
+    }
+
+    /// Update every walk of `work` in `b`'s loaded subgraphs, drawing on
+    /// `rng`, in one staged pass (DESIGN §9 "Staged chip batches"): every
+    /// walk's edge range, then every walk's draws in walk order, then
+    /// every next vertex, then every location code, then a walk-order
+    /// commit. Which walk gets which draw depends only on the ranges, so
+    /// the lookups of different walks overlap and every draw goes where
+    /// the walk-at-a-time loop puts it. A walk that stays on the chip
+    /// takes its later hops one by one from the RNG state after its first
+    /// draws, and the stages restart at the walk after it, so their draws
+    /// are made again.
+    fn update_chip_walks(&mut self, b: &mut ChipBatch, work: &[TWalk], rng: &mut Xoshiro256pp) {
+        let mut st = std::mem::take(&mut self.chip_stages);
+        // Stage 1: every walk's edge range, its vertex's out-list or its
+        // dense slice. No draw depends on a later stage's lookup.
+        st.clear();
+        st.extend(work.iter().map(|tw| {
+            let v = tw.walk.cur;
+            let (lo, len) = match self.pg.subgraphs[tw.tag as usize].dense {
+                Some(slice) => {
+                    debug_assert_eq!(slice.vertex, v, "walk {} not at its slice", tw.walk.id);
+                    (slice.first_edge_in_vertex as u32, slice.num_edges as u32)
+                }
+                None => (0, self.csr.out_degree(v) as u32),
+            };
+            StagedHop {
+                base: self.csr.edge_start(v) as u32,
+                lo,
+                len,
+                ..StagedHop::default()
+            }
+        }));
+        let mut i = 0;
+        while i < work.len() {
+            // Stage 2: every walk's draws, in walk order on the one walk
+            // RNG.
+            let drawn_from = rng.clone();
+            for (tw, h) in work[i..].iter().zip(&mut st[i..]) {
+                let (pick, ops) = self.wl.pick(self.csr, tw.walk.cur, h.edges(), rng);
+                h.pick = pick.map(|e| e as u32);
+                h.ops = ops;
+            }
+            // Stage 3: every next vertex.
+            let edges = self.csr.edge_slice();
+            for h in &mut st[i..] {
+                h.next = h.pick.map(|e| edges[(h.base + e) as usize]);
+            }
+            // Stage 4: the location code of every walk that moves on.
+            for (tw, h) in work[i..].iter().zip(&mut st[i..]) {
+                if let Some(next) = h.next.filter(|_| tw.walk.hop > 1) {
+                    h.code = self.pg.vloc(next);
+                }
+            }
+            // Commit, in walk order.
+            let start = i;
+            i = work.len();
+            for (j, (&tw, h)) in work.iter().zip(&st).enumerate().skip(start) {
+                let mut tw = tw;
+                self.probe.walk(tw.walk.id, SampleStep, b.chip);
+                let hop = (WalkEvent::of_hop(tw.walk, h.next), h.ops);
+                if self.commit_chip_hop(b, &mut tw, hop, h.code) {
+                    // It stays on the chip: rewind the RNG to just after
+                    // this walk's draws (replaying the stage's draws up to
+                    // it) and finish it hop by hop. Local guiding never
+                    // hits a dense vertex's code, so every later hop is in
+                    // a regular subgraph.
+                    *rng = drawn_from;
+                    for (tw, h) in work[start..=j].iter().zip(&st[start..=j]) {
+                        self.wl.pick(self.csr, tw.walk.cur, h.edges(), rng);
+                    }
+                    loop {
+                        debug_assert!(!self.pg.subgraphs[tw.tag as usize].is_dense());
+                        let hop = self.wl.step(self.csr, tw.walk, rng);
+                        let code = match hop.0 {
+                            WalkEvent::Moved(w) => self.pg.vloc(w.cur),
+                            WalkEvent::Completed(_) => 0,
+                        };
+                        if !self.commit_chip_hop(b, &mut tw, hop, code) {
+                            break;
+                        }
+                    }
+                    i = j + 1;
+                    break;
+                }
+            }
+        }
+        self.chip_stages = st;
+    }
+
+    /// Commit one chip hop of `tw`: count it, then complete the walk, or
+    /// retag it with `code`, its new vertex's location code, and guide it.
+    /// Returns whether the walk stays on the chip; a roving walk goes to
+    /// the batch outbox.
+    fn commit_chip_hop(
+        &mut self,
+        b: &mut ChipBatch,
+        tw: &mut TWalk,
+        (ev, ops): (WalkEvent, u32),
+        code: u32,
+    ) -> bool {
+        b.upd_ops += ops as u64;
+        self.stats.hops += 1;
+        self.stats.chip_hops += 1;
+        match ev {
+            WalkEvent::Completed(w) => {
+                b.completed += 1;
+                self.probe.mark(w.id, Complete, b.chip);
+                self.log_completed(w);
+                false
+            }
+            WalkEvent::Moved(w) => {
+                // The hop's one location lookup: the code is the next
+                // subgraph when the walk stays on the chip (asynchronous
+                // updating: keep hopping), and rides along to the channel
+                // and board when it roves.
+                let (local, gops) = guide_local(&b.loaded, code);
+                b.guid_ops += gops as u64;
+                tw.walk = w;
+                tw.tag = code;
+                if !local {
+                    b.outbox.push(*tw);
+                }
+                local
+            }
+        }
+    }
+
+    /// Today's walk-at-a-time chip loop, kept as the reference the staged
+    /// pass is tested against.
+    #[cfg(test)]
+    fn update_chip_walks_reference(
+        &mut self,
+        b: &mut ChipBatch,
+        work: &[TWalk],
+        rng: &mut Xoshiro256pp,
+    ) {
+        for &tw in work {
+            let mut tw = tw;
+            self.probe.walk(tw.walk.id, SampleStep, b.chip);
+            loop {
+                let sg = tw.tag;
+                let (res, ops) = if self.pg.subgraphs[sg as usize].is_dense() {
+                    hop_dense_slice(&self.wl, self.csr, self.pg, sg, tw.walk, rng)
+                } else {
+                    self.wl.step(self.csr, tw.walk, rng)
+                };
+                b.upd_ops += ops as u64;
+                self.stats.hops += 1;
+                self.stats.chip_hops += 1;
+                match res {
+                    WalkEvent::Completed(w) => {
+                        b.completed += 1;
+                        self.probe.mark(w.id, Complete, b.chip);
+                        self.log_completed(w);
+                        break;
+                    }
+                    WalkEvent::Moved(w) => {
+                        let code = self.pg.vloc(w.cur);
+                        let (local, gops) = guide_local(&b.loaded, code);
+                        b.guid_ops += gops as u64;
+                        tw.walk = w;
+                        tw.tag = code;
+                        if !local {
+                            b.outbox.push(tw);
+                            break;
+                        }
+                    }
+                }
+            }
+        }
     }
 
     pub(super) fn on_chip_batch_done(&mut self, chip: u32, mut outbox: Vec<TWalk>, now: SimTime) {
@@ -271,19 +418,19 @@ impl FlashWalkerSim<'_> {
                     if !hit {
                         break;
                     }
-                    let (res, ops) = hop_regular(&self.wl, self.csr, tw.walk, &mut wrng);
+                    let (res, ops) = self.wl.step(self.csr, tw.walk, &mut wrng);
                     upd_ops += ops as u64;
                     self.stats.hops += 1;
                     self.stats.chan_hops += 1;
                     match res {
-                        HopResult::Completed(w) => {
+                        WalkEvent::Completed(w) => {
                             completed_now += 1;
                             self.probe.mark(w.id, Complete, ch);
                             self.log_completed(w);
                             done = true;
                             break;
                         }
-                        HopResult::Moved(w) => {
+                        WalkEvent::Moved(w) => {
                             tw.walk = w;
                             tw.tag = self.pg.vloc(w.cur);
                         }
@@ -413,7 +560,7 @@ impl FlashWalkerSim<'_> {
         inbox.extend(self.board.inbox.drain(..take));
         // Shared image handle, as in run_channel_batch.
         let image = Arc::clone(&self.image);
-        let hot = image.parts[self.current_partition as usize].board_hot();
+        let part = &image.parts[self.current_partition as usize];
         let mut guid_ops: u64 = 0;
         let mut upd_ops: u64 = 0;
         let mut map_probes: u64 = 0;
@@ -442,23 +589,21 @@ impl FlashWalkerSim<'_> {
                 match dest {
                     None => break None, // foreigner
                     Some(sg) => {
-                        // Board-hot updating (HS).
-                        if self.cfg.opts.hot_subgraphs
-                            && hot.contains(&sg)
-                            && !self.pg.subgraphs[sg as usize].is_dense()
-                        {
-                            let (res, ops) = hop_regular(&self.wl, self.csr, tw.walk, &mut wrng);
+                        // Board-hot updating (HS). The hot set holds no
+                        // dense slice.
+                        if self.cfg.opts.hot_subgraphs && part.is_board_hot(sg) {
+                            let (res, ops) = self.wl.step(self.csr, tw.walk, &mut wrng);
                             upd_ops += ops as u64;
                             self.stats.hops += 1;
                             self.stats.board_hops += 1;
                             match res {
-                                HopResult::Completed(w) => {
+                                WalkEvent::Completed(w) => {
                                     completed_now += 1;
                                     self.probe.mark(w.id, Complete, u32::MAX);
                                     self.log_completed(w);
                                     break Some(None); // consumed
                                 }
-                                HopResult::Moved(w) => {
+                                WalkEvent::Moved(w) => {
                                     tw.walk = w;
                                     tw.tag = self.pg.vloc(w.cur);
                                     narrowed = false;
@@ -569,6 +714,42 @@ impl FlashWalkerSim<'_> {
     }
 }
 
+/// A chip batch in progress: the chip, its loaded subgraphs, the walks
+/// roving off it, and the batch's op and completion counts.
+struct ChipBatch {
+    chip: u32,
+    loaded: Vec<SgId>,
+    outbox: Vec<TWalk>,
+    upd_ops: u64,
+    guid_ops: u64,
+    completed: u64,
+}
+
+/// One walk's hop through the stages of a chip batch. The engine keeps
+/// one reusable vector of them, as it keeps `scratch`.
+#[derive(Debug, Clone, Copy, Default)]
+pub(super) struct StagedHop {
+    /// Flat index of the first edge of the walk's vertex.
+    base: u32,
+    /// The walk's edge range in its vertex's out-list: `lo..lo + len`.
+    lo: u32,
+    len: u32,
+    /// The picked index in the out-list (`None`: the walk ends here) and
+    /// the updater op count of the draws.
+    pick: Option<u32>,
+    ops: u32,
+    /// The picked vertex, and its location code when the walk moves on.
+    next: Option<u32>,
+    code: u32,
+}
+
+impl StagedHop {
+    /// The walk's edge range in its vertex's out-list.
+    fn edges(&self) -> std::ops::Range<usize> {
+        self.lo as usize..(self.lo + self.len) as usize
+    }
+}
+
 /// Record `chip` as dirty, deduplicating while preserving first-touch
 /// push order (which fixes the later `maybe_fill_chip` call order).
 /// Chips below 128 use the bitmask fast path; larger ids — possible on
@@ -590,16 +771,17 @@ pub(super) fn mark_dirty(dirty_mask: &mut u128, dirty_chips: &mut Vec<u32>, chip
 
 #[cfg(test)]
 mod tests {
-    use super::super::state::{Slot, TWalk};
+    use super::super::state::{SgId, Slot, TWalk};
     use super::super::step::prewalk_slice;
     use super::super::FlashWalkerSim;
+    use super::ChipBatch;
     use crate::config::AccelConfig;
     use fw_graph::partition::PartitionConfig;
     use fw_graph::rmat::{generate_csr, RmatParams};
     use fw_graph::{Csr, PartitionedGraph};
     use fw_nand::SsdConfig;
     use fw_sim::{SimTime, Xoshiro256pp};
-    use fw_walk::Walk;
+    use fw_walk::{Walk, Workload};
 
     fn multi_partition_setup() -> (Csr, PartitionedGraph) {
         let csr = generate_csr(RmatParams::graph500(), 2000, 20_000, 11);
@@ -637,6 +819,121 @@ mod tests {
         let mut walk = Walk::new(pg.subgraphs[sg as usize].low, 6);
         walk.id = id;
         TWalk { walk, tag: sg }
+    }
+
+    /// The staged chip pass and the walk-at-a-time reference, run on the
+    /// same batches from the same RNG, leave the same outbox (order and
+    /// tags), walk log, op counts, hop counters and RNG state. The graph
+    /// has dense vertices and dead ends; the batches mix walks at dense
+    /// slices, walks at dead ends, walks on their last hop and walks
+    /// that stay on the chip for several hops (every other subgraph, or
+    /// all of them, loaded), under DeepWalk, PPR and a weighted walk.
+    #[test]
+    fn staged_chip_pass_matches_the_walk_at_a_time_loop() {
+        let csr = generate_csr(RmatParams::graph500(), 2000, 20_000, 11).with_random_weights(3);
+        let pg = PartitionedGraph::build(
+            &csr,
+            PartitionConfig {
+                subgraph_bytes: 1 << 10,
+                id_bytes: 4,
+                subgraphs_per_partition: 16,
+            },
+        );
+        assert!(pg.num_partitions() > 1);
+        assert!(pg.dense.iter().any(|m| m.num_blocks > 1));
+        let dead_ends = (0..csr.num_vertices())
+            .filter(|&v| csr.out_degree(v) == 0)
+            .count();
+        assert!(dead_ends > 0);
+        // Every fifth walk starts at a dense vertex, the others at vertex
+        // `i * 7 mod |V|`, with 1 to 6 hops left, tagged with their
+        // destination: the owning subgraph, or one of the dense vertex's
+        // slices.
+        let work: Vec<TWalk> = (0..640u32)
+            .map(|i| {
+                let v = match i % 5 {
+                    0 => pg.dense[(i / 5) as usize % pg.dense.len()].vertex,
+                    _ => i * 7 % csr.num_vertices(),
+                };
+                let mut walk = Walk::new(v, 1 + (i % 6) as u16);
+                walk.id = i;
+                let tag = match pg.find_dense(v) {
+                    Some(m) => m.first_subgraph + i % m.num_blocks,
+                    None => pg.vloc(v),
+                };
+                TWalk { walk, tag }
+            })
+            .collect();
+        let at_dense = work
+            .iter()
+            .filter(|tw| pg.subgraphs[tw.tag as usize].is_dense())
+            .count();
+        let at_dead_end = work
+            .iter()
+            .filter(|tw| csr.out_degree(tw.walk.cur) == 0)
+            .count();
+        assert!(
+            at_dense > 10 && at_dead_end > 10,
+            "{at_dense} dense, {at_dead_end} dead ends"
+        );
+        let workloads = [
+            Workload::deepwalk(640, 6),
+            Workload::ppr(640, 0, 0.15, 6),
+            Workload::node2vec_biased(640, 6),
+        ];
+        let every_other: Vec<SgId> = (0..pg.num_subgraphs()).step_by(2).collect();
+        let all: Vec<SgId> = (0..pg.num_subgraphs()).collect();
+        let mut max_chip_hops = 0;
+        for wl in workloads {
+            for loaded in [&every_other, &all] {
+                // Batches of up to 64 walks, as `chip_batch_cap` cuts them.
+                let run = |staged: bool| {
+                    let mut sim =
+                        FlashWalkerSim::new(&csr, &pg, AccelConfig::scaled(), SsdConfig::tiny(), 1)
+                            .with_walk_log();
+                    sim.wl = wl;
+                    let mut rng = Xoshiro256pp::new(7);
+                    let mut out = Vec::new();
+                    for chunk in work.chunks(64) {
+                        let mut b = ChipBatch {
+                            chip: 0,
+                            loaded: loaded.clone(),
+                            outbox: Vec::new(),
+                            upd_ops: 0,
+                            guid_ops: 0,
+                            completed: 0,
+                        };
+                        if staged {
+                            sim.update_chip_walks(&mut b, chunk, &mut rng);
+                        } else {
+                            sim.update_chip_walks_reference(&mut b, chunk, &mut rng);
+                        }
+                        let outbox: Vec<_> = b.outbox.iter().map(|tw| (tw.walk, tw.tag)).collect();
+                        out.push((outbox, b.upd_ops, b.guid_ops, b.completed));
+                    }
+                    let counters = (sim.stats.hops, sim.stats.chip_hops);
+                    (out, sim.walk_log.take().unwrap(), counters, rng)
+                };
+                let (want, want_log, want_hops, want_rng) = run(false);
+                let (got, got_log, got_hops, got_rng) = run(true);
+                let case = format!("{:?} / {} loaded", wl, loaded.len());
+                assert_eq!(got, want, "{case}");
+                assert_eq!(got_log, want_log, "{case}");
+                assert_eq!(got_hops, want_hops, "{case}");
+                assert_eq!(got_rng, want_rng, "{case}");
+                // Some walk took three hops or more: it stayed on the chip
+                // twice before it roved or finished.
+                let roved_after = want
+                    .iter()
+                    .flat_map(|(outbox, ..)| outbox)
+                    .map(|(w, _)| work[w.id as usize].walk.hop - w.hop)
+                    .max()
+                    .unwrap_or(0);
+                max_chip_hops = max_chip_hops.max(roved_after);
+                assert!(!want_log.is_empty(), "{case}");
+            }
+        }
+        assert!(max_chip_hops >= 3, "no walk stayed on the chip twice");
     }
 
     #[test]

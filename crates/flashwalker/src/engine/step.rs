@@ -1,93 +1,46 @@
-//! Walk stepping inside accelerators: normal subgraph updates, dense-slice
-//! sampling, and the pre-walking slice choice.
+//! Walk stepping inside accelerators: dense-slice sampling, the
+//! pre-walking slice choice and local guiding. A hop in a regular
+//! subgraph is [`fw_walk::Workload::step`]; chip batches stage their hops
+//! themselves (`routing`).
 
-use fw_graph::{Csr, DenseVertexMeta, PartitionedGraph};
+use fw_graph::DenseVertexMeta;
+#[cfg(test)]
+use fw_graph::{Csr, PartitionedGraph};
 use fw_sim::Xoshiro256pp;
-use fw_walk::{Walk, Workload};
+#[cfg(test)]
+use fw_walk::{Walk, WalkEvent, Workload};
 
 use super::state::SgId;
 
-/// Outcome of one in-accelerator hop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HopResult {
-    /// The walk moved to a new vertex; here is the updated walk.
-    Moved(Walk),
-    /// The walk finished (length, stop probability, or dead end).
-    Completed(Walk),
-}
-
-/// Step a walk whose current vertex lives in an ordinary (non-dense)
-/// subgraph. Returns the hop result and the updater operation count.
-pub fn hop_regular(
-    wl: &Workload,
-    csr: &Csr,
-    walk: Walk,
-    rng: &mut Xoshiro256pp,
-) -> (HopResult, u32) {
-    let (ev, ops) = wl.step(csr, walk, rng);
-    match ev {
-        fw_walk::workload::WalkEvent::Moved(w) => (HopResult::Moved(w), ops),
-        fw_walk::workload::WalkEvent::Completed(w) => (HopResult::Completed(w), ops),
-    }
-}
-
 /// Step a dense walk whose chosen slice block is loaded: sample an edge
-/// *within the slice*. Together with the slice having been chosen
+/// *within the slice* ([`Workload::pick`] over the slice's range of the
+/// vertex's out-list). Together with the slice having been chosen
 /// proportionally to its edge count (see [`prewalk_slice`]), this equals a
 /// uniform draw over the dense vertex's full edge list — the paper's
 /// pre-walking argument. Weighted workloads sample within the slice by
 /// ITS over the global cumulative list restricted to the slice.
+///
+/// Chip batches read a dense walk's slice range in their first stage, so
+/// this single hop is the reference they and the pre-walking tests use.
+#[cfg(test)]
 pub fn hop_dense_slice(
     wl: &Workload,
     csr: &Csr,
     pg: &PartitionedGraph,
     slice_sg: SgId,
-    mut walk: Walk,
+    walk: Walk,
     rng: &mut Xoshiro256pp,
-) -> (HopResult, u32) {
-    let sg = &pg.subgraphs[slice_sg as usize];
-    let slice = sg.dense.expect("hop_dense_slice on non-dense subgraph");
+) -> (WalkEvent, u32) {
+    let slice = pg.subgraphs[slice_sg as usize]
+        .dense
+        .expect("hop_dense_slice on non-dense subgraph");
     debug_assert_eq!(slice.vertex, walk.cur, "walk not at this dense vertex");
-
-    // Stop-probability termination happens before sampling, as in
-    // Workload::step.
-    if let fw_walk::Termination::StopProb { prob, .. } = wl.termination {
-        if rng.next_f64() < prob {
-            walk.hop = 0;
-            return (HopResult::Completed(walk), 2);
-        }
-    }
-
+    debug_assert!(slice.num_edges > 0);
     let start = slice.first_edge_in_vertex as usize;
-    let n = slice.num_edges as usize;
-    debug_assert!(n > 0);
-    let (pick, ops) = match wl.bias {
-        fw_walk::Bias::Unbiased => {
-            let idx = rng.next_below(n as u64) as usize;
-            (idx, fw_walk::UNBIASED_UPDATER_OPS)
-        }
-        fw_walk::Bias::Weighted => {
-            // ITS restricted to the slice: draw in the slice's cumulative
-            // weight interval and binary-search inside it (the same
-            // probe-counting search as fw_walk::sample_biased).
-            let cl = csr.cumulative(walk.cur);
-            let lo_w = if start == 0 { 0.0 } else { cl[start - 1] };
-            let hi_w = cl[start + n - 1];
-            let r = lo_w + (rng.next_f64() as f32) * (hi_w - lo_w);
-            let (idx, probes) = fw_walk::its_search(cl, start, start + n, r);
-            (
-                idx.min(start + n - 1) - start,
-                fw_walk::UNBIASED_UPDATER_OPS + probes,
-            )
-        }
-    };
-    let next = csr.neighbors(walk.cur)[start + pick];
-    walk.advance(next);
-    if walk.is_done() {
-        (HopResult::Completed(walk), ops)
-    } else {
-        (HopResult::Moved(walk), ops)
-    }
+    let edges = start..start + slice.num_edges as usize;
+    let (pick, ops) = wl.pick(csr, walk.cur, edges, rng);
+    let next = pick.map(|i| csr.neighbors(walk.cur)[i]);
+    (WalkEvent::of_hop(walk, next), ops)
 }
 
 /// Pre-walking (§III-D): choose the graph block `gb_next` in which a dense
@@ -105,7 +58,7 @@ pub fn prewalk_slice(
 }
 
 /// A guider's membership test: is the vertex with location code `code`
-/// ([`PartitionedGraph::vloc`]) inside any of the `loaded` subgraphs?
+/// ([`fw_graph::PartitionedGraph::vloc`]) inside any of the `loaded` subgraphs?
 /// Returns the answer and the comparison-op count: one per subgraph
 /// probed, as the guider "compar[es] w.cur with two end vertices of each
 /// loaded subgraph". A regular vertex lies in exactly the subgraph its
@@ -188,8 +141,8 @@ mod tests {
             let (sg, _) = prewalk_slice(&meta, cap, &mut rng);
             let w = Walk::new(0, 6);
             match hop_dense_slice(&wl, &g, &pg, sg, w, &mut rng).0 {
-                HopResult::Moved(w2) => counts[w2.cur as usize] += 1,
-                HopResult::Completed(_) => panic!("6-hop walk can't finish in one hop"),
+                WalkEvent::Moved(w2) => counts[w2.cur as usize] += 1,
+                WalkEvent::Completed(_) => panic!("6-hop walk can't finish in one hop"),
             }
         }
         // All 199 leaves should be hit roughly uniformly.
@@ -212,14 +165,14 @@ mod tests {
         for _ in 0..2000 {
             let (sg, _) = prewalk_slice(&meta, cap, &mut rng);
             match hop_dense_slice(&wl, &g, &pg, sg, Walk::new(0, 6), &mut rng).0 {
-                HopResult::Moved(w) => {
+                WalkEvent::Moved(w) => {
                     // Must land on a neighbor within the chosen slice.
                     let slice = pg.subgraphs[sg as usize].dense.unwrap();
                     let s = slice.first_edge_in_vertex as usize;
                     let nbrs = &g.neighbors(0)[s..s + slice.num_edges as usize];
                     assert!(nbrs.contains(&w.cur));
                 }
-                HopResult::Completed(_) => panic!("fixed-6 can't complete"),
+                WalkEvent::Completed(_) => panic!("fixed-6 can't complete"),
             }
         }
     }

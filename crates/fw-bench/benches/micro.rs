@@ -2,7 +2,8 @@
 //! binary search (full vs range-narrowed), the walk query cache,
 //! unbiased vs ITS sampling, RMAT edge
 //! generation, the event queue, DRAM access timing, reservations on a
-//! deep resource timeline, and FTL writes.
+//! deep and on an engine-like floor-bounded resource timeline, and FTL
+//! writes.
 //!
 //! These are host-performance benches (how fast the *simulator* runs),
 //! complementing the `fwbench` figures that measure *simulated* time. The
@@ -215,6 +216,7 @@ fn bench_dram() {
     let mut t = SimTime::ZERO;
     let mut addr = 0u64;
     bench("dram_access_4k", iters(500_000), || {
+        dram.set_floor(t);
         let a = dram.access(t, addr, 4096, DramOp::Read);
         t = a.done;
         addr = (addr + 4096) % (1 << 24);
@@ -223,25 +225,43 @@ fn bench_dram() {
 }
 
 fn bench_timeline() {
-    // FlashWalker's busiest timelines hold ~7,000 disjoint intervals:
-    // runs shorter than the 8 ms prune slack never prune. One interval
-    // every 1,150 ns keeps this one at that depth once pruning starts.
-    // Seven in eight requests land at the tail; the eighth backfills the
-    // gap two intervals back.
+    // A deep timeline: the floor trails the clock by 7,000 intervals of
+    // one every 1,150 ns, as a long lookahead window would keep it. Seven
+    // in eight requests land at the tail; the eighth backfills the gap two
+    // intervals back.
     const STEP: u64 = 1_150;
+    const DEPTH: u64 = 7_000;
     let mut tl = Timeline::new();
-    for i in 0..7_000u64 {
-        tl.reserve(SimTime(i * STEP), Duration::nanos(600));
+    for i in 0..DEPTH {
+        tl.reserve(SimTime(i * STEP), Duration::nanos(600), SimTime::ZERO);
     }
-    let mut t = 7_000 * STEP;
+    let mut t = DEPTH * STEP;
     let mut i = 0u64;
     bench("timeline_reserve_deep", iters(500_000), || {
         i += 1;
+        let floor = SimTime(t - DEPTH * STEP);
         if i.is_multiple_of(8) {
-            tl.reserve(SimTime(t - 2 * STEP), Duration::nanos(100))
+            tl.reserve(SimTime(t - 2 * STEP), Duration::nanos(100), floor)
         } else {
             t += STEP;
-            tl.reserve(SimTime(t), Duration::nanos(600))
+            tl.reserve(SimTime(t), Duration::nanos(600), floor)
+        }
+    });
+
+    // What the engines do: the floor is the event clock, which advances
+    // ~1 µs per event. Each event books a 600 ns transfer at the clock and
+    // a lookahead one behind a 35 µs flash read, so the deque holds the
+    // ~35 µs of bookings still ahead of the clock.
+    let mut tl = Timeline::new();
+    let mut now = 0u64;
+    let mut i = 0u64;
+    bench("timeline_reserve_floor", iters(500_000), || {
+        i += 1;
+        if i.is_multiple_of(2) {
+            now += STEP;
+            tl.reserve(SimTime(now), Duration::nanos(600), SimTime(now))
+        } else {
+            tl.reserve(SimTime(now + 35_000), Duration::nanos(600), SimTime(now))
         }
     });
 }

@@ -70,6 +70,9 @@ pub struct Dram {
     write_bytes: u64,
     refreshes: u64,
     tracer: Tracer,
+    /// The earliest time any later access may name (see
+    /// [`Dram::set_floor`]).
+    floor: SimTime,
 }
 
 impl Dram {
@@ -87,7 +90,20 @@ impl Dram {
             write_bytes: 0,
             refreshes: 0,
             tracer: Tracer::disabled(),
+            floor: SimTime::ZERO,
         }
+    }
+
+    /// Promise that no later access starts before `floor`, so the bank
+    /// and bus timelines drop the intervals that end by the earliest time
+    /// they can still be asked for (see [`fw_sim::Timeline::reserve`]).
+    /// The bus is booked at or after the access time. A bank is also
+    /// booked for the refresh window of the access's tREFI period, which
+    /// starts up to one tREFI before the access, so a bank's floor is
+    /// `floor` minus one tREFI. The floor never moves back.
+    pub fn set_floor(&mut self, floor: SimTime) {
+        debug_assert!(floor >= self.floor, "floor moved back to {floor:?}");
+        self.floor = floor;
     }
 
     /// The configuration this channel was built with.
@@ -123,6 +139,8 @@ impl Dram {
             }
         }
 
+        debug_assert!(at >= self.floor, "access at {at:?} before the floor");
+        let bank_floor = SimTime(self.floor.as_nanos().saturating_sub(self.cfg.trefi_ns));
         let burst = self.cfg.burst_bytes();
         let mut cursor = addr;
         let mut remaining = bytes as u64;
@@ -141,8 +159,11 @@ impl Dram {
             let period = at.as_nanos() / self.cfg.trefi_ns;
             if period > bank.refreshed_through {
                 let start = period * self.cfg.trefi_ns;
-                bank.ready
-                    .reserve(SimTime(start), Duration::nanos(self.cfg.trfc_ns));
+                bank.ready.reserve(
+                    SimTime(start),
+                    Duration::nanos(self.cfg.trfc_ns),
+                    bank_floor,
+                );
                 bank.refreshed_through = period;
                 bank.open_row = None;
                 self.refreshes += 1;
@@ -169,7 +190,7 @@ impl Dram {
 
             // The bank may not start the precharge before tRAS expires.
             let earliest = if hit { at } else { at.max(bank.precharge_ok) };
-            let bank_res = bank.ready.reserve(earliest, occupancy);
+            let bank_res = bank.ready.reserve(earliest, occupancy, bank_floor);
             if !hit {
                 bank.open_row = Some(row);
                 bank.precharge_ok = bank_res.end + self.cfg.t_ras();
@@ -178,7 +199,9 @@ impl Dram {
                 .busy("dram.bank", bank_idx as u32, bank_res.start, bank_res.end);
 
             // Data crosses the shared bus tCL after the column command.
-            let bus_res = self.bus.transfer(bank_res.end + self.cfg.t_cl(), chunk);
+            let bus_res = self
+                .bus
+                .transfer(bank_res.end + self.cfg.t_cl(), chunk, self.floor);
             done = done.max(bus_res.end);
 
             cursor += chunk;
@@ -322,6 +345,52 @@ mod tests {
         // Disabled after take: further accesses record nothing.
         d.access(SimTime(20_000), 0, 64, DramOp::Read);
         assert_eq!(d.take_tracer().bytes_for("dram.access"), 0);
+    }
+
+    #[test]
+    fn a_floor_at_the_clock_leaves_every_access_unchanged() {
+        // One DRAM told the clock at every step, one never told: the
+        // first prunes its bank and bus timelines down to what the floor
+        // (less one tREFI for banks) can still reach, and every access
+        // must come out the same. The clock crosses hundreds of refresh
+        // periods, so refresh windows are booked up to one tREFI behind
+        // the floor.
+        let mut pruned = dram();
+        let mut reference = dram();
+        let mut rng = fw_sim::Xoshiro256pp::new(31);
+        let mut now = SimTime::ZERO;
+        for step in 0..20_000 {
+            now += Duration::nanos(rng.next_below(400));
+            pruned.set_floor(now);
+            let at = now + Duration::nanos(rng.next_below(2_000));
+            let addr = rng.next_below(1 << 24);
+            let bytes = 1 + rng.next_below(4096) as u32;
+            let op = if rng.next_below(2) == 0 {
+                DramOp::Read
+            } else {
+                DramOp::Write
+            };
+            let (a, b) = (
+                pruned.access(at, addr, bytes, op),
+                reference.access(at, addr, bytes, op),
+            );
+            assert_eq!(
+                (a.done, a.row_hits, a.row_misses),
+                (b.done, b.row_hits, b.row_misses),
+                "step {step}"
+            );
+        }
+        assert!(now.as_nanos() > 500 * pruned.config().trefi_ns);
+        assert_eq!(pruned.refreshes(), reference.refreshes());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "before the floor")]
+    fn an_access_before_the_floor_is_caught() {
+        let mut d = dram();
+        d.set_floor(SimTime(1_000));
+        d.access(SimTime(999), 0, 64, DramOp::Read);
     }
 
     #[test]

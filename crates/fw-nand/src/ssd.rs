@@ -68,6 +68,9 @@ pub struct Ssd {
     /// Fault injector; disabled by default, in which case it draws no
     /// randomness and adds no latency anywhere.
     fault: FaultInjector,
+    /// The earliest time any later request may name (see
+    /// [`Ssd::set_floor`]).
+    floor: SimTime,
 }
 
 impl Ssd {
@@ -98,7 +101,20 @@ impl Ssd {
             trace: None,
             tracer: Tracer::disabled(),
             fault: FaultInjector::disabled(),
+            floor: SimTime::ZERO,
         }
+    }
+
+    /// Promise that no later request names a time before `floor`. Every
+    /// resource timeline then drops the intervals that end by it (see
+    /// [`fw_sim::Timeline::reserve`]), which keeps each one as short as
+    /// the bookings still ahead of the engine. Engines call this with
+    /// their clock at every event: every operation starts at or after the
+    /// time it is issued, and its internal steps (the channel transfer
+    /// after a read, a GC copy) only later. The floor never moves back.
+    pub fn set_floor(&mut self, floor: SimTime) {
+        debug_assert!(floor >= self.floor, "floor moved back to {floor:?}");
+        self.floor = floor;
     }
 
     /// Enable fault injection under `profile`, seeded with an independent
@@ -269,8 +285,11 @@ impl Ssd {
             }
             None => at,
         };
-        let res =
-            self.channels[channel as usize].transfer(at + self.cfg.channel_cmd_overhead, bytes);
+        let res = self.channels[channel as usize].transfer(
+            at + self.cfg.channel_cmd_overhead,
+            bytes,
+            self.floor,
+        );
         self.stats.channel_bytes += bytes;
         self.stats.channel_transfers += 1;
         self.stats.channel_wait_ns += res
@@ -286,7 +305,7 @@ impl Ssd {
 
     /// Move `bytes` over the PCIe link (either direction).
     pub fn pcie_transfer(&mut self, at: SimTime, bytes: u64) -> Reservation {
-        let res = self.pcie.transfer(at, bytes);
+        let res = self.pcie.transfer(at, bytes, self.floor);
         self.stats.pcie_bytes += bytes;
         self.tracer.span_bytes("pcie", 0, res.start, res.end, bytes);
         res
@@ -433,8 +452,10 @@ impl Ssd {
         // chip-level concurrency cap from that start. The two may drift
         // slightly under backfill, but total port occupancy — what caps
         // per-chip throughput — stays exact.
-        let plane_res = self.planes[plane].reserve(at, latency);
-        let port_res = self.chip_ports.reserve(chip, plane_res.start, latency);
+        let plane_res = self.planes[plane].reserve(at, latency, self.floor);
+        let port_res = self
+            .chip_ports
+            .reserve(chip, plane_res.start, latency, self.floor);
         let res = Reservation {
             start: plane_res.start.max(port_res.start),
             end: plane_res.end.max(port_res.end),
@@ -791,7 +812,7 @@ mod tests {
         // One port bank per chip: the last chip's bank exists.
         let last = g.num_chips() as usize - 1;
         s.chip_ports
-            .reserve(last, SimTime::ZERO, Duration::micros(1));
+            .reserve(last, SimTime::ZERO, Duration::micros(1), SimTime::ZERO);
         assert_eq!(s.channels.len(), g.channels as usize);
     }
 }

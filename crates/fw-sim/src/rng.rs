@@ -50,7 +50,7 @@ impl SplitMix64 {
 
 /// xoshiro256++ — the recommended general-purpose generator from the
 /// xoshiro family (Blackman & Vigna). 256-bit state, period 2^256 − 1.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Xoshiro256pp {
     s: [u64; 4],
 }

@@ -20,22 +20,24 @@ use crate::{Duration, SimTime};
 /// finish); without backfill those lookahead bookings would block
 /// later-issued requests wanting service *earlier*, which no real
 /// transaction scheduler does.
+///
+/// Every request also names a **floor**: the earliest time any request
+/// to this timeline may still name, itself included. An interval ending
+/// at or before the floor can never delay a request again, so it is
+/// dropped; the deque holds only intervals a future request can reach.
+/// The device models derive the floor from the engine's clock (see
+/// `fw_nand::Ssd::set_floor`).
 #[derive(Debug, Clone, Default)]
 pub struct Timeline {
-    /// Busy intervals `(start, end)` in ns, sorted and disjoint.
+    /// Busy intervals `(start, end)` in ns, sorted and disjoint, each
+    /// ending after the last floor named.
     intervals: std::collections::VecDeque<(u64, u64)>,
-    /// High-water mark of request times; intervals far behind it are
-    /// pruned to keep the deque small.
-    high_water: u64,
+    /// End of the latest interval ever booked: what [`Self::next_free`]
+    /// reports, also once pruning has emptied the deque.
+    last_end: u64,
     busy: Duration,
     served: u64,
 }
-
-/// How far behind the request high-water mark an interval may linger
-/// before being pruned. Lookahead reservations never exceed a few
-/// milliseconds (one erase, 2 ms, is the longest primitive), so 8 ms of
-/// slack keeps pruning safe.
-const PRUNE_SLACK_NS: u64 = 8_000_000;
 
 /// The outcome of a reservation: when service starts and when it ends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,32 +66,28 @@ impl Timeline {
     /// be backfilled).
     #[inline]
     pub fn next_free(&self) -> SimTime {
-        SimTime(self.intervals.back().map(|&(_, e)| e).unwrap_or(0))
+        SimTime(self.last_end)
     }
 
     /// Reserve the resource for `dur`, starting no earlier than `at`,
-    /// taking the earliest gap that fits.
-    pub fn reserve(&mut self, at: SimTime, dur: Duration) -> Reservation {
-        self.prune(at.0);
+    /// taking the earliest gap that fits. `floor` is the earliest time
+    /// this or any later request may name; the intervals ending at or
+    /// before it are dropped first.
+    pub fn reserve(&mut self, at: SimTime, dur: Duration, floor: SimTime) -> Reservation {
+        debug_assert!(at >= floor, "request at {at:?} before the floor {floor:?}");
+        while self.intervals.front().is_some_and(|&(_, e)| e <= floor.0) {
+            self.intervals.pop_front();
+        }
         let first = self.first_ending_after(at.0);
         self.book(first, at.0, dur)
     }
 
-    /// [`Self::reserve`] with the plain binary search over the whole
-    /// deque: the reference the tail-first search is tested against.
-    #[cfg(test)]
-    fn reserve_reference(&mut self, at: SimTime, dur: Duration) -> Reservation {
-        self.prune(at.0);
-        let first = self.intervals.partition_point(|&(_, e)| e <= at.0);
-        self.book(first, at.0, dur)
-    }
-
     /// Index of the first interval ending after `t`. Intervals are sorted
-    /// and disjoint, so their ends are sorted too. Runs shorter than
-    /// `PRUNE_SLACK_NS` never prune, so the deque can hold thousands of
-    /// intervals while nearly every request lands at its tail: gallop
-    /// back from the tail to bracket the answer, then binary-search the
-    /// bracket.
+    /// and disjoint, so their ends are sorted too. Nearly every request
+    /// lands at the deque's tail, and a DRAM bank's floor trails the
+    /// clock by one refresh interval, so under a stream of accesses its
+    /// deque holds hundreds of bursts: gallop back from the tail to
+    /// bracket the answer, then binary-search the bracket.
     fn first_ending_after(&self, t: u64) -> usize {
         let ends_after = |i: usize| self.intervals[i].1 > t;
         // Invariant: every interval at or past `hi` ends after `t`.
@@ -136,6 +134,7 @@ impl Timeline {
         let end = start + d;
         if d > 0 {
             self.insert_merged(insert_at, start, end);
+            self.last_end = self.last_end.max(end);
         }
         self.busy += dur;
         self.served += 1;
@@ -158,20 +157,6 @@ impl Timeline {
             let succ_end = self.intervals[idx + 1].1;
             self.intervals[idx].1 = succ_end;
             self.intervals.remove(idx + 1);
-        }
-    }
-
-    /// Raise the request high-water mark to `t` and prune the intervals
-    /// that end more than `PRUNE_SLACK_NS` behind it.
-    fn prune(&mut self, t: u64) {
-        self.high_water = self.high_water.max(t);
-        let cutoff = self.high_water.saturating_sub(PRUNE_SLACK_NS);
-        while let Some(&(_, e)) = self.intervals.front() {
-            if e < cutoff && self.intervals.len() > 1 {
-                self.intervals.pop_front();
-            } else {
-                break;
-            }
         }
     }
 
@@ -223,9 +208,15 @@ impl ServerBank {
     }
 
     /// Reserve bank `bank`'s earliest-available server for `dur` starting
-    /// no earlier than `at`. Ties pick the lowest-index server,
-    /// deterministically.
-    pub fn reserve(&mut self, bank: usize, at: SimTime, dur: Duration) -> Reservation {
+    /// no earlier than `at`, under `floor` (see [`Timeline::reserve`]).
+    /// Ties pick the lowest-index server, deterministically.
+    pub fn reserve(
+        &mut self,
+        bank: usize,
+        at: SimTime,
+        dur: Duration,
+        floor: SimTime,
+    ) -> Reservation {
         let servers = &mut self.servers[bank * self.n..(bank + 1) * self.n];
         let idx = servers
             .iter()
@@ -233,7 +224,7 @@ impl ServerBank {
             .min_by_key(|(i, s)| (s.next_free(), *i))
             .map(|(i, _)| i)
             .expect("bank is non-empty");
-        servers[idx].reserve(at, dur)
+        servers[idx].reserve(at, dur, floor)
     }
 
     /// Aggregate busy time across all servers of all banks.
@@ -268,11 +259,11 @@ impl BandwidthLink {
         }
     }
 
-    /// Transfer `bytes` starting no earlier than `at`; returns when the
-    /// transfer completes.
-    pub fn transfer(&mut self, at: SimTime, bytes: u64) -> Reservation {
+    /// Transfer `bytes` starting no earlier than `at`, under `floor` (see
+    /// [`Timeline::reserve`]); returns when the transfer completes.
+    pub fn transfer(&mut self, at: SimTime, bytes: u64, floor: SimTime) -> Reservation {
         let dur = Duration::for_bytes(bytes, self.bytes_per_sec);
-        self.timeline.reserve(at, dur)
+        self.timeline.reserve(at, dur, floor)
     }
 
     /// Time the link has spent transferring.
@@ -297,11 +288,14 @@ impl BandwidthLink {
 mod tests {
     use super::*;
 
+    /// The floor of a request stream that never prunes.
+    const F0: SimTime = SimTime::ZERO;
+
     #[test]
     fn back_to_back_requests_serialize() {
         let mut t = Timeline::new();
-        let a = t.reserve(SimTime(0), Duration(100));
-        let b = t.reserve(SimTime(0), Duration(50));
+        let a = t.reserve(SimTime(0), Duration(100), F0);
+        let b = t.reserve(SimTime(0), Duration(50), F0);
         assert_eq!(
             a,
             Reservation {
@@ -322,8 +316,8 @@ mod tests {
     #[test]
     fn idle_gap_is_not_counted_busy() {
         let mut t = Timeline::new();
-        t.reserve(SimTime(0), Duration(10));
-        t.reserve(SimTime(100), Duration(10));
+        t.reserve(SimTime(0), Duration(10), F0);
+        t.reserve(SimTime(100), Duration(10), F0);
         assert_eq!(t.busy_time(), Duration(20));
         assert_eq!(t.requests_served(), 2);
         assert!((t.utilization(SimTime(200)) - 0.1).abs() < 1e-12);
@@ -334,14 +328,14 @@ mod tests {
         let mut bank = ServerBank::new(2, 4);
         // Four simultaneous unit jobs: all start at t=0 on distinct servers.
         for _ in 0..4 {
-            let r = bank.reserve(1, SimTime(0), Duration(10));
+            let r = bank.reserve(1, SimTime(0), Duration(10), F0);
             assert_eq!(r.start, SimTime(0));
         }
         // Fifth queues behind the earliest-free (all free at 10).
-        let r = bank.reserve(1, SimTime(0), Duration(10));
+        let r = bank.reserve(1, SimTime(0), Duration(10), F0);
         assert_eq!(r.start, SimTime(10));
         // The other bank is untouched.
-        let r = bank.reserve(0, SimTime(0), Duration(10));
+        let r = bank.reserve(0, SimTime(0), Duration(10), F0);
         assert_eq!(r.start, SimTime(0));
         assert_eq!(bank.requests_served(), 6);
         assert_eq!(bank.busy_time(), Duration(60));
@@ -356,7 +350,7 @@ mod tests {
         for _ in 0..2_000 {
             clock += rng.next_below(500);
             let dur = rng.next_below(1_000);
-            bank.reserve(0, SimTime(clock), Duration(dur));
+            bank.reserve(0, SimTime(clock), Duration(dur), F0);
             total += dur;
         }
         assert_eq!(bank.busy_time().as_nanos(), total);
@@ -367,9 +361,9 @@ mod tests {
     fn bandwidth_link_queues_transfers_at_its_rate() {
         // The paper's channel bus: 333 MB/s.
         let mut link = BandwidthLink::new(333_000_000);
-        let r = link.transfer(SimTime(0), 4096);
+        let r = link.transfer(SimTime(0), 4096, F0);
         assert!(r.end.as_nanos() > 12_000 && r.end.as_nanos() < 12_500);
-        let r2 = link.transfer(SimTime(0), 4096);
+        let r2 = link.transfer(SimTime(0), 4096, F0);
         assert_eq!(r2.start, r.end, "second page queues behind the first");
         // Back-to-back transfers keep the link busy over its whole window.
         assert_eq!(link.utilization(link.next_free()), 1.0);
@@ -380,56 +374,54 @@ mod tests {
         let mut t = Timeline::new();
         // A lookahead booking far in the future (e.g. a channel transfer
         // scheduled for when a 35 us flash read completes)…
-        let future = t.reserve(SimTime(35_000), Duration(1_000));
+        let future = t.reserve(SimTime(35_000), Duration(1_000), F0);
         assert_eq!(future.start, SimTime(35_000));
         // …must NOT delay a request wanting service right now.
-        let nowreq = t.reserve(SimTime(0), Duration(10_000));
+        let nowreq = t.reserve(SimTime(0), Duration(10_000), F0);
         assert_eq!(nowreq.start, SimTime(0), "backfilled into the gap");
         // And a request that does not fit in the gap goes after.
-        let big = t.reserve(SimTime(0), Duration(30_000));
+        let big = t.reserve(SimTime(0), Duration(30_000), F0);
         assert_eq!(big.start, SimTime(36_000));
     }
 
     #[test]
     fn exact_fit_gap_is_used_and_merged() {
         let mut t = Timeline::new();
-        t.reserve(SimTime(0), Duration(10)); // [0,10)
-        t.reserve(SimTime(20), Duration(10)); // [20,30)
-        let mid = t.reserve(SimTime(10), Duration(10)); // exactly [10,20)
+        t.reserve(SimTime(0), Duration(10), F0); // [0,10)
+        t.reserve(SimTime(20), Duration(10), F0); // [20,30)
+        let mid = t.reserve(SimTime(10), Duration(10), F0); // exactly [10,20)
         assert_eq!(mid.start, SimTime(10));
         assert_eq!(mid.end, SimTime(20));
         // All merged into one interval; the next request queues at 30.
-        let next = t.reserve(SimTime(0), Duration(5));
+        let next = t.reserve(SimTime(0), Duration(5), F0);
         assert_eq!(next.start, SimTime(30));
     }
 
     #[test]
     fn zero_duration_reservation_is_free() {
         let mut t = Timeline::new();
-        t.reserve(SimTime(0), Duration(100));
-        let z = t.reserve(SimTime(50), Duration(0));
+        t.reserve(SimTime(0), Duration(100), F0);
+        let z = t.reserve(SimTime(50), Duration(0), F0);
         assert_eq!(z.start, z.end);
         assert_eq!(t.requests_served(), 2);
     }
 
     #[test]
     fn long_runs_stay_bounded_by_pruning() {
+        // Alternating now/future requests over a long horizon, the floor
+        // trailing the clock by one DRAM refresh interval: the deque keeps
+        // no interval ending at or before the floor, so it stays as short
+        // as the lookahead window, whatever the run length.
         let mut t = Timeline::new();
         for i in 0..100_000u64 {
-            // Alternating now/future requests over a long horizon.
             let at = i * 1_000;
-            t.reserve(SimTime(at), Duration(100));
-            t.reserve(SimTime(at + 50_000), Duration(100));
+            let floor = SimTime(at.saturating_sub(TREFI));
+            t.reserve(SimTime(at), Duration(100), floor);
+            t.reserve(SimTime(at + 50_000), Duration(100), floor);
+            assert!(t.intervals.iter().all(|&(_, e)| e > floor.0), "step {i}");
         }
-        // The deque is bounded by the prune-slack window (~8 ms of 1 us
-        // spaced disjoint intervals, two per step), not by run length.
-        let bound = 2 * (super::PRUNE_SLACK_NS + 100_000) as usize / 1_000;
-        assert!(
-            t.intervals.len() < bound,
-            "pruning keeps the deque small: {} >= {}",
-            t.intervals.len(),
-            bound
-        );
+        assert!(t.intervals.len() <= 2 * (50_000 + TREFI as usize) / 1_000);
+        assert_eq!(t.next_free(), SimTime(99_999 * 1_000 + 50_100));
     }
 
     #[test]
@@ -445,7 +437,7 @@ mod tests {
             clock += rng.next_below(2_000);
             let lookahead = rng.next_below(100_000);
             let dur = rng.next_below(5_000);
-            let r = t.reserve(SimTime(clock + lookahead), Duration(dur));
+            let r = t.reserve(SimTime(clock + lookahead), Duration(dur), F0);
             assert!(r.start >= SimTime(clock + lookahead));
             assert_eq!((r.end - r.start).as_nanos(), dur);
             if dur > 0 {
@@ -461,59 +453,210 @@ mod tests {
         assert_eq!(t.busy_time().as_nanos(), total);
     }
 
-    #[test]
-    fn tail_first_search_matches_reference_search() {
-        // Drive the tail-first search and the reference binary search
-        // through the same random mix — requests now, behind now and far
-        // ahead, zero durations, exact-fit gaps — over a horizon past
-        // PRUNE_SLACK_NS so pruning runs, and compare every grant.
-        for seed in 0..4u64 {
-            let mut rng = crate::rng::Xoshiro256pp::new(0x7A11 + seed);
-            let mut fast = Timeline::new();
-            let mut reference = Timeline::new();
-            let mut clock = 0u64;
-            for step in 0..20_000 {
-                clock += rng.next_below(1_500);
-                let (at, dur) = match rng.next_below(8) {
-                    // Lookahead booking.
-                    0 | 1 => (clock + rng.next_below(200_000), rng.next_below(3_000)),
-                    // A request behind the clock, backfilling old gaps.
-                    2 => (
-                        clock.saturating_sub(rng.next_below(50_000)),
-                        1 + rng.next_below(500),
-                    ),
-                    3 => (clock + rng.next_below(20_000), 0),
-                    // Exactly the gap between two booked intervals.
-                    4 if reference.intervals.len() > 1 => {
-                        let i = rng.next_below(reference.intervals.len() as u64 - 1) as usize;
-                        let gap_start = reference.intervals[i].1;
-                        (gap_start, reference.intervals[i + 1].0 - gap_start)
-                    }
-                    _ => (clock, rng.next_below(3_000)),
-                };
-                assert_eq!(
-                    fast.first_ending_after(at),
-                    fast.intervals.partition_point(|&(_, e)| e <= at),
-                    "seed {seed} step {step}: search at {at}"
-                );
-                let got = fast.reserve(SimTime(at), Duration(dur));
-                let want = reference.reserve_reference(SimTime(at), Duration(dur));
-                assert_eq!(got, want, "seed {seed} step {step}: reserve({at}, {dur})");
+    /// A backfilling timeline that never prunes: every interval ever
+    /// granted, adjacent ones merged (a zero-length request inside a
+    /// merged run waits for its end). It shares no code with
+    /// [`Timeline`].
+    #[derive(Default)]
+    struct NeverPruned {
+        granted: Vec<(u64, u64)>,
+    }
+
+    impl NeverPruned {
+        fn reserve(&mut self, at: u64, dur: u64) -> Reservation {
+            // Granted intervals are disjoint, so their ends ascend too:
+            // skip those ending at or before `at`, then scan.
+            let mut start = at;
+            let first = self.granted.partition_point(|&(_, e)| e <= at);
+            for &(s, e) in &self.granted[first..] {
+                if start + dur <= s {
+                    break;
+                }
+                start = start.max(e);
             }
-            assert_eq!(fast.intervals, reference.intervals);
-            assert_eq!(fast.busy_time(), reference.busy_time());
-            let front_end = fast.intervals.front().expect("booked").1;
-            assert!(
-                front_end >= clock - PRUNE_SLACK_NS,
-                "seed {seed}: pruning never ran (front ends at {front_end}, clock {clock})"
+            if dur > 0 {
+                let mut i = self.granted.partition_point(|&(s, _)| s < start);
+                self.granted.insert(i, (start, start + dur));
+                if i > 0 && self.granted[i - 1].1 == start {
+                    self.granted[i - 1].1 = self.granted.remove(i).1;
+                    i -= 1;
+                }
+                if i + 1 < self.granted.len() && self.granted[i + 1].0 == self.granted[i].1 {
+                    self.granted[i].1 = self.granted.remove(i + 1).1;
+                }
+            }
+            Reservation {
+                start: SimTime(start),
+                end: SimTime(start + dur),
+            }
+        }
+
+        fn next_free(&self) -> u64 {
+            self.granted.last().map_or(0, |&(_, e)| e)
+        }
+
+        /// One ns before the end of the first interval ending after
+        /// `floor + 1`, if that is no later than `now`.
+        fn boundary(&self, floor: u64, now: u64) -> Option<u64> {
+            let i = self.granted.partition_point(|&(_, e)| e - 1 <= floor);
+            self.granted
+                .get(i)
+                .map(|&(_, e)| e - 1)
+                .filter(|&b| b <= now)
+        }
+    }
+
+    /// A DRAM refresh interval (tREFI): how far behind the engine clock a
+    /// DRAM bank's floor sits.
+    const TREFI: u64 = 7_800;
+
+    /// A seeded request stream that respects an advancing floor, fed to
+    /// `reserve(at, dur, floor)`; `boundary(floor, now)` names an
+    /// interval end (less one ns) in `(floor, now]`. The floor trails a clock by one tREFI
+    /// and now and then jumps to one ns before the end of an interval the
+    /// reference holds, so requests land exactly on the interval pruning
+    /// must keep; requests name the floor itself, times back-dated from
+    /// the clock by up to one tREFI, the clock, or lookahead times. Now
+    /// and then the clock jumps past every booking.
+    fn drive_floor_stream(
+        seed: u64,
+        steps: u32,
+        boundary: &dyn Fn(u64, u64) -> Option<u64>,
+        reserve: &mut dyn FnMut(u64, u64, u64),
+    ) {
+        let mut rng = crate::rng::Xoshiro256pp::new(seed);
+        let (mut now, mut floor) = (0u64, 0u64);
+        for _ in 0..steps {
+            now += rng.next_below(1_500);
+            if rng.next_below(64) == 0 {
+                // An idle spell past every booking: pruning empties the
+                // deque, and `next_free` must still report the last end.
+                now += 400_000;
+            }
+            floor = floor.max(now.saturating_sub(TREFI));
+            if rng.next_below(8) == 0 {
+                floor = boundary(floor, now).unwrap_or(floor);
+            }
+            let at = match rng.next_below(6) {
+                0 => floor,
+                1 => floor + rng.next_below(now - floor + 1),
+                2 | 3 => now + rng.next_below(200_000),
+                _ => now,
+            };
+            let dur = match rng.next_below(10) {
+                0 => 0,
+                _ => 1 + rng.next_below(3_000),
+            };
+            reserve(at, dur, floor);
+        }
+    }
+
+    #[test]
+    fn floor_pruned_grants_equal_a_timeline_that_never_prunes() {
+        for seed in 0..4u64 {
+            let reference = std::cell::RefCell::new(NeverPruned::default());
+            let mut t = Timeline::new();
+            let mut step = 0;
+            drive_floor_stream(
+                0xF100 + seed,
+                20_000,
+                &|floor, now| reference.borrow().boundary(floor, now),
+                &mut |at, dur, floor| {
+                    let got = t.reserve(SimTime(at), Duration(dur), SimTime(floor));
+                    let want = reference.borrow_mut().reserve(at, dur);
+                    assert_eq!(
+                        got, want,
+                        "seed {seed} step {step}: reserve({at}, {dur}) under {floor}"
+                    );
+                    assert!(t.intervals.iter().all(|&(_, e)| e > floor));
+                    assert_eq!(t.next_free().as_nanos(), reference.borrow().next_free());
+                    step += 1;
+                },
+            );
+            let (kept, all) = (t.intervals.len(), reference.borrow().granted.len());
+            assert!(kept * 10 < all, "seed {seed}: pruning kept {kept} of {all}");
+        }
+    }
+
+    #[test]
+    fn floor_pruned_server_bank_matches_one_that_never_prunes() {
+        // Server choice reads each server's `next_free`, which pruning
+        // must leave alone even when it empties a server's deque.
+        for seed in 0..4u64 {
+            let reference = std::cell::RefCell::new(
+                std::iter::repeat_with(NeverPruned::default)
+                    .take(3)
+                    .collect::<Vec<_>>(),
+            );
+            let mut bank = ServerBank::new(1, 3);
+            let mut step = 0;
+            drive_floor_stream(
+                0xBA4C + seed,
+                20_000,
+                &|floor, now| {
+                    let servers = reference.borrow();
+                    servers.iter().filter_map(|r| r.boundary(floor, now)).min()
+                },
+                &mut |at, dur, floor| {
+                    let got = bank.reserve(0, SimTime(at), Duration(dur), SimTime(floor));
+                    let mut servers = reference.borrow_mut();
+                    let idx = (0..servers.len())
+                        .min_by_key(|&i| (servers[i].next_free(), i))
+                        .unwrap();
+                    let want = servers[idx].reserve(at, dur);
+                    assert_eq!(
+                        got, want,
+                        "seed {seed} step {step}: reserve({at}, {dur}) under {floor}"
+                    );
+                    step += 1;
+                },
             );
         }
     }
 
     #[test]
+    fn tail_first_search_matches_reference_search() {
+        // Along the floor streams, the tail-first search finds the index
+        // the plain binary search over the whole deque finds.
+        for seed in 0..4u64 {
+            let t = std::cell::RefCell::new(Timeline::new());
+            drive_floor_stream(
+                0x7A11 + seed,
+                20_000,
+                &|floor, now| {
+                    let t = t.borrow();
+                    let i = t.intervals.partition_point(|&(_, e)| e - 1 <= floor);
+                    t.intervals
+                        .get(i)
+                        .map(|&(_, e)| e - 1)
+                        .filter(|&b| b <= now)
+                },
+                &mut |at, dur, floor| {
+                    let mut t = t.borrow_mut();
+                    t.reserve(SimTime(at), Duration(dur), SimTime(floor));
+                    for probe in [at, floor, at + dur, at + 50_000] {
+                        assert_eq!(
+                            t.first_ending_after(probe),
+                            t.intervals.partition_point(|&(_, e)| e <= probe),
+                            "seed {seed}: search at {probe}"
+                        );
+                    }
+                },
+            );
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "before the floor")]
+    fn a_request_before_the_floor_is_caught() {
+        Timeline::new().reserve(SimTime(99), Duration(1), SimTime(100));
+    }
+
+    #[test]
     fn utilization_clamps_and_handles_zero_horizon() {
         let mut t = Timeline::new();
-        t.reserve(SimTime(0), Duration(100));
+        t.reserve(SimTime(0), Duration(100), F0);
         assert_eq!(t.utilization(SimTime::ZERO), 0.0);
         assert_eq!(t.utilization(SimTime(50)), 1.0);
     }

@@ -31,4 +31,4 @@ pub use sampler::{
 };
 pub use visits::VisitCounts;
 pub use walk::{Walk, WALK_BYTES};
-pub use workload::{Bias, StartDist, Termination, Workload};
+pub use workload::{Bias, StartDist, Termination, WalkEvent, Workload};

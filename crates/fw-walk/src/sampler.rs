@@ -1,7 +1,11 @@
 //! Neighbor sampling: unbiased, and biased via Inverse Transform Sampling.
 
+use std::ops::Range;
+
 use fw_graph::{Csr, VertexId};
 use fw_sim::Xoshiro256pp;
+
+use crate::workload::Bias;
 
 /// Operations the chip-level walk updater performs per unbiased step:
 /// fetch walk, random number, out-degree calc, edge fetch, state update —
@@ -44,37 +48,68 @@ pub enum StepOutcome {
     DeadEnd,
 }
 
-/// Uniformly sample an out-neighbor of `v` (§III-B steps ③–⑤): draw
-/// `rnd1 ∈ [0, outDegree)` and index the edge list. Returns the outcome
-/// and the updater operation count.
-pub fn sample_unbiased(csr: &Csr, v: VertexId, rng: &mut Xoshiro256pp) -> (StepOutcome, u32) {
+/// The edge draw of [`crate::Workload::pick`] over `edges`, a non-empty
+/// range of indices into `v`'s out-list: the picked index and the updater
+/// operation count.
+///
+/// # Panics
+/// Panics if `bias` is weighted and the graph carries no weights.
+#[inline]
+pub(crate) fn pick_edge(
+    csr: &Csr,
+    v: VertexId,
+    bias: Bias,
+    edges: Range<usize>,
+    rng: &mut Xoshiro256pp,
+) -> (usize, u32) {
+    debug_assert!(!edges.is_empty(), "pick_edge over an empty range");
+    match bias {
+        Bias::Unbiased => {
+            let idx = rng.next_below(edges.len() as u64) as usize;
+            (edges.start + idx, UNBIASED_UPDATER_OPS)
+        }
+        Bias::Weighted => {
+            let cl = csr.cumulative(v);
+            let lo_w = if edges.start == 0 {
+                0.0
+            } else {
+                cl[edges.start - 1]
+            };
+            let hi_w = cl[edges.end - 1];
+            let r = lo_w + (rng.next_f64() as f32) * (hi_w - lo_w);
+            let (idx, probes) = its_search(cl, edges.start, edges.end, r);
+            // Guard the r == hi_w edge case.
+            (idx.min(edges.end - 1), UNBIASED_UPDATER_OPS + probes)
+        }
+    }
+}
+
+/// Sample an out-neighbor of `v` under `bias`: a dead end costs
+/// [`DEAD_END_OPS`] and draws nothing, otherwise [`pick_edge`] over the
+/// whole list.
+fn sample(csr: &Csr, v: VertexId, bias: Bias, rng: &mut Xoshiro256pp) -> (StepOutcome, u32) {
     let nbrs = csr.neighbors(v);
     if nbrs.is_empty() {
         return (StepOutcome::DeadEnd, DEAD_END_OPS);
     }
-    let idx = rng.next_below(nbrs.len() as u64) as usize;
-    (StepOutcome::Moved(nbrs[idx]), UNBIASED_UPDATER_OPS)
+    let (idx, ops) = pick_edge(csr, v, bias, 0..nbrs.len(), rng);
+    (StepOutcome::Moved(nbrs[idx]), ops)
 }
 
-/// Sample an out-neighbor of `v` proportionally to edge weight using ITS:
-/// draw `rnd ∈ [0, sumWeight]` and binary-search the cumulative list `CL`
-/// for the smallest index with `rnd < CL[idx]` (§III-B). "The biased
-/// random walk requires … more cycles for the binary search": the op count
-/// is the unbiased 5 plus one op per probe.
+/// Uniformly sample an out-neighbor of `v`: draw `rnd1 ∈ [0, outDegree)`
+/// and index the edge list, as [`crate::Workload::pick`] does without its
+/// stop-probability draw.
+pub fn sample_unbiased(csr: &Csr, v: VertexId, rng: &mut Xoshiro256pp) -> (StepOutcome, u32) {
+    sample(csr, v, Bias::Unbiased, rng)
+}
+
+/// Sample an out-neighbor of `v` proportionally to edge weight by ITS,
+/// as [`crate::Workload::pick`] does without its stop-probability draw.
 ///
 /// # Panics
 /// Panics if the graph carries no weights.
 pub fn sample_biased(csr: &Csr, v: VertexId, rng: &mut Xoshiro256pp) -> (StepOutcome, u32) {
-    let nbrs = csr.neighbors(v);
-    if nbrs.is_empty() {
-        return (StepOutcome::DeadEnd, DEAD_END_OPS);
-    }
-    let cl = csr.cumulative(v);
-    let total = cl[cl.len() - 1];
-    let r = (rng.next_f64() as f32) * total;
-    let (idx, probes) = its_search(cl, 0, cl.len(), r);
-    let idx = idx.min(nbrs.len() - 1); // guard the r == total edge case
-    (StepOutcome::Moved(nbrs[idx]), UNBIASED_UPDATER_OPS + probes)
+    sample(csr, v, Bias::Weighted, rng)
 }
 
 #[cfg(test)]

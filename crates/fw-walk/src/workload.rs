@@ -11,7 +11,9 @@
 use fw_graph::{Csr, VertexId};
 use fw_sim::Xoshiro256pp;
 
-use crate::sampler::{sample_biased, sample_unbiased, StepOutcome};
+use std::ops::Range;
+
+use crate::sampler::{pick_edge, DEAD_END_OPS};
 use crate::walk::Walk;
 
 /// Neighbor-sampling distribution.
@@ -72,6 +74,28 @@ pub enum WalkEvent {
     Moved(Walk),
     /// The walk finished (hop budget, stop probability, or dead end).
     Completed(Walk),
+}
+
+impl WalkEvent {
+    /// The event of a hop whose draws picked `next`: the walk advances to
+    /// it, or with `None` ends where it is.
+    #[inline]
+    pub fn of_hop(mut walk: Walk, next: Option<VertexId>) -> WalkEvent {
+        match next {
+            Some(v) => {
+                walk.advance(v);
+                if walk.is_done() {
+                    WalkEvent::Completed(walk)
+                } else {
+                    WalkEvent::Moved(walk)
+                }
+            }
+            None => {
+                walk.hop = 0;
+                WalkEvent::Completed(walk)
+            }
+        }
+    }
 }
 
 impl Workload {
@@ -164,35 +188,45 @@ impl Workload {
         })
     }
 
-    /// Step a walk once. Returns the event plus the updater operation
-    /// count for timing.
-    pub fn step(&self, csr: &Csr, mut walk: Walk, rng: &mut Xoshiro256pp) -> (WalkEvent, u32) {
-        debug_assert!(!walk.is_done());
-        // Stop-probability termination is decided before sampling.
+    /// One hop's draws for a walk at `v` that samples among `edges`, a
+    /// range of indices into `v`'s out-list (all of it, or a dense
+    /// vertex's slice). Stop-probability termination is drawn first; an
+    /// empty range is a dead end and draws nothing more. Otherwise one
+    /// edge is drawn: unbiased, `rnd1 ∈ [0, |edges|)` indexes the range
+    /// (§III-B steps ③–⑤); weighted, Inverse Transform Sampling draws in
+    /// the range's interval of the cumulative list `CL` and binary-searches
+    /// the range for the smallest index with `rnd < CL[idx]`. Returns the
+    /// picked index (`None`: the walk ends here) and the updater operation
+    /// count: 5 for a pick, plus one per ITS probe — "the biased random
+    /// walk requires … more cycles for the binary search". Every sampling
+    /// site of every engine draws through this one function.
+    #[inline]
+    pub fn pick(
+        &self,
+        csr: &Csr,
+        v: VertexId,
+        edges: Range<usize>,
+        rng: &mut Xoshiro256pp,
+    ) -> (Option<usize>, u32) {
         if let Termination::StopProb { prob, .. } = self.termination {
             if rng.next_f64() < prob {
-                walk.hop = 0;
-                return (WalkEvent::Completed(walk), 2);
+                return (None, 2);
             }
         }
-        let (outcome, ops) = match self.bias {
-            Bias::Unbiased => sample_unbiased(csr, walk.cur, rng),
-            Bias::Weighted => sample_biased(csr, walk.cur, rng),
-        };
-        match outcome {
-            StepOutcome::Moved(next) => {
-                walk.advance(next);
-                if walk.is_done() {
-                    (WalkEvent::Completed(walk), ops)
-                } else {
-                    (WalkEvent::Moved(walk), ops)
-                }
-            }
-            StepOutcome::DeadEnd => {
-                walk.hop = 0;
-                (WalkEvent::Completed(walk), ops)
-            }
+        if edges.is_empty() {
+            return (None, DEAD_END_OPS);
         }
+        let (idx, ops) = pick_edge(csr, v, self.bias, edges, rng);
+        (Some(idx), ops)
+    }
+
+    /// Step a walk once over its vertex's whole out-list. Returns the
+    /// event plus the updater operation count for timing.
+    pub fn step(&self, csr: &Csr, walk: Walk, rng: &mut Xoshiro256pp) -> (WalkEvent, u32) {
+        debug_assert!(!walk.is_done());
+        let nbrs = csr.neighbors(walk.cur);
+        let (pick, ops) = self.pick(csr, walk.cur, 0..nbrs.len(), rng);
+        (WalkEvent::of_hop(walk, pick.map(|i| nbrs[i])), ops)
     }
 
     /// Run a walk to completion in place (reference executor used by

@@ -307,6 +307,9 @@ impl<'g> GraphWalkerSim<'g> {
         }
 
         while run.completed < total {
+            // The clock only advances, and every step issues its I/O at
+            // the clock or later.
+            self.ssd.set_floor(run.now);
             let block = self.pick_block().expect("walks remain but no pool has any");
             let waiting = || self.pools.iter().map(|p| p.total()).sum();
             self.probe.gauge("gw.queue", run.now, waiting);

@@ -160,6 +160,9 @@ impl<'g> IterativeSim<'g> {
             iterations += 1;
             let mut next_buckets: Vec<Vec<Walk>> = vec![Vec::new(); nblocks];
             for b in 0..nblocks {
+                // The clock only advances, and every step issues its I/O
+                // at the clock or later.
+                self.ssd.set_floor(now);
                 // Read back spilled walks for this block.
                 for (lpn, walks) in std::mem::take(&mut spilled[b]) {
                     // The iterative baseline never enables faults.
@@ -219,6 +222,7 @@ impl<'g> IterativeSim<'g> {
                 }
             }
             if !batch_lpns.is_empty() {
+                self.ssd.set_floor(now);
                 let end = self.ssd.host_write_lpns(now, &batch_lpns);
                 let bytes = batch_lpns.len() as u64 * page_bytes;
                 self.probe.span("iter.walk_io", iterations, now, end, bytes);
