@@ -18,8 +18,8 @@
 //! * `image` — the read-only [`FlashImage`]: graph layout, board tables
 //!   and per-partition selections, shareable across runs.
 //!
-//! This file owns the simulator struct, construction of the per-run
-//! device state, and the top-level event loop.
+//! This file owns the simulator struct, construction and reset of the
+//! per-run device state, and the top-level event loop.
 //!
 //! ## Model granularity
 //!
@@ -146,6 +146,9 @@ pub struct FlashWalkerSim<'g> {
     probe: Probe,
 }
 
+/// The Figure 8 trace window a new or reset simulator uses: 1 ms.
+const DEFAULT_TRACE_WINDOW_NS: u64 = 1_000_000;
+
 /// Walks per flash page (4 KB / 16 B).
 fn page_walks(ssd: &Ssd) -> u64 {
     ssd.config().geometry.page_bytes / WALK_BYTES
@@ -171,8 +174,9 @@ impl<'g> FlashWalkerSim<'g> {
 
     /// Build a simulator that runs on a prebuilt `image` of `pg`: only
     /// the per-run device state (FTL, resource timelines, accelerator
-    /// state, queues) is created. Equivalent to [`Self::new`] with the
-    /// image's configurations, report for report.
+    /// state, queues) is created, then set to its initial state by
+    /// [`Self::reset`]. Equivalent to [`Self::new`] with the image's
+    /// configurations, report for report.
     ///
     /// # Panics
     /// Panics if `image` was built for a graph with a different
@@ -203,7 +207,7 @@ impl<'g> FlashWalkerSim<'g> {
             .map(|_| WalkQueryCache::new(cfg.query_cache_entries()))
             .collect();
 
-        FlashWalkerSim {
+        let mut sim = FlashWalkerSim {
             cfg,
             csr,
             pg,
@@ -224,7 +228,7 @@ impl<'g> FlashWalkerSim<'g> {
                 completed_buf: 0,
             },
             caches,
-            pwb: Pwb::new(0, 1, 4),
+            pwb: Pwb::default(),
             foreign: ForeignStore::default(),
             current_partition: 0,
             relaxed_pick: false,
@@ -236,11 +240,59 @@ impl<'g> FlashWalkerSim<'g> {
             completed: 0,
             next_lpn: 0,
             stats: FwStats::default(),
-            progress: TimeSeries::new(1_000_000), // placeholder; set in run
-            trace_window_ns: 1_000_000,
+            progress: TimeSeries::new(DEFAULT_TRACE_WINDOW_NS),
+            trace_window_ns: DEFAULT_TRACE_WINDOW_NS,
             walk_log: None,
             probe: Probe::default(),
+        };
+        sim.reset(seed);
+        sim
+    }
+
+    /// Return the device, in place, to the state [`Self::from_image`]
+    /// builds on the same image with `seed`, keeping every allocation:
+    /// pending events are dropped (their vectors go back to the pools)
+    /// and the queue's clock and sequence numbers rewind; the SSD and
+    /// DRAM models go idle and empty ([`Ssd::reset`], [`Dram::reset`]);
+    /// chip slots, inboxes, query caches and the foreign store empty;
+    /// the walk RNG restarts from `seed`; counters zero; and every
+    /// opt-in (span trace, faults, journeys, critical path, trace window,
+    /// walk log) is off again. The PWB is laid out by the first
+    /// partition setup of the next run. A serving loop resets one device
+    /// before each batch instead of building one per batch; the reports
+    /// are identical.
+    pub fn reset(&mut self, seed: u64) {
+        while let Some((_, ev)) = self.events.pop() {
+            self.pools.put_event(ev);
         }
+        self.events.reset();
+        self.ssd.reset();
+        self.dram.reset();
+        self.wl = Workload::paper_default(0);
+        self.rng = Xoshiro256pp::new(seed);
+        self.seed = seed;
+        self.chips.fill(ChipState::default());
+        self.slots.clear(&mut self.pools);
+        for ch in &mut self.channels {
+            ch.inbox.clear();
+            ch.busy = false;
+        }
+        self.board.inbox.clear();
+        self.board.busy = false;
+        self.board.foreigner_buf.clear();
+        self.board.completed_buf = 0;
+        self.caches.iter_mut().for_each(WalkQueryCache::clear);
+        self.foreign.pages.clear();
+        self.current_partition = 0;
+        self.relaxed_pick = false;
+        self.total_walks = 0;
+        self.completed = 0;
+        self.next_lpn = 0;
+        self.stats = FwStats::default();
+        self.trace_window_ns = DEFAULT_TRACE_WINDOW_NS;
+        self.progress.reset(DEFAULT_TRACE_WINDOW_NS);
+        self.walk_log = None;
+        self.probe = Probe::default();
     }
 
     /// Enable span-based tracing of the whole hierarchy: flash / channel /
@@ -477,11 +529,19 @@ impl<'g> FlashWalkerSim<'g> {
     /// Run `wl` to completion and return the engine-specific report with
     /// the full per-level statistics. The unified view is
     /// [`WalkEngine::run`].
-    pub fn run_detailed(mut self, wl: Workload) -> FwReport {
+    ///
+    /// # Panics
+    /// Panics if the simulator already ran a workload since it was built
+    /// or last [`reset`](Self::reset).
+    pub fn run_detailed(&mut self, wl: Workload) -> FwReport {
+        assert!(
+            self.total_walks == 0 && self.events.events_processed() == 0,
+            "FlashWalkerSim ran before: reset it first"
+        );
         self.wl = wl;
         self.total_walks = wl.num_walks;
         self.ssd.enable_trace(self.trace_window_ns);
-        self.progress = TimeSeries::new(self.trace_window_ns);
+        self.progress.reset(self.trace_window_ns);
         self.setup_partition(0, SimTime::ZERO, false);
         self.distribute_initial_walks();
         for chip in 0..self.num_chips() {
@@ -495,7 +555,8 @@ impl<'g> FlashWalkerSim<'g> {
         let cfgp = *self.ssd.config();
         let s = *self.ssd.stats();
         let devices = [self.ssd.take_tracer(), self.dram.take_tracer()];
-        let (span_trace, journeys, critical) = self.probe.finish(horizon, &devices);
+        let (span_trace, journeys, critical) =
+            std::mem::take(&mut self.probe).finish(horizon, &devices);
         let faults = self.ssd.fault_profile().is_on().then(|| {
             let f = self.ssd.fault_stats();
             FaultSummary {
@@ -533,7 +594,7 @@ impl<'g> FlashWalkerSim<'g> {
             write_bytes_series: trace.array_write.windows().to_vec(),
             channel_bytes_series: trace.channel.windows().to_vec(),
             trace_window_ns: self.trace_window_ns,
-            walk_log: self.walk_log.unwrap_or_default(),
+            walk_log: self.walk_log.take().unwrap_or_default(),
             trace: span_trace,
             faults,
             journeys,
@@ -547,7 +608,7 @@ impl WalkEngine for FlashWalkerSim<'_> {
         "flashwalker"
     }
 
-    fn run(self, workload: Workload) -> RunReport {
+    fn run(mut self, workload: Workload) -> RunReport {
         self.run_detailed(workload).into()
     }
 }

@@ -128,15 +128,15 @@ impl FlashWalkerSim<'_> {
     // Partition management
     // ------------------------------------------------------------------
 
-    /// Set up partition `p`: fresh PWB, hot-subgraph loads, foreigner
-    /// read-back.
+    /// Set up partition `p`: the PWB laid out afresh (in place),
+    /// hot-subgraph loads, foreigner read-back.
     pub(super) fn setup_partition(&mut self, p: u32, now: SimTime, charge: bool) {
         self.current_partition = p;
         self.relaxed_pick = false;
         let range = self.pg.partition_range(p);
         let len = range.len();
         let quota = (self.cfg.dram_pwb_bytes / len.max(1) as u64) / WALK_BYTES;
-        self.pwb = super::state::Pwb::new(range.start, len, quota);
+        self.pwb.reset(range.start, len, quota);
 
         // Charge the hot-subgraph loads (the image holds the per-chip
         // scheduler candidates and the hot sets themselves): pages cross

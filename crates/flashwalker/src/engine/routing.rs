@@ -1167,7 +1167,7 @@ mod tests {
         };
         let mut cfg = AccelConfig::scaled();
         cfg.opts = crate::OptToggles::all();
-        let sim = FlashWalkerSim::new(&csr, &pg, cfg, ssd, 1);
+        let mut sim = FlashWalkerSim::new(&csr, &pg, cfg, ssd, 1);
         assert_eq!(sim.num_chips(), 132);
         assert!(
             (0..pg.num_subgraphs()).any(|sg| sim.chip_of_sg(sg) >= 128),

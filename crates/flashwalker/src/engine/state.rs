@@ -6,6 +6,8 @@ use std::collections::{BTreeMap, VecDeque};
 
 use fw_walk::Walk;
 
+use super::events::Ev;
+
 /// Subgraph (graph block) identifier.
 pub type SgId = u32;
 
@@ -115,6 +117,17 @@ impl ChipSlots {
             .sum()
     }
 
+    /// Empty every slot, returning its walk vector to `pools`.
+    pub fn clear(&mut self, pools: &mut Pools) {
+        for slot in &mut self.slots {
+            match std::mem::replace(slot, Slot::Empty) {
+                Slot::Empty => {}
+                Slot::Loading { walks, .. } => pools.put_walks(walks),
+                Slot::Loaded { queue, .. } => pools.put_walks(queue),
+            }
+        }
+    }
+
     /// Index of `chip`'s slot holding `sg`, if loaded.
     pub fn slot_of(&self, chip: u32, sg: SgId) -> Option<usize> {
         self.of(chip)
@@ -197,8 +210,9 @@ impl PwbEntry {
 }
 
 /// The partition walk buffer plus per-subgraph scheduler bookkeeping for
-/// the *current* partition.
-#[derive(Debug, Clone)]
+/// the *current* partition. The default buffer has no entries; a
+/// partition setup lays it out with [`Pwb::reset`].
+#[derive(Debug, Clone, Default)]
 pub struct Pwb {
     /// First subgraph id of the current partition.
     pub first_sg: SgId,
@@ -213,18 +227,22 @@ pub struct Pwb {
 }
 
 impl Pwb {
-    /// An empty buffer for a partition of `len` subgraphs starting at
-    /// `first_sg`, with `quota` walks of DRAM per entry.
-    pub fn new(first_sg: SgId, len: usize, quota: u64) -> Self {
-        Pwb {
-            first_sg,
-            entries: std::iter::repeat_with(PwbEntry::default)
-                .take(len)
-                .collect(),
-            quota: quota.max(4),
-            inserts_since_refresh: vec![0; len],
-            stale_score: vec![0.0; len],
+    /// Empty the buffer and lay it out for a partition of `len`
+    /// subgraphs starting at `first_sg`, with `quota` walks of DRAM per
+    /// entry. The entries it keeps keep their walk vectors' capacity.
+    pub fn reset(&mut self, first_sg: SgId, len: usize, quota: u64) {
+        self.first_sg = first_sg;
+        self.entries.truncate(len);
+        for e in &mut self.entries {
+            e.walks.clear();
+            e.spilled.clear();
         }
+        self.entries.resize_with(len, PwbEntry::default);
+        self.quota = quota.max(4);
+        self.inserts_since_refresh.clear();
+        self.inserts_since_refresh.resize(len, 0);
+        self.stale_score.clear();
+        self.stale_score.resize(len, 0.0);
     }
 
     /// Entry index for a subgraph, if it belongs to this partition.
@@ -370,6 +388,27 @@ impl Pools {
         v.clear();
         self.chip_ids.push(v);
     }
+
+    /// Return every vector an undelivered event carries.
+    pub(super) fn put_event(&mut self, ev: Ev) {
+        match ev {
+            Ev::ChipLoaded { .. } => {}
+            Ev::ChipBatchDone { outbox: v, .. }
+            | Ev::ChanArrive { walks: v, .. }
+            | Ev::ChanBatchDone { to_board: v, .. }
+            | Ev::ChipDeliver { walks: v, .. } => self.put_walks(v),
+            Ev::BoardBatchDone {
+                mut deliveries,
+                dirty_chips,
+            } => {
+                for (_, walks) in deliveries.drain(..) {
+                    self.put_walks(walks);
+                }
+                self.put_deliveries(deliveries);
+                self.put_chip_ids(dirty_chips);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -410,7 +449,8 @@ mod tests {
 
     #[test]
     fn pwb_indexing_and_counts() {
-        let mut p = Pwb::new(10, 4, 8);
+        let mut p = Pwb::default();
+        p.reset(10, 4, 8);
         assert_eq!(p.index_of(10), Some(0));
         assert_eq!(p.index_of(13), Some(3));
         assert_eq!(p.index_of(14), None);
@@ -422,6 +462,12 @@ mod tests {
         });
         assert_eq!(p.total_walks(), 4);
         assert_eq!(p.entries[1].total_walks(), 3);
+        // Laid out again for a smaller partition: empty, re-indexed.
+        p.inserts_since_refresh[2] = 5;
+        p.reset(20, 3, 1);
+        assert_eq!((p.entries.len(), p.total_walks(), p.quota), (3, 0, 4));
+        assert_eq!(p.index_of(22), Some(2));
+        assert_eq!(p.inserts_since_refresh, [0; 3]);
     }
 
     #[test]

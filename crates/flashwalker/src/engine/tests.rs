@@ -568,6 +568,40 @@ fn assert_same_report(a: &FwReport, b: &FwReport, ctx: &str) {
     assert_eq!(format!("{a:?}"), format!("{b:?}"), "{ctx}: report");
 }
 
+/// The opt-ins of one run in [`one_image_backs_many_runs_like_fresh_simulators`].
+#[derive(Clone, Copy)]
+struct Opts {
+    log: bool,
+    faults: FaultProfile,
+    window_ns: Option<u64>,
+    critical: bool,
+}
+
+impl Opts {
+    fn apply<'g>(&self, mut sim: FlashWalkerSim<'g>) -> FlashWalkerSim<'g> {
+        sim = sim.with_faults(self.faults);
+        if let Some(w) = self.window_ns {
+            sim = sim.with_trace_window(w);
+        }
+        if self.log {
+            sim = sim.with_walk_log();
+        }
+        if self.critical {
+            sim = sim.with_critical(fw_sim::CriticalConfig::default());
+        }
+        sim
+    }
+}
+
+/// Three ways to run one case sequence give the same reports: a fresh
+/// simulator per run ([`FlashWalkerSim::new`]), one per run on a shared
+/// image ([`FlashWalkerSim::from_image`]), and one device reset before
+/// every run ([`FlashWalkerSim::reset`]), as the serving loop does. The
+/// sequence crosses partitions (foreigner pages), spills PWB entries,
+/// turns light faults, a trace window, the walk log and critical-path
+/// recording on and off, and repeats a seed. The critical-path runs
+/// compare the dependency log's node ids, which are the event queue's
+/// sequence numbers, so a reset that does not rewind them fails here.
 #[test]
 fn one_image_backs_many_runs_like_fresh_simulators() {
     // Several partitions (foreigner pages, partition switches) and a PWB
@@ -578,34 +612,69 @@ fn one_image_backs_many_runs_like_fresh_simulators() {
     cfg.dram_pwb_bytes = 2 << 10;
     let ssd_cfg = SsdConfig::tiny();
     let image = Arc::new(FlashImage::new(&pg, cfg, ssd_cfg));
-    let light = fw_fault::FaultProfile::light();
-    // (seed, workload, walk log, faults)
+    let (none, light) = (FaultProfile::none(), FaultProfile::light());
+    let opts = |log, faults, window_ns, critical| Opts {
+        log,
+        faults,
+        window_ns,
+        critical,
+    };
+    let w = Some(100_000);
     let cases = [
-        (7, Workload::deepwalk(2_000, 6), false, FaultProfile::none()),
-        (8, Workload::paper_default(500), true, FaultProfile::none()),
-        (9, Workload::ppr(300, 17, 0.15, 10), false, light),
-        (10, Workload::deepwalk(1_000, 4), true, light),
-        (7, Workload::deepwalk(2_000, 6), false, FaultProfile::none()),
+        (7, Workload::deepwalk(2_000, 6), opts(false, none, w, false)),
+        (
+            8,
+            Workload::paper_default(500),
+            opts(true, none, None, false),
+        ),
+        (
+            9,
+            Workload::ppr(300, 17, 0.15, 10),
+            opts(false, light, w, false),
+        ),
+        (
+            10,
+            Workload::deepwalk(1_000, 4),
+            opts(true, light, None, true),
+        ),
+        (11, Workload::deepwalk(1_500, 6), opts(false, none, w, true)),
+        (7, Workload::deepwalk(2_000, 6), opts(false, none, w, false)),
     ];
-    let (mut spilled, mut foreign) = (false, false);
-    for (i, &(seed, wl, log, faults)) in cases.iter().enumerate() {
-        fn build(sim: FlashWalkerSim<'_>, log: bool, faults: FaultProfile) -> FlashWalkerSim<'_> {
-            let sim = sim.with_trace_window(100_000).with_faults(faults);
-            if log {
-                sim.with_walk_log()
-            } else {
-                sim
-            }
-        }
-        let shared = FlashWalkerSim::from_image(&csr, &pg, Arc::clone(&image), seed);
-        let shared = build(shared, log, faults).run_detailed(wl);
-        let fresh = FlashWalkerSim::new(&csr, &pg, cfg, ssd_cfg, seed);
-        let fresh = build(fresh, log, faults).run_detailed(wl);
+    let mut reused = FlashWalkerSim::from_image(&csr, &pg, Arc::clone(&image), 0);
+    let (mut spilled, mut foreign, mut critical) = (false, false, false);
+    for (i, &(seed, wl, o)) in cases.iter().enumerate() {
+        let fresh = o
+            .apply(FlashWalkerSim::new(&csr, &pg, cfg, ssd_cfg, seed))
+            .run_detailed(wl);
+        let shared = o
+            .apply(FlashWalkerSim::from_image(
+                &csr,
+                &pg,
+                Arc::clone(&image),
+                seed,
+            ))
+            .run_detailed(wl);
+        reused.reset(seed);
+        let mut device = o.apply(reused);
+        let again = device.run_detailed(wl);
+        reused = device;
         assert_eq!(fresh.walks, wl.num_walks);
-        assert_same_report(&shared, &fresh, &format!("run {i}"));
+        assert_same_report(&shared, &fresh, &format!("run {i}, shared image"));
+        assert_same_report(&again, &fresh, &format!("run {i}, reused device"));
         spilled |= fresh.stats.pwb_spill_pages > 0;
         foreign |= fresh.stats.foreign_pages > 0;
+        critical |= fresh.critical.is_some_and(|c| !c.log.is_empty());
     }
     assert!(spilled, "no run spilled a PWB entry");
     assert!(foreign, "no run wrote a foreigner page");
+    assert!(critical, "no run recorded a critical path");
+}
+
+#[test]
+#[should_panic(expected = "reset it first")]
+fn a_second_run_needs_a_reset() {
+    let (csr, pg) = small_setup(500, 5_000, 5_000);
+    let mut sim = FlashWalkerSim::new(&csr, &pg, AccelConfig::scaled(), SsdConfig::tiny(), 1);
+    sim.run_detailed(Workload::deepwalk(50, 4));
+    sim.run_detailed(Workload::deepwalk(50, 4));
 }

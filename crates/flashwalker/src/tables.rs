@@ -42,6 +42,11 @@ impl WalkQueryCache {
         }
     }
 
+    /// Drop every entry, keeping the array's allocation.
+    pub fn clear(&mut self) {
+        self.recency.clear();
+    }
+
     /// Probe the cache for subgraph `sg`'s entry; a hit makes it the most
     /// recently touched.
     pub fn probe(&mut self, sg: u32) -> bool {

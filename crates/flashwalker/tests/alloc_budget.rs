@@ -1,5 +1,6 @@
 //! Heap budgets: allocation counts and peak live heap bytes of one
-//! FlashWalker run on a prebuilt [`FlashImage`], and the bytes the graph,
+//! FlashWalker run on a prebuilt [`FlashImage`] and of batches on one
+//! reset device, and the bytes the graph,
 //! its partitioning, GraphWalker's engines and a run's initial walk
 //! distribution hold per vertex, edge and walk. All are deterministic, so
 //! this gates host memory with no wall-clock or RSS noise. The test binary
@@ -125,6 +126,62 @@ fn allocation_budgets() {
     // Before the image split, `FlashWalkerSim::new` + this run made 5,633
     // allocations (4,298 of them in `new`). Budget: 35% of that.
     assert!(n <= 5_633 * 35 / 100, "{n} allocations for a 25-walk run");
+
+    // Batches of this size on one device reset before each, as the
+    // serving loop runs them: allocations per batch, by seed.
+    let batches = |seeds: &[u64]| -> Vec<u64> {
+        let mut device = Some(FlashWalkerSim::from_image(
+            &ds.csr,
+            &pg,
+            Arc::clone(&image),
+            0,
+        ));
+        seeds
+            .iter()
+            .map(|&seed| {
+                let (n, report) = allocs(|| {
+                    let mut sim = device.take().expect("device between batches");
+                    sim.reset(seed);
+                    let mut sim = sim.with_walk_log();
+                    let report = sim.run_detailed(Workload::deepwalk(25, 6));
+                    device = Some(sim);
+                    report
+                });
+                assert_eq!(report.walk_log.len(), 25);
+                n
+            })
+            .collect()
+    };
+    // Repeating the batch: from the second on, every queue, deque and
+    // pool it needs is sized already, and a batch allocates little more
+    // than its report, its initial walks and its walk log. A fresh
+    // device per batch made 971 allocations a batch.
+    let repeated = batches(&[42; 8]);
+    println!("one 25-walk batch repeated on one reset device: {repeated:?}");
+    assert!(
+        repeated[1..].iter().all(|&n| n <= 32),
+        "allocations per repeated batch on a reused device: {repeated:?}"
+    );
+    // A new seed per batch, as in serving: each batch may touch planes,
+    // banks, wheel buckets and PWB entries no earlier batch touched, and
+    // their containers are sized on first touch. The device warms within
+    // a few dozen batches and then stays under the same budget.
+    let seeds: Vec<u64> = (1_000..1_200).collect();
+    let varied = batches(&seeds);
+    let warm_up: u64 = varied[..60].iter().sum();
+    println!(
+        "25-walk batches with new seeds: {warm_up} allocations in the first 60, then at most {}",
+        varied[60..].iter().max().unwrap()
+    );
+    assert!(
+        varied[60..].iter().all(|&n| n <= 32),
+        "allocations per batch on a warm reused device: {:?}",
+        &varied[60..]
+    );
+    assert!(
+        warm_up <= 60 * 971 / 10,
+        "{warm_up} allocations warming a device over 60 batches"
+    );
 
     // A run long enough that thousands of subgraph loads dominate: each
     // load swaps a PWB entry's walk vector into a chip slot, so the count

@@ -80,7 +80,7 @@ impl Dram {
     pub fn new(cfg: DramConfig) -> Self {
         let banks = vec![Bank::default(); cfg.banks as usize];
         let bus = BandwidthLink::new(cfg.peak_bandwidth());
-        Dram {
+        let mut dram = Dram {
             cfg,
             banks,
             bus,
@@ -91,7 +91,30 @@ impl Dram {
             refreshes: 0,
             tracer: Tracer::disabled(),
             floor: SimTime::ZERO,
+        };
+        dram.reset();
+        dram
+    }
+
+    /// Return the channel to the state [`Self::new`] builds, keeping the
+    /// banks' and the bus's allocations: every bank closed, idle and
+    /// unrefreshed, the bus idle, the counters zero, the span tracer off
+    /// and the floor back at `t = 0`.
+    pub fn reset(&mut self) {
+        for bank in &mut self.banks {
+            bank.open_row = None;
+            bank.ready.reset();
+            bank.precharge_ok = SimTime::ZERO;
+            bank.refreshed_through = 0;
         }
+        self.bus.reset();
+        self.reads = 0;
+        self.writes = 0;
+        self.read_bytes = 0;
+        self.write_bytes = 0;
+        self.refreshes = 0;
+        self.tracer = Tracer::disabled();
+        self.floor = SimTime::ZERO;
     }
 
     /// Promise that no later access starts before `floor`, so the bank

@@ -105,7 +105,7 @@ impl Ftl {
             first_block,
             geometry.blocks_per_plane
         );
-        Ftl {
+        let mut ftl = Ftl {
             geometry,
             first_block,
             gc_threshold: gc_threshold.max(2),
@@ -120,26 +120,48 @@ impl Ftl {
             nand_pages_written: 0,
             gc_migrations: 0,
             gc_erases: 0,
-        }
+        };
+        ftl.reset();
+        ftl
+    }
+
+    /// Unmap every page and forget all wear and counters: the FTL
+    /// [`Self::new`] builds, keeping every allocation. The per-plane
+    /// arrays are laid out again on the next write.
+    pub fn reset(&mut self) {
+        self.map.clear();
+        self.rmap.clear();
+        self.planes.clear();
+        self.free.clear();
+        self.valid.clear();
+        self.erases.clear();
+        self.cursor = 0;
+        self.host_pages_written = 0;
+        self.nand_pages_written = 0;
+        self.gc_migrations = 0;
+        self.gc_erases = 0;
     }
 
     /// Lay out the per-plane arrays: every block unwritten and unworn,
     /// every plane's free list all of its dynamic blocks, highest first.
+    /// The arrays are empty here, so this refills whatever capacity they
+    /// kept through [`Self::reset`].
     fn init_planes(&mut self) {
         let g = self.geometry;
         let planes = g.num_planes() as usize;
         let blocks = planes * g.blocks_per_plane as usize;
-        let plane_free: Vec<u32> = (self.first_block..g.blocks_per_plane).rev().collect();
-        self.planes = vec![
-            PlaneHead {
-                open: None,
-                free_len: plane_free.len() as u32,
-            };
-            planes
-        ];
-        self.free = plane_free.repeat(planes);
-        self.valid = vec![0; blocks];
-        self.erases = vec![0; blocks];
+        let plane_free = (self.first_block..g.blocks_per_plane).rev();
+        let head = PlaneHead {
+            open: None,
+            free_len: plane_free.len() as u32,
+        };
+        self.planes.resize(planes, head);
+        self.free.reserve_exact(planes * plane_free.len());
+        for _ in 0..planes {
+            self.free.extend(plane_free.clone());
+        }
+        self.valid.resize(blocks, 0);
+        self.erases.resize(blocks, 0);
     }
 
     /// Index of `(plane, block)` in the block-indexed arrays.

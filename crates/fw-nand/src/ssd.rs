@@ -84,7 +84,7 @@ impl Ssd {
     pub fn new(cfg: SsdConfig, static_blocks_per_plane: u32) -> Self {
         let g = cfg.geometry;
         let ftl = Ftl::new(g, static_blocks_per_plane, cfg.gc_threshold_blocks);
-        Ssd {
+        let mut ssd = Ssd {
             cfg,
             // Built element by element: cloning a template runs the
             // `VecDeque` clone once per plane, several times slower.
@@ -102,7 +102,27 @@ impl Ssd {
             tracer: Tracer::disabled(),
             fault: FaultInjector::disabled(),
             floor: SimTime::ZERO,
-        }
+        };
+        ssd.reset();
+        ssd
+    }
+
+    /// Return the device to the state [`Self::new`] builds, keeping
+    /// every allocation of its resource timelines and FTL: every
+    /// resource idle from `t = 0`, the dynamic region unmapped, the
+    /// counters zero, the window trace, span tracer and fault injector
+    /// off, and the floor back at `t = 0`.
+    pub fn reset(&mut self) {
+        self.planes.iter_mut().for_each(Timeline::reset);
+        self.chip_ports.reset();
+        self.channels.iter_mut().for_each(BandwidthLink::reset);
+        self.pcie.reset();
+        self.ftl.reset();
+        self.stats = SsdStats::default();
+        self.trace = None;
+        self.tracer = Tracer::disabled();
+        self.fault = FaultInjector::disabled();
+        self.floor = SimTime::ZERO;
     }
 
     /// Promise that no later request names a time before `floor`. Every

@@ -1,7 +1,7 @@
 //! The virtual-timeline service loop.
 //!
 //! `run_serve` replays an open-loop arrival timeline against one device
-//! (a [`fw_walk::WalkEngine`] instance per batch) on a simulated clock:
+//! on a simulated clock:
 //!
 //! 1. Arrivals are offered to [`Admission`] in timestamp order; admitted
 //!    queries join their tenant's FIFO queue.
@@ -15,8 +15,8 @@
 //!    engine with walk logging and installs the endpoint distribution.
 //! 4. Batch service occupies the device for the engine's simulated run
 //!    time; every query in the batch completes at `start + service`.
-//!    FlashWalker batches all run on one [`FlashImage`] built when the
-//!    service starts; only the per-run device state is built per batch.
+//!    FlashWalker batches all run on one device built on one
+//!    [`FlashImage`] when the service starts, reset before each batch.
 //!
 //! Event ordering is deterministic: batch starts happen only when the
 //! device-free time does not exceed the next arrival, ties broken in
@@ -277,39 +277,53 @@ impl ServeReport {
     }
 }
 
-/// The device a service runs its batches on. FlashWalker's graph layout
-/// and tables are preprocessed into flash once per service, as in the
-/// paper, and every batch runs against that image; GraphWalker keeps no
-/// state across batches.
-enum Device {
-    Flash(Arc<FlashImage>),
+/// The device a service runs its batches on. FlashWalker's graph is
+/// preprocessed into flash once per service, as in the paper, and one
+/// simulated device serves every batch: before each batch it is reset in
+/// place to the state a device freshly built on that image with the
+/// batch seed would have ([`FlashWalkerSim::reset`]), keeping its
+/// allocations. GraphWalker keeps no state across batches and builds an
+/// engine per batch.
+// One `Device` lives on the stack per service: its size costs nothing.
+#[allow(clippy::large_enum_variant)]
+enum Device<'g> {
+    /// Always `Some` between batches; taken while a batch runs, because
+    /// the run's opt-ins are set by consuming builders.
+    Flash(Option<FlashWalkerSim<'g>>),
     Host,
 }
 
-impl Device {
-    fn new(host: &ServeHost, engine: ServeEngine) -> Self {
+impl<'g> Device<'g> {
+    fn new(host: &ServeHost<'g>, engine: ServeEngine) -> Self {
         match engine {
-            ServeEngine::Flashwalker => Device::Flash(Arc::new(FlashImage::new(
-                host.pg,
-                AccelConfig::scaled(),
-                SsdConfig::scaled(),
-            ))),
+            ServeEngine::Flashwalker => {
+                let image = FlashImage::new(host.pg, AccelConfig::scaled(), SsdConfig::scaled());
+                Device::Flash(Some(FlashWalkerSim::from_image(
+                    host.csr,
+                    host.pg,
+                    Arc::new(image),
+                    0,
+                )))
+            }
             ServeEngine::Graphwalker => Device::Host,
         }
     }
 
     /// Run one batch with walk logging.
     fn run_batch(
-        &self,
+        &mut self,
         host: &ServeHost,
         workload: fw_walk::Workload,
         batch_seed: u64,
     ) -> RunReport {
         match self {
-            Device::Flash(image) => {
-                FlashWalkerSim::from_image(host.csr, host.pg, Arc::clone(image), batch_seed)
-                    .with_walk_log()
-                    .run(workload)
+            Device::Flash(device) => {
+                let mut sim = device.take().expect("device present between batches");
+                sim.reset(batch_seed);
+                let mut sim = sim.with_walk_log();
+                let report = sim.run_detailed(workload);
+                *device = Some(sim);
+                report.into()
             }
             Device::Host => GraphWalkerSim::new(
                 host.csr,
@@ -331,7 +345,7 @@ impl Device {
 /// derived load points are as byte-deterministic as everything else.
 pub fn probe_walks_per_sec(host: &ServeHost, cfg: &ServeConfig, walks: u64) -> f64 {
     let seed = derive_stream_seed(cfg.seed, SERVE_BATCH_STREAM ^ u64::MAX);
-    let device = Device::new(host, cfg.engine);
+    let mut device = Device::new(host, cfg.engine);
     let report = device.run_batch(host, fw_walk::Workload::deepwalk(walks, 6), seed);
     report.walks as f64 / (report.time.0.max(1) as f64 / 1e9)
 }
@@ -350,7 +364,7 @@ pub fn run_serve(host: &ServeHost, cfg: &ServeConfig) -> ServeReport {
         "tenant count mismatch"
     );
 
-    let device = Device::new(host, cfg.engine);
+    let mut device = Device::new(host, cfg.engine);
     let mut admission = Admission::new(cfg.admission);
     let mut cache = WalkCache::new(cfg.cache);
     let mut cache_rng = Xoshiro256pp::new(derive_stream_seed(cfg.seed, SERVE_CACHE_STREAM));
@@ -603,6 +617,53 @@ mod tests {
         let sel: Vec<&QueryOutcome> = r.outcomes.iter().filter(|o| o.cached == cached).collect();
         assert!(!sel.is_empty());
         sel.iter().map(|o| o.service_ns() as f64).sum::<f64>() / sel.len() as f64
+    }
+
+    /// FNV-1a (64-bit) of a report's record plus its per-query outcomes.
+    fn serve_digest(r: &ServeReport) -> u64 {
+        let text = format!("{}|{:?}", r.to_json().render(), r.outcomes);
+        text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+        })
+    }
+
+    /// Serve records are pure functions of their config: FlashWalker
+    /// under Poisson load, overloaded FlashWalker (rejections and cache
+    /// hits) and GraphWalker, pinned by digest. A host-side change to the
+    /// service loop or the engines must leave every digest unchanged; a
+    /// digest that moves marks a model change: state it and re-pin.
+    #[test]
+    fn serve_records_match_the_pinned_digests() {
+        let (csr, pg) = small_graph();
+        let host = ServeHost {
+            csr: &csr,
+            pg: &pg,
+            id_bytes: 4,
+            gw_memory_bytes: 8 << 20,
+        };
+        let poisson = cfg(ServeEngine::Flashwalker, 42, 2000.0);
+        let mut overload = cfg(ServeEngine::Flashwalker, 42, 200_000.0);
+        overload.queries = 120;
+        let mut gw = cfg(ServeEngine::Graphwalker, 42, 1000.0);
+        gw.queries = 20;
+        let cases = [
+            ("flashwalker, poisson", poisson, 0xe085_dfaf_bed2_e3e2),
+            ("flashwalker, overload", overload, 0x7f30_e36f_582f_10d3),
+            ("graphwalker", gw, 0x124c_3a4e_ace5_f72c),
+        ];
+        let reports: Vec<ServeReport> = cases.iter().map(|(_, c, _)| run_serve(&host, c)).collect();
+        let overloaded = &reports[1];
+        assert!(
+            overloaded.admission.rejected > 0 && overloaded.cache.hits > 0,
+            "the overload case neither rejects nor hits the cache"
+        );
+        let got: Vec<(&str, u64)> = cases
+            .iter()
+            .zip(&reports)
+            .map(|((name, _, _), r)| (*name, serve_digest(r)))
+            .collect();
+        let want: Vec<(&str, u64)> = cases.iter().map(|(n, _, d)| (*n, *d)).collect();
+        assert_eq!(got, want, "serve digests moved: {got:#x?}");
     }
 
     #[test]

@@ -135,6 +135,22 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Drop every pending event and rewind the clock, the sequence
+    /// counter and the delivery count to [`Self::new`]'s, keeping the
+    /// buckets' allocations: a reset queue numbers and delivers events
+    /// exactly as a new one does.
+    pub fn reset(&mut self) {
+        self.current.clear();
+        self.wheel.iter_mut().for_each(Vec::clear);
+        self.wheel_len = 0;
+        self.overflow.clear();
+        self.cur_bucket = 0;
+        self.seq = 0;
+        self.now = SimTime::ZERO;
+        self.popped = 0;
+        self.last_seq = None;
+    }
+
     /// Current simulated time: the timestamp of the most recently popped
     /// event (or `t = 0` before the first pop).
     #[inline]
@@ -481,6 +497,36 @@ mod tests {
     fn schedule_returns_monotone_seq_and_pop_exposes_it() {
         schedule_returns_monotone_seq_and_pop_exposes_it!(EventQueue::new());
         schedule_returns_monotone_seq_and_pop_exposes_it!(HeapEventQueue::new());
+    }
+
+    /// A reset queue, left mid-run with events in every tier, schedules
+    /// and delivers a second run exactly as a new queue does: the same
+    /// events in the same order at the same times, numbered from 0.
+    #[test]
+    fn reset_queue_replays_like_a_new_one() {
+        let horizon = BUCKET_WIDTH_NS * NUM_BUCKETS as u64;
+        let run = |q: &mut EventQueue<u32>| {
+            let mut rng = Xoshiro256pp::new(3);
+            let mut out = Vec::new();
+            for i in 0..200 {
+                let at = q.now().0 + rng.next_below(3 * horizon);
+                out.push((u64::from(i), q.schedule_at(SimTime(at), i)));
+                if i % 3 == 0 {
+                    let (t, e) = q.pop().unwrap();
+                    out.push((t.0, u64::from(e)));
+                    out.push((q.last_popped_seq().unwrap(), q.events_processed()));
+                }
+            }
+            out
+        };
+        let want = run(&mut EventQueue::new());
+        let mut q = EventQueue::new();
+        run(&mut q);
+        assert!(!q.is_empty() && q.now() > SimTime::ZERO);
+        q.reset();
+        assert!(q.is_empty() && q.last_popped_seq().is_none());
+        assert_eq!((q.now(), q.events_processed()), (SimTime::ZERO, 0));
+        assert_eq!(run(&mut q), want);
     }
 
     #[test]

@@ -61,6 +61,15 @@ impl Timeline {
         Self::default()
     }
 
+    /// Forget every booking and the busy/served counts: the resource is
+    /// [`Self::new`]'s again, keeping the deque's allocation.
+    pub fn reset(&mut self) {
+        self.intervals.clear();
+        self.last_end = 0;
+        self.busy = Duration::ZERO;
+        self.served = 0;
+    }
+
     /// When the resource's last booked interval ends (an upper bound on
     /// queueing delay for a request issued now; gaps before it may still
     /// be backfilled).
@@ -207,6 +216,11 @@ impl ServerBank {
         }
     }
 
+    /// Forget every server's bookings (see [`Timeline::reset`]).
+    pub fn reset(&mut self) {
+        self.servers.iter_mut().for_each(Timeline::reset);
+    }
+
     /// Reserve bank `bank`'s earliest-available server for `dur` starting
     /// no earlier than `at`, under `floor` (see [`Timeline::reserve`]).
     /// Ties pick the lowest-index server, deterministically.
@@ -257,6 +271,11 @@ impl BandwidthLink {
             timeline: Timeline::new(),
             bytes_per_sec,
         }
+    }
+
+    /// Forget every transfer (see [`Timeline::reset`]).
+    pub fn reset(&mut self) {
+        self.timeline.reset();
     }
 
     /// Transfer `bytes` starting no earlier than `at`, under `floor` (see
@@ -355,6 +374,44 @@ mod tests {
         }
         assert_eq!(bank.busy_time().as_nanos(), total);
         assert_eq!(bank.requests_served(), 2_000);
+    }
+
+    #[test]
+    fn reset_resources_book_like_new_ones() {
+        let book = |t: &mut Timeline, bank: &mut ServerBank, link: &mut BandwidthLink| {
+            let mut rng = crate::rng::Xoshiro256pp::new(5);
+            (0..300)
+                .map(|_| {
+                    let at = SimTime(rng.next_below(10_000));
+                    let dur = Duration(rng.next_below(500));
+                    (
+                        t.reserve(at, dur, F0),
+                        bank.reserve(1, at, dur, F0),
+                        link.transfer(at, dur.0, F0),
+                    )
+                })
+                .collect::<Vec<_>>()
+        };
+        let fresh = || {
+            (
+                Timeline::new(),
+                ServerBank::new(2, 3),
+                BandwidthLink::new(1 << 30),
+            )
+        };
+        let (mut t, mut bank, mut link) = fresh();
+        let want = book(&mut t, &mut bank, &mut link);
+        t.reset();
+        bank.reset();
+        link.reset();
+        assert_eq!(t.next_free(), SimTime::ZERO);
+        assert_eq!((t.busy_time(), t.requests_served()), (Duration::ZERO, 0));
+        assert_eq!(
+            (bank.busy_time(), bank.requests_served()),
+            (Duration::ZERO, 0)
+        );
+        assert_eq!(link.next_free(), SimTime::ZERO);
+        assert_eq!(book(&mut t, &mut bank, &mut link), want);
     }
 
     #[test]

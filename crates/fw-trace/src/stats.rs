@@ -129,11 +129,23 @@ impl TimeSeries {
     /// # Panics
     /// Panics if `window_ns == 0`.
     pub fn new(window_ns: u64) -> Self {
-        assert!(window_ns > 0, "zero-width window");
-        TimeSeries {
+        let mut series = TimeSeries {
             window_ns,
             windows: Vec::new(),
-        }
+        };
+        series.reset(window_ns);
+        series
+    }
+
+    /// Drop every sample and take window width `window_ns`: the series
+    /// [`Self::new`] builds, keeping the window array's allocation.
+    ///
+    /// # Panics
+    /// Panics if `window_ns == 0`.
+    pub fn reset(&mut self, window_ns: u64) {
+        assert!(window_ns > 0, "zero-width window");
+        self.window_ns = window_ns;
+        self.windows.clear();
     }
 
     /// Accumulate `value` into the window containing `at`.
